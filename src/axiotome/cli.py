@@ -145,8 +145,9 @@ def cmd_validate(args, out, err) -> int:
         detail = ""
         if verdict.status == "invalid":
             any_invalid = True
-            assignment = ", ".join(f"{v} = {format_term(t)}" for v, t in verdict.counterexample.items())
-            detail = f" counterexample {assignment}"
+            if verdict.counterexample:  # a ground theorem is refuted without an assignment
+                assignment = ", ".join(f"{v} = {format_term(t)}" for v, t in verdict.counterexample.items())
+                detail = f" counterexample {assignment}"
         elif verdict.status == "inconclusive":
             detail = f" ({verdict.reason})"
         if args.machine:

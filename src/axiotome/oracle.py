@@ -2,9 +2,11 @@
 
 Axioms are oriented left-to-right and formulaic bodies unfolded, giving a
 directed reduction relation; ``normalize`` reduces at the leftmost-outermost
-redex under a step budget.  ``brute_force_validate`` checks a quantified
-equivalence by enumerating every assignment of inhabitants to the quantified
-metavariables and comparing normal forms, independently of any proof.
+redex under a step budget, trying at each subterm only the rules that
+``Registry.rules`` indexes under its head and first argument.
+``brute_force_validate`` checks a quantified equivalence by enumerating
+every assignment of inhabitants to the quantified metavariables and
+comparing normal forms, independently of any proof.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rewrite import apply_substitution, match, replace_at
-from .syntax import FormulaicBody, SumBody, Term, TypeExpr, format_term
+from .rewrite import RuleIndex, apply_substitution, match, replace_at, rules_at
+from .syntax import SumBody, Term, TypeExpr, format_term
 from .typesys import Registry, substitute_type
 
 DEFAULT_BUDGET = 10_000
@@ -93,30 +95,17 @@ def _enumerate(ty: TypeExpr, registry: Registry, visiting: frozenset) -> list[Te
 
 # ------------------------------------------------------------ normalization
 
-def _directed_rules(registry: Registry) -> dict[str, list[tuple[Term, Term, frozenset[str]]]]:
-    """Forward-oriented rules indexed by left-hand-side head symbol."""
-    index: dict[str, list[tuple[Term, Term, frozenset[str]]]] = {}
-    for axiom, owner in registry.axioms.values():
-        metavars = frozenset(registry.axiom_metavars(axiom, owner))
-        index.setdefault(axiom.lhs.head, []).append((axiom.lhs, axiom.rhs, metavars))
-    for fn in registry.functions.values():
-        if isinstance(fn.body, FormulaicBody):
-            lhs = Term(fn.name, (), tuple(Term(p) for p, _ in fn.params))
-            index.setdefault(fn.name, []).append((lhs, fn.body.term, frozenset(p for p, _ in fn.params)))
-    return index
-
-
-def _find_redex(term, rules, path, innermost):
+def _find_redex(term: Term, rules: RuleIndex, path, innermost: bool):
     """Leftmost redex in the requested strategy order."""
     if innermost:
         for i, child in enumerate(term.args):
             hit = _find_redex(child, rules, path + (i,), innermost)
             if hit is not None:
                 return hit
-    for lhs, rhs, metavars in rules.get(term.head, ()):
-        sigma = match(lhs, term, metavars)
+    for _, rule in rules_at(rules, term):
+        sigma = match(rule.lhs, term, rule.metavars)
         if sigma is not None:
-            return path, apply_substitution(sigma, rhs)
+            return path, apply_substitution(sigma, rule.rhs)
     if not innermost:
         for i, child in enumerate(term.args):
             hit = _find_redex(child, rules, path + (i,), innermost)
@@ -132,7 +121,7 @@ def normalize(term: Term, registry: Registry, budget: int = DEFAULT_BUDGET,
     The default strategy is leftmost-outermost; ``innermost=True`` selects
     leftmost-innermost (used to cross-check confluence).
     """
-    rules = _directed_rules(registry)
+    rules = registry.rules.reductions
     steps = 0
     while steps < budget:
         hit = _find_redex(term, rules, (), innermost)

@@ -15,12 +15,17 @@ previous term under the step's clause:
 
 Enumeration order is leftmost-outermost positions, forward before backward,
 which also fixes the witness recorded for steps with several derivations.
+
+Declarations become rewrite rules in one place, ``RuleSet``, built once per
+registry (``Registry.rules``) and indexed by head symbol and first argument;
+normalization, successor moves and depth-1 inference look rules up there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .diagnostics import Diagnostic, error
@@ -30,6 +35,7 @@ from .syntax import (
     format_term,
 )
 from .typesys import Registry
+from .typesys import term_metavars as term_vars  # re-exported under its older name
 
 #: A substitution is a finite map from metavariable names to terms.
 Substitution = dict[str, Term]
@@ -52,7 +58,8 @@ class RuleSource(Enum):
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """An oriented rewrite rule; equivalences yield one rule per direction."""
+    """An oriented rewrite rule; equivalences yield one rule per direction.
+    ``lhs_vars`` and ``rhs_vars`` are the metavariables each side mentions."""
 
     name: str
     source: RuleSource
@@ -60,17 +67,24 @@ class RewriteRule:
     rhs: Term
     direction: Direction = Direction.FORWARD
     metavars: frozenset[str] = frozenset()
-    binding_quantifiers: tuple[tuple[str, Term], ...] = ()
+    lhs_vars: frozenset[str] = frozenset()
+    rhs_vars: frozenset[str] = frozenset()
 
     def reversed(self) -> "RewriteRule":
         flipped = Direction.BACKWARD if self.direction is Direction.FORWARD else Direction.FORWARD
-        return RewriteRule(self.name, self.source, self.lhs, self.rhs, flipped,
-                           self.metavars, self.binding_quantifiers)
+        return replace(self, direction=flipped)
 
     def oriented(self) -> tuple[Term, Term]:
         if self.direction is Direction.FORWARD:
             return self.lhs, self.rhs
         return self.rhs, self.lhs
+
+    def determined(self) -> bool:
+        """Does a source match bind the target's metavariables?  A rule may
+        not invent terms out of thin air."""
+        if self.direction is Direction.FORWARD:
+            return self.rhs_vars <= self.lhs_vars
+        return self.lhs_vars <= self.rhs_vars
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,10 @@ def _match_into(pattern: Term, subject: Term, pattern_vars, sigma: Substitution)
         return False
     if len(pattern.args) != len(subject.args):
         return False
-    return all(_match_into(p, s, pattern_vars, sigma) for p, s in zip(pattern.args, subject.args))
+    for p, s in zip(pattern.args, subject.args):
+        if not _match_into(p, s, pattern_vars, sigma):
+            return False
+    return True
 
 
 def apply_substitution(sigma: Mapping[str, Term], term: Term) -> Term:
@@ -157,73 +174,123 @@ def replace_at(term: Term, path: Position, new: Term) -> Term:
     return Term(term.head, term.type_args, tuple(args), term.span)
 
 
-def term_vars(term: Term, registry: Registry) -> set[str]:
-    out: set[str] = set()
-    if not term.args and not term.type_args \
-            and term.head not in registry.types and term.head not in registry.functions:
-        out.add(term.head)
-    for a in term.args:
-        out |= term_vars(a, registry)
-    return out
-
-
 # ------------------------------------------------------------------- rules
 
-def axiom_rules(registry: Registry) -> list[RewriteRule]:
-    rules = []
-    for name, (axiom, owner) in registry.axioms.items():
-        metavars = frozenset(registry.axiom_metavars(axiom, owner))
-        rules.append(RewriteRule(name, RuleSource.AXIOM, axiom.lhs, axiom.rhs, metavars=metavars))
-    return rules
+def _is_var(term: Term, metavars: frozenset[str]) -> bool:
+    return term.head in metavars and not term.args and not term.type_args
 
 
-def formulaic_rules(registry: Registry) -> list[RewriteRule]:
-    rules = []
-    for fn in registry.functions.values():
-        if isinstance(fn.body, FormulaicBody):
-            lhs = Term(fn.name, (), tuple(Term(p) for p, _ in fn.params))
-            metavars = frozenset(p for p, _ in fn.params)
-            rules.append(RewriteRule(fn.name, RuleSource.FORMULAIC, lhs, fn.body.term, metavars=metavars))
-    return rules
+def _rule(name: str, source: RuleSource, lhs: Term, rhs: Term, metavars) -> RewriteRule:
+    metavars = frozenset(metavars)
+    lhs_vars, rhs_vars = (frozenset(sub.head for _, sub in positions(side) if _is_var(sub, metavars))
+                          for side in (lhs, rhs))
+    return RewriteRule(name, source, lhs, rhs, Direction.FORWARD, metavars, lhs_vars, rhs_vars)
 
 
-def theorem_rules(registry: Registry, exclude: str | None = None) -> list[RewriteRule]:
-    rules = []
-    for thm in registry.theorems.values():
-        if thm.name == exclude:
-            continue
-        metavars = frozenset(q.var for q in thm.quantifiers)
-        rules.append(RewriteRule(thm.name, RuleSource.THEOREM, thm.lhs, thm.rhs, metavars=metavars))
-    return rules
+#: A one-level discrimination index: the key ``(head, first argument's
+#: head)``, ``head`` or ``None`` maps to the ranked oriented rules that can
+#: match a subterm with that key, in rank order.
+RuleIndex = Mapping[object, tuple[tuple[int, RewriteRule], ...]]
+
+
+def _index(ranked: list[tuple[int, RewriteRule]]) -> RuleIndex:
+    """File each rule under its source side's head and first argument's head
+    (its head alone if that argument is a metavariable; ``None`` if the side
+    is one).  A key also holds the looser keys' rules, so lookups probe once."""
+    exact: dict[tuple[str, str], list] = {}
+    by_head: dict[str, list] = {}
+    anywhere: list = []
+    for rank, rule in ranked:
+        src, _ = rule.oriented()
+        if _is_var(src, rule.metavars):
+            anywhere.append((rank, rule))
+        elif src.args and not _is_var(src.args[0], rule.metavars):
+            exact.setdefault((src.head, src.args[0].head), []).append((rank, rule))
+        else:
+            by_head.setdefault(src.head, []).append((rank, rule))
+    index: dict = {None: tuple(anywhere)}
+    for head, rules in by_head.items():
+        index[head] = tuple(sorted(rules + anywhere))
+    for (head, first), rules in exact.items():
+        index[head, first] = tuple(sorted(rules + by_head.get(head, []) + anywhere))
+    return index
+
+
+def rules_at(index: RuleIndex, term: Term) -> tuple[tuple[int, RewriteRule], ...]:
+    """The ranked rules of ``index`` that can match ``term`` at its root."""
+    found = index.get((term.head, term.args[0].head)) if term.args else None
+    if found is None:
+        found = index.get(term.head)
+    return index[None] if found is None else found
+
+
+@dataclass(frozen=True)
+class RuleSet:
+    """A registry's rules in preference order: axioms in registry order, then
+    formulaic unfoldings, then theorems.  ``named`` maps the names a ``via``
+    can cite to rules; ``reductions`` indexes the forward axioms and
+    unfoldings; ``moves`` indexes each direction whose match determines its
+    result, ``rules[i]`` ranked ``2 * i`` forward and ``2 * i + 1`` backward."""
+
+    rules: tuple[RewriteRule, ...]
+    named: Mapping[str, RewriteRule]
+    reductions: RuleIndex
+    moves: RuleIndex
+
+    @classmethod
+    def of(cls, registry: Registry) -> RuleSet:
+        rules = [_rule(name, RuleSource.AXIOM, axiom.lhs, axiom.rhs, registry.axiom_metavars(axiom, owner))
+                 for name, (axiom, owner) in registry.axioms.items()]
+        for fn in registry.functions.values():
+            if isinstance(fn.body, FormulaicBody):
+                params = [p for p, _ in fn.params]
+                lhs = Term(fn.name, (), tuple(Term(p) for p in params))
+                rules.append(_rule(fn.name, RuleSource.FORMULAIC, lhs, fn.body.term, params))
+        rules += [_rule(thm.name, RuleSource.THEOREM, thm.lhs, thm.rhs, (q.var for q in thm.quantifiers))
+                  for thm in registry.theorems.values()]
+        # A theorem named like a function cannot be cited: the name denotes
+        # the function (see ``resolve_rule``).
+        named = {rule.name: rule for rule in rules
+                 if rule.source is not RuleSource.THEOREM or rule.name not in registry.functions}
+        reductions = [(i, rule) for i, rule in enumerate(rules) if rule.source is not RuleSource.THEOREM]
+        oriented = [(2 * i + d, o) for i, rule in enumerate(rules)
+                    for d, o in enumerate((rule, rule.reversed()))]
+        return cls(tuple(rules), MappingProxyType(named), MappingProxyType(_index(reductions)),
+                   MappingProxyType(_index([(rank, o) for rank, o in oriented if o.determined()])))
+
+    def applications(self, term: Term, exclude: str | None) \
+            -> list[tuple[RewriteRule, list[tuple[Position, Substitution]]]]:
+        """Every match of every oriented rule (but theorem ``exclude``) in
+        ``term``, grouped by rule in rank order, each group in
+        leftmost-outermost position order.  Positions are walked once."""
+        found: dict[int, tuple[RewriteRule, list]] = {}
+        for pos, sub in positions(term):
+            for rank, rule in rules_at(self.moves, sub):
+                if rule.source is RuleSource.THEOREM and rule.name == exclude:
+                    continue
+                src, _ = rule.oriented()
+                sigma = match(src, sub, rule.metavars)
+                if sigma is not None:
+                    found.setdefault(rank, (rule, []))[1].append((pos, sigma))
+        return [found[rank] for rank in sorted(found)]
 
 
 def resolve_rule(name: str, env: StepEnv) -> RewriteRule | Diagnostic:
     """Look up a rule by the name written in a ``via`` clause."""
     registry = env.registry
-    if name.startswith("$"):
-        entry = registry.axioms.get(name)
-        if entry is None:
-            return error("E-UNKNOWN-RULE", f"unknown axiom {name}")
-        axiom, owner = entry
-        metavars = frozenset(registry.axiom_metavars(axiom, owner))
-        return RewriteRule(name, RuleSource.AXIOM, axiom.lhs, axiom.rhs, metavars=metavars)
     fn = registry.functions.get(name)
-    if fn is not None:
-        if isinstance(fn.body, EquationalBody):
-            return error(
-                "E-UNKNOWN-RULE",
-                f"equational function {name!r} is not a rule; justify with one of its axioms",
-            )
-        lhs = Term(fn.name, (), tuple(Term(p) for p, _ in fn.params))
-        return RewriteRule(name, RuleSource.FORMULAIC, lhs, fn.body.term,
-                           metavars=frozenset(p for p, _ in fn.params))
-    thm = registry.theorems.get(name)
-    if thm is not None:
-        if name == env.current_theorem:
-            return error("E-UNKNOWN-RULE", f"theorem ¶{name} cannot justify its own proof")
-        return RewriteRule(name, RuleSource.THEOREM, thm.lhs, thm.rhs,
-                           metavars=frozenset(q.var for q in thm.quantifiers))
-    return error("E-UNKNOWN-RULE", f"unknown rule name {name!r}")
+    if fn is not None and isinstance(fn.body, EquationalBody):
+        return error(
+            "E-UNKNOWN-RULE",
+            f"equational function {name!r} is not a rule; justify with one of its axioms",
+        )
+    if fn is None and name == env.current_theorem and name in registry.theorems:
+        return error("E-UNKNOWN-RULE", f"theorem ¶{name} cannot justify its own proof")
+    rule = registry.rules.named.get(name)
+    if rule is None:
+        what = f"axiom {name}" if name.startswith("$") else f"rule name {name!r}"
+        return error("E-UNKNOWN-RULE", f"unknown {what}")
+    return rule
 
 
 # ------------------------------------------------------- single rule steps
@@ -235,29 +302,15 @@ def enumerate_rewrites(term: Term, rule: RewriteRule) -> list[tuple[Position, Te
 
 
 def _applications(term: Term, rule: RewriteRule) -> list[tuple[Position, Term, Substitution]]:
+    if not rule.determined():
+        return []
     src, dst = rule.oriented()
     out = []
     for pos, sub in positions(term):
         sigma = match(src, sub, rule.metavars)
-        if sigma is None:
-            continue
-        # Metavariables of the target side must be determined by the match;
-        # a rule may not invent terms out of thin air in this direction.
-        dst_vars = {v for v in rule.metavars if _occurs(dst, v)}
-        if not dst_vars <= sigma.keys():
-            continue
-        out.append((pos, replace_at(term, pos, apply_substitution(sigma, dst)), sigma))
+        if sigma is not None:
+            out.append((pos, replace_at(term, pos, apply_substitution(sigma, dst)), sigma))
     return out
-
-
-def _occurs(term: Term, var: str) -> bool:
-    if term.head == var and not term.args and not term.type_args:
-        return True
-    return any(_occurs(a, var) for a in term.args)
-
-
-def _both_directions(rule: RewriteRule) -> tuple[RewriteRule, RewriteRule]:
-    return rule, rule.reversed()
 
 
 def _disjoint(p: Position, q: Position) -> bool:
@@ -270,18 +323,20 @@ def _tuple_results(prev: Term, rules: list[RewriteRule]) -> Iterator[tuple[Term,
     positions.  Rules are assigned in listed order; every direction mix is
     tried, leftmost-outermost first."""
 
+    # Positions are enumerated against the original term so that
+    # disjointness and ordering are independent of earlier rewrites.
+    applications = [[(o, _applications(prev, o)) for o in (rule, rule.reversed())] for rule in rules]
+
     def stage(term: Term, idx: int, used: list[Position], witness: list) -> Iterator[tuple[Term, tuple]]:
         if idx == len(rules):
             yield term, tuple(witness)
             return
-        for oriented in _both_directions(rules[idx]):
-            # Positions are enumerated against the original term so that
-            # disjointness and ordering are independent of earlier rewrites.
-            for pos, _, sigma in _applications(prev, oriented):
+        for oriented, apps in applications[idx]:
+            _, dst = oriented.oriented()
+            for pos, result, sigma in apps:
                 if any(not _disjoint(pos, u) for u in used):
                     continue
-                src, dst = oriented.oriented()
-                replaced = replace_at(term, pos, apply_substitution(sigma, dst))
+                replaced = result if idx == 0 else replace_at(term, pos, apply_substitution(sigma, dst))
                 witness.append((pos, oriented, dict(sigma)))
                 used.append(pos)
                 yield from stage(replaced, idx + 1, used, witness)
@@ -323,17 +378,10 @@ def _validate_case_bindings(just: CaseRangeJustification, env: StepEnv) -> Diagn
     return None
 
 
-def _occurrence_positions(term: Term, target: Term) -> list[Position]:
-    return [pos for pos, sub in positions(term) if sub == target]
-
-
 def _case_results(prev: Term, just: CaseRangeJustification, env: StepEnv) -> list[tuple[Term, tuple]]:
     """Constant introduction first, then every elimination assignment."""
     sigma = _case_sigma(just.bindings)
-    rule = RewriteRule(
-        format_justification(just), RuleSource.CASE_RANGE, prev, prev,
-        binding_quantifiers=tuple(sorted((v, t) for v, t in sigma.items())),
-    )
+    rule = RewriteRule(format_justification(just), RuleSource.CASE_RANGE, prev, prev)
     results: list[tuple[Term, tuple]] = []
 
     introduced = apply_substitution(sigma, prev)
@@ -348,22 +396,15 @@ def _case_results(prev: Term, just: CaseRangeJustification, env: StepEnv) -> lis
         groups.setdefault(constructor_term(q.domain), []).append(q.var)
 
     candidates: list[Term] = [prev]
-    replaced_any = False
     for ctor, vars_ in groups.items():
-        occ = _occurrence_positions(prev, ctor)
-        if not occ:
-            continue
-        replaced_any = True
-        new_candidates = []
-        for base in candidates:
-            new_candidates.extend(_assign_occurrences(base, occ, vars_))
-        candidates = new_candidates
-    if replaced_any:
-        seen = set()
-        for cand in candidates:
-            if cand != prev and cand not in seen:
-                seen.add(cand)
-                results.append((cand, (((), rule, dict(sigma)),)))
+        occ = [pos for pos, sub in positions(prev) if sub == ctor]
+        if occ:
+            candidates = [t for base in candidates for t in _assign_occurrences(base, occ, vars_)]
+    seen = set()
+    for cand in candidates:
+        if cand != prev and cand not in seen:
+            seen.add(cand)
+            results.append((cand, (((), rule, dict(sigma)),)))
     return results
 
 
@@ -404,15 +445,9 @@ def clause_results(prev: Term, just: Justification, env: StepEnv) -> list[tuple[
             return rule
         rules.append(rule)
     if len(rules) == 1:
-        results = []
-        for oriented in _both_directions(rules[0]):
-            for pos, res, sigma in _applications(prev, oriented):
-                results.append((res, ((pos, oriented, dict(sigma)),)))
-        return results
-    collected = []
-    for res, witness in _tuple_results(prev, rules):
-        collected.append((res, witness))
-    return collected
+        return [(res, ((pos, oriented, dict(sigma)),)) for oriented in (rules[0], rules[0].reversed())
+                for pos, res, sigma in _applications(prev, oriented)]
+    return list(_tuple_results(prev, rules))
 
 
 def check_justified_step(prev: Term, next_term: Term, just: Justification, env: StepEnv) -> StepVerdict:
@@ -430,10 +465,7 @@ def check_justified_step(prev: Term, next_term: Term, just: Justification, env: 
         # elimination is its mirror image, which accepts any apportionment
         # of constructor occurrences over the bound metavariables.
         if apply_substitution(sigma, prev) == next_term or apply_substitution(sigma, next_term) == prev:
-            rule = RewriteRule(
-                format_justification(just), RuleSource.CASE_RANGE, prev, next_term,
-                binding_quantifiers=tuple(sorted((q.var, constructor_term(q.domain)) for q in just.bindings)),
-            )
+            rule = RewriteRule(format_justification(just), RuleSource.CASE_RANGE, prev, next_term)
             return StepVerdict(True, witness=(((), rule, dict(sigma)),))
         return StepVerdict(False, failure=_unjustified(prev, next_term, just))
 
@@ -444,6 +476,30 @@ def check_justified_step(prev: Term, next_term: Term, just: Justification, env: 
         if res == next_term:
             return StepVerdict(True, witness=witness)
     return StepVerdict(False, failure=_unjustified(prev, next_term, just))
+
+
+def infer_step_justification(prev: Term, next_term: Term, env: StepEnv) -> Justification | None:
+    """Depth-1 inference: the first clause certifying ``prev`` to ``next_term``
+    among axioms in registry order, case ranges (each binding alone, then
+    all of them), function unfoldings and theorems."""
+    rules = env.registry.rules
+    found = None
+    for rule, apps in rules.applications(prev, env.current_theorem):
+        cited = rules.named.get(rule.name)  # None for a theorem named like a function
+        _, dst = rule.oriented()
+        if cited is not None and cited.source is rule.source and any(
+                replace_at(prev, pos, apply_substitution(sigma, dst)) == next_term for pos, sigma in apps):
+            found = rule
+            break
+    if found is not None and found.source is RuleSource.AXIOM:
+        return RuleJustification((found.name,))
+    clauses = [CaseRangeJustification((binding,)) for binding in env.case_bindings]
+    if len(env.case_bindings) > 1:
+        clauses.append(CaseRangeJustification(env.case_bindings))
+    for clause in clauses:
+        if check_justified_step(prev, next_term, clause, env).justified:
+            return clause
+    return None if found is None else RuleJustification((found.name,))
 
 
 def _unjustified(prev: Term, next_term: Term, just: Justification) -> Diagnostic:

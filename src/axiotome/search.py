@@ -1,8 +1,7 @@
-"""Bounded search over justified rewrites: inference and proof repair.
+"""Bounded search over justified rewrites: gap filling and proof repair.
 
-``infer_step_justification`` finds a clause certifying one transition, in a
-fixed preference order (axioms in registry order, forward before backward,
-then case ranges, then function unfoldings, then theorems).
+Depth-1 inference, ``infer_step_justification``, is a rule-set operation
+and lives in ``rewrite``; it is re-exported here.
 
 ``fill_gap`` runs iterative-deepening DFS over single justified rewrites —
 plus same-rule simultaneous tuples and case-range moves — and returns the
@@ -22,15 +21,15 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .rewrite import (
-    RewriteRule, StepEnv, axiom_rules, clause_results, _applications,
-    _both_directions, _case_results, _disjoint, apply_substitution,
-    check_justified_step, formulaic_rules, replace_at, term_vars, theorem_rules,
+    RuleSource, StepEnv, _case_results, _disjoint, apply_substitution, check_justified_step,
+    clause_results, infer_step_justification, replace_at,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, Justification, LinearProof,
     ProofBody, ProofStep, RuleJustification, Term, TheoremDecl,
 )
-from .typesys import Registry
+from .typesys import Registry, term_metavars
+from .verifier import verify_theorem
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class RepairOutcome:
 # ------------------------------------------------------------------- moves
 
 def _scoped(term: Term, scope: frozenset[str], registry: Registry) -> bool:
-    return term_vars(term, registry) <= scope
+    return term_metavars(term, registry) <= scope
 
 
 def successor_moves(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tuple[Justification, Term]]:
@@ -77,72 +76,36 @@ def successor_moves(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
 
     Per rule: forward single positions, a forward all-positions tuple when it
     applies at two or more disjoint positions, then the same backwards.
-    Case-range introduction and elimination moves follow, then formulaic
-    unfoldings and theorem applications.  Moves whose result mentions
-    metavariables outside ``scope`` are dropped.
+    Case-range introduction and elimination moves follow the axioms, then
+    formulaic unfoldings and theorem applications.  Moves whose result
+    mentions metavariables outside ``scope`` are dropped.
     """
     registry = env.registry
     moves: list[tuple[Justification, Term]] = []
 
-    def rule_moves(rule: RewriteRule) -> None:
-        for oriented in _both_directions(rule):
-            apps = _applications(term, oriented)
-            for pos, result, _ in apps:
-                if _scoped(result, scope, registry):
-                    moves.append((RuleJustification((rule.name,)), result))
-            if len(apps) >= 2:
-                chosen: list[tuple] = []
-                for pos, _, sigma in apps:
-                    if all(_disjoint(pos, c[0]) for c in chosen):
-                        chosen.append((pos, sigma))
-                if len(chosen) >= 2:
-                    _, dst = oriented.oriented()
-                    result = term
-                    for pos, sigma in chosen:
-                        result = replace_at(result, pos, apply_substitution(sigma, dst))
-                    if _scoped(result, scope, registry):
-                        moves.append((RuleJustification((rule.name,) * len(chosen)), result))
-
-    for rule in axiom_rules(registry):
-        rule_moves(rule)
+    case_moves: list[tuple[Justification, Term]] = []
     if env.case_bindings:
         clause = CaseRangeJustification(env.case_bindings)
-        for result, _ in _case_results(term, clause, env):
+        case_moves = [(clause, result) for result, _ in _case_results(term, clause, env)
+                      if _scoped(result, scope, registry)]
+    for rule, apps in registry.rules.applications(term, env.current_theorem):
+        if rule.source is not RuleSource.AXIOM:
+            moves += case_moves
+            case_moves = []
+        _, dst = rule.oriented()
+        results = [replace_at(term, pos, apply_substitution(sigma, dst)) for pos, sigma in apps]
+        moves.extend((RuleJustification((rule.name,)), r) for r in results if _scoped(r, scope, registry))
+        chosen: list[tuple] = []
+        for pos, sigma in apps:
+            if all(_disjoint(pos, c[0]) for c in chosen):
+                chosen.append((pos, sigma))
+        if len(chosen) >= 2:
+            result = term
+            for pos, sigma in chosen:
+                result = replace_at(result, pos, apply_substitution(sigma, dst))
             if _scoped(result, scope, registry):
-                moves.append((clause, result))
-    for rule in formulaic_rules(registry):
-        rule_moves(rule)
-    for rule in theorem_rules(registry, exclude=env.current_theorem):
-        rule_moves(rule)
-    return moves
-
-
-# --------------------------------------------------------------- inference
-
-def infer_step_justification(prev: Term, next_term: Term, env: StepEnv) -> Justification | None:
-    """Depth-1 inference: the first clause, in preference order, certifying
-    the transition from ``prev`` to ``next_term``."""
-    for rule in axiom_rules(env.registry):
-        clause = RuleJustification((rule.name,))
-        if check_justified_step(prev, next_term, clause, env).justified:
-            return clause
-    for binding in env.case_bindings:
-        clause = CaseRangeJustification((binding,))
-        if check_justified_step(prev, next_term, clause, env).justified:
-            return clause
-    if len(env.case_bindings) > 1:
-        clause = CaseRangeJustification(env.case_bindings)
-        if check_justified_step(prev, next_term, clause, env).justified:
-            return clause
-    for rule in formulaic_rules(env.registry):
-        clause = RuleJustification((rule.name,))
-        if check_justified_step(prev, next_term, clause, env).justified:
-            return clause
-    for rule in theorem_rules(env.registry, exclude=env.current_theorem):
-        clause = RuleJustification((rule.name,))
-        if check_justified_step(prev, next_term, clause, env).justified:
-            return clause
-    return None
+                moves.append((RuleJustification((rule.name,) * len(chosen)), result))
+    return moves + case_moves
 
 
 # --------------------------------------------------------------- gap search
@@ -164,9 +127,8 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
     if source == target:
         return JustifiedChain((), source, target)
     registry = env.registry
-    scope = term_vars(source, registry) | term_vars(target, registry) \
-        | {q.var for q in env.case_bindings}
-    scope_f = frozenset(scope)
+    scope = frozenset(term_metavars(source, registry) | term_metavars(target, registry)
+                      | {q.var for q in env.case_bindings})
     move_cache: dict[Term, list[tuple[Justification, Term]]] = {}
     nodes = 0
 
@@ -177,7 +139,7 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
             nodes += 1
             if nodes > budget.max_nodes:
                 raise _NodesExhausted
-            cached = successor_moves(term, env, scope_f)
+            cached = successor_moves(term, env, scope)
             move_cache[term] = cached
         return cached
 
@@ -212,13 +174,7 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
 
 def _clause_images(term: Term, just: Justification, env: StepEnv) -> list[Term]:
     outcomes = clause_results(term, just, env)
-    if isinstance(outcomes, list):
-        seen = []
-        for result, _ in outcomes:
-            if result not in seen:
-                seen.append(result)
-        return seen
-    return []
+    return list(dict.fromkeys(result for result, _ in outcomes)) if isinstance(outcomes, list) else []
 
 
 def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
@@ -363,7 +319,6 @@ def repair_theorem(thm: TheoremDecl, report, registry: Registry,
         return RepairOutcome(None, tuple(inserted), tuple(failures))
     patched = TheoremDecl(thm.name, thm.quantifiers, thm.lhs, thm.rhs, new_proof, thm.span)
 
-    from .verifier import verify_theorem
     if not verify_theorem(patched, registry).accepted:
         return RepairOutcome(None, tuple(inserted), ())
     return RepairOutcome(patched, tuple(inserted), ())

@@ -8,7 +8,10 @@ Conformance is width subtyping through sums with invariant type arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping
 
 from .diagnostics import Diagnostic, DiagnosticError, Span, error, warning
 from .syntax import (
@@ -16,6 +19,9 @@ from .syntax import (
     ProductBody, Program, SumBody, Term, TheoremDecl, TypeDecl, TypeExpr,
     format_term, format_type,
 )
+
+if TYPE_CHECKING:
+    from .rewrite import RuleSet
 
 
 @dataclass(frozen=True)
@@ -33,15 +39,31 @@ class TypingContext:
     type_params: frozenset[str] = frozenset()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Registry:
-    """Immutable-after-build view of every declaration in a program."""
+    """Immutable view of every declaration in a program.
 
-    types: dict[str, TypeDecl] = field(default_factory=dict)
-    functions: dict[str, FunctionDecl] = field(default_factory=dict)
-    axioms: dict[str, tuple[Axiom, str]] = field(default_factory=dict)
-    operators: dict[str, str] = field(default_factory=dict)
-    theorems: dict[str, TheoremDecl] = field(default_factory=dict)
+    The maps are copied into read-only mappings on construction, so the
+    rewrite rules derived from them (``rules``) cannot go stale.
+    """
+
+    types: Mapping[str, TypeDecl] = field(default_factory=dict)
+    functions: Mapping[str, FunctionDecl] = field(default_factory=dict)
+    axioms: Mapping[str, tuple[Axiom, str]] = field(default_factory=dict)
+    operators: Mapping[str, str] = field(default_factory=dict)
+    theorems: Mapping[str, TheoremDecl] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, MappingProxyType(dict(getattr(self, f.name))))
+
+    @cached_property
+    def rules(self) -> RuleSet:
+        """The indexed rewrite rules of every declaration, built on first use.
+
+        ``rewrite`` builds on this module, hence the deferred import."""
+        from .rewrite import RuleSet
+        return RuleSet.of(self)
 
     def axiom_metavars(self, axiom: Axiom, owner: str) -> dict[str, TypeExpr]:
         """Metavariable typing for an axiom: the owning function's declared
@@ -61,7 +83,11 @@ def substitute_type(ty: TypeExpr, bindings: dict[str, TypeExpr]) -> TypeExpr:
 def build_registry(program: Program) -> tuple[Registry, list[Diagnostic]]:
     """Two-pass registry construction; duplicate and unresolved names are
     diagnosed but a best-effort registry is still returned (first wins)."""
-    reg = Registry()
+    types: dict[str, TypeDecl] = {}
+    functions: dict[str, FunctionDecl] = {}
+    axioms: dict[str, tuple[Axiom, str]] = {}
+    operators: dict[str, str] = {}
+    theorems: dict[str, TheoremDecl] = {}
     diags: list[Diagnostic] = []
 
     def dup(kind: str, name: str, span: Span) -> None:
@@ -69,31 +95,33 @@ def build_registry(program: Program) -> tuple[Registry, list[Diagnostic]]:
 
     for stmt in program.statements:
         if isinstance(stmt, TypeDecl):
-            if stmt.name in reg.types or stmt.name in reg.functions:
+            if stmt.name in types or stmt.name in functions:
                 dup("type", stmt.name, stmt.span)
             else:
-                reg.types[stmt.name] = stmt
+                types[stmt.name] = stmt
         elif isinstance(stmt, FunctionDecl):
-            if stmt.name in reg.functions or stmt.name in reg.types:
+            if stmt.name in functions or stmt.name in types:
                 dup("function", stmt.name, stmt.span)
             else:
-                reg.functions[stmt.name] = stmt
+                functions[stmt.name] = stmt
                 if isinstance(stmt.body, EquationalBody):
                     for ax in stmt.body.axioms:
-                        if ax.name in reg.axioms:
+                        if ax.name in axioms:
                             dup("axiom", ax.name, ax.span)
                         else:
-                            reg.axioms[ax.name] = (ax, stmt.name)
+                            axioms[ax.name] = (ax, stmt.name)
         elif isinstance(stmt, OperatorDecl):
-            if stmt.glyph in reg.operators:
+            if stmt.glyph in operators:
                 dup("operator", stmt.glyph, stmt.span)
             else:
-                reg.operators[stmt.glyph] = stmt.function_name
+                operators[stmt.glyph] = stmt.function_name
         elif isinstance(stmt, TheoremDecl):
-            if stmt.name in reg.theorems:
+            if stmt.name in theorems:
                 dup("theorem", stmt.name, stmt.span)
             else:
-                reg.theorems[stmt.name] = stmt
+                theorems[stmt.name] = stmt
+
+    reg = Registry(types, functions, axioms, operators, theorems)
 
     # Second pass: resolve type references now that all names are known.
     for decl in reg.types.values():

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, DiagnosticError, Severity, error, warning
 from .rewrite import (
-    StepEnv, apply_substitution, check_justified_step, clause_results, _case_sigma,
+    StepEnv, apply_substitution, check_justified_step, clause_results, infer_step_justification,
+    _case_sigma,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, LinearProof, ProofBody,
@@ -205,10 +206,6 @@ class _Verification:
             self.diagnostics.extend(exc.diagnostics)
             return False
 
-    def _infer(self, prev: Term, nxt: Term, env: StepEnv):
-        from .search import infer_step_justification
-        return infer_step_justification(prev, nxt, env)
-
     # -------------------------------------------------------------- body
 
     def verify_body(self, body: ProofBody, lhs: Term, rhs: Term, env: StepEnv,
@@ -285,7 +282,7 @@ class _Verification:
     def _check_hop(self, prev: Term, step: ProofStep, env: StepEnv, path: tuple[str, ...]) -> bool:
         just = step.justification
         if just is None:
-            inferred = self._infer(prev, step.term, env)
+            inferred = infer_step_justification(prev, step.term, env)
             if inferred is None:
                 self.diagnostics.append(error(
                     "E-UNJUSTIFIED-STEP",
@@ -329,7 +326,7 @@ class _Verification:
         if isinstance(outcomes, Diagnostic):
             return False
         for intermediate, _ in outcomes:
-            inferred = self._infer(prev, intermediate, env)
+            inferred = infer_step_justification(prev, intermediate, env)
             if inferred is None:
                 continue
             clause = f"{format_justification(inferred)} then {format_justification(just)}"

@@ -5,8 +5,9 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from axiotome.syntax import OperatorDecl, Program, parse_program
+from axiotome.syntax import OperatorDecl, Program, Term, parse_program
 from axiotome.typesys import Registry, build_registry
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -31,6 +32,28 @@ PROGRAM_FIXTURES = sorted(
 )
 
 
+#: Rules the corpus lacks, for the rule index's looser keys: ``$pick°L``
+#: has a metavariable first argument and shares its head with rules whose
+#: first argument is a constant, and ``same`` unfolds backwards from a bare
+#: metavariable.  ``¶pick`` and ``¶same`` are named like functions, so a
+#: ``via`` clause cannot cite them.
+MIXED_RULES = """\
+function pick(a: Boolean, b: Boolean) : Boolean
+  allowing $pick°T: pick(True, b) ↔ not(b)
+           $pick°L: pick(a, b) ↔ a
+           $pick°F: pick(False, b) ↔ b
+function same(b: Boolean) : Boolean ≡ b
+theorem ¶pick: ∀b ∈ Boolean: pick(b, b) ↔ b
+proof
+  0. pick(b, b)
+  1. b via $pick°L
+theorem ¶same: ∀b ∈ Boolean: not(same(b)) ↔ not(b)
+proof
+  0. not(same(b))
+  1. not(b) via same
+"""
+
+
 def corpus_path(name: str) -> Path:
     return CORPUS / name
 
@@ -53,11 +76,24 @@ def load_program(*names: str, operators: dict[str, str] | None = None) -> Progra
     return Program(tuple(statements), "+".join(names))
 
 
-def load_registry(*names: str) -> Registry:
-    registry, diags = build_registry(load_program(*names))
+def load_registry(*names: str, extra: str = "") -> Registry:
+    """Registry of the named fixtures, followed by the source ``extra``."""
+    program = load_program(*names)
+    if extra:
+        program = Program(program.statements + parse_program(extra, "extra.axm").statements)
+    registry, diags = build_registry(program)
     errors = [d for d in diags if d.severity.value == "error"]
     assert not errors, [d.message for d in errors]
     return registry
+
+
+def terms(arities: dict[str, int], leaves: tuple[str, ...] = ("False", "True")) -> st.SearchStrategy[Term]:
+    """Hypothesis strategy for terms over the given heads and nullary leaves."""
+    def extend(children: st.SearchStrategy[Term]) -> st.SearchStrategy[Term]:
+        return st.one_of([st.tuples(*[children] * n).map(lambda args, h=h: Term(h, (), args))
+                          for h, n in arities.items()])
+
+    return st.recursive(st.sampled_from([Term(leaf) for leaf in leaves]), extend, max_leaves=12)
 
 
 @pytest.fixture(scope="session")

@@ -103,6 +103,15 @@ def test_validate_counterexample_exits_one(tmp_path):
     assert "¶notIsId: invalid counterexample a = False" in out
 
 
+def test_validate_refutes_a_ground_theorem_without_an_assignment(tmp_path):
+    source = tmp_path / "ground.axm"
+    source.write_text("theorem ¶bad: not(False) ↔ False\nproof\n  0. not(False)\n", encoding="utf-8")
+    code, out, _ = run("validate", *BOOL_PATHS, str(source))
+    assert (code, out) == (1, "¶bad: invalid\n")
+    code, out, _ = run("validate", *BOOL_PATHS, str(source), "--machine")
+    assert (code, out) == (1, "¶bad\tinvalid\t\n")
+
+
 def test_validate_infinite_domain_is_inconclusive(tmp_path):
     source = tmp_path / "nats.axm"
     source.write_text(

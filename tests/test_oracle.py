@@ -5,12 +5,18 @@ from __future__ import annotations
 import itertools
 import random
 
-from axiotome.oracle import brute_force_validate, enumerable_domain, normalize
-from axiotome.syntax import Term, TypeExpr, parse_program, parse_term
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from axiotome.oracle import (
+    DEFAULT_BUDGET, NormalizationResult, brute_force_validate, enumerable_domain, normalize,
+)
+from axiotome.rewrite import apply_substitution, match, replace_at
+from axiotome.syntax import FormulaicBody, Term, TypeExpr, parse_program, parse_term
 from axiotome.typesys import build_registry
 from axiotome.verifier import effective_quantifiers
 
-from conftest import BOOL_FNS, load_program, load_registry
+from conftest import BOOL_FNS, MIXED_RULES, load_program, load_registry, terms
 
 
 def t(source: str) -> Term:
@@ -211,3 +217,62 @@ def test_boolean_normal_forms_are_constants(full_registry):
     for term in _ground_terms(2, with_if=False):
         result = normalize(term, full_registry)
         assert result.normal_form in constants
+
+
+# --------------------------------------------------- indexed normalization
+
+def _reference_normalize(term: Term, registry, budget: int, innermost: bool) -> NormalizationResult:
+    """``normalize`` without the rule set: the directed rules are rebuilt on
+    each call, and every rule with the subterm's head is tried."""
+    rules: dict[str, list] = {}
+    for axiom, owner in registry.axioms.values():
+        metavars = frozenset(registry.axiom_metavars(axiom, owner))
+        rules.setdefault(axiom.lhs.head, []).append((axiom.lhs, axiom.rhs, metavars))
+    for fn in registry.functions.values():
+        if isinstance(fn.body, FormulaicBody):
+            lhs = Term(fn.name, (), tuple(Term(p) for p, _ in fn.params))
+            rules.setdefault(fn.name, []).append((lhs, fn.body.term, frozenset(p for p, _ in fn.params)))
+
+    def find_redex(term: Term, path):
+        if innermost:
+            for i, child in enumerate(term.args):
+                hit = find_redex(child, path + (i,))
+                if hit is not None:
+                    return hit
+        for lhs, rhs, metavars in rules.get(term.head, ()):
+            sigma = match(lhs, term, metavars)
+            if sigma is not None:
+                return path, apply_substitution(sigma, rhs)
+        if not innermost:
+            for i, child in enumerate(term.args):
+                hit = find_redex(child, path + (i,))
+                if hit is not None:
+                    return hit
+        return None
+
+    steps = 0
+    while steps < budget:
+        hit = find_redex(term, ())
+        if hit is None:
+            return NormalizationResult(term, steps, False)
+        term = replace_at(term, *hit)
+        steps += 1
+    return NormalizationResult(term, steps, True)
+
+
+#: Boolean connectives, the conditional and a formulaic unfolding, then the
+#: same with rules filed under a head alone and merged with rules filed
+#: under a head and a constant first argument (see ``MIXED_RULES``).
+INDEXED_REGISTRIES = (
+    load_registry(*BOOL_FNS, "if_function.axm", "double_negation_function.axm"),
+    load_registry(*BOOL_FNS, "if_function.axm", "double_negation_function.axm", extra=MIXED_RULES),
+)
+BOOLEAN_HEADS = {"not": 1, "and": 2, "or": 2, "if": 3, "doubleNegation": 1, "pick": 2, "same": 1}
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(terms(BOOLEAN_HEADS), st.one_of(st.integers(0, 20), st.just(DEFAULT_BUDGET)), st.booleans())
+def test_indexed_normalize_agrees_with_reference(term, budget, innermost):
+    for registry in INDEXED_REGISTRIES:
+        assert normalize(term, registry, budget, innermost) == \
+            _reference_normalize(term, registry, budget, innermost)

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from axiotome.rewrite import StepEnv, check_justified_step
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from axiotome.rewrite import (
+    RuleSource, StepEnv, _applications, _case_results, _disjoint, apply_substitution,
+    check_justified_step, replace_at,
+)
 from axiotome.search import (
     JustifiedChain, SearchBudget, fill_gap, infer_step_justification,
     repair_proof, repair_theorem, successor_moves,
@@ -11,9 +17,10 @@ from axiotome.syntax import (
     CaseRangeJustification, Quantifier, RuleJustification, Term,
     TypeExpr, format_justification, parse_program, parse_term,
 )
+from axiotome.typesys import term_metavars
 from axiotome.verifier import verify_theorem
 
-from conftest import BOOL_FNS, load_program, load_registry
+from conftest import BOOL_FNS, MIXED_RULES, load_program, load_registry, terms
 
 
 def t(source: str) -> Term:
@@ -243,3 +250,80 @@ def test_repair_is_deterministic():
     first = repair_proof(thm, report, registry)
     second = repair_proof(thm, report, registry)
     assert first == second
+
+
+# ------------------------------------------------ indexed rule application
+
+def _reference_successor_moves(term, env, scope):
+    """``successor_moves`` without the index: each rule in preference order
+    is tried at every position, one direction at a time."""
+    registry = env.registry
+    moves = []
+
+    def scoped(result):
+        return term_metavars(result, registry) <= scope
+
+    def rule_moves(rule):
+        for oriented in (rule, rule.reversed()):
+            apps = _applications(term, oriented)
+            moves.extend((RuleJustification((rule.name,)), result) for _, result, _ in apps if scoped(result))
+            chosen = []
+            for pos, _, sigma in apps:
+                if all(_disjoint(pos, c) for c, _ in chosen):
+                    chosen.append((pos, sigma))
+            if len(chosen) >= 2:
+                _, dst = oriented.oriented()
+                result = term
+                for pos, sigma in chosen:
+                    result = replace_at(result, pos, apply_substitution(sigma, dst))
+                if scoped(result):
+                    moves.append((RuleJustification((rule.name,) * len(chosen)), result))
+
+    rules = registry.rules.rules
+    for rule in rules:
+        if rule.source is RuleSource.AXIOM:
+            rule_moves(rule)
+    if env.case_bindings:
+        clause = CaseRangeJustification(env.case_bindings)
+        moves.extend((clause, result) for result, _ in _case_results(term, clause, env) if scoped(result))
+    for rule in rules:
+        if rule.source is RuleSource.FORMULAIC \
+                or rule.source is RuleSource.THEOREM and rule.name != env.current_theorem:
+            rule_moves(rule)
+    return moves
+
+
+def _reference_infer(prev, next_term, env):
+    """``infer_step_justification`` as a check of every clause, in
+    preference order, through ``check_justified_step``."""
+    rules = env.registry.rules.rules
+    clauses = [RuleJustification((r.name,)) for r in rules if r.source is RuleSource.AXIOM]
+    clauses += [CaseRangeJustification((binding,)) for binding in env.case_bindings]
+    if len(env.case_bindings) > 1:
+        clauses.append(CaseRangeJustification(env.case_bindings))
+    clauses += [RuleJustification((r.name,)) for r in rules
+                if r.source is RuleSource.FORMULAIC or r.source is RuleSource.THEOREM]
+    return next((c for c in clauses if check_justified_step(prev, next_term, c, env).justified), None)
+
+
+#: Axioms, unfoldings and theorems, with rules under every kind of index key.
+RULES_REGISTRY = load_registry(*BOOL_FNS, "if_function.axm", "double_negation_function.axm",
+                               "de_morgan_corrected.axm", "triple_negation.axm", extra=MIXED_RULES)
+ENVS = (
+    StepEnv(RULES_REGISTRY),
+    StepEnv(RULES_REGISTRY, FF, "deMorgan1"),
+    StepEnv(RULES_REGISTRY, (Quantifier("a", TypeExpr("True")),), "same"),
+)
+SCOPE = frozenset({"a", "b"})
+RULE_TERMS = terms({"not": 1, "and": 2, "or": 2, "if": 3, "doubleNegation": 1, "pick": 2, "same": 1},
+                   ("False", "True", "a", "b"))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS), st.data())
+def test_indexed_moves_and_inference_agree_with_reference(term, env, data):
+    moves = successor_moves(term, env, SCOPE)
+    assert moves == _reference_successor_moves(term, env, SCOPE)
+    targets = [result for _, result in moves] + [data.draw(RULE_TERMS)]
+    for target in data.draw(st.lists(st.sampled_from(targets), max_size=4)):
+        assert infer_step_justification(term, target, env) == _reference_infer(term, target, env)

@@ -81,6 +81,15 @@ def test_response_listings_pass_with_zero_diagnostics(name):
     assert check_well_formed(registry) == []
 
 
+def test_built_registry_is_immutable(bool_registry):
+    with pytest.raises(TypeError):
+        bool_registry.axioms["$extra"] = bool_registry.axioms["$not°F"]
+    with pytest.raises(TypeError):
+        del bool_registry.types["Boolean"]
+    with pytest.raises(AttributeError):
+        bool_registry.theorems = {}
+
+
 def test_axiom_arity_violation():
     program = load_program(*BASE_TYPES)
     extra = parse_program(
