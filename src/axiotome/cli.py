@@ -45,15 +45,20 @@ def _parse_operator_flags(pairs: list[str], err) -> dict[str, str]:
     return operators
 
 
+def _read(path: str, err) -> str:
+    """The text of ``path``; exit 2 if it cannot be read or is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not valid UTF-8 (byte {exc.start})"
+    print(f"error: cannot read {path}: {reason}", file=err)
+    raise _Exit(2)
+
+
 def _read_sources(paths: list[str], out, err) -> list[tuple[str, str]]:
-    sources = []
-    for path in paths:
-        try:
-            sources.append((path, Path(path).read_text(encoding="utf-8")))
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc.strerror}", file=err)
-            raise _Exit(2)
-    return sources
+    return [(path, _read(path, err)) for path in paths]
 
 
 def _load_program(sources: list[tuple[str, str]], operators: dict[str, str]) -> tuple[Program, list[Diagnostic]]:
@@ -189,10 +194,9 @@ def cmd_fill(args, out, err) -> int:
     if _has_errors(diags):
         _emit_diagnostics(diags, args.machine, out)
         return 1
-    target_path = args.paths[0]
+    target_path, target_text = sources[0]
     try:
-        target = parse_program(Path(target_path).read_text(encoding="utf-8"), target_path,
-                               dict(registry.operators))
+        target = parse_program(target_text, target_path, dict(registry.operators))
     except DiagnosticError as exc:
         _emit_diagnostics(exc.diagnostics, args.machine, out)
         return 1
@@ -246,11 +250,7 @@ def cmd_fill(args, out, err) -> int:
 def cmd_fmt(args, out, err) -> int:
     findings = 0
     for path in args.paths:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc.strerror}", file=err)
-            return 2
+        text = _read(path, err)
         try:
             rendered = format_node(parse_program(text, path, dict(args.operators)))
         except DiagnosticError as exc:

@@ -79,6 +79,10 @@ def successor_moves(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
     Case-range introduction and elimination moves follow the axioms, then
     formulaic unfoldings and theorem applications.  Moves whose result
     mentions metavariables outside ``scope`` are dropped.
+
+    ``term`` itself must lie in ``scope`` (as every term ``fill_gap``
+    expands does): a rule or tuple move is then checked on its substituted
+    replacements alone, which are the only new parts of its result.
     """
     registry = env.registry
     moves: list[tuple[Justification, Term]] = []
@@ -93,18 +97,21 @@ def successor_moves(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
             moves += case_moves
             case_moves = []
         _, dst = rule.oriented()
-        results = [replace_at(term, pos, apply_substitution(sigma, dst)) for pos, sigma in apps]
-        moves.extend((RuleJustification((rule.name,)), r) for r in results if _scoped(r, scope, registry))
-        chosen: list[tuple] = []
+        replaced = []
         for pos, sigma in apps:
-            if all(_disjoint(pos, c[0]) for c in chosen):
-                chosen.append((pos, sigma))
-        if len(chosen) >= 2:
+            new = apply_substitution(sigma, dst)
+            replaced.append((pos, new, _scoped(new, scope, registry)))
+        moves.extend((RuleJustification((rule.name,)), replace_at(term, pos, new))
+                     for pos, new, ok in replaced if ok)
+        chosen: list[tuple] = []
+        for app in replaced:
+            if all(_disjoint(app[0], c[0]) for c in chosen):
+                chosen.append(app)
+        if len(chosen) >= 2 and all(ok for _, _, ok in chosen):
             result = term
-            for pos, sigma in chosen:
-                result = replace_at(result, pos, apply_substitution(sigma, dst))
-            if _scoped(result, scope, registry):
-                moves.append((RuleJustification((rule.name,) * len(chosen)), result))
+            for pos, new, _ in chosen:
+                result = replace_at(result, pos, new)
+            moves.append((RuleJustification((rule.name,) * len(chosen)), result))
     return moves + case_moves
 
 

@@ -1,15 +1,17 @@
 """Tokenizer for Axiotome source text.
 
-All ASCII digraph aliases are normalized to their Unicode spelling in token
-lexemes (``:=`` to ``≡``, ``<->`` to ``↔``, ``forall`` to ``∀``, ``in`` to
-``∈``, ``\\/`` to ``∨``, ``/\\`` to ``∧``), and ``.`` separators inside
-``$``- and ``¶``-prefixed names are normalized to ``°``.  Comments become
-trivia attached to the following token.  Newlines are emitted as tokens only
-at bracket-nesting depth zero, where they can delimit statements, axioms and
+The lexical notes of ``docs/grammar.ebnf`` are the specification: each
+lexical class there is one named group of ``_TOKEN``, tried in order.  ASCII
+aliases become their glyphs in token lexemes, and ``.`` inside ``$``- and
+``¶``-prefixed names becomes ``°``.  Comments are trivia on the next token,
+so comments at the end of input are dropped.  Newlines are tokens only at
+bracket-nesting depth zero, where they can delimit statements, axioms and
 proof steps; the parser treats them like ``;``.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..diagnostics import DiagnosticError, Span, error
 from .nodes import Token, TokenKind
@@ -19,143 +21,77 @@ KEYWORDS = frozenset({
     "proof", "by", "cases", "of", "using", "case", "via",
 })
 
-#: Words that alias quantifier symbols and are therefore reserved.
-_WORD_SYMBOLS = {"forall": "∀", "in": "∈"}
-
-_SINGLE_SYMBOLS = set("≡↔∀∈∨∧()[]:;,.=^")
-
 #: Glyphs that may be declared as infix operators.
 OPERATOR_GLYPHS = frozenset({"∨", "∧"})
 
+#: ASCII spellings of glyphs; ``forall`` and ``in`` are therefore reserved.
+_ALIASES = {"forall": "∀", "in": "∈", ":=": "≡", "<->": "↔", "\\/": "∨", "/\\": "∧"}
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isascii() and ch.isalpha()
+#: One group per lexical class; digraphs come before the single glyphs, and
+#: ``error`` takes any character the classes before it reject.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>//[^\n]*|/\*(?s:.*?)\*/)
+  | (?P<axiom>\$[A-Za-z][A-Za-z0-9°.]*)
+  | (?P<theorem>¶[A-Za-z][A-Za-z0-9°.]*)
+  | (?P<word>[A-Za-z][A-Za-z0-9°]*)
+  | (?P<number>[0-9]+)
+  | (?P<symbol>:=|<->|\\/|/\\|[≡↔∀∈∨∧()\[\]:;,.=^])
+  | (?P<error>.)
+""", re.VERBOSE)
+
+_KINDS = {"axiom": TokenKind.AXIOM_NAME, "theorem": TokenKind.THEOREM_NAME, "number": TokenKind.NUMBER}
 
 
-def _is_ident_char(ch: str) -> bool:
-    return (ch.isascii() and ch.isalnum()) or ch == "°"
-
-
-def _is_name_char(ch: str) -> bool:
-    # Inside $/¶ prefixed names a '.' is an accepted spelling of '°'.
-    return _is_ident_char(ch) or ch == "."
-
-
-class _Lexer:
-    def __init__(self, source: str, file: str) -> None:
-        self.src = source
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.depth = 0
-        self.tokens: list[Token] = []
-        self.trivia: list[str] = []
-
-    def span(self, start_line: int, start_col: int, length: int) -> Span:
-        return Span(self.file, start_line, start_col, length)
-
-    def fail(self, message: str, line: int, col: int, length: int = 1) -> None:
-        raise DiagnosticError(error("E-SYNTAX", message, self.span(line, col, length)))
-
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.src[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.src[i] if i < len(self.src) else ""
-
-    def emit(self, kind: TokenKind, lexeme: str, line: int, col: int, length: int) -> None:
-        self.tokens.append(Token(kind, lexeme, self.span(line, col, length), tuple(self.trivia)))
-        self.trivia = []
-
-    def emit_newline(self) -> None:
-        # Collapse runs; never start the stream with a separator.
-        if self.depth == 0 and self.tokens and self.tokens[-1].kind != TokenKind.NEWLINE:
-            self.emit(TokenKind.NEWLINE, "\n", self.line, self.col, 1)
-
-    def run(self) -> list[Token]:
-        while self.pos < len(self.src):
-            ch = self.peek()
-            line, col = self.line, self.col
-            if ch == "\n":
-                self.emit_newline()
-                self.advance()
-            elif ch in " \t\r":
-                self.advance()
-            elif ch == "/" and self.peek(1) == "/":
-                start = self.pos
-                while self.pos < len(self.src) and self.peek() != "\n":
-                    self.advance()
-                self.trivia.append(self.src[start:self.pos])
-            elif ch == "/" and self.peek(1) == "*":
-                start = self.pos
-                self.advance(2)
-                while self.pos < len(self.src) and not (self.peek() == "*" and self.peek(1) == "/"):
-                    self.advance()
-                if self.pos >= len(self.src):
-                    self.fail("unterminated block comment", line, col, 2)
-                self.advance(2)
-                self.trivia.append(self.src[start:self.pos])
-            elif ch == "/" and self.peek(1) == "\\":
-                self.advance(2)
-                self.emit(TokenKind.SYMBOL, "∧", line, col, 2)
-            elif ch == "\\" and self.peek(1) == "/":
-                self.advance(2)
-                self.emit(TokenKind.SYMBOL, "∨", line, col, 2)
-            elif ch == ":" and self.peek(1) == "=":
-                self.advance(2)
-                self.emit(TokenKind.SYMBOL, "≡", line, col, 2)
-            elif ch == "<":
-                if self.peek(1) == "-" and self.peek(2) == ">":
-                    self.advance(3)
-                    self.emit(TokenKind.SYMBOL, "↔", line, col, 3)
-                else:
-                    self.fail(f"illegal character {ch!r}", line, col)
-            elif ch in "$¶":
-                self.advance()
-                if not _is_ident_start(self.peek()):
-                    self.fail(f"expected a name after {ch!r}", line, col)
-                start = self.pos
-                while self.pos < len(self.src) and _is_name_char(self.peek()):
-                    self.advance()
-                name = self.src[start:self.pos].replace(".", "°")
-                kind = TokenKind.AXIOM_NAME if ch == "$" else TokenKind.THEOREM_NAME
-                self.emit(kind, ch + name, line, col, self.pos - start + 1)
-            elif _is_ident_start(ch):
-                start = self.pos
-                while self.pos < len(self.src) and _is_ident_char(self.peek()):
-                    self.advance()
-                word = self.src[start:self.pos]
-                if word in KEYWORDS:
-                    self.emit(TokenKind.KEYWORD, word, line, col, len(word))
-                elif word in _WORD_SYMBOLS:
-                    self.emit(TokenKind.SYMBOL, _WORD_SYMBOLS[word], line, col, len(word))
-                else:
-                    self.emit(TokenKind.IDENT, word, line, col, len(word))
-            elif ch.isdigit():
-                start = self.pos
-                while self.pos < len(self.src) and self.peek().isdigit():
-                    self.advance()
-                self.emit(TokenKind.NUMBER, self.src[start:self.pos], line, col, self.pos - start)
-            elif ch in _SINGLE_SYMBOLS:
-                if ch in "([":
-                    self.depth += 1
-                elif ch in ")]":
-                    self.depth = max(0, self.depth - 1)
-                self.advance()
-                self.emit(TokenKind.SYMBOL, ch, line, col, 1)
-            else:
-                self.fail(f"illegal character {ch!r}", line, col)
-        return self.tokens
+def _failure(source: str, offset: int, file: str, line: int, col: int) -> DiagnosticError:
+    ch = source[offset]
+    if source.startswith("/*", offset):
+        message, length = "unterminated block comment", 2
+    elif ch in "$¶":
+        message, length = f"expected a name after {ch!r}", 1
+    else:
+        message, length = f"illegal character {ch!r}", 1
+    return DiagnosticError(error("E-SYNTAX", message, Span(file, line, col, length)))
 
 
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
     """Tokenize ``source``; raises DiagnosticError on lexical errors."""
-    return _Lexer(source, file).run()
+    tokens: list[Token] = []
+    trivia: tuple[str, ...] = ()
+    line, line_start, depth = 1, 0, 0
+    for match in _TOKEN.finditer(source):
+        group, text, start = match.lastgroup, match.group(), match.start()
+        if group == "space":
+            continue
+        col = start - line_start + 1
+        if group == "newline":
+            # Collapse runs; never start the stream with a separator.
+            if depth == 0 and tokens and tokens[-1].kind is not TokenKind.NEWLINE:
+                tokens.append(Token(TokenKind.NEWLINE, text, Span(file, line, col, 1), trivia))
+                trivia = ()
+            line, line_start = line + 1, start + 1
+            continue
+        if group == "comment":
+            trivia += (text,)
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+            continue
+        if group == "error":
+            raise _failure(source, start, file, line, col)
+        lexeme = _ALIASES.get(text, text)
+        if group == "word":
+            kind = (TokenKind.KEYWORD if text in KEYWORDS
+                    else TokenKind.SYMBOL if text in _ALIASES else TokenKind.IDENT)
+        elif group == "symbol":
+            kind = TokenKind.SYMBOL
+            if text in "([":
+                depth += 1
+            elif text in ")]":
+                depth = max(0, depth - 1)
+        else:
+            kind, lexeme = _KINDS[group], text.replace(".", "°")
+        tokens.append(Token(kind, lexeme, Span(file, line, col, len(text)), trivia))
+        trivia = ()
+    return tokens

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 
+import pytest
+
 from axiotome.cli import main
 from axiotome.syntax import parse_program
 
@@ -55,6 +57,27 @@ def test_check_unreadable_file_exits_two():
     code, _, err = run("check", "no-such-file.axm")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_file_that_is_not_utf8_exits_two(tmp_path, command):
+    source = tmp_path / "bad.axm"
+    source.write_bytes(b"type False \xff Product[]\n")
+    code, out, err = run(command, str(source))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {source}: not valid UTF-8 (byte 11)\n"
+
+
+def test_check_non_ascii_step_number_is_a_syntax_error(tmp_path):
+    # NUMBER is [0-9]+, so a superscript two is no step number and never
+    # reaches int() in the parser.
+    source = tmp_path / "digit.axm"
+    source.write_text("theorem t: False ↔ False\nproof\n  0. False\n  ². False\n", encoding="utf-8")
+    code, out, _ = run("check", str(source), "--machine")
+    assert code == 1
+    assert out.startswith("E-SYNTAX\terror\t")
+    assert "illegal character '²'" in out
 
 
 def test_joint_checking_equals_concatenation(tmp_path):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axiotome.diagnostics import DiagnosticError
 from axiotome.syntax import (
@@ -31,8 +35,8 @@ def test_block_comment_becomes_trivia():
     tokens = tokenize("and(False, a) /* premiss */")
     assert len(tokens) == 6
     assert [t.lexeme for t in tokens] == ["and", "(", "False", ",", "a", ")"]
-    # The comment is not lost: it rides along on the token stream as trivia.
-    assert any("premiss" in piece for t in tokens for piece in t.trivia) or True
+    # Trivia rides on the next token, so a comment at the end of input is dropped.
+    assert all(t.trivia == () for t in tokens)
     trailing = tokenize("and(False, a) /* premiss */ x")
     assert trailing[-1].trivia == ("/* premiss */",)
 
@@ -65,10 +69,92 @@ def test_illegal_character_has_span():
     assert d.span.column == 10
 
 
+def test_numbers_are_ascii_digits():
+    assert [t.lexeme for t in tokenize("0129")] == ["0129"]
+    for digit in ("²", "١"):
+        with pytest.raises(DiagnosticError) as exc:
+            tokenize(f"1{digit}")
+        assert exc.value.diagnostics[0].message == f"illegal character {digit!r}"
+        assert exc.value.diagnostics[0].span.column == 2
+
+
 def test_tokenizer_consumes_every_position():
     # Totality: every corpus file tokenizes without looping or dropping input.
     for name in PROGRAM_FIXTURES:
         assert tokenize(corpus_text(name), name)
+
+
+#: Pieces spliced into corpus text: every lexical class, every digraph and
+#: its lone first characters, and characters the grammar rejects.
+_PIECES = list("/*\\<->$¶.°\n\r\t ()[]:=;,^≡↔∀∈∨∧@a0²١\xa0") + [
+    "", "//", "/*", "*/", ":=", "<->", "\\/", "/\\", "forall", "in", "via", "$a.b", "¶c.d", "/* a\nb */",
+]
+_GLYPHS = {"forall": "∀", "in": "∈", ":=": "≡", "<->": "↔", "\\/": "∨", "/\\": "∧"}
+_FILLER = re.compile(r"[ \t\r\n]+|//[^\n]*|/\*.*?\*/", re.S)
+
+
+@st.composite
+def mutated_corpus(draw):
+    """A corpus file with a few slices replaced by pieces."""
+    text = corpus_text(draw(st.sampled_from(PROGRAM_FIXTURES)))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 8)))
+        text = text[:start] + draw(st.sampled_from(_PIECES)) + text[stop:]
+    return text
+
+
+def _filler(gap: str) -> tuple[tuple[str, ...], bool]:
+    """The comments in ``gap`` and whether it holds a newline outside them;
+    ``gap`` must consist of whitespace and comments only."""
+    pieces = [m.group() for m in _FILLER.finditer(gap)]
+    assert "".join(pieces) == gap
+    return tuple(p for p in pieces if p[0] == "/"), any("\n" in p for p in pieces if p[0] != "/")
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(mutated_corpus())
+def test_token_spans_cover_mutated_corpus_text(source):
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+
+    def offset(span):
+        return line_starts[span.line - 1] + span.column - 1
+
+    try:
+        tokens = tokenize(source)
+    except DiagnosticError as exc:
+        diagnostic = exc.diagnostics[0]
+        at = offset(diagnostic.span)
+        tokenize(source[:at])  # the first offending character is the one reported
+        if diagnostic.message == "unterminated block comment":
+            assert source[at:at + 2] == "/*" and "*/" not in source[at + 2:]
+            assert diagnostic.span.length == 2
+        elif diagnostic.message.startswith("expected a name after"):
+            assert source[at] in "$¶" and not re.match("[A-Za-z]", source[at + 1:at + 2])
+        else:
+            assert diagnostic.message == f"illegal character {source[at]!r}"
+        return
+    end, depth, previous = 0, 0, None
+    for token in tokens + [None]:
+        at = offset(token.span) if token else len(source)
+        comments, newline = _filler(source[end:at])
+        # A newline between tokens is one the lexer had to suppress.
+        assert not newline or depth > 0 or previous in (None, TokenKind.NEWLINE)
+        if token is None:
+            break
+        assert token.trivia == comments
+        if token.kind is TokenKind.NEWLINE:
+            assert depth == 0 and previous not in (None, TokenKind.NEWLINE)
+        text = source[at:at + token.span.length]
+        if token.kind in (TokenKind.AXIOM_NAME, TokenKind.THEOREM_NAME):
+            assert token.lexeme == text.replace(".", "°")
+        else:
+            assert token.lexeme == _GLYPHS.get(text, text)
+        if text in ("(", "["):
+            depth += 1
+        elif text in (")", "]"):
+            depth = max(0, depth - 1)
+        end, previous = at + len(text), token.kind
 
 
 # ----------------------------------------------------------------- parsing
