@@ -273,6 +273,16 @@ def cmd_fmt(args, out, err) -> int:
 
 # --------------------------------------------------------------- entry point
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of the budget flags: a negative budget is a usage error."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="axiotome",
@@ -294,13 +304,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="brute-force theorems over finite domains")
     common(p_validate)
-    p_validate.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p_validate.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET,
                             help="normalization step budget")
 
     p_eval = sub.add_parser("eval", help="normalize a term over the loaded definitions")
     p_eval.add_argument("expression", help="term to evaluate")
     common(p_eval)
-    p_eval.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_eval.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET)
 
     p_fill = sub.add_parser(
         "fill", help="repair proofs with omitted steps",
@@ -309,8 +319,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     common(p_fill)
     p_fill.add_argument("--in-place", action="store_true", help="rewrite the first input file")
     p_fill.add_argument("--output", "-o", metavar="PATH", help="write the patched source here")
-    p_fill.add_argument("--max-depth", type=int, default=SearchBudget().max_depth)
-    p_fill.add_argument("--max-nodes", type=int, default=SearchBudget().max_nodes)
+    p_fill.add_argument("--max-depth", type=_non_negative_int, default=SearchBudget().max_depth,
+                        help="most hops in the chain that closes one gap")
+    p_fill.add_argument("--max-nodes", type=_non_negative_int, default=SearchBudget().max_nodes,
+                        help="most distinct terms expanded per gap")
 
     p_fmt = sub.add_parser("fmt", help="canonically format source files")
     common(p_fmt)

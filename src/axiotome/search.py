@@ -3,9 +3,10 @@
 Depth-1 inference, ``infer_step_justification``, is a rule-set operation
 and lives in ``rewrite``; it is re-exported here.
 
-``fill_gap`` runs iterative-deepening DFS over single justified rewrites —
-plus same-rule simultaneous tuples and case-range moves — and returns the
-lexicographically first shortest chain under that move order.
+``fill_gap`` searches breadth-first, one layer of hops per depth, over
+single justified rewrites — plus same-rule simultaneous tuples and
+case-range moves — and returns the lexicographically first shortest chain
+under that move order.
 
 ``repair_proof`` fixes proofs whose steps are unjustified because terms were
 omitted.  For a broken hop it splices the shortest chain between the two
@@ -34,6 +35,9 @@ from .verifier import verify_theorem
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Bounds of one ``fill_gap`` search: ``max_depth`` is the most hops in
+    a chain, and ``max_nodes`` the most distinct terms expanded per gap."""
+
     max_depth: int = 4
     max_nodes: int = 50_000
 
@@ -117,18 +121,17 @@ def successor_moves(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
 
 # --------------------------------------------------------------- gap search
 
-class _NodesExhausted(Exception):
-    pass
-
-
 def fill_gap(source: Term, target: Term, env: StepEnv,
              budget: SearchBudget | None = None) -> JustifiedChain | None:
     """Shortest chain of justified hops from ``source`` to ``target``.
 
-    Iterative-deepening DFS with the deterministic move order, so among
-    equal-length chains the lexicographically first by (rule order,
-    direction, position) is returned.  Expansion is capped by
-    ``budget.max_nodes``.
+    Breadth-first, one layer of hops per depth.  A layer lists its hops in
+    the deterministic move order of ``successor_moves``, duplicates
+    included, so the first hop that reaches ``target`` ends the
+    lexicographically first shortest chain by (rule order, direction,
+    position).  A term is expanded at its first hop only.  ``None`` when no
+    chain of at most ``budget.max_depth`` hops exists, or when finding one
+    would expand more than ``budget.max_nodes`` distinct terms.
     """
     budget = budget or SearchBudget()
     if source == target:
@@ -136,44 +139,28 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
     registry = env.registry
     scope = frozenset(term_metavars(source, registry) | term_metavars(target, registry)
                       | {q.var for q in env.case_bindings})
-    move_cache: dict[Term, list[tuple[Justification, Term]]] = {}
-    nodes = 0
-
-    def moves_of(term: Term) -> list[tuple[Justification, Term]]:
-        nonlocal nodes
-        cached = move_cache.get(term)
-        if cached is None:
-            nodes += 1
-            if nodes > budget.max_nodes:
-                raise _NodesExhausted
-            cached = successor_moves(term, env, scope)
-            move_cache[term] = cached
-        return cached
-
-    def dls(term: Term, remaining: int, visited: dict[Term, int]) \
-            -> list[tuple[Term, Justification]] | None:
-        if remaining == 0:
-            return [] if term == target else None
-        seen = visited.get(term)
-        if seen is not None and seen >= remaining:
-            return None
-        visited[term] = remaining
-        for clause, result in moves_of(term):
-            if result == target:
-                return [(result, clause)]
-            if remaining > 1:
-                tail = dls(result, remaining - 1, visited)
-                if tail is not None:
-                    return [(result, clause)] + tail
-        return None
-
-    try:
-        for depth in range(1, budget.max_depth + 1):
-            chain = dls(source, depth, {})
-            if chain is not None:
-                return JustifiedChain(tuple(chain), source, target)
-    except _NodesExhausted:
-        return None
+    # A hop is (term, clause, previous hop); the source's hop has no clause.
+    layer: list[tuple] = [(source, None, None)]
+    expanded: set[Term] = set()
+    for depth in range(1, budget.max_depth + 1):
+        next_layer = []
+        for hop in layer:
+            term = hop[0]
+            if term in expanded:
+                continue
+            if len(expanded) >= budget.max_nodes:
+                return None
+            expanded.add(term)
+            for clause, result in successor_moves(term, env, scope):
+                if result == target:
+                    steps = [(result, clause)]
+                    while hop[2] is not None:
+                        steps.append(hop[:2])
+                        hop = hop[2]
+                    return JustifiedChain(tuple(reversed(steps)), source, target)
+                if depth < budget.max_depth:
+                    next_layer.append((result, clause, hop))
+        layer = next_layer
     return None
 
 
@@ -204,20 +191,6 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
                 step (never applicable to a segment's final step).
     """
     n = len(steps)
-    # The step to blame if repair fails: the first hop that does not check
-    # on a plain sequential walk (the same step the verifier flags).
-    first_broken: int | None = None
-    walk = premiss
-    for i, step in enumerate(steps):
-        if step.justification is not None:
-            ok = check_justified_step(walk, step.term, step.justification, env).justified
-        else:
-            ok = infer_step_justification(walk, step.term, env) is not None
-        if not ok:
-            first_broken = i
-            break
-        walk = step.term
-
     counter = 0
     start = (0, premiss)
     heap: list[tuple[int, int, tuple[int, Term], list]] = [(0, counter, start, [])]
@@ -271,8 +244,18 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
                 if chain is not None and chain.steps:
                     push([(t, c, True) for t, c in chain.steps], step.term, len(chain.steps) - 1)
 
-    # Search exhausted: blame the first sequentially broken hop.
-    return [], (first_broken if first_broken is not None else max(n - 1, 0))
+    # Search exhausted: blame the first hop that does not check on a plain
+    # sequential walk (the same step the verifier flags), else the last.
+    walk = premiss
+    for i, step in enumerate(steps):
+        if step.justification is not None:
+            ok = check_justified_step(walk, step.term, step.justification, env).justified
+        else:
+            ok = infer_step_justification(walk, step.term, env) is not None
+        if not ok:
+            return [], i
+        walk = step.term
+    return [], max(n - 1, 0)
 
 
 def _repair_body(body: ProofBody, lhs: Term, env: StepEnv, budget: SearchBudget,

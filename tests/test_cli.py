@@ -241,6 +241,24 @@ def test_usage_error_exits_two():
     assert run("check")[0] == 2
 
 
+DE_MORGAN = str(corpus_path("de_morgan_original.axm"))
+BUDGET_FLAGS = {
+    "fill --max-depth": ("fill", DE_MORGAN, *BOOL_PATHS, "-o", "out.axm", "--max-depth"),
+    "fill --max-nodes": ("fill", DE_MORGAN, *BOOL_PATHS, "-o", "out.axm", "--max-nodes"),
+    "validate --budget": ("validate", *BOOL_PATHS, "--budget"),
+    "eval --budget": ("eval", "not(not(False))", *BOOL_PATHS, "--budget"),
+}
+
+
+@pytest.mark.parametrize("flag", BUDGET_FLAGS)
+def test_negative_budget_is_a_usage_error(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    assert run(*BUDGET_FLAGS[flag], "-1") == (2, "", "")
+    assert "expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "out.axm").exists()
+    assert run(*BUDGET_FLAGS[flag], "0")[0] in (0, 1)  # zero is a budget, not a usage error
+
+
 def test_machine_output_is_byte_stable_across_runs():
     args = ("check", *BOOL_PATHS, str(corpus_path("de_morgan_original.axm")), "--machine")
     assert run(*args) == run(*args)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axiotome import search
 from axiotome.rewrite import (
     RuleSource, StepEnv, _applications, _case_results, _disjoint, apply_substitution,
     check_justified_step, replace_at,
@@ -14,7 +17,7 @@ from axiotome.search import (
     repair_proof, repair_theorem, successor_moves,
 )
 from axiotome.syntax import (
-    CaseRangeJustification, Quantifier, RuleJustification, Term,
+    CaseRangeJustification, Justification, Quantifier, RuleJustification, Term,
     TypeExpr, format_justification, parse_program, parse_term,
 )
 from axiotome.typesys import term_metavars
@@ -115,8 +118,9 @@ def test_chains_are_sound(bool_registry):
 
 
 def test_chains_are_minimal_breadth_first_cross_check(bool_registry):
-    # Compare iterative-deepening results against plain breadth-first search
-    # over the same move relation, for every boolean goal within depth 3.
+    # Compare chain lengths against a plain breadth-first search over the
+    # same move relation that records only depths, for the first 60 boolean
+    # goals within depth 3.
     env = StepEnv(bool_registry, FF)
     source = t("True")
     scope = frozenset({"a", "b"})
@@ -327,3 +331,98 @@ def test_indexed_moves_and_inference_agree_with_reference(term, env, data):
     targets = [result for _, result in moves] + [data.draw(RULE_TERMS)]
     for target in data.draw(st.lists(st.sampled_from(targets), max_size=4)):
         assert infer_step_justification(term, target, env) == _reference_infer(term, target, env)
+
+
+# ------------------------------------------------------ layered gap search
+
+class _NodesExhausted(Exception):
+    pass
+
+
+def _reference_fill_gap(source: Term, target: Term, env: StepEnv,
+                        budget: SearchBudget | None = None) -> JustifiedChain | None:
+    """``fill_gap`` as iterative-deepening DFS: a depth-limited search per
+    depth with a per-iteration ``visited`` map, over a move cache whose
+    misses are the expanded nodes.  It calls ``successor_moves`` through its
+    module, as ``fill_gap`` does, so that a test can record the calls."""
+    budget = budget or SearchBudget()
+    if source == target:
+        return JustifiedChain((), source, target)
+    registry = env.registry
+    scope = frozenset(term_metavars(source, registry) | term_metavars(target, registry)
+                      | {q.var for q in env.case_bindings})
+    move_cache: dict[Term, list[tuple[Justification, Term]]] = {}
+    nodes = 0
+
+    def moves_of(term: Term) -> list[tuple[Justification, Term]]:
+        nonlocal nodes
+        cached = move_cache.get(term)
+        if cached is None:
+            nodes += 1
+            if nodes > budget.max_nodes:
+                raise _NodesExhausted
+            cached = search.successor_moves(term, env, scope)
+            move_cache[term] = cached
+        return cached
+
+    def dls(term: Term, remaining: int, visited: dict[Term, int]) \
+            -> list[tuple[Term, Justification]] | None:
+        if remaining == 0:
+            return [] if term == target else None
+        seen = visited.get(term)
+        if seen is not None and seen >= remaining:
+            return None
+        visited[term] = remaining
+        for clause, result in moves_of(term):
+            if result == target:
+                return [(result, clause)]
+            if remaining > 1:
+                tail = dls(result, remaining - 1, visited)
+                if tail is not None:
+                    return [(result, clause)] + tail
+        return None
+
+    try:
+        for depth in range(1, budget.max_depth + 1):
+            chain = dls(source, depth, {})
+            if chain is not None:
+                return JustifiedChain(tuple(chain), source, target)
+    except _NodesExhausted:
+        return None
+    return None
+
+
+def _expanding(gap_search, source, goal, env, budget):
+    """The result of ``gap_search`` and the terms it expanded, in order."""
+    expanded = []
+
+    def recorded(term, env, scope):
+        expanded.append(term)
+        return successor_moves(term, env, scope)
+
+    with patch.object(search, "successor_moves", recorded):
+        return gap_search(source, goal, env, budget), expanded
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS), st.data())
+def test_layered_fill_gap_agrees_with_reference(source, env, data):
+    # Same chain or None, and the same terms expanded in the same order, so
+    # the node budget trips at the same point.  Goals are random walks of
+    # up to two moves from the source, plus one random term.  The default
+    # node budget is drawn only below depth 3: a depth-3 search for an
+    # unreachable goal expands every term within two moves (thousands).
+    goals = [data.draw(RULE_TERMS)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        goal = source
+        for _ in range(data.draw(st.integers(1, 2))):
+            goal = data.draw(st.sampled_from(successor_moves(goal, env, SCOPE)))[1]
+        goals.append(goal)
+    max_depth = data.draw(st.integers(0, 3))
+    nodes = st.integers(0, 40)
+    if max_depth < 3:
+        nodes |= st.just(SearchBudget().max_nodes)
+    budget = SearchBudget(max_depth, data.draw(nodes))
+    for goal in goals:
+        assert _expanding(fill_gap, source, goal, env, budget) \
+            == _expanding(_reference_fill_gap, source, goal, env, budget)
