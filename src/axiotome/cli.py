@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 from .diagnostics import Diagnostic, DiagnosticError, Severity, render_human, render_machine
@@ -283,7 +285,10 @@ def _non_negative_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
+@cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use: once per process, and not at
+    import."""
     parser = argparse.ArgumentParser(
         prog="axiotome",
         description="Check, validate, evaluate, repair and format Axiotome source files.",
@@ -334,9 +339,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = _build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints help and usage errors to sys.stdout and sys.stderr.
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _arg_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

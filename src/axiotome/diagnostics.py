@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Severity(str, Enum):
@@ -40,9 +40,9 @@ CODES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Span:
-    """Source location: 1-based line and column plus a token length."""
+class Span(NamedTuple):
+    """Source location: 1-based line and column plus a token length.  A
+    named tuple, as the lexer builds one per token."""
 
     file: str = "<input>"
     line: int = 1

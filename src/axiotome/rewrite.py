@@ -1,9 +1,9 @@
 """First-order matching, substitution and single-step justified rewriting.
 
 Axioms, formulaic function bodies and theorem assertions are equivalences,
-so every rule applies in both directions.  A justified step is checked by
-enumerating, in a fixed deterministic order, every term reachable from the
-previous term under the step's clause:
+so every rule applies in both directions.  A step's clause licenses the
+terms reachable from the previous term as follows, in a fixed deterministic
+order:
 
 * a single rule name licenses exactly one application at one position;
 * a tuple of names licenses simultaneous applications at pairwise disjoint
@@ -15,6 +15,14 @@ previous term under the step's clause:
 
 Enumeration order is leftmost-outermost positions, forward before backward,
 which also fixes the witness recorded for steps with several derivations.
+
+Tuple and case-range steps are checked by enumerating those terms.  A
+single-name step, and depth-1 inference, need not enumerate: one rewrite
+can turn ``prev`` into ``next`` only at their fork (the deepest position
+outside which the two terms agree, found in one walk down both) or at one
+of its ancestors.  Only those positions are tried, and each match's
+substituted other side is compared with ``next``'s subterm there.  The
+verdicts, witnesses and inferred clauses are those of the enumeration.
 
 Declarations become rewrite rules in one place, ``RuleSet``, built once per
 registry (``Registry.rules``) and indexed by head symbol and first argument;
@@ -174,6 +182,43 @@ def replace_at(term: Term, path: Position, new: Term) -> Term:
     return Term(term.head, term.type_args, tuple(args), term.span)
 
 
+def _fork(prev: Term, next_term: Term) -> Position | None:
+    """The deepest position outside which ``prev`` and ``next_term`` agree,
+    or None when they are equal.  One walk down: a node with one argument
+    is descended without comparing, siblings are compared only at n-ary
+    nodes."""
+    path: list[int] = []
+    while prev.head == next_term.head and prev.type_args == next_term.type_args \
+            and len(prev.args) == len(next_term.args):
+        if len(prev.args) == 1:
+            i = 0
+        else:
+            differ = [i for i, (a, b) in enumerate(zip(prev.args, next_term.args)) if a != b]
+            if not differ:
+                # Reached through one-argument nodes only: the terms are equal.
+                return None
+            if len(differ) > 1:
+                break
+            i = differ[0]
+        path.append(i)
+        prev, next_term = prev.args[i], next_term.args[i]
+    return tuple(path)
+
+
+def _sites(prev: Term, next_term: Term) -> list[tuple[Position, Term, Term]]:
+    """Where one rewrite can turn ``prev`` into ``next_term``, outermost
+    first, as (position, subterm of ``prev``, subterm of ``next_term``): the
+    fork and its ancestors, or every position when the terms are equal."""
+    fork = _fork(prev, next_term)
+    if fork is None:
+        return [(pos, sub, sub) for pos, sub in positions(prev)]
+    sites = [((), prev, next_term)]
+    for depth, i in enumerate(fork, 1):
+        sites.append((fork[:depth], prev.args[i], next_term.args[i]))
+        prev, next_term = prev.args[i], next_term.args[i]
+    return sites
+
+
 # ------------------------------------------------------------------- rules
 
 def _is_var(term: Term, metavars: frozenset[str]) -> bool:
@@ -193,21 +238,32 @@ def _rule(name: str, source: RuleSource, lhs: Term, rhs: Term, metavars) -> Rewr
 RuleIndex = Mapping[object, tuple[tuple[int, RewriteRule], ...]]
 
 
+def _key(rule: RewriteRule) -> object:
+    """The index key of ``rule``'s source side: its head and first argument's
+    head, its head alone if that argument is a metavariable, or ``None`` if
+    the side is one."""
+    src, _ = rule.oriented()
+    if _is_var(src, rule.metavars):
+        return None
+    if src.args and not _is_var(src.args[0], rule.metavars):
+        return src.head, src.args[0].head
+    return src.head
+
+
 def _index(ranked: list[tuple[int, RewriteRule]]) -> RuleIndex:
-    """File each rule under its source side's head and first argument's head
-    (its head alone if that argument is a metavariable; ``None`` if the side
-    is one).  A key also holds the looser keys' rules, so lookups probe once."""
+    """File each rule under its ``_key``.  A key also holds the looser keys'
+    rules, so lookups probe once."""
     exact: dict[tuple[str, str], list] = {}
     by_head: dict[str, list] = {}
     anywhere: list = []
     for rank, rule in ranked:
-        src, _ = rule.oriented()
-        if _is_var(src, rule.metavars):
+        key = _key(rule)
+        if key is None:
             anywhere.append((rank, rule))
-        elif src.args and not _is_var(src.args[0], rule.metavars):
-            exact.setdefault((src.head, src.args[0].head), []).append((rank, rule))
+        elif isinstance(key, tuple):
+            exact.setdefault(key, []).append((rank, rule))
         else:
-            by_head.setdefault(src.head, []).append((rank, rule))
+            by_head.setdefault(key, []).append((rank, rule))
     index: dict = {None: tuple(anywhere)}
     for head, rules in by_head.items():
         index[head] = tuple(sorted(rules + anywhere))
@@ -222,6 +278,11 @@ def rules_at(index: RuleIndex, term: Term) -> tuple[tuple[int, RewriteRule], ...
     if found is None:
         found = index.get(term.head)
     return index[None] if found is None else found
+
+
+def _fits(key: object, term: Term) -> bool:
+    """Can a source side with index key ``key`` match ``term`` at its root?"""
+    return key is None or key == term.head or bool(term.args) and key == (term.head, term.args[0].head)
 
 
 @dataclass(frozen=True)
@@ -455,7 +516,31 @@ def check_justified_step(prev: Term, next_term: Term, just: Justification, env: 
 
     The check is direction-symmetric: a justified step read backwards is
     justified by the same clause.
+
+    A single rule name is tried only where one rewrite can make the step:
+    at the fork of the two terms (the deepest position outside which they
+    agree) and its ancestors, or at every position when they are equal.
+    There the rule's substituted other side is compared with the subterm
+    of ``next_term``, so no rewritten term is built.  The witness is the
+    first in forward-then-backward, outermost-first order, as when every
+    rewrite of ``prev`` is enumerated.
     """
+    if isinstance(just, RuleJustification) and len(just.names) == 1:
+        rule = resolve_rule(just.names[0], env)
+        if isinstance(rule, Diagnostic):
+            return StepVerdict(False, failure=rule)
+        sites = _sites(prev, next_term)
+        for oriented in (rule, rule.reversed()):
+            if not oriented.determined():
+                continue
+            key, (src, dst) = _key(oriented), oriented.oriented()
+            for pos, sub, target in sites:
+                if _fits(key, sub):
+                    sigma = match(src, sub, oriented.metavars)
+                    if sigma is not None and apply_substitution(sigma, dst) == target:
+                        return StepVerdict(True, witness=((pos, oriented, sigma),))
+        return StepVerdict(False, failure=_unjustified(prev, next_term, just))
+
     if isinstance(just, CaseRangeJustification):
         bad = _validate_case_bindings(just, env)
         if bad is not None:
@@ -481,16 +566,27 @@ def check_justified_step(prev: Term, next_term: Term, just: Justification, env: 
 def infer_step_justification(prev: Term, next_term: Term, env: StepEnv) -> Justification | None:
     """Depth-1 inference: the first clause certifying ``prev`` to ``next_term``
     among axioms in registry order, case ranges (each binding alone, then
-    all of them), function unfoldings and theorems."""
+    all of them), function unfoldings and theorems.
+
+    Rules are looked up in the ``moves`` index at the sites of
+    ``check_justified_step`` only.  The matches found there are compared
+    with ``next_term`` in (rank, site) order, so the first success is the
+    first rule that certifies the step."""
     rules = env.registry.rules
-    found = None
-    for rule, apps in rules.applications(prev, env.current_theorem):
-        cited = rules.named.get(rule.name)  # None for a theorem named like a function
-        _, dst = rule.oriented()
-        if cited is not None and cited.source is rule.source and any(
-                replace_at(prev, pos, apply_substitution(sigma, dst)) == next_term for pos, sigma in apps):
-            found = rule
-            break
+    matches = []
+    for order, (_, sub, target) in enumerate(_sites(prev, next_term)):
+        for rank, rule in rules_at(rules.moves, sub):
+            if rule.source is RuleSource.THEOREM and rule.name == env.current_theorem:
+                continue
+            cited = rules.named.get(rule.name)  # None for a theorem named like a function
+            if cited is None or cited.source is not rule.source:
+                continue
+            sigma = match(rule.oriented()[0], sub, rule.metavars)
+            if sigma is not None:
+                matches.append((rank, order, rule, sigma, target))
+    matches.sort(key=lambda m: m[:2])
+    found = next((rule for _, _, rule, sigma, target in matches
+                  if apply_substitution(sigma, rule.oriented()[1]) == target), None)
     if found is not None and found.source is RuleSource.AXIOM:
         return RuleJustification((found.name,))
     clauses = [CaseRangeJustification((binding,)) for binding in env.case_bindings]

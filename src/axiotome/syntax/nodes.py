@@ -1,15 +1,16 @@
-"""AST node types for Axiotome programs.
+"""Token and AST node types for Axiotome programs.
 
-All nodes are frozen dataclasses.  Source spans are carried for diagnostics
-but excluded from equality and hashing, so two parses of equivalent text
-compare equal node-for-node.
+AST nodes are frozen dataclasses; tokens are named tuples, which are
+cheaper to build.  Source spans (and a token's trivia) are carried for
+diagnostics but excluded from equality and hashing, so two parses of
+equivalent text compare equal node-for-node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 from ..diagnostics import Span
 
@@ -25,12 +26,23 @@ class TokenKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """A lexeme of one kind; equal tokens have equal kinds and lexemes,
+    wherever they stand and whatever comments precede them."""
+
     kind: TokenKind
     lexeme: str
-    span: Span = field(default=Span(), compare=False)
-    trivia: tuple[str, ...] = field(default=(), compare=False)
+    span: Span = Span()
+    trivia: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Token) and self.kind is other.kind and self.lexeme == other.lexeme
+
+    def __ne__(self, other: object) -> bool:  # tuple's own ``!=`` would compare every field
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.lexeme))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,8 @@ _SEPARATORS = frozenset({";", "\n"})
 
 class _Parser:
     def __init__(self, tokens: list[Token], file: str, operators: dict[str, str] | None) -> None:
-        self.tokens = tokens
+        # The EOF token ends the stream once; ``next`` never moves past it.
+        self.tokens = [*tokens, _EOF]
         self.file = file
         self.pos = 0
         self.operators = dict(operators or {})
@@ -39,17 +40,16 @@ class _Parser:
     # ------------------------------------------------------------- stream
 
     def peek(self, offset: int = 0) -> Token:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else _EOF
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokenKind.EOF:
             self.pos += 1
         return tok
 
     def at(self, kind: TokenKind, lexeme: str | None = None, offset: int = 0) -> bool:
-        tok = self.peek(offset)
+        tok = self.tokens[self.pos + offset]
         return tok.kind is kind and (lexeme is None or tok.lexeme == lexeme)
 
     def at_separator(self) -> bool:
@@ -62,14 +62,15 @@ class _Parser:
         raise DiagnosticError(error("E-SYNTAX", message, span))
 
     def expect(self, kind: TokenKind, lexeme: str | None = None, what: str | None = None) -> Token:
-        if not self.at(kind, lexeme):
-            found = self.peek()
+        tok = self.tokens[self.pos]
+        if tok.kind is not kind or lexeme is not None and tok.lexeme != lexeme:
             expected = what or (lexeme if lexeme is not None else kind.value)
-            self.fail(f"expected {expected}, found {found.lexeme!r}", found)
+            self.fail(f"expected {expected}, found {tok.lexeme!r}", tok)
         return self.next()
 
     def accept(self, kind: TokenKind, lexeme: str | None = None) -> Token | None:
-        if self.at(kind, lexeme):
+        tok = self.tokens[self.pos]
+        if tok.kind is kind and (lexeme is None or tok.lexeme == lexeme):
             return self.next()
         return None
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from axiotome.syntax import OperatorDecl, Program, Term, parse_program
+from axiotome.rewrite import StepEnv
+from axiotome.syntax import OperatorDecl, Program, Quantifier, Term, TypeExpr, parse_program
 from axiotome.typesys import Registry, build_registry
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -94,6 +95,19 @@ def terms(arities: dict[str, int], leaves: tuple[str, ...] = ("False", "True")) 
                           for h, n in arities.items()])
 
     return st.recursive(st.sampled_from([Term(leaf) for leaf in leaves]), extend, max_leaves=12)
+
+
+#: Axioms, unfoldings and theorems, with rules under every kind of index key.
+RULES_REGISTRY = load_registry(*BOOL_FNS, "if_function.axm", "double_negation_function.axm",
+                               "de_morgan_corrected.axm", "triple_negation.axm", extra=MIXED_RULES)
+ENVS = (
+    StepEnv(RULES_REGISTRY),
+    StepEnv(RULES_REGISTRY, (Quantifier("a", TypeExpr("False")), Quantifier("b", TypeExpr("False"))),
+            "deMorgan1"),
+    StepEnv(RULES_REGISTRY, (Quantifier("a", TypeExpr("True")),), "same"),
+)
+RULE_TERMS = terms({"not": 1, "and": 2, "or": 2, "if": 3, "doubleNegation": 1, "pick": 2, "same": 1},
+                   ("False", "True", "a", "b"))
 
 
 @pytest.fixture(scope="session")

@@ -253,10 +253,34 @@ BUDGET_FLAGS = {
 @pytest.mark.parametrize("flag", BUDGET_FLAGS)
 def test_negative_budget_is_a_usage_error(tmp_path, monkeypatch, capsys, flag):
     monkeypatch.chdir(tmp_path)
-    assert run(*BUDGET_FLAGS[flag], "-1") == (2, "", "")
-    assert "expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    code, out, err = run(*BUDGET_FLAGS[flag], "-1")
+    assert (code, out) == (2, "")
+    assert "expected a non-negative integer, got '-1'" in err
+    assert capsys.readouterr() == ("", "")  # nothing went to the process's own streams
     assert not (tmp_path / "out.axm").exists()
     assert run(*BUDGET_FLAGS[flag], "0")[0] in (0, 1)  # zero is a budget, not a usage error
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([command, "--help"] for command in
+                                                  ("check", "validate", "eval", "fill", "fmt"))])
+def test_help_goes_to_out(capsys, argv):
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: {' '.join(['axiotome', *argv[:-1]])} [-h]")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_calls_in_a_row_do_not_share_state():
+    # Flags of one call (an operator, a budget) must not reach the next.
+    first = run("eval", "True ∧ False", *BOOL_PATHS, "--operator", "∧=and", "--budget", "0")
+    assert first == (1, "", "error: normalization budget of 0 exhausted\n")
+    code, out, _ = run("eval", "True ∧ False", *BOOL_PATHS)
+    assert code == 1 and "used without an operator declaration" in out
+    assert run("eval", "and(True, False)", *BOOL_PATHS) == (0, "False\n", "")
+    assert run("check", *CORE_PATHS, "--strict", "--machine")[0] == 1  # inferred vias are errors
+    assert run("check", *CORE_PATHS)[0] == 0
+    code, _, err = run("check")
+    assert code == 2 and "the following arguments are required: paths" in err
 
 
 def test_machine_output_is_byte_stable_across_runs():

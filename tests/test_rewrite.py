@@ -4,18 +4,25 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from axiotome.diagnostics import Diagnostic
 from axiotome.oracle import enumerable_domain, normalize
 from axiotome.rewrite import (
-    Direction, StepEnv, apply_substitution, check_justified_step,
-    enumerate_rewrites, match, positions, resolve_rule, subterm_at,
+    Direction, RewriteRule, RuleSource, StepEnv, StepVerdict, _case_sigma, _fork, _unjustified,
+    _validate_case_bindings, apply_substitution, check_justified_step, clause_results,
+    enumerate_rewrites, infer_step_justification, match, positions, replace_at, resolve_rule,
+    subterm_at,
 )
+from axiotome.search import successor_moves
 from axiotome.syntax import (
     CaseRangeJustification, LinearProof, Quantifier, RuleJustification, Term,
-    TypeExpr, parse_term,
+    TypeExpr, format_justification, parse_term,
 )
 from axiotome.typesys import term_metavars
 
-from conftest import BOOL_FNS, load_program, load_registry
+from conftest import BOOL_FNS, ENVS, RULE_TERMS, RULES_REGISTRY, load_program, load_registry
 
 
 def t(source: str) -> Term:
@@ -291,3 +298,135 @@ def test_justified_steps_preserve_boolean_semantics(bool_registry):
             assert left == right
             checked += 1
     assert checked > 30
+
+
+# ------------------------------------------- fork-site checks vs enumeration
+
+def _reference_check_justified_step(prev, next_term, just, env):
+    """``check_justified_step`` by enumerating every result of the clause."""
+    if isinstance(just, CaseRangeJustification):
+        bad = _validate_case_bindings(just, env)
+        if bad is not None:
+            return StepVerdict(False, failure=bad)
+        sigma = _case_sigma(just.bindings)
+        if apply_substitution(sigma, prev) == next_term or apply_substitution(sigma, next_term) == prev:
+            rule = RewriteRule(format_justification(just), RuleSource.CASE_RANGE, prev, next_term)
+            return StepVerdict(True, witness=(((), rule, dict(sigma)),))
+        return StepVerdict(False, failure=_unjustified(prev, next_term, just))
+
+    outcomes = clause_results(prev, just, env)
+    if isinstance(outcomes, Diagnostic):
+        return StepVerdict(False, failure=outcomes)
+    for res, witness in outcomes:
+        if res == next_term:
+            return StepVerdict(True, witness=witness)
+    return StepVerdict(False, failure=_unjustified(prev, next_term, just))
+
+
+def _reference_infer_step_justification(prev, next_term, env):
+    """``infer_step_justification`` by building every rewrite of ``prev``."""
+    rules = env.registry.rules
+    found = None
+    for rule, apps in rules.applications(prev, env.current_theorem):
+        cited = rules.named.get(rule.name)
+        _, dst = rule.oriented()
+        if cited is not None and cited.source is rule.source and any(
+                replace_at(prev, pos, apply_substitution(sigma, dst)) == next_term for pos, sigma in apps):
+            found = rule
+            break
+    if found is not None and found.source is RuleSource.AXIOM:
+        return RuleJustification((found.name,))
+    clauses = [CaseRangeJustification((binding,)) for binding in env.case_bindings]
+    if len(env.case_bindings) > 1:
+        clauses.append(CaseRangeJustification(env.case_bindings))
+    for clause in clauses:
+        if _reference_check_justified_step(prev, next_term, clause, env).justified:
+            return clause
+    return None if found is None else RuleJustification((found.name,))
+
+
+#: Every citable name, the equational functions' names, names no
+#: declaration has, and the theorems ``ENVS`` prove (self-citations).
+NAMES = sorted({rule.name for rule in RULES_REGISTRY.rules.rules} | set(RULES_REGISTRY.functions)
+               | {"$nope", "nope"} | {env.current_theorem for env in ENVS if env.current_theorem})
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS), st.data())
+def test_fork_checks_agree_with_enumeration(prev, env, data):
+    scope = frozenset({"a", "b"})
+    other = data.draw(RULE_TERMS)
+    pos, _ = data.draw(st.sampled_from(positions(prev)))
+    nexts = [prev, replace_at(prev, pos, other), other]
+    for source in (prev, other):
+        # Moves by every rule, the theorem ``env`` proves included.
+        moves = successor_moves(source, StepEnv(env.registry, env.case_bindings), scope)
+        if moves:
+            nexts.append(data.draw(st.sampled_from(moves))[1])
+    for next_term in nexts:
+        for name in NAMES:
+            clause = RuleJustification((name,))
+            assert check_justified_step(prev, next_term, clause, env) \
+                == _reference_check_justified_step(prev, next_term, clause, env)
+        assert infer_step_justification(prev, next_term, env) \
+            == _reference_infer_step_justification(prev, next_term, env)
+
+
+def _nots(k: int, leaf: str) -> Term:
+    term = Term(leaf)
+    for _ in range(k):
+        term = Term("not", (), (term,))
+    return term
+
+
+def test_deep_not_chain_hop_in_both_directions(bool_registry):
+    env = StepEnv(bool_registry)
+    clause = RuleJustification(("$not°F",))
+    deep, shallow = _nots(200, "False"), _nots(199, "True")
+    forward = check_justified_step(deep, shallow, clause, env)
+    backward = check_justified_step(shallow, deep, clause, env)
+    assert forward == _reference_check_justified_step(deep, shallow, clause, env)
+    assert backward == _reference_check_justified_step(shallow, deep, clause, env)
+    assert [(pos, rule.direction) for pos, rule, _ in forward.witness] == [((0,) * 199, Direction.FORWARD)]
+    assert [(pos, rule.direction) for pos, rule, _ in backward.witness] == [((0,) * 199, Direction.BACKWARD)]
+    assert infer_step_justification(deep, shallow, env) == clause
+    assert infer_step_justification(shallow, deep, env) == clause
+    assert not check_justified_step(deep, _nots(198, "True"), clause, env).justified
+
+
+def test_fork_is_the_deepest_position_outside_which_terms_agree():
+    assert _fork(t("and(not(not(False)), True)"), t("and(not(not(False)), True)")) is None
+    assert _fork(t("and(not(not(False)), True)"), t("and(not(True), True)")) == (0, 0)
+    assert _fork(t("and(not(False), True)"), t("and(True, False)")) == ()
+    assert _fork(t("not(or(a, b))"), t("not(or(b, a))")) == (0,)
+    assert _fork(t("not(False)"), t("and(False, False)")) == ()
+    nil = Term("Nil", (TypeExpr("Boolean"),))
+    assert _fork(Term("cons", (), (t("a"), nil)), Term("cons", (), (t("a"), Term("Nil", (TypeExpr("Unit"),))))) \
+        == (1,)
+
+
+def test_step_to_an_equal_term_tries_every_position():
+    swap = ("theorem ¶swap: ∀a ∈ Boolean, ∀b ∈ Boolean: or(a, b) ↔ or(b, a)\n"
+            "proof\n  0. or(a, b)\n  1. or(b, a) via swap\n")
+    env = StepEnv(load_registry(*BOOL_FNS, extra=swap))
+    clause = RuleJustification(("swap",))
+    term = t("not(or(a, a))")
+    verdict = check_justified_step(term, term, clause, env)
+    assert verdict == _reference_check_justified_step(term, term, clause, env)
+    assert [pos for pos, _, _ in verdict.witness] == [(0,)]
+    assert infer_step_justification(term, term, env) == clause
+
+
+def test_inference_prefers_rule_rank_over_site():
+    # ``$pick°F`` certifies the step at the root, ``$pick°L`` (declared
+    # first) one level down; the earlier rule wins, as in enumeration.
+    env = ENVS[0]
+    prev, next_term = t("pick(False, pick(False, False))"), t("pick(False, False)")
+    assert infer_step_justification(prev, next_term, env) == RuleJustification(("$pick°L",)) \
+        == _reference_infer_step_justification(prev, next_term, env)
+
+
+def test_inference_skips_the_theorem_being_proved():
+    prev, next_term = t("not(and(a, b))"), t("or(not(a), not(b))")
+    assert infer_step_justification(prev, next_term, ENVS[0]) == RuleJustification(("deMorgan1",))
+    assert infer_step_justification(prev, next_term, StepEnv(RULES_REGISTRY, (), "deMorgan1")) is None

@@ -23,7 +23,7 @@ from axiotome.syntax import (
 from axiotome.typesys import term_metavars
 from axiotome.verifier import verify_theorem
 
-from conftest import BOOL_FNS, MIXED_RULES, load_program, load_registry, terms
+from conftest import BOOL_FNS, ENVS, RULE_TERMS, load_program, load_registry
 
 
 def t(source: str) -> Term:
@@ -310,17 +310,7 @@ def _reference_infer(prev, next_term, env):
     return next((c for c in clauses if check_justified_step(prev, next_term, c, env).justified), None)
 
 
-#: Axioms, unfoldings and theorems, with rules under every kind of index key.
-RULES_REGISTRY = load_registry(*BOOL_FNS, "if_function.axm", "double_negation_function.axm",
-                               "de_morgan_corrected.axm", "triple_negation.axm", extra=MIXED_RULES)
-ENVS = (
-    StepEnv(RULES_REGISTRY),
-    StepEnv(RULES_REGISTRY, FF, "deMorgan1"),
-    StepEnv(RULES_REGISTRY, (Quantifier("a", TypeExpr("True")),), "same"),
-)
 SCOPE = frozenset({"a", "b"})
-RULE_TERMS = terms({"not": 1, "and": 2, "or": 2, "if": 3, "doubleNegation": 1, "pick": 2, "same": 1},
-                   ("False", "True", "a", "b"))
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axiotome.diagnostics import DiagnosticError
+from axiotome.diagnostics import DiagnosticError, Span
 from axiotome.syntax import (
     CaseRangeJustification, LinearProof, ProductBody, RuleJustification,
-    Term, TokenKind, TypeDecl, format_node, parse_program, parse_term, tokenize,
+    Term, Token, TokenKind, TypeDecl, format_node, parse_program, parse_term, tokenize,
 )
 
 from conftest import PROGRAM_FIXTURES, corpus_text, load_program
@@ -76,6 +76,30 @@ def test_numbers_are_ascii_digits():
             tokenize(f"1{digit}")
         assert exc.value.diagnostics[0].message == f"illegal character {digit!r}"
         assert exc.value.diagnostics[0].span.column == 2
+
+
+def test_token_equality_ignores_span_and_trivia():
+    first, second = tokenize("not /* a */ not")
+    assert first.span != second.span and first.trivia != second.trivia
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert first == Token(TokenKind.IDENT, "not")
+    assert first != Token(TokenKind.KEYWORD, "not") and first != Token(TokenKind.IDENT, "and")
+    assert first != tuple(first) and tuple(first) != first
+    assert len({first, second, Token(TokenKind.IDENT, "and")}) == 2
+
+
+@pytest.mark.parametrize("value", [Token(TokenKind.IDENT, "x"), Span("a.axm", 2, 3, 4)])
+def test_tokens_and_spans_are_immutable(value):
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_span_repr_and_defaults():
+    assert repr(Span("a.axm", 2, 3, 4)) == "Span(file='a.axm', line=2, column=3, length=4)"
+    assert Span() == Span("<input>", 1, 1, 0)
+    assert Token(TokenKind.EOF, "<eof>").span == Span() and Token(TokenKind.EOF, "<eof>").trivia == ()
 
 
 def test_tokenizer_consumes_every_position():
