@@ -4,9 +4,10 @@ Commands: ``check`` (well-formedness + proof verification), ``validate``
 (brute-force oracle over finite domains), ``eval`` (normalize a term),
 ``fill`` (repair proofs with omitted steps), ``fmt`` (canonical formatting).
 
-Exit codes: 0 clean, 1 findings, 2 usage or I/O failure.  All files are read
-and merged into one registry before any verification, so forward references
-across files behave exactly like one concatenated file.
+Exit codes: 0 clean, 1 findings, 2 usage or I/O failure, 3 internal error (an
+exception the kernel did not expect, reported on one line of ``err``).  All
+files are read and merged into one registry before any verification, so
+forward references across files behave exactly like one concatenated file.
 """
 
 from __future__ import annotations
@@ -357,6 +358,10 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         return handler(args, out, err)
     except _Exit as exc:
         return exc.code
+    except Exception as exc:  # a kernel defect: report it on one line, never as a finding
+        message = str(exc).replace("\n", " ")
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=err)
+        return 3
 
 
 if __name__ == "__main__":

@@ -285,18 +285,65 @@ def _fits(key: object, term: Term) -> bool:
     return key is None or key == term.head or bool(term.args) and key == (term.head, term.args[0].head)
 
 
+def _unifiable(p: Term, p_vars: frozenset[str], q: Term, q_vars: frozenset[str]) -> bool:
+    """Do the linear patterns ``p`` and ``q``, whose variables are disjoint,
+    unify?  No variable can then be bound twice, so a walk down both decides
+    it.  Type arguments are not compared, which can only find more overlaps."""
+    pairs = [(p, q)]
+    while pairs:
+        p, q = pairs.pop()
+        if _is_var(p, p_vars) or _is_var(q, q_vars):
+            continue
+        if p.head != q.head or len(p.args) != len(q.args):
+            return False
+        pairs.extend(zip(p.args, q.args))
+    return True
+
+
+def _orthogonal(rules: list[RewriteRule]) -> bool:
+    """Are ``rules`` orthogonal, linear and non-erasing?  Every left-hand side
+    is a left-linear pattern, not a bare metavariable, whose variables each
+    occur exactly once on the right-hand side, and no left-hand side unifies
+    with a non-variable subterm of another's or with a proper subterm of its
+    own.  Every complete reduction of a term then ends in the same normal
+    form after the same number of steps, and a term with no normal form has
+    no complete reduction at all (Huet & Lévy, "Computations in Orthogonal
+    Rewriting Systems", 1991)."""
+    by_head: dict[str, list[RewriteRule]] = {}
+    for rule in rules:
+        if _is_var(rule.lhs, rule.metavars):
+            return False
+        lhs_vars, rhs_vars = ([sub.head for _, sub in positions(side) if _is_var(sub, rule.metavars)]
+                              for side in (rule.lhs, rule.rhs))
+        if len(set(lhs_vars)) != len(lhs_vars) or any(rhs_vars.count(v) != 1 for v in lhs_vars):
+            return False
+        by_head.setdefault(rule.lhs.head, []).append(rule)
+    for outer in rules:
+        for pos, sub in positions(outer.lhs):
+            if _is_var(sub, outer.metavars):
+                continue
+            for inner in by_head.get(sub.head, ()):
+                if (inner is not outer or pos) and _unifiable(inner.lhs, inner.metavars, sub, outer.metavars):
+                    return False
+    return True
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """A registry's rules in preference order: axioms in registry order, then
     formulaic unfoldings, then theorems.  ``named`` maps the names a ``via``
     can cite to rules; ``reductions`` indexes the forward axioms and
     unfoldings; ``moves`` indexes each direction whose match determines its
-    result, ``rules[i]`` ranked ``2 * i`` forward and ``2 * i + 1`` backward."""
+    result, ``rules[i]`` ranked ``2 * i`` forward and ``2 * i + 1`` backward.
+    ``orthogonal`` tells whether the reductions are orthogonal, linear and
+    non-erasing, so that the order of reduction cannot change a term's
+    normal form, its step count or whether a budget runs out."""
 
     rules: tuple[RewriteRule, ...]
     named: Mapping[str, RewriteRule]
     reductions: RuleIndex
     moves: RuleIndex
+    orthogonal: bool
 
     @classmethod
     def of(cls, registry: Registry) -> RuleSet:
@@ -317,7 +364,8 @@ class RuleSet:
         oriented = [(2 * i + d, o) for i, rule in enumerate(rules)
                     for d, o in enumerate((rule, rule.reversed()))]
         return cls(tuple(rules), MappingProxyType(named), MappingProxyType(_index(reductions)),
-                   MappingProxyType(_index([(rank, o) for rank, o in oriented if o.determined()])))
+                   MappingProxyType(_index([(rank, o) for rank, o in oriented if o.determined()])),
+                   _orthogonal([rule for _, rule in reductions]))
 
     def applications(self, term: Term, exclude: str | None) \
             -> list[tuple[RewriteRule, list[tuple[Position, Substitution]]]]:

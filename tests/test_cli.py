@@ -147,6 +147,31 @@ def test_validate_infinite_domain_is_inconclusive(tmp_path):
     assert "¶idNat: inconclusive" in out
 
 
+SPIN_IDENTITY = ("function spin(b: Boolean) : Boolean\n  allowing $spin: spin(b) ↔ spin(spin(b))\n"
+                 "theorem ¶spinId: ∀a ∈ Boolean: spin(a) ↔ a\nproof\n  0. spin(a)\n")
+IF_IDENTITY = "theorem ¶ifSame: ∀c ∈ Boolean, ∀a ∈ Boolean: if(c, a, a) ↔ a\nproof\n  0. if(c, a, a)\n"
+IF_PATH = str(corpus_path("if_function.axm"))
+
+
+@pytest.mark.parametrize("source, paths, budget, plain, machine", [
+    # ``spin`` never terminates; its rule set is orthogonal, so validation
+    # evaluates bottom-up and must still run out of budget.
+    (SPIN_IDENTITY, (), "20", "¶spinId: inconclusive (normalization budget exhausted)\n",
+     "¶spinId\tinconclusive\t(normalization budget exhausted)\n"),
+    # ``if`` erases a branch, so its registry is reduced leftmost-outermost;
+    # every assignment takes one step, which a budget of one exhausts.
+    (IF_IDENTITY, (IF_PATH,), "1", "¶ifSame: inconclusive (normalization budget exhausted)\n",
+     "¶ifSame\tinconclusive\t(normalization budget exhausted)\n"),
+    (IF_IDENTITY, (IF_PATH,), "2", "¶ifSame: valid\n", "¶ifSame\tvalid\t\n"),
+])
+def test_validate_budget(tmp_path, source, paths, budget, plain, machine):
+    path = tmp_path / "identity.axm"
+    path.write_text(source, encoding="utf-8")
+    argv = ("validate", *BOOL_PATHS, *paths, str(path), "--budget", budget)
+    assert run(*argv) == (0, plain, "")
+    assert run(*argv, "--machine") == (0, machine, "")
+
+
 # --------------------------------------------------------------------- eval
 
 def test_eval_examples():
@@ -239,6 +264,21 @@ def test_fmt_unparsable_file_exits_one(tmp_path):
 def test_usage_error_exits_two():
     assert run("frobnicate", "x.axm")[0] == 2
     assert run("check")[0] == 2
+
+
+def test_internal_error_exits_three_without_a_traceback(tmp_path):
+    # Comparing the 300-deep terms of this step overflows the interpreter's
+    # recursion limit: a kernel defect, which must not read as a finding.
+    k = 300
+    deep = "not(" * k + "False" + ")" * k
+    shallower = "not(" * (k - 2) + "False" + ")" * (k - 2)
+    source = tmp_path / "deep.axm"
+    source.write_text(f"theorem ¶deep: {deep} ↔ {shallower}\nproof\n  0. {deep}\n  1. {shallower} via $not°F\n",
+                      encoding="utf-8")
+    code, out, err = run("check", *BOOL_PATHS, str(source))
+    assert code == 3
+    assert err.startswith("error: internal error: RecursionError: ") and err.count("\n") == 1
+    assert "Traceback" not in out + err
 
 
 DE_MORGAN = str(corpus_path("de_morgan_original.axm"))

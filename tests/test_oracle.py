@@ -5,18 +5,20 @@ from __future__ import annotations
 import itertools
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from axiotome import oracle
 from axiotome.oracle import (
-    DEFAULT_BUDGET, NormalizationResult, brute_force_validate, enumerable_domain, normalize,
+    DEFAULT_BUDGET, NormalizationResult, brute_force_validate, enumerable_domain, evaluator, normalize,
 )
 from axiotome.rewrite import apply_substitution, match, replace_at
 from axiotome.syntax import FormulaicBody, Term, TypeExpr, parse_program, parse_term
 from axiotome.typesys import build_registry
 from axiotome.verifier import effective_quantifiers
 
-from conftest import BOOL_FNS, MIXED_RULES, load_program, load_registry, terms
+from conftest import BASE_TYPES, BOOL_FNS, MIXED_RULES, load_program, load_registry, terms
 
 
 def t(source: str) -> Term:
@@ -276,3 +278,85 @@ def test_indexed_normalize_agrees_with_reference(term, budget, innermost):
     for registry in INDEXED_REGISTRIES:
         assert normalize(term, registry, budget, innermost) == \
             _reference_normalize(term, registry, budget, innermost)
+
+
+# ------------------------------------------------- memoized validation
+
+SPIN = "function spin(b: Boolean) : Boolean\n  allowing $spin: spin(b) ↔ spin(spin(b))\n"
+
+#: Registries whose reduction rules are, and are not, orthogonal, linear and
+#: non-erasing, each with the first rule property it breaks.
+RULE_SETS = {
+    "booleans": (load_registry(*BOOL_FNS), True),
+    "doubleNegation": (load_registry(*BOOL_FNS, "double_negation_function.axm"), True),
+    "spin": (load_registry(*BOOL_FNS, extra=SPIN), True),
+    "if erases a branch": (load_registry(*BOOL_FNS, "double_negation_function.axm", "if_function.axm"), False),
+    "commutativity overlaps the truth table": (load_registry(*BASE_TYPES, extra=(
+        "function and(a: Boolean, b: Boolean) : Boolean\n"
+        "  allowing $and°FF: and(False, False) ↔ False\n"
+        "           $and°C: and(a, b) ↔ and(b, a)\n")), False),
+    "not left-linear": (load_registry(*BASE_TYPES, extra=(
+        "function eq(a: Boolean, b: Boolean) : Boolean\n  allowing $eq: eq(a, a) ↔ True\n")), False),
+    "duplicating": (load_registry(*BOOL_FNS, extra=(
+        "function dup(a: Boolean) : Boolean\n  allowing $dup: dup(a) ↔ and(a, a)\n")), False),
+    "overlaps itself below the root": (load_registry(*BASE_TYPES, extra=(
+        "function twice(b: Boolean) : Boolean\n  allowing $twice: twice(twice(b)) ↔ b\n")), False),
+}
+
+
+@pytest.mark.parametrize("name", RULE_SETS)
+def test_orthogonality_is_decided_once_per_rule_set(name):
+    registry, orthogonal = RULE_SETS[name]
+    assert registry.rules.orthogonal is orthogonal
+
+
+EVALUATED_REGISTRIES = [RULE_SETS[name][0] for name in ("booleans", "doubleNegation", "spin", "if erases a branch")]
+EVALUATED_HEADS = {"not": 1, "and": 2, "or": 2, "if": 3, "doubleNegation": 1, "spin": 1}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(terms(EVALUATED_HEADS, ("False", "True", "a")), st.one_of(st.integers(0, 20), st.just(DEFAULT_BUDGET)))
+@example(t("and(not(a), spin(False))"), 5)  # ``spin(False)`` alone has a step more to go
+@example(t("if(True, a, not(False))"), DEFAULT_BUDGET)  # leftmost-outermost erases the redex
+def test_validation_evaluator_agrees_with_reference(term, budget):
+    # One evaluator per registry reduces the term and its arguments under two
+    # assignments, so later results read the memo of earlier ones, including
+    # those that ran out of budget.
+    subjects = [term, *term.args]
+    for registry in EVALUATED_REGISTRIES:
+        evaluate = evaluator(subjects, registry, budget)
+        for value in ("False", "True"):
+            sigma = {"a": Term(value)}
+            for got, subject in zip(evaluate(sigma), subjects):
+                want = _reference_normalize(apply_substitution(sigma, subject), registry, budget, innermost=False)
+                assert got.exhausted_budget == want.exhausted_budget
+                if not want.exhausted_budget:
+                    assert (got.normal_form, got.steps) == (want.normal_form, want.steps)
+
+
+def test_deep_term_validates_bottom_up(bool_registry):
+    assert bool_registry.rules.orthogonal
+    deep = Term("a")
+    for _ in range(5000):
+        deep = Term("not", (), (deep,))
+    verdict = brute_force_validate([("a", TypeExpr("Boolean"))], deep, Term("a"), bool_registry)
+    assert verdict.status == "valid"
+
+
+def test_memoized_validation_reduces_few_nodes(bool_registry, monkeypatch):
+    # Whole-term normalization calls ``normalize`` twice per assignment, 8192
+    # times here; bottom-up, it reduces only nodes the memo has not seen.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(oracle, "normalize", counting)
+    names = "abcdefghijkl"
+    left, right = Term(names[0]), Term(names[-1])
+    for x, y in zip(names[1:], reversed(names[:-1])):
+        left, right = Term("and", (), (left, Term(x))), Term("and", (), (Term(y), right))
+    quantifiers = [(v, TypeExpr("Boolean")) for v in names]
+    assert brute_force_validate(quantifiers, left, right, bool_registry).status == "valid"
+    assert 0 < len(calls) <= 48
