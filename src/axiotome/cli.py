@@ -60,7 +60,7 @@ def _read(path: str, err) -> str:
     raise _Exit(2)
 
 
-def _read_sources(paths: list[str], out, err) -> list[tuple[str, str]]:
+def _read_sources(paths: list[str], err) -> list[tuple[str, str]]:
     return [(path, _read(path, err)) for path in paths]
 
 
@@ -119,7 +119,7 @@ def _has_errors(diags: list[Diagnostic]) -> bool:
 # ----------------------------------------------------------------- commands
 
 def cmd_check(args, out, err) -> int:
-    sources = _read_sources(args.paths, out, err)
+    sources = _read_sources(args.paths, err)
     registry, program, diags = _build(sources, args.operators)
     reports = []
     for stmt in program.statements:
@@ -139,7 +139,7 @@ def cmd_check(args, out, err) -> int:
 
 
 def cmd_validate(args, out, err) -> int:
-    sources = _read_sources(args.paths, out, err)
+    sources = _read_sources(args.paths, err)
     registry, program, diags = _build(sources, args.operators)
     _emit_diagnostics([d for d in diags if d.severity is Severity.ERROR], args.machine, out)
     if _has_errors(diags):
@@ -166,7 +166,7 @@ def cmd_validate(args, out, err) -> int:
 
 
 def cmd_eval(args, out, err) -> int:
-    sources = _read_sources(args.paths, out, err)
+    sources = _read_sources(args.paths, err)
     registry, _, diags = _build(sources, args.operators)
     if _has_errors(diags):
         _emit_diagnostics(diags, args.machine, out)
@@ -192,7 +192,7 @@ def cmd_fill(args, out, err) -> int:
     if not args.in_place and not args.output:
         print("error: fill requires --output PATH or --in-place", file=err)
         return 2
-    sources = _read_sources(args.paths, out, err)
+    sources = _read_sources(args.paths, err)
     registry, program, diags = _build(sources, args.operators)
     if _has_errors(diags):
         _emit_diagnostics(diags, args.machine, out)

@@ -1,17 +1,28 @@
-"""Tokenizer for Axiotome source text.
+"""Scanner for Axiotome source text.
 
 The lexical notes of ``docs/grammar.ebnf`` are the specification: each
-lexical class there is one named group of ``_TOKEN``, tried in order.  ASCII
+lexical class there is one alternative of ``_PIECE``, tried in order.  ASCII
 aliases become their glyphs in token lexemes, and ``.`` inside ``$``- and
 ``¶``-prefixed names becomes ``°``.  Comments are trivia on the next token,
 so comments at the end of input are dropped.  Newlines are tokens only at
 bracket-nesting depth zero, where they can delimit statements, axioms and
 proof steps; the parser treats them like ``;``.
+
+``scan`` makes one regex pass over the source into parallel flat lists of
+token kinds, lexemes and offsets, with the per-token work done by C-level
+``map`` and ``accumulate`` pipelines rather than a Python loop; only
+newlines, comments and illegal characters are visited one by one.  A
+line/column ``Span`` is made only on request, from a token's offset and a
+table of line starts.  ``tokenize`` builds the public ``Token`` list from a
+scan; the parser reads the scan's lists directly.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, compress, count, repeat
+from operator import add, itemgetter, sub
 
 from ..diagnostics import DiagnosticError, Span, error
 from .nodes import Token, TokenKind
@@ -25,73 +36,155 @@ KEYWORDS = frozenset({
 OPERATOR_GLYPHS = frozenset({"∨", "∧"})
 
 #: ASCII spellings of glyphs; ``forall`` and ``in`` are therefore reserved.
-_ALIASES = {"forall": "∀", "in": "∈", ":=": "≡", "<->": "↔", "\\/": "∨", "/\\": "∧"}
+#: ``.`` maps to itself so that only names turn it into ``°``.
+_ALIASES = {"forall": "∀", "in": "∈", ":=": "≡", "<->": "↔", "\\/": "∨", "/\\": "∧", ".": "."}
 
-#: One group per lexical class; digraphs come before the single glyphs, and
-#: ``error`` takes any character the classes before it reject.
-_TOKEN = re.compile(r"""
-    (?P<space>[ \t\r]+)
-  | (?P<newline>\n)
-  | (?P<comment>//[^\n]*|/\*(?s:.*?)\*/)
-  | (?P<axiom>\$[A-Za-z][A-Za-z0-9°.]*)
-  | (?P<theorem>¶[A-Za-z][A-Za-z0-9°.]*)
-  | (?P<word>[A-Za-z][A-Za-z0-9°]*)
-  | (?P<number>[0-9]+)
-  | (?P<symbol>:=|<->|\\/|/\\|[≡↔∀∈∨∧()\[\]:;,.=^])
-  | (?P<error>.)
-""", re.VERBOSE)
+_BLANKS = " \t\r"
 
-_KINDS = {"axiom": TokenKind.AXIOM_NAME, "theorem": TokenKind.THEOREM_NAME, "number": TokenKind.NUMBER}
+#: One alternative per lexical class, each after a run of blanks; digraphs
+#: come before the single glyphs, and the last alternative takes any
+#: character the classes before it reject.  Applied to the source without
+#: its trailing blanks, the pieces cover it exactly.
+_PIECE = re.compile(r"""[ \t\r]*(?:
+    \n
+  | //[^\n]* | /\*(?s:.*?)\*/
+  | [$¶][A-Za-z][A-Za-z0-9°.]*
+  | [A-Za-z][A-Za-z0-9°]*
+  | [0-9]+
+  | :=|<->|\\/|/\\|[≡↔∀∈∨∧()\[\]:;,.=^]
+  | .)""", re.VERBOSE)
+
+#: Scan kinds are the ``TokenKind`` values, plus two that never become
+#: tokens.  Plain strings hash in C, which the scan's set lookups rely on.
+KEYWORD, IDENT, AXIOM_NAME, THEOREM_NAME, SYMBOL, NUMBER, NEWLINE, EOF = (
+    k.value for k in TokenKind)
+COMMENT, ILLEGAL = "comment", "illegal"
+_TOKEN_KINDS = {k.value: k for k in TokenKind}
+
+#: The kind of a whole piece, where that alone decides it ...
+_KIND_OF = {
+    **dict.fromkeys(KEYWORDS, KEYWORD),
+    **dict.fromkeys(_ALIASES, SYMBOL),
+    **dict.fromkeys("≡↔∀∈∨∧()[]:;,=^", SYMBOL),
+    "\n": NEWLINE, "$": ILLEGAL, "¶": ILLEGAL, "/": ILLEGAL,
+}
+#: ... and otherwise of its first character; anything else is illegal.
+_KIND_OF_FIRST = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", IDENT),
+    **dict.fromkeys("0123456789", NUMBER),
+    "$": AXIOM_NAME, "¶": THEOREM_NAME, "/": COMMENT,
+}
+_SPECIAL = frozenset({NEWLINE, COMMENT, ILLEGAL})
+_DEPTH = {"(": 1, "[": 1, ")": -1, "]": -1}
 
 
-def _failure(source: str, offset: int, file: str, line: int, col: int) -> DiagnosticError:
+class Scan:
+    """The tokens of one source as parallel lists, ending in an EOF entry:
+    ``kinds`` (``TokenKind`` values), ``lexemes``, ``starts`` (offsets into
+    the source) and ``texts`` (the source text of each lexeme, before
+    aliasing); ``trivia`` maps a token's index to the comments before it."""
+
+    __slots__ = ("file", "kinds", "lexemes", "starts", "texts", "trivia", "line_starts")
+
+    def __init__(self, file: str, kinds: list[str], lexemes: list[str], starts: list[int],
+                 texts: list[str], trivia: dict[int, tuple[str, ...]], line_starts: list[int]) -> None:
+        self.file, self.kinds, self.lexemes, self.starts, self.texts = file, kinds, lexemes, starts, texts
+        self.trivia, self.line_starts = trivia, line_starts
+
+    def span(self, i: int) -> Span:
+        """Line, column and source length of token ``i``."""
+        return _span(self.file, self.line_starts, self.starts[i], len(self.texts[i]))
+
+
+def _line_starts(source: str) -> list[int]:
+    """The offset of each line's first character, then one past the end."""
+    return list(accumulate(map(add, map(len, source.split("\n")), repeat(1)), initial=0))
+
+
+#: A named tuple's own constructor, without its Python-level ``__new__``.
+new_tuple = tuple.__new__
+
+
+def _span(file: str, line_starts: list[int], start: int, length: int) -> Span:
+    line = bisect_right(line_starts, start)
+    return new_tuple(Span, (file, line, start - line_starts[line - 1] + 1, length))
+
+
+def _failure(source: str, offset: int, span: Span) -> DiagnosticError:
     ch = source[offset]
     if source.startswith("/*", offset):
-        message, length = "unterminated block comment", 2
+        message, span = "unterminated block comment", span._replace(length=2)
     elif ch in "$¶":
-        message, length = f"expected a name after {ch!r}", 1
+        message = f"expected a name after {ch!r}"
     else:
-        message, length = f"illegal character {ch!r}", 1
-    return DiagnosticError(error("E-SYNTAX", message, Span(file, line, col, length)))
+        message = f"illegal character {ch!r}"
+    return DiagnosticError(error("E-SYNTAX", message, span))
+
+
+def scan(source: str, file: str = "<input>") -> Scan:
+    """Scan ``source``; raises DiagnosticError on the first lexical error."""
+    pieces = _PIECE.findall(source.rstrip(_BLANKS))
+    texts = list(map(str.lstrip, pieces, repeat(_BLANKS)))
+    starts = list(map(sub, accumulate(map(len, pieces)), map(len, texts)))
+    kinds = list(map(_KIND_OF.get, texts, map(_KIND_OF_FIRST.get, map(itemgetter(0), texts), repeat(ILLEGAL))))
+    lexemes = list(map(_ALIASES.get, texts, map(str.replace, texts, repeat("."), repeat("°"))))
+    line_starts = _line_starts(source)
+    special = list(compress(count(), map(_SPECIAL.__contains__, kinds)))
+    trivia: dict[int, tuple[str, ...]] = {}
+    dropped = []
+    if special:
+        # The bracket depth, where each unmatched closer is dropped, is the
+        # running sum of the brackets less its running minimum where that
+        # is below zero (Lindley's recursion); so the depth is zero where
+        # the sum equals that minimum.
+        sums = list(accumulate(map(_DEPTH.get, texts, repeat(0))))
+        low = 0
+        comments: tuple[str, ...] = ()
+        kept = done = 0
+        after_newline = True  # a newline token follows only an ordinary token
+        for i in special:
+            if done < i:  # the ordinary tokens since the last special piece
+                low = min(low, min(sums[done:i]))
+                if comments:
+                    trivia[kept], comments = comments, ()
+                kept += i - done
+                after_newline = False
+            done = i + 1
+            kind = kinds[i]
+            if kind is ILLEGAL:
+                raise _failure(source, starts[i], _span(file, line_starts, starts[i], 1))
+            if kind is NEWLINE and sums[i] == low and not after_newline:
+                after_newline = True
+                if comments:
+                    trivia[kept], comments = comments, ()
+                kept += 1
+                continue
+            if kind is COMMENT:
+                comments += (texts[i],)
+            dropped.append(i)
+        if comments and done < len(kinds):
+            trivia[kept] = comments
+    if dropped:
+        keep = [True] * len(kinds)
+        for i in dropped:
+            keep[i] = False
+        kinds, lexemes, starts, texts = (list(compress(column, keep)) for column in (kinds, lexemes, starts, texts))
+    kinds.append(EOF)
+    lexemes.append("<eof>")
+    starts.append(len(source))
+    texts.append("")
+    return Scan(file, kinds, lexemes, starts, texts, trivia, line_starts)
 
 
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
     """Tokenize ``source``; raises DiagnosticError on lexical errors."""
-    tokens: list[Token] = []
-    trivia: tuple[str, ...] = ()
-    line, line_start, depth = 1, 0, 0
-    for match in _TOKEN.finditer(source):
-        group, text, start = match.lastgroup, match.group(), match.start()
-        if group == "space":
-            continue
-        col = start - line_start + 1
-        if group == "newline":
-            # Collapse runs; never start the stream with a separator.
-            if depth == 0 and tokens and tokens[-1].kind is not TokenKind.NEWLINE:
-                tokens.append(Token(TokenKind.NEWLINE, text, Span(file, line, col, 1), trivia))
-                trivia = ()
-            line, line_start = line + 1, start + 1
-            continue
-        if group == "comment":
-            trivia += (text,)
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = start + text.rindex("\n") + 1
-            continue
-        if group == "error":
-            raise _failure(source, start, file, line, col)
-        lexeme = _ALIASES.get(text, text)
-        if group == "word":
-            kind = (TokenKind.KEYWORD if text in KEYWORDS
-                    else TokenKind.SYMBOL if text in _ALIASES else TokenKind.IDENT)
-        elif group == "symbol":
-            kind = TokenKind.SYMBOL
-            if text in "([":
-                depth += 1
-            elif text in ")]":
-                depth = max(0, depth - 1)
-        else:
-            kind, lexeme = _KINDS[group], text.replace(".", "°")
-        tokens.append(Token(kind, lexeme, Span(file, line, col, len(text)), trivia))
-        trivia = ()
-    return tokens
+    s = scan(source, file)
+    starts = s.starts[:-1]
+    lines = list(map(bisect_right, repeat(s.line_starts), starts))
+    # The offset of column 0 of each line, indexed by line number.
+    column_zero = [0] + [start - 1 for start in s.line_starts]
+    columns = map(sub, starts, map(column_zero.__getitem__, lines))
+    spans = map(new_tuple, repeat(Span), zip(repeat(file), lines, columns, map(len, s.texts)))
+    kinds = map(_TOKEN_KINDS.__getitem__, s.kinds[:-1])
+    trivia = map(s.trivia.get, range(len(starts)), repeat(()))
+    return list(map(new_tuple, repeat(Token), zip(kinds, s.lexemes, spans, trivia)))

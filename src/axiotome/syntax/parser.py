@@ -1,4 +1,12 @@
-"""Recursive-descent parser for Axiotome programs and terms.
+"""Parser for Axiotome programs and terms.
+
+The parser reads the flat token lists of one ``lexer.scan`` by integer
+index.  Declarations and proofs are read top-down, one method per grammar
+rule; terms and type expressions are read with an explicit stack of open
+brackets, so their nesting depth is bounded by memory rather than by the
+recursion limit.  A ``Span`` is made only for a node that keeps one (term
+heads, type names, declaration keywords, step indices and justification
+starts) and for a diagnostic, from the token's offset.
 
 Statements are delimited by semicolons or by newlines at bracket depth zero.
 Proof-step lines are recognized by their ``<digits> '.'`` prefix; indentation
@@ -8,474 +16,544 @@ which is what lets nested case proofs parse without layout information.
 
 Infix operator glyphs are desugared into function applications using the
 operator declarations seen so far in the same program, plus any injected via
-the ``operators`` argument.  Chains of one glyph are left-associative; mixing
-distinct glyphs without parentheses is a syntax error.
+the ``operators`` argument.  Chains of one glyph are left-associative, and
+the desugared node carries its first operand's span; mixing distinct glyphs
+without parentheses is a syntax error.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import compress
+from typing import NoReturn
+
 from ..diagnostics import DiagnosticError, Span, error
-from .lexer import OPERATOR_GLYPHS, tokenize
+from .lexer import (
+    AXIOM_NAME, EOF, IDENT, KEYWORD, NEWLINE, NUMBER, OPERATOR_GLYPHS, THEOREM_NAME, Scan, new_tuple, scan,
+)
 from .nodes import (
     Axiom, ByCasesProof, CaseBlock, CaseRangeJustification, EquationalBody,
     FormulaicBody, FunctionDecl, Justification, LinearProof, OperatorDecl,
     ProductBody, Program, ProofBody, ProofStep, Quantifier, RuleJustification,
-    Statement, SumBody, Term, TheoremDecl, Token, TokenKind, TypeDecl, TypeExpr,
+    Statement, SumBody, Term, TheoremDecl, TypeDecl, TypeExpr,
 )
-
-_EOF = Token(TokenKind.EOF, "<eof>")
 
 #: Statement separators: semicolon, or newline at depth zero.
 _SEPARATORS = frozenset({";", "\n"})
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str, operators: dict[str, str] | None) -> None:
-        # The EOF token ends the stream once; ``next`` never moves past it.
-        self.tokens = [*tokens, _EOF]
-        self.file = file
+    def __init__(self, scanned: Scan, operators: dict[str, str] | None) -> None:
+        # Every list ends in the EOF entry, and nothing moves past it: each
+        # step forward follows a match of some other token.
+        self.kinds = scanned.kinds
+        self.lex = scanned.lexemes
+        self.span = scanned.span
+        self.starts = scanned.starts
+        self.texts = scanned.texts
+        self.file = scanned.file
+        self.line_starts = scanned.line_starts
         self.pos = 0
         self.operators = dict(operators or {})
 
     # ------------------------------------------------------------- stream
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
+    def fail(self, message: str, at: int | None = None) -> NoReturn:
+        span = self.span(self.pos if at is None else at)
+        raise DiagnosticError(error("E-SYNTAX", message, span if span.length else Span(self.file)))
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
+    def expect(self, lexeme: str) -> int:
+        """The index of the current token, which must be ``lexeme``.  A
+        keyword, symbol or newline lexeme is never of another kind, so
+        tokens of those kinds are matched by lexeme alone."""
+        at = self.pos
+        if self.lex[at] != lexeme:
+            self.fail(f"expected {lexeme}, found {self.lex[at]!r}", at)
+        self.pos = at + 1
+        return at
+
+    def expect_kind(self, kind: str, what: str) -> int:
+        at = self.pos
+        if self.kinds[at] is not kind:
+            self.fail(f"expected {what}, found {self.lex[at]!r}", at)
+        self.pos = at + 1
+        return at
+
+    def ident(self, what: str) -> str:
+        return self.lex[self.expect_kind(IDENT, what)]
+
+    def accept(self, lexeme: str) -> bool:
+        if self.lex[self.pos] == lexeme:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def at(self, kind: TokenKind, lexeme: str | None = None, offset: int = 0) -> bool:
-        tok = self.tokens[self.pos + offset]
-        return tok.kind is kind and (lexeme is None or tok.lexeme == lexeme)
-
-    def at_separator(self) -> bool:
-        tok = self.peek()
-        return tok.kind is TokenKind.NEWLINE or (tok.kind is TokenKind.SYMBOL and tok.lexeme == ";")
-
-    def fail(self, message: str, tok: Token | None = None) -> None:
-        tok = tok or self.peek()
-        span = tok.span if tok.span.length else Span(self.file)
-        raise DiagnosticError(error("E-SYNTAX", message, span))
-
-    def expect(self, kind: TokenKind, lexeme: str | None = None, what: str | None = None) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not kind or lexeme is not None and tok.lexeme != lexeme:
-            expected = what or (lexeme if lexeme is not None else kind.value)
-            self.fail(f"expected {expected}, found {tok.lexeme!r}", tok)
-        return self.next()
-
-    def accept(self, kind: TokenKind, lexeme: str | None = None) -> Token | None:
-        tok = self.tokens[self.pos]
-        if tok.kind is kind and (lexeme is None or tok.lexeme == lexeme):
-            return self.next()
-        return None
+    def at_end_of_item(self) -> bool:
+        return self.lex[self.pos] in _SEPARATORS or self.kinds[self.pos] is EOF
 
     def skip_separators(self) -> None:
-        while self.at_separator():
-            self.next()
+        lex, pos = self.lex, self.pos
+        while lex[pos] in _SEPARATORS:
+            pos += 1
+        self.pos = pos
 
     def skip_newlines(self) -> None:
-        while self.at(TokenKind.NEWLINE):
-            self.next()
+        while self.lex[self.pos] == "\n":
+            self.pos += 1
 
     # -------------------------------------------------------------- names
 
-    def parse_plain_name(self, what: str) -> Token:
-        """An identifier, merging adjacent ``.``-separated pieces into one
-        ``°``-separated name (the ASCII spelling of separated names)."""
-        tok = self.expect(TokenKind.IDENT, what=what)
-        name = tok.lexeme
-        length = tok.span.length
-        while (
-            self.at(TokenKind.SYMBOL, ".")
-            and self.peek(1).kind is TokenKind.IDENT
-            and self.peek().span.line == tok.span.line
-            and self.peek().span.column == tok.span.column + length
-        ):
-            self.next()
-            part = self.next()
-            name += "°" + part.lexeme
-            length = part.span.column + part.span.length - tok.span.column
-        return Token(tok.kind, name, Span(tok.span.file, tok.span.line, tok.span.column, length))
+    def parse_plain_name(self, what: str) -> str:
+        """An identifier, merging ``.``-separated pieces into one
+        ``°``-separated name (the ASCII spelling of separated names) while
+        each ``.`` directly follows the name so far, on its first line."""
+        lex, kinds, starts, texts = self.lex, self.kinds, self.starts, self.texts
+        first = self.expect_kind(IDENT, what)
+        name, end, line = lex[first], starts[first] + len(texts[first]), self.span(first).line
+        pos = self.pos
+        while (lex[pos] == "." and kinds[pos + 1] is IDENT and starts[pos] == end
+               and self.span(pos).line == line):
+            name += "°" + lex[pos + 1]
+            end = starts[pos + 1] + len(texts[pos + 1])
+            pos += 2
+        self.pos = pos
+        return name
+
+    def parse_names(self, what: str) -> tuple[str, ...]:
+        """``IDENT {"," IDENT}``."""
+        items = [self.ident(what)]
+        while self.accept(","):
+            items.append(self.ident(what))
+        return tuple(items)
 
     # -------------------------------------------------------------- types
 
     def parse_type_expr(self) -> TypeExpr:
-        tok = self.expect(TokenKind.IDENT, what="a type name")
-        args: tuple[TypeExpr, ...] = ()
-        if self.accept(TokenKind.SYMBOL, "["):
-            items = []
-            if not self.at(TokenKind.SYMBOL, "]"):
-                items.append(self.parse_type_expr())
-                while self.accept(TokenKind.SYMBOL, ","):
-                    items.append(self.parse_type_expr())
-            self.expect(TokenKind.SYMBOL, "]")
-            args = tuple(items)
-        return TypeExpr(tok.lexeme, args, tok.span)
+        """``IDENT ["[" [type-list] "]"]``, read with a stack of the open
+        ``[`` (each a name's index and the arguments read so far)."""
+        kinds, lex, span = self.kinds, self.lex, self.span
+        pos = self.pos
+        stack: list[tuple[int, list[TypeExpr]]] = []
+        while True:
+            if kinds[pos] is not IDENT:
+                self.fail(f"expected a type name, found {lex[pos]!r}", pos)
+            name = pos
+            pos += 1
+            if lex[pos] == "[":
+                if lex[pos + 1] != "]":
+                    stack.append((name, []))
+                    pos += 1
+                    continue
+                pos += 2
+            node = TypeExpr(lex[name], (), span(name))
+            while stack:
+                name, items = stack[-1]
+                items.append(node)
+                if lex[pos] == ",":
+                    pos += 1
+                    break
+                if lex[pos] != "]":
+                    self.fail(f"expected ], found {lex[pos]!r}", pos)
+                pos += 1
+                stack.pop()
+                node = TypeExpr(lex[name], tuple(items), span(name))
+            else:
+                self.pos = pos
+                return node
+
+    def parse_type_list(self) -> tuple[TypeExpr, ...]:
+        """``type-expr {"," type-expr} "]"``."""
+        items = [self.parse_type_expr()]
+        while self.accept(","):
+            items.append(self.parse_type_expr())
+        self.expect("]")
+        return tuple(items)
 
     # -------------------------------------------------------------- terms
 
     def parse_term(self, annotations: dict[str, TypeExpr] | None = None) -> Term:
-        first = self.parse_primary(annotations)
-        if not (self.at(TokenKind.SYMBOL) and self.peek().lexeme in OPERATOR_GLYPHS):
-            return first
-        glyph_tok = self.peek()
-        glyph = glyph_tok.lexeme
-        if glyph not in self.operators:
-            self.fail(f"infix operator {glyph!r} used without an operator declaration", glyph_tok)
-        fn = self.operators[glyph]
-        result = first
-        while self.at(TokenKind.SYMBOL) and self.peek().lexeme in OPERATOR_GLYPHS:
-            tok = self.peek()
-            if tok.lexeme != glyph:
-                self.fail(
-                    f"mixing infix operators {glyph!r} and {tok.lexeme!r} requires parentheses", tok
-                )
-            self.next()
-            right = self.parse_primary(annotations)
-            result = Term(fn, (), (result, right), first.span)
-        return result
+        """A term, read with a stack of its open brackets.
 
-    def parse_primary(self, annotations: dict[str, TypeExpr] | None) -> Term:
-        if self.accept(TokenKind.SYMBOL, "("):
-            inner = self.parse_term(annotations)
-            self.expect(TokenKind.SYMBOL, ")")
-            return inner
-        head = self.expect(TokenKind.IDENT, what="a term")
-        type_args: tuple[TypeExpr, ...] = ()
-        if self.at(TokenKind.SYMBOL, "["):
-            self.next()
-            items = [self.parse_type_expr()]
-            while self.accept(TokenKind.SYMBOL, ","):
-                items.append(self.parse_type_expr())
-            self.expect(TokenKind.SYMBOL, "]")
-            type_args = tuple(items)
-        args: tuple[Term, ...] = ()
-        if self.accept(TokenKind.SYMBOL, "("):
-            items = []
-            if not self.at(TokenKind.SYMBOL, ")"):
-                items.append(self.parse_argument(annotations))
-                while self.accept(TokenKind.SYMBOL, ","):
-                    items.append(self.parse_argument(annotations))
-            self.expect(TokenKind.SYMBOL, ")")
-            args = tuple(items)
-        return Term(head.lexeme, type_args, args, head.span)
+        Each entry is ``(head, type arguments, arguments so far, span,
+        chain)`` for an application and ``(None, ..., chain)`` for a
+        parenthesized term, where ``chain`` is the infix chain the bracket
+        interrupts: ``None``, or ``[left operand so far, glyph, function]``.
+        ``annotations`` collects the ``name: Type`` annotations of an
+        axiom's arguments; without it an annotation is a syntax error.
+        """
+        kinds, lex, starts, texts, operators = self.kinds, self.lex, self.starts, self.texts, self.operators
+        file, line_starts = self.file, self.line_starts
+        pos = self.pos
+        stack: list[tuple] = []
+        chain: list | None = None
+        line = line_start = line_end = 0  # the line of the last head read
+        while True:
+            # Read a primary, opening its brackets on the way in.
+            if kinds[pos] is IDENT:
+                head = lex[pos]
+                start = starts[pos]
+                if start >= line_end:
+                    line = bisect_right(line_starts, start)
+                    line_start, line_end = line_starts[line - 1], line_starts[line]
+                span = new_tuple(Span, (file, line, start - line_start + 1, len(texts[pos])))
+                pos += 1
+                type_args: tuple[TypeExpr, ...] = ()
+                if lex[pos] == "[":
+                    self.pos = pos + 1
+                    type_args = self.parse_type_list()
+                    pos = self.pos
+                if lex[pos] == "(":
+                    if lex[pos + 1] != ")":
+                        stack.append((head, type_args, [], span, chain))
+                        chain = None
+                        pos += 1
+                        continue
+                    pos += 2
+                value = Term(head, type_args, (), span)
+            elif lex[pos] == "(":
+                stack.append((None, None, None, None, chain))
+                chain = None
+                pos += 1
+                continue
+            else:
+                self.fail(f"expected a term, found {lex[pos]!r}", pos)
+            # Extend the infix chain with it, and close the brackets that
+            # each finished term completes.
+            while True:
+                if chain is not None:
+                    left = chain[0]
+                    value = Term(chain[2], (), (left, value), left.span)
+                tok = lex[pos]
+                if tok in OPERATOR_GLYPHS:
+                    if chain is None:
+                        if tok not in operators:
+                            self.fail(f"infix operator {tok!r} used without an operator declaration", pos)
+                        chain = [value, tok, operators[tok]]
+                    elif tok != chain[1]:
+                        self.fail(f"mixing infix operators {chain[1]!r} and {tok!r} requires parentheses", pos)
+                    else:
+                        chain[0] = value
+                    pos += 1
+                    break
+                if not stack:
+                    self.pos = pos
+                    return value
+                frame = stack[-1]
+                if frame[0] is not None:
+                    if tok == ":":
+                        self.pos = pos
+                        self.parse_annotation(value, annotations)
+                        pos = self.pos
+                        tok = lex[pos]
+                    frame[2].append(value)
+                    if tok == ",":
+                        chain = None
+                        pos += 1
+                        break
+                if tok != ")":
+                    self.fail(f"expected ), found {tok!r}", pos)
+                pos += 1
+                head, type_args, args, span, chain = stack.pop()
+                if head is not None:
+                    value = Term(head, type_args, tuple(args), span)
 
-    def parse_argument(self, annotations: dict[str, TypeExpr] | None) -> Term:
-        term = self.parse_term(annotations)
-        if self.at(TokenKind.SYMBOL, ":"):
-            colon = self.peek()
-            if annotations is None:
-                self.fail("type annotations are only allowed inside axiom terms", colon)
-            if term.args or term.type_args:
-                self.fail("only a bare metavariable can carry a type annotation", colon)
-            self.next()
-            ty = self.parse_type_expr()
-            seen = annotations.get(term.head)
-            if seen is not None and seen != ty:
-                self.fail(f"conflicting annotations for metavariable {term.head!r}", colon)
-            annotations[term.head] = ty
-        return term
+    def parse_annotation(self, term: Term, annotations: dict[str, TypeExpr] | None) -> None:
+        """Record the ``: Type`` annotation at the current token on the
+        argument ``term``."""
+        colon = self.pos
+        if annotations is None:
+            self.fail("type annotations are only allowed inside axiom terms", colon)
+        if term.args or term.type_args:
+            self.fail("only a bare metavariable can carry a type annotation", colon)
+        self.pos += 1
+        ty = self.parse_type_expr()
+        seen = annotations.get(term.head)
+        if seen is not None and seen != ty:
+            self.fail(f"conflicting annotations for metavariable {term.head!r}", colon)
+        annotations[term.head] = ty
 
     # --------------------------------------------------------- statements
 
     def parse_program(self, source_name: str) -> Program:
         statements: list[Statement] = []
         self.skip_separators()
-        while not self.at(TokenKind.EOF):
+        while self.kinds[self.pos] is not EOF:
             statements.append(self.parse_statement())
-            if not self.at(TokenKind.EOF) and not self.at_separator():
+            if not self.at_end_of_item():
                 self.fail("expected end of statement")
             self.skip_separators()
         return Program(tuple(statements), source_name)
 
     def parse_statement(self) -> Statement:
-        tok = self.peek()
-        if tok.kind is TokenKind.KEYWORD:
-            if tok.lexeme == "type":
+        if self.kinds[self.pos] is KEYWORD:
+            keyword = self.lex[self.pos]
+            if keyword == "type":
                 return self.parse_type_decl()
-            if tok.lexeme == "function":
+            if keyword == "function":
                 return self.parse_function_decl()
-            if tok.lexeme == "operator":
+            if keyword == "operator":
                 return self.parse_operator_decl()
-            if tok.lexeme == "theorem":
+            if keyword == "theorem":
                 return self.parse_theorem_decl()
-        self.fail("expected a statement (type, function, operator or theorem)", tok)
-        raise AssertionError  # unreachable
+        self.fail("expected a statement (type, function, operator or theorem)")
 
     def parse_type_decl(self) -> TypeDecl:
-        kw = self.expect(TokenKind.KEYWORD, "type")
-        name = self.expect(TokenKind.IDENT, what="a type name")
+        kw = self.expect("type")
+        name = self.ident("a type name")
         params: tuple[str, ...] = ()
-        if self.accept(TokenKind.SYMBOL, "["):
-            items = [self.expect(TokenKind.IDENT, what="a type parameter").lexeme]
-            while self.accept(TokenKind.SYMBOL, ","):
-                items.append(self.expect(TokenKind.IDENT, what="a type parameter").lexeme)
-            self.expect(TokenKind.SYMBOL, "]")
-            params = tuple(items)
-        self.expect(TokenKind.SYMBOL, "≡")
-        shape = self.expect(TokenKind.IDENT, what="Product or Sum")
-        if shape.lexeme == "Product":
-            self.expect(TokenKind.SYMBOL, "[")
+        if self.accept("["):
+            params = self.parse_names("a type parameter")
+            self.expect("]")
+        self.expect("≡")
+        shape = self.expect_kind(IDENT, "Product or Sum")
+        if self.lex[shape] == "Product":
+            self.expect("[")
             fields = []
-            if not self.at(TokenKind.SYMBOL, "]"):
+            if self.lex[self.pos] != "]":
                 fields.append(self.parse_field())
-                while self.accept(TokenKind.SYMBOL, ","):
+                while self.accept(","):
                     fields.append(self.parse_field())
-            self.expect(TokenKind.SYMBOL, "]")
+            self.expect("]")
             body: ProductBody | SumBody = ProductBody(tuple(fields))
-        elif shape.lexeme == "Sum":
-            self.expect(TokenKind.SYMBOL, "[")
-            summands = []
-            if not self.at(TokenKind.SYMBOL, "]"):
-                summands.append(self.parse_type_expr())
-                while self.accept(TokenKind.SYMBOL, ","):
-                    summands.append(self.parse_type_expr())
-            self.expect(TokenKind.SYMBOL, "]")
-            body = SumBody(tuple(summands))
+        elif self.lex[shape] == "Sum":
+            self.expect("[")
+            summands: tuple[TypeExpr, ...] = ()
+            if self.lex[self.pos] != "]":
+                summands = self.parse_type_list()
+            else:
+                self.pos += 1
+            body = SumBody(summands)
         else:
             self.fail("expected Product or Sum", shape)
-            raise AssertionError
-        return TypeDecl(name.lexeme, params, body, kw.span)
+        return TypeDecl(name, params, body, self.span(kw))
 
     def parse_field(self) -> tuple[str, TypeExpr]:
-        label = self.expect(TokenKind.IDENT, what="a field label")
-        self.expect(TokenKind.SYMBOL, ":")
-        return label.lexeme, self.parse_type_expr()
+        label = self.ident("a field label")
+        self.expect(":")
+        return label, self.parse_type_expr()
 
     def parse_function_decl(self) -> FunctionDecl:
-        kw = self.expect(TokenKind.KEYWORD, "function")
-        name = self.expect(TokenKind.IDENT, what="a function name")
+        kw = self.expect("function")
+        name = self.ident("a function name")
         type_params: tuple[str, ...] = ()
-        if self.accept(TokenKind.SYMBOL, "["):
-            items = [self.expect(TokenKind.IDENT, what="a type parameter").lexeme]
-            while self.accept(TokenKind.SYMBOL, ","):
-                items.append(self.expect(TokenKind.IDENT, what="a type parameter").lexeme)
-            self.expect(TokenKind.SYMBOL, "]")
-            type_params = tuple(items)
-        self.expect(TokenKind.SYMBOL, "(")
+        if self.accept("["):
+            type_params = self.parse_names("a type parameter")
+            self.expect("]")
+        self.expect("(")
         params = []
-        if not self.at(TokenKind.SYMBOL, ")"):
+        if self.lex[self.pos] != ")":
             params.append(self.parse_field())
-            while self.accept(TokenKind.SYMBOL, ","):
+            while self.accept(","):
                 params.append(self.parse_field())
-        self.expect(TokenKind.SYMBOL, ")")
-        self.expect(TokenKind.SYMBOL, ":")
+        self.expect(")")
+        self.expect(":")
         return_type = self.parse_type_expr()
         self.skip_newlines()
-        if self.accept(TokenKind.KEYWORD, "allowing"):
+        if self.accept("allowing"):
             body: EquationalBody | FormulaicBody = EquationalBody(tuple(self.parse_axioms()))
-        elif self.accept(TokenKind.SYMBOL, "≡"):
+        elif self.accept("≡"):
             body = FormulaicBody(self.parse_term())
         else:
             self.fail("expected 'allowing' or '≡' after the function signature")
-            raise AssertionError
-        return FunctionDecl(name.lexeme, type_params, tuple(params), return_type, body, kw.span)
+        return FunctionDecl(name, type_params, tuple(params), return_type, body, self.span(kw))
 
     def parse_axioms(self) -> list[Axiom]:
         axioms = [self.parse_axiom()]
         while True:
             save = self.pos
             self.skip_separators()
-            if self.at(TokenKind.AXIOM_NAME):
-                axioms.append(self.parse_axiom())
-            else:
+            if self.kinds[self.pos] is not AXIOM_NAME:
                 self.pos = save
                 return axioms
+            axioms.append(self.parse_axiom())
 
     def parse_axiom(self) -> Axiom:
-        name = self.expect(TokenKind.AXIOM_NAME, what="an axiom name")
-        self.expect(TokenKind.SYMBOL, ":")
+        name = self.expect_kind(AXIOM_NAME, "an axiom name")
+        self.expect(":")
         annotations: dict[str, TypeExpr] = {}
         lhs = self.parse_term(annotations)
-        self.expect(TokenKind.SYMBOL, "↔")
+        self.expect("↔")
         rhs = self.parse_term(annotations)
-        metavars = tuple(sorted(annotations.items()))
-        return Axiom(name.lexeme, lhs, rhs, metavars, name.span)
+        return Axiom(self.lex[name], lhs, rhs, tuple(sorted(annotations.items())), self.span(name))
 
     def parse_operator_decl(self) -> OperatorDecl:
-        kw = self.expect(TokenKind.KEYWORD, "operator")
-        glyph = self.peek()
-        if not (glyph.kind is TokenKind.SYMBOL and glyph.lexeme in OPERATOR_GLYPHS):
-            self.fail("expected an operator glyph (∨ or ∧)", glyph)
-        self.next()
-        self.expect(TokenKind.SYMBOL, "≡")
-        fn = self.expect(TokenKind.IDENT, what="a function name")
-        self.operators[glyph.lexeme] = fn.lexeme
-        return OperatorDecl(glyph.lexeme, fn.lexeme, kw.span)
+        kw = self.expect("operator")
+        glyph = self.lex[self.pos]
+        if glyph not in OPERATOR_GLYPHS:
+            self.fail("expected an operator glyph (∨ or ∧)")
+        self.pos += 1
+        self.expect("≡")
+        fn = self.ident("a function name")
+        self.operators[glyph] = fn
+        return OperatorDecl(glyph, fn, self.span(kw))
 
     # ----------------------------------------------------------- theorems
 
     def parse_theorem_decl(self) -> TheoremDecl:
-        kw = self.expect(TokenKind.KEYWORD, "theorem")
-        if self.at(TokenKind.THEOREM_NAME):
-            name = self.next().lexeme.lstrip("¶")
+        kw = self.expect("theorem")
+        if self.kinds[self.pos] is THEOREM_NAME:
+            name = self.lex[self.pos].lstrip("¶")
+            self.pos += 1
         else:
-            name = self.parse_plain_name("a theorem name").lexeme
-        self.expect(TokenKind.SYMBOL, ":")
+            name = self.parse_plain_name("a theorem name")
+        self.expect(":")
         quantifiers: tuple[Quantifier, ...] = ()
-        if self.at(TokenKind.SYMBOL, "∀"):
-            quantifiers = tuple(self.parse_quantifiers())
-            self.expect(TokenKind.SYMBOL, ":")
+        if self.lex[self.pos] == "∀":
+            quantifiers = self.parse_quantifiers()
+            self.expect(":")
         lhs = self.parse_term()
-        self.expect(TokenKind.SYMBOL, "↔")
+        self.expect("↔")
         rhs = self.parse_term()
         self.skip_separators()
         proof = self.parse_proof()
-        return TheoremDecl(name, quantifiers, lhs, rhs, proof, kw.span)
+        return TheoremDecl(name, quantifiers, lhs, rhs, proof, self.span(kw))
 
-    def parse_quantifiers(self) -> list[Quantifier]:
+    def parse_quantifiers(self) -> tuple[Quantifier, ...]:
         quantifiers = [self.parse_quantifier()]
-        while self.at(TokenKind.SYMBOL, ",") and self.at(TokenKind.SYMBOL, "∀", offset=1):
-            self.next()
+        while self.lex[self.pos] == "," and self.lex[self.pos + 1] == "∀":
+            self.pos += 1
             quantifiers.append(self.parse_quantifier())
-        return quantifiers
+        return tuple(quantifiers)
 
     def parse_quantifier(self) -> Quantifier:
-        forall = self.expect(TokenKind.SYMBOL, "∀")
-        var = self.expect(TokenKind.IDENT, what="a metavariable name")
-        self.expect(TokenKind.SYMBOL, "∈")
-        domain = self.parse_type_expr()
-        return Quantifier(var.lexeme, domain, forall.span)
+        forall = self.expect("∀")
+        var = self.ident("a metavariable name")
+        self.expect("∈")
+        return Quantifier(var, self.parse_type_expr(), self.span(forall))
 
     def parse_proof(self) -> ProofBody:
-        self.expect(TokenKind.KEYWORD, "proof")
-        if self.at(TokenKind.KEYWORD, "by"):
+        self.expect("proof")
+        if self.lex[self.pos] == "by":
             return self.parse_by_cases()
         self.skip_separators()
         steps = self.parse_steps()
         if not steps:
             self.fail("expected proof steps after 'proof'")
-        return LinearProof(tuple(steps))
+        return LinearProof(steps)
 
-    def parse_steps(self) -> list[ProofStep]:
-        steps: list[ProofStep] = []
+    def parse_steps(self) -> tuple[ProofStep, ...]:
+        kinds, lex = self.kinds, self.lex
+        steps = []
         while True:
-            save = self.pos
-            self.skip_separators()
-            if not (self.at(TokenKind.NUMBER) and self.at(TokenKind.SYMBOL, ".", offset=1)):
-                self.pos = save
-                return steps
-            index_tok = self.next()
-            self.next()  # '.'
+            pos = self.pos
+            while lex[pos] in _SEPARATORS:
+                pos += 1
+            if kinds[pos] is not NUMBER or lex[pos + 1] != ".":
+                return tuple(steps)
+            index = pos
+            self.pos = pos + 2
             term = self.parse_term()
             justification = None
-            if self.accept(TokenKind.KEYWORD, "via"):
+            if lex[self.pos] == "via":
+                self.pos += 1
                 justification = self.parse_justification()
-            if not (self.at_separator() or self.at(TokenKind.EOF)):
+            if not self.at_end_of_item():
                 self.fail("expected end of proof step")
-            steps.append(ProofStep(int(index_tok.lexeme), term, justification, index_tok.span))
+            steps.append(ProofStep(int(lex[index]), term, justification, self.span(index)))
 
     def parse_justification(self) -> Justification:
-        start = self.peek()
-        parenthesized = self.accept(TokenKind.SYMBOL, "(") is not None
+        start = self.pos
+        parenthesized = self.accept("(")
         atoms: list[Quantifier | str] = [self.parse_justification_atom()]
-        while self.accept(TokenKind.SYMBOL, ","):
+        while self.accept(","):
             atoms.append(self.parse_justification_atom())
         if parenthesized:
-            self.expect(TokenKind.SYMBOL, ")")
+            self.expect(")")
         if all(isinstance(a, Quantifier) for a in atoms):
-            return CaseRangeJustification(tuple(atoms), start.span)  # type: ignore[arg-type]
+            return CaseRangeJustification(tuple(atoms), self.span(start))  # type: ignore[arg-type]
         if all(isinstance(a, str) for a in atoms):
-            return RuleJustification(tuple(atoms), start.span)  # type: ignore[arg-type]
+            return RuleJustification(tuple(atoms), self.span(start))  # type: ignore[arg-type]
         self.fail("justification tuple mixes rule names and case ranges", start)
-        raise AssertionError
 
     def parse_justification_atom(self) -> Quantifier | str:
-        if self.at(TokenKind.SYMBOL, "∀"):
+        kind, lexeme = self.kinds[self.pos], self.lex[self.pos]
+        if lexeme == "∀":
             return self.parse_quantifier()
-        if self.at(TokenKind.AXIOM_NAME):
-            return self.next().lexeme
-        if self.at(TokenKind.THEOREM_NAME):
-            return self.next().lexeme.lstrip("¶")
-        if self.at(TokenKind.IDENT):
-            return self.parse_plain_name("a rule name").lexeme
+        if kind is AXIOM_NAME or kind is THEOREM_NAME:
+            self.pos += 1
+            return lexeme.lstrip("¶")
+        if kind is IDENT:
+            return self.parse_plain_name("a rule name")
         self.fail("expected a rule name or a case range")
-        raise AssertionError
 
     def parse_by_cases(self) -> ByCasesProof:
-        self.expect(TokenKind.KEYWORD, "by")
-        self.expect(TokenKind.KEYWORD, "cases")
-        self.expect(TokenKind.KEYWORD, "of")
-        if self.accept(TokenKind.SYMBOL, "("):
-            subjects = [self.expect(TokenKind.IDENT, what="a metavariable").lexeme]
-            while self.accept(TokenKind.SYMBOL, ","):
-                subjects.append(self.expect(TokenKind.IDENT, what="a metavariable").lexeme)
-            self.expect(TokenKind.SYMBOL, ")")
+        self.expect("by")
+        self.expect("cases")
+        self.expect("of")
+        if self.accept("("):
+            subjects = self.parse_names("a metavariable")
+            self.expect(")")
         else:
-            subjects = [self.expect(TokenKind.IDENT, what="a metavariable").lexeme]
-        self.expect(TokenKind.KEYWORD, "using")
-        wrapped = self.accept(TokenKind.SYMBOL, "(") is not None
+            subjects = (self.ident("a metavariable"),)
+        self.expect("using")
+        wrapped = self.accept("(")
         scrutinee = self.parse_type_expr()
-        self.expect(TokenKind.SYMBOL, "=")
+        self.expect("=")
         summands = [self.parse_type_expr()]
-        while self.at(TokenKind.IDENT, "U"):
-            self.next()
+        while self.lex[self.pos] == "U":
+            self.pos += 1
             summands.append(self.parse_type_expr())
         if wrapped:
-            self.expect(TokenKind.SYMBOL, ")")
+            self.expect(")")
         # An optional trailing ^n (or bare digit) annotation is accepted and
         # discarded; coverage is checked independently by the verifier.
-        self.accept(TokenKind.SYMBOL, "^")
-        self.accept(TokenKind.NUMBER)
+        self.accept("^")
+        if self.kinds[self.pos] is NUMBER:
+            self.pos += 1
         cases = []
         while True:
             save = self.pos
             self.skip_separators()
-            if not self.at(TokenKind.KEYWORD, "case"):
+            if self.lex[self.pos] != "case":
                 self.pos = save
                 break
             case = self.parse_case_block()
-            if {q.var for q in case.ranges} <= set(subjects):
-                cases.append(case)
-            else:
+            if not {q.var for q in case.ranges} <= set(subjects):
                 # Belongs to an enclosing proof-by-cases; hand it back.
                 self.pos = save
                 break
+            cases.append(case)
         if not cases:
             self.fail("expected at least one case")
-        return ByCasesProof(tuple(subjects), scrutinee, tuple(summands), tuple(cases))
+        return ByCasesProof(subjects, scrutinee, tuple(summands), tuple(cases))
 
     def parse_case_block(self) -> CaseBlock:
-        kw = self.expect(TokenKind.KEYWORD, "case")
+        kw = self.expect("case")
         label = None
-        if self.at(TokenKind.IDENT) and self.at(TokenKind.SYMBOL, ":", offset=1):
-            label = self.next().lexeme
-            self.next()
-        ranges = tuple(self.parse_quantifiers())
-        self.expect(TokenKind.SYMBOL, ":")
+        if self.kinds[self.pos] is IDENT and self.lex[self.pos + 1] == ":":
+            label = self.lex[self.pos]
+            self.pos += 2
+        ranges = self.parse_quantifiers()
+        self.expect(":")
         restated = None
-        if not (self.at_separator() or self.at(TokenKind.EOF)):
+        if not self.at_end_of_item():
             lhs = self.parse_term()
-            self.expect(TokenKind.SYMBOL, "↔")
-            rhs = self.parse_term()
-            restated = (lhs, rhs)
+            self.expect("↔")
+            restated = (lhs, self.parse_term())
         self.skip_separators()
-        if self.at(TokenKind.KEYWORD, "proof"):
+        if self.lex[self.pos] == "proof":
             body: ProofBody = self.parse_proof()
         else:
             steps = self.parse_steps()
             if not steps:
                 self.fail("expected a case body (proof steps or a nested proof)")
-            body = LinearProof(tuple(steps))
-        return CaseBlock(label, ranges, restated, body, kw.span)
+            body = LinearProof(steps)
+        return CaseBlock(label, ranges, restated, body, self.span(kw))
 
 
 def parse_program(source: str, file: str = "<input>", operators: dict[str, str] | None = None) -> Program:
     """Parse a whole program; raises DiagnosticError on the first error."""
-    tokens = tokenize(source, file)
-    return _Parser(tokens, file, operators).parse_program(file)
+    return _Parser(scan(source, file), operators).parse_program(file)
 
 
 def parse_term(source: str, file: str = "<input>", operators: dict[str, str] | None = None) -> Term:
     """Parse a single term (the ``eval`` surface and the term fixtures)."""
-    tokens = [t for t in tokenize(source, file) if t.kind is not TokenKind.NEWLINE]
-    parser = _Parser(tokens, file, operators)
+    scanned = scan(source, file)
+    keep = [kind is not NEWLINE for kind in scanned.kinds]
+    lists = (list(compress(tokens, keep))
+             for tokens in (scanned.kinds, scanned.lexemes, scanned.starts, scanned.texts))
+    parser = _Parser(Scan(file, *lists, {}, scanned.line_starts), operators)
     term = parser.parse_term()
-    if not parser.at(TokenKind.EOF):
+    if parser.kinds[parser.pos] is not EOF:
         parser.fail("unexpected trailing input after term")
     return term

@@ -16,24 +16,53 @@ from .nodes import (
 
 
 def format_type(ty: TypeExpr) -> str:
-    if ty.args:
-        return f"{ty.name}[{', '.join(format_type(a) for a in ty.args)}]"
-    return ty.name
+    parts: list[str] = []
+    stack: list[TypeExpr | str] = [ty]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            parts.append(item)
+        elif item.args:
+            parts.append(item.name + "[")
+            _push_arguments(stack, item.args, "]")
+        else:
+            parts.append(item.name)
+    return "".join(parts)
 
 
 def format_term(term: Term, annotations: dict[str, TypeExpr] | None = None) -> str:
     """Render a term; ``annotations`` marks metavariables whose first
-    occurrence should carry an inline ``: Type`` annotation."""
-    head = term.head
-    if annotations is not None and not term.args and not term.type_args and head in annotations:
-        ty = annotations.pop(head)
-        return f"{head}: {format_type(ty)}"
-    out = head
-    if term.type_args:
-        out += f"[{', '.join(format_type(t) for t in term.type_args)}]"
-    if term.args:
-        out += f"({', '.join(format_term(a, annotations) for a in term.args)})"
-    return out
+    occurrence, in pre-order, should carry an inline ``: Type``
+    annotation."""
+    parts: list[str] = []
+    stack: list[Term | str] = [term]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            parts.append(item)
+            continue
+        head, args = item.head, item.args
+        if annotations is not None and not args and not item.type_args and head in annotations:
+            parts.append(f"{head}: {format_type(annotations.pop(head))}")
+            continue
+        if item.type_args:
+            head += f"[{', '.join(map(format_type, item.type_args))}]"
+        if args:
+            parts.append(head + "(")
+            _push_arguments(stack, args, ")")
+        else:
+            parts.append(head)
+    return "".join(parts)
+
+
+def _push_arguments(stack: list, items: tuple, closing: str) -> None:
+    """Push ``items`` with commas between them, then ``closing``, so that
+    they pop in order."""
+    stack.append(closing)
+    for item in items[:0:-1]:
+        stack.append(item)
+        stack.append(", ")
+    stack.append(items[0])
 
 
 def format_quantifier(q: Quantifier) -> str:

@@ -197,7 +197,7 @@ class _Verification:
 
     # ----------------------------------------------------------- helpers
 
-    def _type_check(self, term: Term, span_owner: ProofStep | None = None) -> bool:
+    def _type_check(self, term: Term) -> bool:
         ctx = TypingContext(dict(self.quantifier_types), frozenset())
         try:
             infer_type(term, ctx, self.registry)
@@ -260,7 +260,7 @@ class _Verification:
             ))
 
         for step in steps:
-            if not self._type_check(step.term, step):
+            if not self._type_check(step.term):
                 return
 
         cur = steps[0].term

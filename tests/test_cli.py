@@ -251,6 +251,17 @@ def test_fmt_check_flags_unformatted_files(tmp_path):
     assert source.read_text(encoding="utf-8").startswith("type   False")  # untouched
 
 
+def test_fmt_round_trips_a_5000_deep_term(tmp_path):
+    k = 5000
+    deep = "not(" * k + "False" + ")" * k
+    canonical = f"theorem ¶deep: {deep} ↔ False\nproof\n  0. {deep}\n"
+    source = tmp_path / "deep.axm"
+    source.write_text(canonical.replace(" ↔ ", " <-> ").replace("0. ", "0.  "), encoding="utf-8")
+    assert run("fmt", str(source)) == (0, f"formatted {source}\n", "")
+    assert source.read_text(encoding="utf-8") == canonical
+    assert run("fmt", "--check", str(source)) == (0, "", "")
+
+
 def test_fmt_unparsable_file_exits_one(tmp_path):
     source = tmp_path / "bad.axm"
     source.write_text("type ≡ Product[", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from axiotome.diagnostics import DiagnosticError, Span
 from axiotome.syntax import (
-    CaseRangeJustification, LinearProof, ProductBody, RuleJustification,
-    Term, Token, TokenKind, TypeDecl, format_node, parse_program, parse_term, tokenize,
+    Axiom, CaseBlock, CaseRangeJustification, FunctionDecl, LinearProof, OperatorDecl,
+    ProductBody, ProofStep, Quantifier, RuleJustification, Term, TheoremDecl, Token,
+    TokenKind, TypeDecl, TypeExpr, format_node, parse_program, parse_term, tokenize,
 )
 
 from conftest import PROGRAM_FIXTURES, corpus_text, load_program
@@ -181,6 +183,95 @@ def test_token_spans_cover_mutated_corpus_text(source):
         end, previous = at + len(text), token.kind
 
 
+#: ASCII spellings of glyphs, spaced so that they stay separate tokens.
+_RESPELLINGS = {"↔": "<->", "≡": ":=", "∀": "forall ", "∈": " in ", "∨": "\\/", "∧": "/\\", "°": "."}
+
+
+@st.composite
+def respaced_corpus(draw):
+    """A corpus file with blanks and comments inserted before brackets,
+    commas, colons and blanks, newlines after an opening bracket, and
+    glyphs respelled in ASCII: text that mostly still parses, with its
+    tokens moved and some lexemes longer."""
+    text = corpus_text(draw(st.sampled_from(PROGRAM_FIXTURES)))
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            piece = draw(st.sampled_from([" ", "\t", "\n", "/* c */", "/* a\nb */"]))
+            if piece == "\n":  # inside brackets, where it separates nothing
+                at = [i for i, ch in enumerate(text) if text[i - 1:i] in ("(", "[")]
+            else:
+                at = [i for i, ch in enumerate(text) if ch in " ()[],:"]
+        else:
+            at = [i for i, ch in enumerate(text) if ch in _RESPELLINGS]
+            piece = None
+        if at:
+            i = draw(st.sampled_from(at))
+            text = text[:i] + piece + text[i:] if piece else text[:i] + _RESPELLINGS[text[i]] + text[i + 1:]
+    return text
+
+
+def _nodes(root):
+    """Every AST node under ``root``, walked with an explicit stack."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if dataclasses.is_dataclass(node):
+            yield node
+            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+        elif isinstance(node, tuple) and not isinstance(node, Span):
+            stack.extend(node)
+
+
+_KEYWORD_OF = {TypeDecl: "type", FunctionDecl: "function", OperatorDecl: "operator",
+               TheoremDecl: "theorem", CaseBlock: "case"}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(mutated_corpus(), respaced_corpus()))
+def test_parsed_spans_point_at_their_lexemes(source):
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+
+    def text_at(span):
+        start = line_starts[span.line - 1] + span.column - 1
+        return source[start:start + span.length]
+
+    try:
+        program = parse_program(source)
+    except DiagnosticError as exc:
+        # A syntax error points at a token, the one it names if it names
+        # one, or at nothing at the end of input.
+        diagnostic = exc.diagnostics[0]
+        try:
+            lexemes = {t.span: t.lexeme for t in tokenize(source)}
+        except DiagnosticError as lexical:
+            assert lexical.diagnostics == exc.diagnostics
+            return
+        found = re.search(r"found ('.*')$", diagnostic.message)
+        lexeme = lexemes.get(diagnostic.span, "<eof>" if diagnostic.span == Span() else None)
+        assert lexeme is not None and (not found or found.group(1) == repr(lexeme))
+        return
+    operators = {d.function_name for d in program.statements if isinstance(d, OperatorDecl)}
+    for node in _nodes(program):
+        text = text_at(node.span) if hasattr(node, "span") else None
+        if isinstance(node, Term) and text != node.head:
+            # An infix application carries its first operand's span.
+            assert node.head in operators and len(node.args) == 2 and node.span == node.args[0].span
+        elif isinstance(node, TypeExpr):
+            assert text == node.name
+        elif isinstance(node, ProofStep):
+            assert re.fullmatch("[0-9]+", text) and int(text) == node.index
+        elif type(node) in _KEYWORD_OF:
+            assert text == _KEYWORD_OF[type(node)]
+        elif isinstance(node, Quantifier):
+            assert text in ("∀", "forall")
+        elif isinstance(node, Axiom):
+            assert text.replace(".", "°") == node.name
+        elif isinstance(node, RuleJustification):
+            assert text == "(" or node.names[0].startswith(text.replace(".", "°").lstrip("¶"))
+        elif isinstance(node, CaseRangeJustification):
+            assert text in ("(", "∀", "forall")
+
+
 # ----------------------------------------------------------------- parsing
 
 def test_nullary_product_type():
@@ -199,6 +290,89 @@ def test_term_tree_depth():
         return 1 + max((depth(a) for a in t.args), default=0)
 
     assert depth(term) == 4
+
+
+def test_deep_term_parses_without_recursion():
+    term = parse_term("not(" * 5000 + "False" + ")" * 5000)
+    depth = 0
+    while term.args:
+        (term,) = term.args
+        depth += 1
+    assert depth == 5000 and term.head == "False"
+
+
+def test_deep_type_argument_parses_without_recursion():
+    deep = "List[" * 5000 + "Boolean" + "]" * 5000
+    program = parse_program(f"theorem ¶t: nil[{deep}] ↔ nil[{deep}]\nproof\n  0. nil[{deep}]\n")
+    (ty,) = program.statements[0].proof.steps[0].term.type_args
+    depth = 0
+    while ty.args:
+        (ty,) = ty.args
+        depth += 1
+    assert depth == 5000 and ty.name == "Boolean"
+
+
+@pytest.mark.parametrize("source, message, column", [
+    ("f(a b)", "expected ), found 'b'", 5),
+    ("(a b)", "expected ), found 'b'", 4),
+    ("f(a, )", "expected a term, found ')'", 6),
+    ("f[]", "expected a type name, found ']'", 3),
+    ("f[A[B C]]", "expected ], found 'C'", 7),
+    ("f[A](b", "expected ), found '<eof>'", None),
+    ("f(a: A)", "type annotations are only allowed inside axiom terms", 4),
+    ("a ∨ b", "infix operator '∨' used without an operator declaration", 3),
+    ("a \\/ b", "infix operator '∨' used without an operator declaration", 3),
+    ("(a ∨ b) ∨ c ∧ d", "mixing infix operators '∨' and '∧' requires parentheses", 13),
+    ("a b", "unexpected trailing input after term", 3),
+])
+def test_term_diagnostics(source, message, column):
+    with pytest.raises(DiagnosticError) as exc:
+        parse_term(source, operators={"∨": "or"} if "(a ∨" in source else None)
+    (diagnostic,) = exc.value.diagnostics
+    assert diagnostic.message == message
+    if column is None:  # at the end of input
+        assert diagnostic.span == Span()
+    else:
+        assert (diagnostic.span.line, diagnostic.span.column) == (1, column)
+
+
+@pytest.mark.parametrize("axiom, message, column", [
+    ("$a: f(g(x): B) ↔ x", "only a bare metavariable can carry a type annotation", 11),
+    ("$a: f(x ∨ y: B) ↔ x", "only a bare metavariable can carry a type annotation", 12),
+    ("$a: f(x: B, x: C) ↔ x", "conflicting annotations for metavariable 'x'", 14),
+    ("$a: f((x): B) ↔ g(x: B)", None, None),
+    ("$a: f((x: B)) ↔ x", "expected ), found ':'", 9),
+])
+def test_axiom_annotations(axiom, message, column):
+    source = f"operator ∨ ≡ or\nfunction f(x: B) : B allowing {axiom}"
+    if message is None:
+        (ax,) = parse_program(source).statements[1].body.axioms
+        assert ax.metavar_types == (("x", TypeExpr("B")),)
+        return
+    with pytest.raises(DiagnosticError) as exc:
+        parse_program(source)
+    (diagnostic,) = exc.value.diagnostics
+    assert (diagnostic.message, diagnostic.span.line, diagnostic.span.column) == (message, 2, column + 30)
+
+
+def test_dotted_rule_names_merge_while_each_dot_follows_on_the_first_line():
+    def names(justification):
+        source = f"theorem ¶t: a ↔ a\nproof\n  0. a\n  1. a via {justification}\n"
+        return parse_program(source).statements[0].proof.steps[1].justification.names
+
+    assert names("and.Left.False") == ("and°Left°False",)
+    assert names("and. Left") == ("and°Left",)
+    assert names("(and.\nLeft, b)") == ("and°Left", "b")
+    for unmerged in ("(and .Left)", "(and.\nLeft.False)"):
+        with pytest.raises(DiagnosticError) as exc:
+            names(unmerged)
+        assert exc.value.diagnostics[0].message == "expected ), found '.'"
+
+
+def test_spans_of_a_term_across_lines():
+    term = parse_program("theorem ¶t: a ↔ a\nproof\n  0. f(\na,\n  g(b))\n").statements[0].proof.steps[0].term
+    assert [(t.span.line, t.span.column) for t in (term, *term.args, term.args[1].args[0])] == [
+        (3, 6), (4, 1), (5, 3), (5, 5)]
 
 
 def test_nullary_application_equals_bare_identifier():
