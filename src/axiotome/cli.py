@@ -64,9 +64,11 @@ def _read_sources(paths: list[str], err) -> list[tuple[str, str]]:
     return [(path, _read(path, err)) for path in paths]
 
 
-def _load_program(sources: list[tuple[str, str]], operators: dict[str, str]) -> tuple[Program, list[Diagnostic]]:
-    """Parse every file and merge the statement lists in order."""
-    statements: list = []
+def _load_programs(sources: list[tuple[str, str]], operators: dict[str, str]) \
+        -> tuple[list[Program], list[Diagnostic]]:
+    """Parse every file in order, threading operator declarations from
+    earlier files into later ones; a file that does not parse is left out."""
+    programs: list[Program] = []
     diagnostics: list[Diagnostic] = []
     ops = dict(operators)
     for path, text in sources:
@@ -75,19 +77,23 @@ def _load_program(sources: list[tuple[str, str]], operators: dict[str, str]) -> 
         except DiagnosticError as exc:
             diagnostics.extend(exc.diagnostics)
             continue
-        statements.extend(program.statements)
+        programs.append(program)
         for stmt in program.statements:
             if isinstance(stmt, OperatorDecl):
                 ops[stmt.glyph] = stmt.function_name
-    return Program(tuple(statements), ";".join(p for p, _ in sources)), diagnostics
+    return programs, diagnostics
 
 
-def _build(sources, operators) -> tuple[Registry, Program, list[Diagnostic]]:
-    program, diagnostics = _load_program(sources, operators)
-    registry, diags = build_registry(program)
+def _build(sources, operators) -> tuple[Registry, list[Program], list[Diagnostic]]:
+    """The registry of every file's statements merged in order, each file's
+    parse, and the diagnostics of parsing, building and well-formedness."""
+    programs, diagnostics = _load_programs(sources, operators)
+    merged = Program(tuple(stmt for program in programs for stmt in program.statements),
+                     ";".join(p for p, _ in sources))
+    registry, diags = build_registry(merged)
     diagnostics.extend(diags)
     diagnostics.extend(check_well_formed(registry))
-    return registry, program, diagnostics
+    return registry, programs, diagnostics
 
 
 def _escalate_strict(diags: list[Diagnostic], strict: bool) -> list[Diagnostic]:
@@ -120,9 +126,9 @@ def _has_errors(diags: list[Diagnostic]) -> bool:
 
 def cmd_check(args, out, err) -> int:
     sources = _read_sources(args.paths, err)
-    registry, program, diags = _build(sources, args.operators)
+    registry, programs, diags = _build(sources, args.operators)
     reports = []
-    for stmt in program.statements:
+    for stmt in (stmt for program in programs for stmt in program.statements):
         if isinstance(stmt, TheoremDecl) and registry.theorems.get(stmt.name) is stmt:
             reports.append(verify_theorem(stmt, registry))
     for report in reports:
@@ -140,7 +146,7 @@ def cmd_check(args, out, err) -> int:
 
 def cmd_validate(args, out, err) -> int:
     sources = _read_sources(args.paths, err)
-    registry, program, diags = _build(sources, args.operators)
+    registry, _, diags = _build(sources, args.operators)
     _emit_diagnostics([d for d in diags if d.severity is Severity.ERROR], args.machine, out)
     if _has_errors(diags):
         return 1
@@ -193,16 +199,12 @@ def cmd_fill(args, out, err) -> int:
         print("error: fill requires --output PATH or --in-place", file=err)
         return 2
     sources = _read_sources(args.paths, err)
-    registry, program, diags = _build(sources, args.operators)
+    registry, programs, diags = _build(sources, args.operators)
     if _has_errors(diags):
         _emit_diagnostics(diags, args.machine, out)
         return 1
-    target_path, target_text = sources[0]
-    try:
-        target = parse_program(target_text, target_path, dict(registry.operators))
-    except DiagnosticError as exc:
-        _emit_diagnostics(exc.diagnostics, args.machine, out)
-        return 1
+    # With no errors every file parsed, so the first program is the target's.
+    target_path, target = sources[0][0], programs[0]
 
     budget = SearchBudget(args.max_depth, args.max_nodes)
     patched_statements = []

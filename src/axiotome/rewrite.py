@@ -16,23 +16,30 @@ order:
 Enumeration order is leftmost-outermost positions, forward before backward,
 which also fixes the witness recorded for steps with several derivations.
 
-Tuple and case-range steps are checked by enumerating those terms.  A
-single-name step, and depth-1 inference, need not enumerate: one rewrite
-can turn ``prev`` into ``next`` only at their fork (the deepest position
-outside which the two terms agree, found in one walk down both) or at one
-of its ancestors.  Only those positions are tried, and each match's
-substituted other side is compared with ``next``'s subterm there.  The
-verdicts, witnesses and inferred clauses are those of the enumeration.
+Which rules a step may use, and where they match, is decided in one place,
+``RuleSet.matches``: it walks (position, subterm, target) sites and returns
+every match of an indexed oriented rule there in (rank, site) order.  A
+single-name step is checked, and depth-1 inference run, at the sites where
+one rewrite can turn ``prev`` into ``next``: their fork (the deepest
+position outside which the two terms agree, found in one walk down both)
+and its ancestors.  Each match's substituted other side is compared with
+``next``'s subterm there, so no rewritten term is built; the verdicts,
+witnesses and inferred clauses are those of enumerating every rewrite.
+Successor moves and tuple steps walk every position of ``prev``.
 
 Declarations become rewrite rules in one place, ``RuleSet``, built once per
-registry (``Registry.rules``) and indexed by head symbol and first argument;
-normalization, successor moves and depth-1 inference look rules up there.
+registry (``Registry.rules``) and indexed by head symbol and first argument.
+Steps, inference and gap search see only rules a ``via`` can cite, so
+``fill`` inserts only steps that ``check`` accepts; normalization uses the
+forward axioms and unfoldings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -114,15 +121,14 @@ class StepEnv:
 
 # ---------------------------------------------------------------- matching
 
-def match(pattern: Term, subject: Term, pattern_vars: frozenset[str] | set[str],
-          bindings: Substitution | None = None) -> Substitution | None:
+def match(pattern: Term, subject: Term, pattern_vars: frozenset[str] | set[str]) -> Substitution | None:
     """First-order, non-unifying match of ``pattern`` against ``subject``.
 
     Subject metavariables are treated as constants; nonlinear patterns
     require syntactically equal subterms.  Returns the substitution, or
     None when there is no match.
     """
-    sigma: Substitution = {} if bindings is None else dict(bindings)
+    sigma: Substitution = {}
     if _match_into(pattern, subject, pattern_vars, sigma):
         return sigma
     return None
@@ -280,11 +286,6 @@ def rules_at(index: RuleIndex, term: Term) -> tuple[tuple[int, RewriteRule], ...
     return index[None] if found is None else found
 
 
-def _fits(key: object, term: Term) -> bool:
-    """Can a source side with index key ``key`` match ``term`` at its root?"""
-    return key is None or key == term.head or bool(term.args) and key == (term.head, term.args[0].head)
-
-
 def _unifiable(p: Term, p_vars: frozenset[str], q: Term, q_vars: frozenset[str]) -> bool:
     """Do the linear patterns ``p`` and ``q``, whose variables are disjoint,
     unify?  No variable can then be bound twice, so a walk down both decides
@@ -328,13 +329,25 @@ def _orthogonal(rules: list[RewriteRule]) -> bool:
     return True
 
 
+def _moves(i: int, rule: RewriteRule) -> list[tuple[int, RewriteRule]]:
+    """The directions of ``rules[i]`` whose match determines the result,
+    ranked ``2 * i`` forward and ``2 * i + 1`` backward."""
+    return [(2 * i + d, o) for d, o in enumerate((rule, rule.reversed())) if o.determined()]
+
+
+#: Where a rule is tried: the position, the subterm there, and the term a
+#: rewrite must produce there (``None`` when any result will do).
+Site = tuple[Position, Term, Term | None]
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """A registry's rules in preference order: axioms in registry order, then
     formulaic unfoldings, then theorems.  ``named`` maps the names a ``via``
-    can cite to rules; ``reductions`` indexes the forward axioms and
-    unfoldings; ``moves`` indexes each direction whose match determines its
-    result, ``rules[i]`` ranked ``2 * i`` forward and ``2 * i + 1`` backward.
+    can cite to rules; a theorem named like a function is not citable, as
+    the name denotes the function (see ``resolve_rule``).  ``reductions``
+    indexes the forward axioms and unfoldings; ``moves`` indexes each
+    direction of a citable rule whose match determines its result.
     ``orthogonal`` tells whether the reductions are orthogonal, linear and
     non-erasing, so that the order of reduction cannot change a term's
     normal form, its step count or whether a budget runs out."""
@@ -356,32 +369,36 @@ class RuleSet:
                 rules.append(_rule(fn.name, RuleSource.FORMULAIC, lhs, fn.body.term, params))
         rules += [_rule(thm.name, RuleSource.THEOREM, thm.lhs, thm.rhs, (q.var for q in thm.quantifiers))
                   for thm in registry.theorems.values()]
-        # A theorem named like a function cannot be cited: the name denotes
-        # the function (see ``resolve_rule``).
         named = {rule.name: rule for rule in rules
                  if rule.source is not RuleSource.THEOREM or rule.name not in registry.functions}
         reductions = [(i, rule) for i, rule in enumerate(rules) if rule.source is not RuleSource.THEOREM]
-        oriented = [(2 * i + d, o) for i, rule in enumerate(rules)
-                    for d, o in enumerate((rule, rule.reversed()))]
+        moves = [move for i, rule in enumerate(rules) if named.get(rule.name) is rule for move in _moves(i, rule)]
         return cls(tuple(rules), MappingProxyType(named), MappingProxyType(_index(reductions)),
-                   MappingProxyType(_index([(rank, o) for rank, o in oriented if o.determined()])),
-                   _orthogonal([rule for _, rule in reductions]))
+                   MappingProxyType(_index(moves)), _orthogonal([rule for _, rule in reductions]))
 
-    def applications(self, term: Term, exclude: str | None) \
-            -> list[tuple[RewriteRule, list[tuple[Position, Substitution]]]]:
-        """Every match of every oriented rule (but theorem ``exclude``) in
-        ``term``, grouped by rule in rank order, each group in
-        leftmost-outermost position order.  Positions are walked once."""
-        found: dict[int, tuple[RewriteRule, list]] = {}
-        for pos, sub in positions(term):
-            for rank, rule in rules_at(self.moves, sub):
+    @cached_property
+    def cited(self) -> Mapping[str, RuleIndex]:
+        """The ``moves`` of each citable rule alone, under its name, so that
+        a single-name step looks at its own rule only.  Built on first use:
+        validation never cites."""
+        return MappingProxyType({rule.name: _index(_moves(i, rule)) for i, rule in enumerate(self.rules)
+                                 if self.named.get(rule.name) is rule})
+
+    def matches(self, sites: list[Site], index: RuleIndex, exclude: str | None = None) \
+            -> list[tuple[int, Position, RewriteRule, Substitution, Term | None]]:
+        """Every match of an oriented rule of ``index`` (but theorem
+        ``exclude``) at ``sites``, as (rank, position, rule, substitution,
+        target), in (rank, site) order."""
+        found = []
+        for pos, sub, target in sites:
+            for rank, rule in rules_at(index, sub):
                 if rule.source is RuleSource.THEOREM and rule.name == exclude:
                     continue
-                src, _ = rule.oriented()
-                sigma = match(src, sub, rule.metavars)
+                sigma = match(rule.oriented()[0], sub, rule.metavars)
                 if sigma is not None:
-                    found.setdefault(rank, (rule, []))[1].append((pos, sigma))
-        return [found[rank] for rank in sorted(found)]
+                    found.append((rank, pos, rule, sigma, target))
+        found.sort(key=itemgetter(0))  # stable: sites stay in order within a rank
+        return found
 
 
 def resolve_rule(name: str, env: StepEnv) -> RewriteRule | Diagnostic:
@@ -427,30 +444,29 @@ def _disjoint(p: Position, q: Position) -> bool:
     return p[:shorter] != q[:shorter]
 
 
-def _tuple_results(prev: Term, rules: list[RewriteRule]) -> Iterator[tuple[Term, tuple]]:
-    """Simultaneous application of one rewrite per rule at pairwise disjoint
-    positions.  Rules are assigned in listed order; every direction mix is
-    tried, leftmost-outermost first."""
+def _tuple_results(prev: Term, names: tuple[str, ...], rules: RuleSet) -> Iterator[tuple[Term, tuple]]:
+    """Simultaneous application of one rewrite per named rule at pairwise
+    disjoint positions.  Rules are assigned in listed order; every direction
+    mix is tried, leftmost-outermost first."""
 
     # Positions are enumerated against the original term so that
     # disjointness and ordering are independent of earlier rewrites.
-    applications = [[(o, _applications(prev, o)) for o in (rule, rule.reversed())] for rule in rules]
+    sites = [(pos, sub, None) for pos, sub in positions(prev)]
+    applications = {name: rules.matches(sites, rules.cited[name]) for name in names}
 
     def stage(term: Term, idx: int, used: list[Position], witness: list) -> Iterator[tuple[Term, tuple]]:
-        if idx == len(rules):
+        if idx == len(names):
             yield term, tuple(witness)
             return
-        for oriented, apps in applications[idx]:
-            _, dst = oriented.oriented()
-            for pos, result, sigma in apps:
-                if any(not _disjoint(pos, u) for u in used):
-                    continue
-                replaced = result if idx == 0 else replace_at(term, pos, apply_substitution(sigma, dst))
-                witness.append((pos, oriented, dict(sigma)))
-                used.append(pos)
-                yield from stage(replaced, idx + 1, used, witness)
-                used.pop()
-                witness.pop()
+        for _, pos, oriented, sigma, _ in applications[names[idx]]:
+            if any(not _disjoint(pos, u) for u in used):
+                continue
+            witness.append((pos, oriented, dict(sigma)))
+            used.append(pos)
+            yield from stage(replace_at(term, pos, apply_substitution(sigma, oriented.oriented()[1])),
+                             idx + 1, used, witness)
+            used.pop()
+            witness.pop()
 
     yield from stage(prev, 0, [], [])
 
@@ -488,47 +504,31 @@ def _validate_case_bindings(just: CaseRangeJustification, env: StepEnv) -> Diagn
 
 
 def _case_results(prev: Term, just: CaseRangeJustification, env: StepEnv) -> list[tuple[Term, tuple]]:
-    """Constant introduction first, then every elimination assignment."""
+    """Constant introduction when ``prev`` mentions a bound metavariable,
+    else every elimination assignment.  Only these pass
+    ``check_justified_step``: an introduced term mentions no bound
+    metavariable, so a term that does can only be introduced from."""
     sigma = _case_sigma(just.bindings)
-    rule = RewriteRule(format_justification(just), RuleSource.CASE_RANGE, prev, prev)
-    results: list[tuple[Term, tuple]] = []
-
+    witness = (((), RewriteRule(format_justification(just), RuleSource.CASE_RANGE, prev, prev), sigma),)
     introduced = apply_substitution(sigma, prev)
     if introduced != prev:
-        results.append((introduced, (((), rule, dict(sigma)),)))
+        return [(introduced, witness)]
 
     # Elimination: group the bound metavariables by their constructor term,
     # then replace every occurrence of each constructor, trying every
-    # apportionment of occurrences over the variables of its group.
-    groups: dict[Term, list[str]] = {}
+    # apportionment of occurrences over the variables of its group.  The
+    # occurrences are leaves and each group's names distinct, so every
+    # apportionment is a distinct term.
+    groups: dict[Term, dict[str, None]] = {}
     for q in just.bindings:
-        groups.setdefault(constructor_term(q.domain), []).append(q.var)
+        groups.setdefault(constructor_term(q.domain), {})[q.var] = None
 
     candidates: list[Term] = [prev]
     for ctor, vars_ in groups.items():
-        occ = [pos for pos, sub in positions(prev) if sub == ctor]
-        if occ:
-            candidates = [t for base in candidates for t in _assign_occurrences(base, occ, vars_)]
-    seen = set()
-    for cand in candidates:
-        if cand != prev and cand not in seen:
-            seen.add(cand)
-            results.append((cand, (((), rule, dict(sigma)),)))
-    return results
-
-
-def _assign_occurrences(term: Term, occurrences: list[Position], vars_: list[str]) -> list[Term]:
-    out = [term]
-    for pos in occurrences:
-        out = [replace_at(t, pos, Term(v)) for t in out for v in vars_]
-    # Deduplicate while preserving the deterministic construction order.
-    seen: set[Term] = set()
-    unique = []
-    for t in out:
-        if t not in seen:
-            seen.add(t)
-            unique.append(t)
-    return unique
+        for pos, sub in positions(prev):
+            if sub == ctor:
+                candidates = [replace_at(t, pos, Term(v)) for t in candidates for v in vars_]
+    return [(cand, witness) for cand in candidates if cand != prev]
 
 
 # ------------------------------------------------------------ clause engine
@@ -556,7 +556,7 @@ def clause_results(prev: Term, just: Justification, env: StepEnv) -> list[tuple[
     if len(rules) == 1:
         return [(res, ((pos, oriented, dict(sigma)),)) for oriented in (rules[0], rules[0].reversed())
                 for pos, res, sigma in _applications(prev, oriented)]
-    return list(_tuple_results(prev, rules))
+    return list(_tuple_results(prev, just.names, env.registry.rules))
 
 
 def check_justified_step(prev: Term, next_term: Term, just: Justification, env: StepEnv) -> StepVerdict:
@@ -565,28 +565,23 @@ def check_justified_step(prev: Term, next_term: Term, just: Justification, env: 
     The check is direction-symmetric: a justified step read backwards is
     justified by the same clause.
 
-    A single rule name is tried only where one rewrite can make the step:
-    at the fork of the two terms (the deepest position outside which they
-    agree) and its ancestors, or at every position when they are equal.
-    There the rule's substituted other side is compared with the subterm
-    of ``next_term``, so no rewritten term is built.  The witness is the
-    first in forward-then-backward, outermost-first order, as when every
-    rewrite of ``prev`` is enumerated.
+    A single rule name is matched, through its own index in
+    ``RuleSet.cited``, only where one rewrite can make the step: at the
+    fork of the two terms (the deepest position outside which they agree)
+    and its ancestors, or at every position when they are equal.  There
+    the rule's substituted other side is compared with the subterm of
+    ``next_term``, so no rewritten term is built.  The witness is the first
+    in forward-then-backward, outermost-first order, as when every rewrite
+    of ``prev`` is enumerated.
     """
     if isinstance(just, RuleJustification) and len(just.names) == 1:
         rule = resolve_rule(just.names[0], env)
         if isinstance(rule, Diagnostic):
             return StepVerdict(False, failure=rule)
-        sites = _sites(prev, next_term)
-        for oriented in (rule, rule.reversed()):
-            if not oriented.determined():
-                continue
-            key, (src, dst) = _key(oriented), oriented.oriented()
-            for pos, sub, target in sites:
-                if _fits(key, sub):
-                    sigma = match(src, sub, oriented.metavars)
-                    if sigma is not None and apply_substitution(sigma, dst) == target:
-                        return StepVerdict(True, witness=((pos, oriented, sigma),))
+        rules = env.registry.rules
+        hit = _first_hit(rules.matches(_sites(prev, next_term), rules.cited[rule.name]))
+        if hit is not None:
+            return StepVerdict(True, witness=(hit,))
         return StepVerdict(False, failure=_unjustified(prev, next_term, just))
 
     if isinstance(just, CaseRangeJustification):
@@ -616,25 +611,13 @@ def infer_step_justification(prev: Term, next_term: Term, env: StepEnv) -> Justi
     among axioms in registry order, case ranges (each binding alone, then
     all of them), function unfoldings and theorems.
 
-    Rules are looked up in the ``moves`` index at the sites of
-    ``check_justified_step`` only.  The matches found there are compared
-    with ``next_term`` in (rank, site) order, so the first success is the
-    first rule that certifies the step."""
+    Rules are matched through the ``moves`` index at the sites of
+    ``check_justified_step`` only, and compared with ``next_term`` in
+    (rank, site) order, so the first success is the first rule that
+    certifies the step."""
     rules = env.registry.rules
-    matches = []
-    for order, (_, sub, target) in enumerate(_sites(prev, next_term)):
-        for rank, rule in rules_at(rules.moves, sub):
-            if rule.source is RuleSource.THEOREM and rule.name == env.current_theorem:
-                continue
-            cited = rules.named.get(rule.name)  # None for a theorem named like a function
-            if cited is None or cited.source is not rule.source:
-                continue
-            sigma = match(rule.oriented()[0], sub, rule.metavars)
-            if sigma is not None:
-                matches.append((rank, order, rule, sigma, target))
-    matches.sort(key=lambda m: m[:2])
-    found = next((rule for _, _, rule, sigma, target in matches
-                  if apply_substitution(sigma, rule.oriented()[1]) == target), None)
+    hit = _first_hit(rules.matches(_sites(prev, next_term), rules.moves, env.current_theorem))
+    found = None if hit is None else hit[1]
     if found is not None and found.source is RuleSource.AXIOM:
         return RuleJustification((found.name,))
     clauses = [CaseRangeJustification((binding,)) for binding in env.case_bindings]
@@ -644,6 +627,13 @@ def infer_step_justification(prev: Term, next_term: Term, env: StepEnv) -> Justi
         if check_justified_step(prev, next_term, clause, env).justified:
             return clause
     return None if found is None else RuleJustification((found.name,))
+
+
+def _first_hit(matches) -> tuple[Position, RewriteRule, Substitution] | None:
+    """The first of ``RuleSet.matches`` whose substituted other side is its
+    site's target, as a witness entry."""
+    return next(((pos, rule, sigma) for _, pos, rule, sigma, target in matches
+                 if apply_substitution(sigma, rule.oriented()[1]) == target), None)
 
 
 def _unjustified(prev: Term, next_term: Term, just: Justification) -> Diagnostic:

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import groupby
+from operator import itemgetter
 
 from .rewrite import (
     RuleSource, StepEnv, _case_results, _disjoint, apply_substitution, check_justified_step,
-    clause_results, infer_step_justification, replace_at,
+    clause_results, infer_step_justification, positions, replace_at,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, Justification, LinearProof,
@@ -81,8 +83,10 @@ def successor_moves(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
     Per rule: forward single positions, a forward all-positions tuple when it
     applies at two or more disjoint positions, then the same backwards.
     Case-range introduction and elimination moves follow the axioms, then
-    formulaic unfoldings and theorem applications.  Moves whose result
-    mentions metavariables outside ``scope`` are dropped.
+    formulaic unfoldings and theorem applications.  Rules are matched
+    through ``RuleSet.matches`` on the citable ``moves`` index, so every
+    move passes ``check_justified_step``.  Moves whose result mentions
+    metavariables outside ``scope`` are dropped.
 
     ``term`` itself must lie in ``scope`` (as every term ``fill_gap``
     expands does): a rule or tuple move is then checked on its substituted
@@ -96,13 +100,17 @@ def successor_moves(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
         clause = CaseRangeJustification(env.case_bindings)
         case_moves = [(clause, result) for result, _ in _case_results(term, clause, env)
                       if _scoped(result, scope, registry)]
-    for rule, apps in registry.rules.applications(term, env.current_theorem):
+    rules = registry.rules
+    sites = [(pos, sub, None) for pos, sub in positions(term)]
+    for _, group in groupby(rules.matches(sites, rules.moves, env.current_theorem), itemgetter(0)):
+        group = list(group)
+        rule = group[0][2]
         if rule.source is not RuleSource.AXIOM:
             moves += case_moves
             case_moves = []
         _, dst = rule.oriented()
         replaced = []
-        for pos, sigma in apps:
+        for _, pos, _, sigma, _ in group:
             new = apply_substitution(sigma, dst)
             replaced.append((pos, new, _scoped(new, scope, registry)))
         moves.extend((RuleJustification((rule.name,)), replace_at(term, pos, new))

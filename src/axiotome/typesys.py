@@ -399,22 +399,14 @@ def _check_function(fn: FunctionDecl, reg: Registry) -> list[Diagnostic]:
                     f"which does not conform to {format_type(fn.return_type)}",
                     ax.span,
                 ))
-        unbound = term_metavars(ax.rhs, reg) - set(metavars)
-        for name in sorted(unbound):
-            diags.append(error(
-                "E-UNRESOLVED",
-                f"axiom {ax.name}: {name!r} is neither a declared name, a parameter "
-                f"of {fn.name!r}, nor annotated with a type",
-                ax.span,
-            ))
-        unbound_lhs = term_metavars(ax.lhs, reg) - set(metavars)
-        for name in sorted(unbound_lhs):
-            diags.append(error(
-                "E-UNRESOLVED",
-                f"axiom {ax.name}: {name!r} is neither a declared name, a parameter "
-                f"of {fn.name!r}, nor annotated with a type",
-                ax.span,
-            ))
+        for side in (ax.rhs, ax.lhs):
+            for name in sorted(term_metavars(side, reg) - set(metavars)):
+                diags.append(error(
+                    "E-UNRESOLVED",
+                    f"axiom {ax.name}: {name!r} is neither a declared name, a parameter "
+                    f"of {fn.name!r}, nor annotated with a type",
+                    ax.span,
+                ))
     return diags
 
 

@@ -358,16 +358,14 @@ def verify_theorem(thm: TheoremDecl, registry: Registry) -> VerificationReport:
     v.diagnostics.extend(q_diags)
 
     ctx = TypingContext(dict(quantifier_types), frozenset())
-    types_ok = True
+    side_types = []
     for side in (thm.lhs, thm.rhs):
         try:
-            infer_type(side, ctx, registry)
+            side_types.append(infer_type(side, ctx, registry))
         except DiagnosticError as exc:
             v.diagnostics.extend(exc.diagnostics)
-            types_ok = False
-    if types_ok:
-        lhs_ty = infer_type(thm.lhs, ctx, registry)
-        rhs_ty = infer_type(thm.rhs, ctx, registry)
+    if len(side_types) == 2:
+        lhs_ty, rhs_ty = side_types
         if join_types(lhs_ty, rhs_ty, registry) is None:
             v.diagnostics.append(error(
                 "E-TYPE-MISMATCH",

@@ -9,10 +9,11 @@ import pytest
 from axiotome.cli import main
 from axiotome.syntax import parse_program
 
-from conftest import BOOL_FNS, CORE, corpus_path, corpus_text
+from conftest import BASE_TYPES, BOOL_FNS, CORE, corpus_path, corpus_text
 
 CORE_PATHS = [str(corpus_path(n)) for n in CORE]
 BOOL_PATHS = [str(corpus_path(n)) for n in BOOL_FNS]
+NOT_PATHS = [str(corpus_path(n)) for n in BASE_TYPES + ["not_function.axm"]]
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -221,6 +222,36 @@ def test_fill_reports_irreparable_with_suggestion(tmp_path):
     assert code == 1
     assert "not repairable by insertion" in out
     assert "suggest via $not°F" in out
+
+
+def test_fill_inserts_only_steps_a_via_can_cite(tmp_path):
+    # ``¶not`` is named like the function ``not``, so no ``via`` can cite
+    # it; the gap it would close in one hop takes the two axioms instead.
+    defs = tmp_path / "defs.axm"
+    defs.write_text("theorem ¶not: not(not(False)) ↔ False\n"
+                    "proof\n  0. not(not(False))\n  1. not(True) via $not°F\n  2. False via $not°T\n",
+                    encoding="utf-8")
+    source = tmp_path / "target.axm"
+    source.write_text("theorem ¶t: not(not(False)) ↔ False\nproof\n  0. not(not(False))\n  1. False\n",
+                      encoding="utf-8")
+    target = tmp_path / "out.axm"
+    code, out, _ = run("fill", str(source), *NOT_PATHS, str(defs), "-o", str(target))
+    assert code == 0
+    assert out.splitlines()[:3] == ["¶t: repaired", "  + 1. not(True) via $not°F", "  + 2. False via $not°T"]
+    assert run("check", *NOT_PATHS, str(defs), str(target))[0] == 0
+
+
+def test_fill_keeps_the_operator_flags(tmp_path):
+    # The target is read once, with the flags, as ``check`` reads it.
+    source = tmp_path / "infix.axm"
+    source.write_text("theorem ¶t: False ∨ not(False) ↔ True\n"
+                      "proof\n  0. False ∨ not(False)\n  1. True via $or°FT\n", encoding="utf-8")
+    target = tmp_path / "out.axm"
+    code, out, _ = run("fill", str(source), *BOOL_PATHS, "-o", str(target), "--operator", "∨=or")
+    assert code == 0, out
+    assert out.splitlines()[:2] == ["¶t: repaired", "  + 1. or(False, True) via $not°F"]
+    assert run("check", *BOOL_PATHS, str(target))[0] == 0
+    assert run("fill", str(source), *BOOL_PATHS, "-o", str(target))[0] == 1  # undeclared glyph
 
 
 # ---------------------------------------------------------------------- fmt

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from axiotome.diagnostics import Diagnostic
 from axiotome.oracle import enumerable_domain, normalize
 from axiotome.rewrite import (
-    Direction, RewriteRule, RuleSource, StepEnv, StepVerdict, _case_sigma, _fork, _unjustified,
-    _validate_case_bindings, apply_substitution, check_justified_step, clause_results,
+    Direction, RewriteRule, RuleSource, StepEnv, StepVerdict, _applications, _case_sigma, _fork,
+    _unjustified, _validate_case_bindings, apply_substitution, check_justified_step, clause_results,
     enumerate_rewrites, infer_step_justification, match, positions, replace_at, resolve_rule,
     subterm_at,
 )
@@ -324,15 +324,17 @@ def _reference_check_justified_step(prev, next_term, just, env):
 
 
 def _reference_infer_step_justification(prev, next_term, env):
-    """``infer_step_justification`` by building every rewrite of ``prev``."""
+    """``infer_step_justification`` by building every rewrite of ``prev``
+    by each citable rule, in preference order, one direction at a time."""
     rules = env.registry.rules
     found = None
-    for rule, apps in rules.applications(prev, env.current_theorem):
-        cited = rules.named.get(rule.name)
-        _, dst = rule.oriented()
-        if cited is not None and cited.source is rule.source and any(
-                replace_at(prev, pos, apply_substitution(sigma, dst)) == next_term for pos, sigma in apps):
-            found = rule
+    for rule in rules.rules:
+        if rules.named.get(rule.name) is not rule \
+                or rule.source is RuleSource.THEOREM and rule.name == env.current_theorem:
+            continue
+        found = next((oriented for oriented in (rule, rule.reversed())
+                      if any(result == next_term for _, result, _ in _applications(prev, oriented))), None)
+        if found is not None:
             break
     if found is not None and found.source is RuleSource.AXIOM:
         return RuleJustification((found.name,))

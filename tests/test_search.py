@@ -291,8 +291,8 @@ def _reference_successor_moves(term, env, scope):
         clause = CaseRangeJustification(env.case_bindings)
         moves.extend((clause, result) for result, _ in _case_results(term, clause, env) if scoped(result))
     for rule in rules:
-        if rule.source is RuleSource.FORMULAIC \
-                or rule.source is RuleSource.THEOREM and rule.name != env.current_theorem:
+        if rule.source is RuleSource.FORMULAIC or rule.source is RuleSource.THEOREM \
+                and rule.name != env.current_theorem and registry.rules.named.get(rule.name) is rule:
             rule_moves(rule)
     return moves
 
@@ -321,6 +321,26 @@ def test_indexed_moves_and_inference_agree_with_reference(term, env, data):
     targets = [result for _, result in moves] + [data.draw(RULE_TERMS)]
     for target in data.draw(st.lists(st.sampled_from(targets), max_size=4)):
         assert infer_step_justification(term, target, env) == _reference_infer(term, target, env)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS))
+def test_every_successor_move_passes_the_step_check(term, env):
+    # Gap search offers only hops that ``check`` accepts, so that ``fill``
+    # inserts only steps that verify.
+    for clause, result in successor_moves(term, env, SCOPE):
+        assert check_justified_step(term, result, clause, env).justified, (clause, result)
+
+
+def test_case_moves_introduce_from_a_term_with_bound_variables():
+    env = ENVS[1]  # a, b ∈ False
+    def case_moves(term):
+        return [result for clause, result in successor_moves(term, env, SCOPE)
+                if isinstance(clause, CaseRangeJustification)]
+    assert case_moves(t("and(False, a)")) == [t("and(False, False)")]
+    assert case_moves(t("and(False, False)")) == [
+        t("and(a, a)"), t("and(a, b)"), t("and(b, a)"), t("and(b, b)"),
+    ]
 
 
 # ------------------------------------------------------ layered gap search
