@@ -65,6 +65,15 @@ class Registry:
         from .rewrite import RuleSet
         return RuleSet.of(self)
 
+    @cached_property
+    def typing_memo(self) -> dict[tuple[str, tuple[TypeExpr, ...], tuple[TypeExpr, ...]], TypeExpr]:
+        """Result types of the well-typed monomorphic applications met so
+        far, keyed by head, explicit type arguments and argument types.
+
+        ``infer_type`` fills it; a polymorphic head stays out because its
+        result carries its arguments' types, spans included."""
+        return {}
+
     def axiom_metavars(self, axiom: Axiom, owner: str) -> dict[str, TypeExpr]:
         """Metavariable typing for an axiom: the owning function's declared
         parameters plus the axiom's inline annotations."""
@@ -232,34 +241,61 @@ def _solve_params(pattern: TypeExpr, actual: TypeExpr, params: set[str],
             _solve_params(p, a, params, bindings, reg)
 
 
-def _check_application(name: str, declared: tuple[tuple[str, TypeExpr], ...],
-                       type_params: tuple[str, ...], explicit: tuple[TypeExpr, ...],
-                       result: TypeExpr, term: Term, ctx: TypingContext, reg: Registry) -> TypeExpr:
+def _signature(term: Term, ctx: TypingContext, reg: Registry) \
+        -> tuple[tuple[tuple[str, TypeExpr], ...], tuple[str, ...], TypeExpr]:
+    """Declared parameters, type parameters and result type of the function
+    or constructor at ``term``'s head, once ``term`` is checked to give it
+    as many type arguments (if any) and arguments as it declares."""
+    fn = reg.functions.get(term.head)
+    if fn is not None:
+        declared, type_params, result = fn.params, fn.type_params, fn.return_type
+    else:
+        decl = reg.types.get(term.head)
+        if decl is None:
+            if term.head in ctx.type_params:
+                raise DiagnosticError(error(
+                    "E-UNRESOLVED", f"type parameter {term.head!r} used as a term", term.span,
+                ))
+            raise DiagnosticError(error("E-UNRESOLVED", f"unknown term head {term.head!r}", term.span))
+        if isinstance(decl.body, SumBody):
+            raise DiagnosticError(error(
+                "E-NO-CONSTRUCTOR", f"sum type {term.head!r} has no constructor", term.span,
+            ))
+        sig = constructor_signature(term.head, reg)
+        declared, type_params, result = sig.fields, sig.type_params, sig.result_type
+    explicit = term.type_args
     if explicit and len(explicit) != len(type_params):
         raise DiagnosticError(error(
             "E-ARITY",
-            f"{name!r} expects {len(type_params)} type argument(s), got {len(explicit)}",
+            f"{term.head!r} expects {len(type_params)} type argument(s), got {len(explicit)}",
             term.span,
         ))
     if len(term.args) != len(declared):
         raise DiagnosticError(error(
             "E-ARITY",
-            f"{name!r} expects {len(declared)} argument(s), got {len(term.args)}",
+            f"{term.head!r} expects {len(declared)} argument(s), got {len(term.args)}",
             term.span,
         ))
+    return declared, type_params, result
+
+
+def _result_type(term: Term, declared: tuple[tuple[str, TypeExpr], ...], type_params: tuple[str, ...],
+                 result: TypeExpr, arg_types: tuple[TypeExpr, ...], reg: Registry) -> TypeExpr:
+    """Type of the application ``term`` given its arguments' types: solve
+    the type parameters not given explicitly, then check each argument."""
+    explicit = term.type_args
     bindings: dict[str, TypeExpr] = dict(zip(type_params, explicit))
-    arg_types = [infer_type(a, ctx, reg) for a in term.args]
     params = set(type_params)
     if not explicit:
         for (_, pty), aty in zip(declared, arg_types):
             _solve_params(pty, aty, params, bindings, reg)
-    for (pname, pty), aty, arg in zip(declared, arg_types, term.args):
+    for (_, pty), aty, arg in zip(declared, arg_types, term.args):
         expected = substitute_type(pty, bindings)
         unsolved = _mentions_unsolved(expected, params, bindings)
         if not unsolved and not conforms(aty, expected, reg):
             raise DiagnosticError(error(
                 "E-TYPE-MISMATCH",
-                f"argument {format_term(arg)} of {name!r}: "
+                f"argument {format_term(arg)} of {term.head!r}: "
                 f"{format_type(aty)} does not conform to {format_type(expected)}",
                 arg.span,
             ))
@@ -274,43 +310,63 @@ def _mentions_unsolved(ty: TypeExpr, params: set[str], bindings: dict[str, TypeE
 
 
 def infer_type(term: Term, ctx: TypingContext, reg: Registry) -> TypeExpr:
-    """Most specific type of ``term``; raises DiagnosticError on failure."""
-    if term.head in ctx.metavar_types:
-        if term.args or term.type_args:
-            raise DiagnosticError(error(
-                "E-TYPE-MISMATCH", f"metavariable {term.head!r} cannot take arguments", term.span,
-            ))
-        return ctx.metavar_types[term.head]
-    fn = reg.functions.get(term.head)
-    if fn is not None:
-        return _check_application(
-            fn.name, fn.params, fn.type_params, term.type_args, fn.return_type, term, ctx, reg,
-        )
-    decl = reg.types.get(term.head)
-    if decl is not None:
-        if isinstance(decl.body, SumBody):
-            raise DiagnosticError(error(
-                "E-NO-CONSTRUCTOR", f"sum type {term.head!r} has no constructor", term.span,
-            ))
-        sig = constructor_signature(term.head, reg)
-        return _check_application(
-            term.head, sig.fields, sig.type_params, term.type_args, sig.result_type, term, ctx, reg,
-        )
-    if term.head in ctx.type_params:
-        raise DiagnosticError(error(
-            "E-UNRESOLVED", f"type parameter {term.head!r} used as a term", term.span,
-        ))
-    raise DiagnosticError(error("E-UNRESOLVED", f"unknown term head {term.head!r}", term.span))
+    """Most specific type of ``term``; raises DiagnosticError on failure.
+
+    One post-order walk with an explicit stack, so term depth is unbounded.
+    A node's head is checked on entering it, before its arguments (left to
+    right), and its argument types on leaving it, so the first error is the
+    one a depth-first recursion would meet.  A monomorphic application's
+    type depends only on its head, type arguments and argument types, and
+    is looked up in ``reg.typing_memo`` under exactly that key.
+    """
+    memo = reg.typing_memo
+    metavar_types = ctx.metavar_types
+    types: list[TypeExpr] = []  # types of the finished subterms, in order
+    # Terms to enter, and (term, signature, base of its argument types) to leave.
+    stack: list = [term]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is tuple:
+            node, (declared, type_params, result), base = item
+            arg_types = tuple(types[base:])
+            del types[base:]
+            if type_params:
+                ty = _result_type(node, declared, type_params, result, arg_types, reg)
+            else:
+                key = (node.head, node.type_args, arg_types)
+                ty = memo.get(key)
+                if ty is None:
+                    ty = memo[key] = _result_type(node, declared, type_params, result, arg_types, reg)
+            types.append(ty)
+            continue
+        head = item.head
+        if head in metavar_types:
+            if item.args or item.type_args:
+                raise DiagnosticError(error(
+                    "E-TYPE-MISMATCH", f"metavariable {head!r} cannot take arguments", item.span,
+                ))
+            types.append(metavar_types[head])
+            continue
+        if not item.args and not item.type_args:
+            ty = memo.get((head, (), ()))
+            if ty is not None:
+                types.append(ty)
+                continue
+        stack.append((item, _signature(item, ctx, reg), len(types)))
+        stack.extend(reversed(item.args))
+    return types[0]
 
 
 def term_metavars(term: Term, reg: Registry) -> set[str]:
     """Nullary heads that resolve to neither a constructor nor a function."""
     out: set[str] = set()
-    if not term.args and not term.type_args:
-        if term.head not in reg.types and term.head not in reg.functions:
-            out.add(term.head)
-    for arg in term.args:
-        out |= term_metavars(arg, reg)
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if node.args:
+            stack.extend(node.args)
+        elif not node.type_args and node.head not in reg.types and node.head not in reg.functions:
+            out.add(node.head)
     return out
 
 

@@ -17,6 +17,7 @@ yields exactly one error; premiss, endpoint and coverage checks still run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, DiagnosticError, Severity, error, warning
@@ -29,7 +30,9 @@ from .syntax import (
     ProofStep, Quantifier, SumBody, Term, TheoremDecl, TypeExpr,
     format_justification, format_quantifier, format_term, format_type,
 )
-from .typesys import Registry, TypingContext, infer_type, join_types, term_metavars
+from .typesys import (
+    Registry, TypingContext, infer_type, join_types, substitute_type, term_metavars,
+)
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,6 @@ def check_case_coverage(decomposition: tuple[TypeExpr, tuple[TypeExpr, ...]],
             "E-COVERAGE", f"{format_type(scrutinee)} is not a declared sum type", scrutinee.span,
         ))
         return diags
-    from .typesys import substitute_type
     bindings = dict(zip(decl.params, scrutinee.args))
     declared = [substitute_type(s, bindings) for s in decl.body.summands]
     if sorted(format_type(s) for s in stated) != sorted(format_type(s) for s in declared):
@@ -150,7 +152,6 @@ def check_case_coverage(decomposition: tuple[TypeExpr, tuple[TypeExpr, ...]],
             ))
         else:
             seen[combo] = case
-    import itertools
     expected = itertools.product(*[[format_type(d) for d in declared]] * len(subjects))
     missing = [combo for combo in expected if combo not in seen]
     for combo in missing:
@@ -194,13 +195,17 @@ class _Verification:
     quantifier_types: dict[str, TypeExpr]
     diagnostics: list[Diagnostic] = field(default_factory=list)
     inferred: list[InferredVia] = field(default_factory=list)
+    #: Types the quantified metavariables, for every term of the theorem.
+    typing: TypingContext = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.typing = TypingContext(dict(self.quantifier_types), frozenset())
 
     # ----------------------------------------------------------- helpers
 
     def _type_check(self, term: Term) -> bool:
-        ctx = TypingContext(dict(self.quantifier_types), frozenset())
         try:
-            infer_type(term, ctx, self.registry)
+            infer_type(term, self.typing, self.registry)
             return True
         except DiagnosticError as exc:
             self.diagnostics.extend(exc.diagnostics)
@@ -357,11 +362,10 @@ def verify_theorem(thm: TheoremDecl, registry: Registry) -> VerificationReport:
     v = _Verification(registry, thm, quantifier_types)
     v.diagnostics.extend(q_diags)
 
-    ctx = TypingContext(dict(quantifier_types), frozenset())
     side_types = []
     for side in (thm.lhs, thm.rhs):
         try:
-            side_types.append(infer_type(side, ctx, registry))
+            side_types.append(infer_type(side, v.typing, registry))
         except DiagnosticError as exc:
             v.diagnostics.extend(exc.diagnostics)
     if len(side_types) == 2:

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from axiotome.diagnostics import DiagnosticError
-from axiotome.syntax import TypeExpr, parse_program, parse_term
+from axiotome.diagnostics import DiagnosticError, Span, error
+from axiotome.syntax import SumBody, Term, TypeExpr, format_term, format_type, parse_program, parse_term
 from axiotome.typesys import (
-    TypingContext, build_registry, check_well_formed, conforms,
-    constructor_signature, infer_type,
+    TypingContext, _mentions_unsolved, _solve_params, build_registry, check_well_formed, conforms,
+    constructor_signature, infer_type, substitute_type, term_metavars,
 )
 
-from conftest import BASE_TYPES, BOOL_FNS, load_program, load_registry
+from conftest import BASE_TYPES, BOOL_FNS, load_program, load_registry, terms
 
 
 def _diag_codes(diags):
@@ -255,3 +259,252 @@ def test_sum_types_have_no_constructor(bool_registry):
     with pytest.raises(DiagnosticError) as exc:
         constructor_signature("Boolean", bool_registry)
     assert exc.value.diagnostics[0].code == "E-NO-CONSTRUCTOR"
+
+
+# ------------------------------------------------------------ deep terms
+
+def _not_chain(depth: int, leaf: str) -> Term:
+    term = Term(leaf)
+    for _ in range(depth):
+        term = Term("not", (), (term,))
+    return term
+
+
+def test_deep_terms_are_scanned_and_typed_without_recursion(bool_registry):
+    assert term_metavars(_not_chain(5000, "a"), bool_registry) == {"a"}
+    assert infer_type(_not_chain(5000, "False"), TypingContext(), bool_registry) == TypeExpr("Boolean")
+
+
+# ------------------------------------------------- the recursive reference
+
+def _reference_check_application(name, declared, type_params, explicit, result, term, ctx, reg):
+    if explicit and len(explicit) != len(type_params):
+        raise DiagnosticError(error(
+            "E-ARITY",
+            f"{name!r} expects {len(type_params)} type argument(s), got {len(explicit)}",
+            term.span,
+        ))
+    if len(term.args) != len(declared):
+        raise DiagnosticError(error(
+            "E-ARITY",
+            f"{name!r} expects {len(declared)} argument(s), got {len(term.args)}",
+            term.span,
+        ))
+    bindings = dict(zip(type_params, explicit))
+    arg_types = [_reference_infer_type(a, ctx, reg) for a in term.args]
+    params = set(type_params)
+    if not explicit:
+        for (_, pty), aty in zip(declared, arg_types):
+            _solve_params(pty, aty, params, bindings, reg)
+    for (pname, pty), aty, arg in zip(declared, arg_types, term.args):
+        expected = substitute_type(pty, bindings)
+        unsolved = _mentions_unsolved(expected, params, bindings)
+        if not unsolved and not conforms(aty, expected, reg):
+            raise DiagnosticError(error(
+                "E-TYPE-MISMATCH",
+                f"argument {format_term(arg)} of {name!r}: "
+                f"{format_type(aty)} does not conform to {format_type(expected)}",
+                arg.span,
+            ))
+    return substitute_type(result, bindings)
+
+
+def _reference_infer_type(term, ctx, reg):
+    """The recursive typer, with no memo, that ``infer_type`` replaced."""
+    if term.head in ctx.metavar_types:
+        if term.args or term.type_args:
+            raise DiagnosticError(error(
+                "E-TYPE-MISMATCH", f"metavariable {term.head!r} cannot take arguments", term.span,
+            ))
+        return ctx.metavar_types[term.head]
+    fn = reg.functions.get(term.head)
+    if fn is not None:
+        return _reference_check_application(
+            fn.name, fn.params, fn.type_params, term.type_args, fn.return_type, term, ctx, reg,
+        )
+    decl = reg.types.get(term.head)
+    if decl is not None:
+        if isinstance(decl.body, SumBody):
+            raise DiagnosticError(error(
+                "E-NO-CONSTRUCTOR", f"sum type {term.head!r} has no constructor", term.span,
+            ))
+        sig = constructor_signature(term.head, reg)
+        return _reference_check_application(
+            term.head, sig.fields, sig.type_params, term.type_args, sig.result_type, term, ctx, reg,
+        )
+    if term.head in ctx.type_params:
+        raise DiagnosticError(error(
+            "E-UNRESOLVED", f"type parameter {term.head!r} used as a term", term.span,
+        ))
+    raise DiagnosticError(error("E-UNRESOLVED", f"unknown term head {term.head!r}", term.span))
+
+
+# ------------------------------------------------ typer against reference
+
+#: Shared across examples, so later examples read memo entries of earlier ones.
+TYPING_REGISTRIES = {
+    "booleans": load_registry(*BOOL_FNS, "if_function.axm", "polymorphic_lists.axm"),
+    "naturals": load_registry("natural_numbers.axm"),
+}
+
+
+def _context(file: str) -> TypingContext:
+    """Equal quantifier types for every ``file``, with spans in ``file``."""
+    types = {"a": TypeExpr("Boolean"), "b": TypeExpr("False"), "n": TypeExpr("Number"),
+             "k": TypeExpr("NaturalNumber"), "xs": TypeExpr("List", (TypeExpr("Boolean"),))}
+    return TypingContext({var: TypeExpr(ty.name, ty.args, Span(file, i + 1, 1, len(var)))
+                          for i, (var, ty) in enumerate(types.items())}, frozenset({"T"}))
+
+
+TYPING_CONTEXTS = (_context("first.axm"), _context("second.axm"))
+
+
+def _app(head: str, *args: Term, type_args: tuple[TypeExpr, ...] = ()) -> Term:
+    return Term(head, type_args, args)
+
+
+_BOOLEANS = st.recursive(
+    st.sampled_from([Term("False"), Term("True"), Term("a"), Term("b")]),
+    lambda c: st.one_of(
+        c.map(lambda x: _app("not", x)),
+        st.tuples(c, c).map(lambda xs: _app("and", *xs)),
+        st.tuples(c, c).map(lambda xs: _app("or", *xs)),
+        st.tuples(c, c, c).map(lambda xs: _app("if", *xs)),
+    ),
+    max_leaves=8,
+)
+_BOOLEAN = (TypeExpr("Boolean"),)
+_LISTS = st.one_of(
+    st.just(Term("xs")),
+    st.lists(_BOOLEANS, max_size=3).map(lambda xs: _prepend_all(xs, Term("Nil", _BOOLEAN))),
+)
+#: Terms that type over the boolean registry, but for an ``if`` whose branches do not join.
+_TYPED = st.recursive(
+    st.one_of(_BOOLEANS, _LISTS, st.integers(0, 4).map(lambda k: _successors(k, Term("Zero")))),
+    lambda c: st.one_of(
+        st.tuples(c, c).map(lambda xs: _app("Pair", *xs)),
+        st.tuples(_BOOLEANS, c, c).map(lambda xs: _app("if", *xs)),
+    ),
+    max_leaves=4,
+)
+#: Right arities over every head, with leaves of every kind: many are ill-typed.
+_ARBITRARY = terms({"not": 1, "and": 2, "or": 2, "if": 3, "Pair": 2, "Successor": 1, "Prepend": 2},
+                   ("False", "True", "Zero", "Nil", "a", "b", "n", "xs"))
+TYPING_TERMS = {
+    "booleans": st.one_of(_TYPED, _ARBITRARY),
+    "naturals": st.one_of(
+        st.tuples(st.integers(0, 6), st.sampled_from(["Zero", "k"])).map(lambda kt: _successors(kt[0], Term(kt[1]))),
+        terms({"Successor": 1}, ("Zero", "k", "n", "False")),
+    ),
+}
+
+
+def _successors(k: int, term: Term) -> Term:
+    for _ in range(k):
+        term = _app("Successor", term)
+    return term
+
+
+def _prepend_all(items: list[Term], tail: Term) -> Term:
+    for item in items:
+        tail = _app("Prepend", item, tail, type_args=_BOOLEAN)
+    return tail
+
+
+def _paths(term: Term, path: tuple[int, ...] = ()):
+    yield path
+    for i, arg in enumerate(term.args):
+        yield from _paths(arg, path + (i,))
+
+
+def _replace(term: Term, path: tuple[int, ...], new: Term) -> Term:
+    if not path:
+        return new
+    args = list(term.args)
+    args[path[0]] = _replace(args[path[0]], path[1:], new)
+    return Term(term.head, term.type_args, tuple(args))
+
+
+def _at(term: Term, path: tuple[int, ...]) -> Term:
+    for i in path:
+        term = term.args[i]
+    return term
+
+
+#: One mutation per error branch of the typer.
+_MUTATIONS = {
+    "fewer arguments": lambda node: Term(node.head, node.type_args, node.args[:-1]),
+    "more arguments": lambda node: Term(node.head, node.type_args, node.args + (Term("False"),)),
+    "type-argument count": lambda node: Term(node.head, node.type_args + _BOOLEAN * 3, node.args),
+    "unknown head": lambda node: Term("mystery", node.type_args, node.args),
+    "metavariable with arguments": lambda node: Term("a", node.type_args, node.args or (Term("False"),)),
+    "sum type as constructor": lambda node: Term("Boolean", node.type_args, node.args),
+    "type parameter as a term": lambda node: Term("T", node.type_args, node.args),
+    "non-conforming argument": lambda node: Term(
+        node.head, node.type_args, (_app("Pair", Term("Zero"), Term("False")),) + node.args[1:]),
+}
+
+
+@st.composite
+def _typing_cases(draw):
+    """A registry, and a term for it that may be mutated at one node."""
+    name = draw(st.sampled_from(sorted(TYPING_REGISTRIES)))
+    term = draw(TYPING_TERMS[name])
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(_paths(term))))
+        mutate = _MUTATIONS[draw(st.sampled_from(sorted(_MUTATIONS)))]
+        term = _replace(term, path, mutate(_at(term, path)))
+    return TYPING_REGISTRIES[name], _spanned(term, itertools.count(1))
+
+
+def _spanned(term: Term, columns) -> Term:
+    """``term`` with a distinct span on every node and type argument."""
+    span = Span("term.axm", 1, next(columns), 1)
+    type_args = tuple(TypeExpr(t.name, t.args, Span("term.axm", 2, next(columns), 1)) for t in term.type_args)
+    return Term(term.head, type_args, tuple(_spanned(a, columns) for a in term.args), span)
+
+
+def _type_spans(ty: TypeExpr):
+    return ty.name, ty.span, tuple(_type_spans(a) for a in ty.args)
+
+
+def _outcome(typer, term: Term, ctx: TypingContext, registry):
+    try:
+        return "typed", _type_spans(typer(term, ctx, registry))
+    except DiagnosticError as exc:
+        return "rejected", [(d.code, d.message, d.span, d.related) for d in exc.diagnostics]
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_typing_cases(), st.sampled_from(TYPING_CONTEXTS))
+def test_typer_agrees_with_recursive_reference(case, ctx):
+    registry, term = case
+    # Compare the type with every span inside it, or the first error whole.
+    assert _outcome(infer_type, term, ctx, registry) == _outcome(_reference_infer_type, term, ctx, registry)
+
+
+def test_threads_fill_one_typing_memo_consistently():
+    registry = load_registry(*BOOL_FNS)  # a memo of its own, empty at the start
+    leaves = [Term("False"), Term("True"), Term("a")]
+    level1 = leaves + [_app("not", x) for x in leaves] + [_app(h, x, y) for h in ("and", "or")
+                                                          for x in leaves for y in leaves]
+    subjects = level1 + [_app(h, x, y) for h in ("and", "or") for x in level1 for y in level1[::3]]
+    ctx = TYPING_CONTEXTS[0]
+    expected = [_type_spans(_reference_infer_type(t, ctx, registry)) for t in subjects]
+    results = {}
+
+    def work(i):
+        results[i] = [_type_spans(infer_type(t, ctx, registry)) for t in subjects]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results[i] for i in range(4)] == [expected] * 4
