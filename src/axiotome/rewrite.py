@@ -161,15 +161,20 @@ def apply_substitution(sigma: Mapping[str, Term], term: Term) -> Term:
 
 
 def positions(term: Term) -> list[tuple[Position, Term]]:
-    """All positions in leftmost-outermost (pre-order) order."""
+    """All positions in leftmost-outermost (pre-order) order, found with an
+    explicit stack: children are pushed right to left."""
     out: list[tuple[Position, Term]] = []
-
-    def walk(t: Term, path: Position) -> None:
-        out.append((path, t))
-        for i, child in enumerate(t.args):
-            walk(child, path + (i,))
-
-    walk(term, ())
+    stack: list[tuple[Position, Term]] = [((), term)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item = pop()
+        out.append(item)
+        path, t = item
+        args = t.args
+        i = len(args)
+        while i:
+            i -= 1
+            push((path + (i,), args[i]))
     return out
 
 
@@ -180,12 +185,17 @@ def subterm_at(term: Term, path: Position) -> Term:
 
 
 def replace_at(term: Term, path: Position, new: Term) -> Term:
-    if not path:
-        return new
-    i = path[0]
-    args = list(term.args)
-    args[i] = replace_at(args[i], path[1:], new)
-    return Term(term.head, term.type_args, tuple(args), term.span)
+    """``term`` with ``new`` at ``path``: one walk down to the position, then
+    the ancestors are rebuilt bottom-up, each with its own span."""
+    spine: list[Term] = []
+    for i in path:
+        spine.append(term)
+        term = term.args[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        args = list(node.args)
+        args[i] = new
+        new = Term(node.head, node.type_args, tuple(args), node.span)
+    return new
 
 
 def _fork(prev: Term, next_term: Term) -> Position | None:

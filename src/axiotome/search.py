@@ -24,8 +24,9 @@ from itertools import groupby
 from operator import itemgetter
 
 from .rewrite import (
-    RuleSource, StepEnv, _case_results, _disjoint, apply_substitution, check_justified_step,
-    clause_results, infer_step_justification, positions, replace_at,
+    Position, RuleSource, StepEnv, _case_results, _disjoint, _fork, apply_substitution,
+    check_justified_step, clause_results, infer_step_justification, positions, replace_at,
+    subterm_at,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, Justification, LinearProof,
@@ -73,33 +74,44 @@ class RepairOutcome:
 
 # ------------------------------------------------------------------- moves
 
-def _scoped(term: Term, scope: frozenset[str], registry: Registry) -> bool:
-    return term_metavars(term, registry) <= scope
+#: What a move does to a term: (position, replacement) pairs at pairwise
+#: disjoint positions, applied in order.
+Edits = tuple[tuple[Position, Term], ...]
 
 
-def successor_moves(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tuple[Justification, Term]]:
-    """Single justified rewrites of ``term``, deterministically ordered.
+def _applied(term: Term, edits: Edits) -> Term:
+    for pos, new in edits:
+        term = replace_at(term, pos, new)
+    return term
+
+
+def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tuple[Justification, Edits]]:
+    """Single justified rewrites of ``term``, deterministically ordered, as
+    (clause, edits) without building their results.
 
     Per rule: forward single positions, a forward all-positions tuple when it
     applies at two or more disjoint positions, then the same backwards.
     Case-range introduction and elimination moves follow the axioms, then
-    formulaic unfoldings and theorem applications.  Rules are matched
-    through ``RuleSet.matches`` on the citable ``moves`` index, so every
-    move passes ``check_justified_step``.  Moves whose result mentions
-    metavariables outside ``scope`` are dropped.
+    formulaic unfoldings and theorem applications.  A single rewrite makes
+    one edit, a tuple one per chosen position, and a case-range move
+    replaces the whole term (position ``()``).  Rules are matched through
+    ``RuleSet.matches`` on the citable ``moves`` index, so every move passes
+    ``check_justified_step``.  Moves whose result mentions metavariables
+    outside ``scope`` are dropped.
 
     ``term`` itself must lie in ``scope`` (as every term ``fill_gap``
-    expands does): a rule or tuple move is then checked on its substituted
-    replacements alone, which are the only new parts of its result.
+    expands does).  Every value a match binds is a subterm of ``term``, so
+    a rule's replacements are in scope exactly when the metavariables its
+    target side adds are; that is tested once per rule.
     """
     registry = env.registry
-    moves: list[tuple[Justification, Term]] = []
+    moves: list[tuple[Justification, Edits]] = []
 
-    case_moves: list[tuple[Justification, Term]] = []
+    case_moves: list[tuple[Justification, Edits]] = []
     if env.case_bindings:
         clause = CaseRangeJustification(env.case_bindings)
-        case_moves = [(clause, result) for result, _ in _case_results(term, clause, env)
-                      if _scoped(result, scope, registry)]
+        case_moves = [(clause, (((), result),)) for result, _ in _case_results(term, clause, env)
+                      if term_metavars(result, registry) <= scope]
     rules = registry.rules
     sites = [(pos, sub, None) for pos, sub in positions(term)]
     for _, group in groupby(rules.matches(sites, rules.moves, env.current_theorem), itemgetter(0)):
@@ -109,35 +121,68 @@ def successor_moves(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
             moves += case_moves
             case_moves = []
         _, dst = rule.oriented()
-        replaced = []
-        for _, pos, _, sigma, _ in group:
-            new = apply_substitution(sigma, dst)
-            replaced.append((pos, new, _scoped(new, scope, registry)))
-        moves.extend((RuleJustification((rule.name,)), replace_at(term, pos, new))
-                     for pos, new, ok in replaced if ok)
-        chosen: list[tuple] = []
-        for app in replaced:
-            if all(_disjoint(app[0], c[0]) for c in chosen):
-                chosen.append(app)
-        if len(chosen) >= 2 and all(ok for _, _, ok in chosen):
-            result = term
-            for pos, new, _ in chosen:
-                result = replace_at(result, pos, new)
-            moves.append((RuleJustification((rule.name,) * len(chosen)), result))
+        if not term_metavars(dst, registry) - rule.metavars <= scope:
+            continue
+        replaced = [(pos, apply_substitution(sigma, dst)) for _, pos, _, sigma, _ in group]
+        clause = RuleJustification((rule.name,))
+        moves.extend((clause, (edit,)) for edit in replaced)
+        chosen: list[tuple[Position, Term]] = []
+        for edit in replaced:
+            if all(_disjoint(edit[0], c[0]) for c in chosen):
+                chosen.append(edit)
+        if len(chosen) >= 2:
+            moves.append((RuleJustification((rule.name,) * len(chosen)), tuple(chosen)))
     return moves + case_moves
 
 
+def successor_moves(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tuple[Justification, Term]]:
+    """The moves of ``successor_edits``, in its order, with each result
+    built: (clause, result)."""
+    return [(clause, _applied(term, edits)) for clause, edits in successor_edits(term, env, scope)]
+
+
 # --------------------------------------------------------------- gap search
+
+def _subterm_or_none(term: Term, path: Position) -> Term | None:
+    for i in path:
+        if i >= len(term.args):
+            return None
+        term = term.args[i]
+    return term
+
+
+def _reached(term: Term, edits: Edits, target: Term, fork: Position) -> Term | None:
+    """The result of ``edits`` on ``term`` when it is ``target``, else None.
+
+    ``term`` differs from ``target``, and ``fork`` is their ``_fork``.  One
+    edit at ``p`` then reaches ``target`` exactly when ``p`` is ``fork`` or
+    one of its ancestors and ``target`` holds the replacement at ``p``, so
+    nothing is built unless it does.  A tuple is built only once ``target``
+    holds every replacement at its position, and is then compared whole."""
+    if len(edits) == 1:
+        pos, new = edits[0]
+        if fork[:len(pos)] != pos or subterm_at(target, pos) != new:
+            return None
+        return replace_at(term, pos, new)
+    if any(_subterm_or_none(target, pos) != new for pos, new in edits):
+        return None
+    result = _applied(term, edits)
+    return result if result == target else None
+
 
 def fill_gap(source: Term, target: Term, env: StepEnv,
              budget: SearchBudget | None = None) -> JustifiedChain | None:
     """Shortest chain of justified hops from ``source`` to ``target``.
 
     Breadth-first, one layer of hops per depth.  A layer lists its hops in
-    the deterministic move order of ``successor_moves``, duplicates
+    the deterministic move order of ``successor_edits``, duplicates
     included, so the first hop that reaches ``target`` ends the
     lexicographically first shortest chain by (rule order, direction,
-    position).  A term is expanded at its first hop only.  ``None`` when no
+    position).  A term is expanded at its first hop only.  A hop is held
+    as its parent and its move's edits, and its term is built only when
+    the hop is taken off its layer; a move is recognised as reaching
+    ``target`` through the fork of the expanded term and ``target``,
+    without building its result (see ``_reached``).  ``None`` when no
     chain of at most ``budget.max_depth`` hops exists, or when finding one
     would expand more than ``budget.max_nodes`` distinct terms.
     """
@@ -148,26 +193,30 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
     scope = frozenset(term_metavars(source, registry) | term_metavars(target, registry)
                       | {q.var for q in env.case_bindings})
     # A hop is (term, clause, previous hop); the source's hop has no clause.
-    layer: list[tuple] = [(source, None, None)]
+    # A layer entry is (previous hop, clause, edits), the source's (None, None, ()).
+    layer: list[tuple] = [(None, None, ())]
     expanded: set[Term] = set()
     for depth in range(1, budget.max_depth + 1):
         next_layer = []
-        for hop in layer:
-            term = hop[0]
+        for parent, clause, edits in layer:
+            term = source if parent is None else _applied(parent[0], edits)
             if term in expanded:
                 continue
             if len(expanded) >= budget.max_nodes:
                 return None
             expanded.add(term)
-            for clause, result in successor_moves(term, env, scope):
-                if result == target:
+            hop = (term, clause, parent)
+            fork = _fork(term, target)
+            for clause, edits in successor_edits(term, env, scope):
+                result = _reached(term, edits, target, fork)
+                if result is not None:
                     steps = [(result, clause)]
                     while hop[2] is not None:
                         steps.append(hop[:2])
                         hop = hop[2]
                     return JustifiedChain(tuple(reversed(steps)), source, target)
                 if depth < budget.max_depth:
-                    next_layer.append((result, clause, hop))
+                    next_layer.append((hop, clause, edits))
         layer = next_layer
     return None
 

@@ -396,6 +396,22 @@ def test_deep_not_chain_hop_in_both_directions(bool_registry):
     assert not check_justified_step(deep, _nots(198, "True"), clause, env).justified
 
 
+def test_positions_and_replace_at_reach_depth_5000():
+    # Both walk with explicit stacks.  Results are read back with
+    # ``subterm_at``, because ``Term.__eq__`` still recurses.
+    deep = _nots(5000, "False")
+    found = positions(deep)
+    assert len(found) == 5001
+    assert [len(path) for path, _ in found] == list(range(5001))
+    bottom = (0,) * 5000
+    assert found[-1][0] == bottom and subterm_at(deep, bottom) is found[-1][1]
+    assert found[-1][1].head == "False"
+    replaced = replace_at(deep, bottom, Term("True"))
+    assert subterm_at(replaced, bottom).head == "True"
+    assert subterm_at(replaced, bottom[1:]).head == "not"
+    assert subterm_at(deep, bottom).head == "False"
+
+
 def test_fork_is_the_deepest_position_outside_which_terms_agree():
     assert _fork(t("and(not(not(False)), True)"), t("and(not(not(False)), True)")) is None
     assert _fork(t("and(not(not(False)), True)"), t("and(not(True), True)")) == (0, 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from unittest.mock import patch
 
 from hypothesis import given, settings
@@ -9,12 +11,12 @@ from hypothesis import strategies as st
 
 from axiotome import search
 from axiotome.rewrite import (
-    RuleSource, StepEnv, _applications, _case_results, _disjoint, apply_substitution,
-    check_justified_step, replace_at,
+    RuleSource, StepEnv, _applications, _case_results, _disjoint, _fork, apply_substitution,
+    check_justified_step, positions, replace_at,
 )
 from axiotome.search import (
     JustifiedChain, SearchBudget, fill_gap, infer_step_justification,
-    repair_proof, repair_theorem, successor_moves,
+    repair_proof, repair_theorem, successor_edits, successor_moves,
 )
 from axiotome.syntax import (
     CaseRangeJustification, Justification, Quantifier, RuleJustification, Term,
@@ -343,6 +345,130 @@ def test_case_moves_introduce_from_a_term_with_bound_variables():
     ]
 
 
+def _eager_successor_moves(term, env, scope):
+    """``successor_moves`` with every result built as its match is found,
+    and each replacement scope-tested whole."""
+    registry = env.registry
+    moves = []
+
+    def scoped(result):
+        return term_metavars(result, registry) <= scope
+
+    case_moves = []
+    if env.case_bindings:
+        clause = CaseRangeJustification(env.case_bindings)
+        case_moves = [(clause, result) for result, _ in _case_results(term, clause, env) if scoped(result)]
+    rules = registry.rules
+    sites = [(pos, sub, None) for pos, sub in positions(term)]
+    for _, group in groupby(rules.matches(sites, rules.moves, env.current_theorem), itemgetter(0)):
+        group = list(group)
+        rule = group[0][2]
+        if rule.source is not RuleSource.AXIOM:
+            moves += case_moves
+            case_moves = []
+        _, dst = rule.oriented()
+        replaced = []
+        for _, pos, _, sigma, _ in group:
+            new = apply_substitution(sigma, dst)
+            replaced.append((pos, new, scoped(new)))
+        moves.extend((RuleJustification((rule.name,)), replace_at(term, pos, new))
+                     for pos, new, ok in replaced if ok)
+        chosen = []
+        for app in replaced:
+            if all(_disjoint(app[0], c[0]) for c in chosen):
+                chosen.append(app)
+        if len(chosen) >= 2 and all(ok for _, _, ok in chosen):
+            result = term
+            for pos, new, _ in chosen:
+                result = replace_at(result, pos, new)
+            moves.append((RuleJustification((rule.name,) * len(chosen)), result))
+    return moves + case_moves
+
+
+#: A theorem whose right side mentions ``c``, which no match binds.
+_FREE_C = StepEnv(load_registry(*BOOL_FNS, extra="""\
+theorem ¶freeC: not(False) ↔ or(c, True)
+proof
+  0. not(False)
+  1. or(c, True)
+"""))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS + (_FREE_C,)), st.sets(st.sampled_from("abc")))
+def test_moves_built_from_edits_agree_with_eager_moves(term, env, extra):
+    # Every scope holds ``term``, as ``successor_moves`` requires, and some
+    # leave out the variables that case eliminations and ``¶freeC`` add.
+    scope = frozenset(term_metavars(term, env.registry) | extra)
+    assert successor_moves(term, env, scope) == _eager_successor_moves(term, env, scope)
+
+
+def _spans(term):
+    return [sub.span for _, sub in positions(term)]
+
+
+def _reaching_moves(term, goals, env):
+    """Check, for every move of ``term`` and every goal other than ``term``,
+    that ``fill_gap``'s target test agrees with building the result and
+    comparing it; return the (goal, clause, edits) that reach their goal."""
+    moves = [(clause, edits, search._applied(term, edits))
+             for clause, edits in successor_edits(term, env, SCOPE)]
+    hits = []
+    for goal in goals:
+        if goal == term:
+            continue
+        fork = _fork(term, goal)
+        for clause, edits, built in moves:
+            reached = search._reached(term, edits, goal, fork)
+            if built == goal:
+                assert reached == built and _spans(reached) == _spans(built), (goal, clause, edits)
+                hits.append((goal, clause, edits))
+            else:
+                assert reached is None, (goal, clause, edits)
+    return hits
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS), st.data())
+def test_target_is_recognised_as_building_would(term, env, data):
+    # Goals as in ``test_layered_fill_gap_agrees_with_reference``, plus every
+    # result of one move, so that each kind of move is tried as a hit.
+    goals = [data.draw(RULE_TERMS)] + [result for _, result in successor_moves(term, env, SCOPE)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        goal = term
+        for _ in range(data.draw(st.integers(1, 2))):
+            goal = data.draw(st.sampled_from(successor_moves(goal, env, SCOPE)))[1]
+        goals.append(goal)
+    _reaching_moves(term, goals, env)
+
+
+_AND_COMMUTES = """\
+theorem ¶andCommutes: ∀a ∈ Boolean, ∀b ∈ Boolean: and(a, b) ↔ and(b, a)
+proof
+  0. and(a, b)
+  1. and(b, a)
+"""
+
+
+def test_target_recognition_of_tuples_cases_and_identity_rewrites():
+    # A same-rule tuple, a case-range introduction, and a commutativity
+    # rewrite of ``and(a, a)``, which leaves the term as it is.
+    tuple_hits = _reaching_moves(t("or(not(True), not(True))"), [t("or(False, False)")], ENVS[0])
+    assert [clause for _, clause, _ in tuple_hits] == [RuleJustification(("$not°T",) * 2)]
+    case_hits = _reaching_moves(t("and(False, a)"), [t("and(False, False)")], ENVS[1])
+    assert [edits for _, _, edits in case_hits] == [(((), t("and(False, False)")),)]
+    env = StepEnv(load_registry(*BOOL_FNS, extra=_AND_COMMUTES))
+    term = t("and(and(a, a), not(True))")
+    identities = [edits for clause, edits in successor_edits(term, env, SCOPE)
+                  if search._applied(term, edits) == term]
+    assert [edits[0][0] for edits in identities] == [(0,), (0,)]  # forward, backward
+    # The identity's position is an ancestor of the fork of ``term`` and the
+    # last goal, (0, 1), and it must not be taken for a hop to that goal.
+    goals = [t("and(and(a, a), False)"), t("and(not(True), and(a, a))"), t("and(and(a, b), not(True))")]
+    hits = _reaching_moves(term, goals, env)
+    assert [goal for goal, _, _ in hits] == [goals[0], goals[1], goals[1]]
+
+
 # ------------------------------------------------------ layered gap search
 
 class _NodesExhausted(Exception):
@@ -354,7 +480,8 @@ def _reference_fill_gap(source: Term, target: Term, env: StepEnv,
     """``fill_gap`` as iterative-deepening DFS: a depth-limited search per
     depth with a per-iteration ``visited`` map, over a move cache whose
     misses are the expanded nodes.  It calls ``successor_moves`` through its
-    module, as ``fill_gap`` does, so that a test can record the calls."""
+    module, which calls ``successor_edits`` once per expanded node, so that
+    a test can record the calls."""
     budget = budget or SearchBudget()
     if source == target:
         return JustifiedChain((), source, target)
@@ -408,9 +535,9 @@ def _expanding(gap_search, source, goal, env, budget):
 
     def recorded(term, env, scope):
         expanded.append(term)
-        return successor_moves(term, env, scope)
+        return successor_edits(term, env, scope)
 
-    with patch.object(search, "successor_moves", recorded):
+    with patch.object(search, "successor_edits", recorded):
         return gap_search(source, goal, env, budget), expanded
 
 
