@@ -10,11 +10,11 @@ from .oracle import (
 )
 from .rewrite import (
     Direction, Position, RewriteRule, StepEnv, StepVerdict, Substitution,
-    apply_substitution, check_justified_step, enumerate_rewrites, match,
+    apply_substitution, check_justified_step, match,
 )
 from .search import (
     JustifiedChain, SearchBudget, fill_gap, infer_step_justification,
-    repair_proof, repair_theorem,
+    repair_theorem,
 )
 from .syntax import (
     Program, Term, TheoremDecl, TypeExpr, format_node, parse_program, parse_term, tokenize,
@@ -25,7 +25,7 @@ from .typesys import (
 )
 from .verifier import (
     InferredVia, VerificationReport, check_case_coverage, effective_quantifiers,
-    enter_case, verify_linear, verify_theorem,
+    enter_case, verify_theorem,
 )
 
 __version__ = "0.1.0"

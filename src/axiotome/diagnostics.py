@@ -71,10 +71,6 @@ def warning(code: str, message: str, span: Span = Span(), related: Sequence[tupl
     return Diagnostic(Severity.WARNING, code, message, span, tuple(related))
 
 
-def note(code: str, message: str, span: Span = Span(), related: Sequence[tuple[Span, str]] = ()) -> Diagnostic:
-    return Diagnostic(Severity.NOTE, code, message, span, tuple(related))
-
-
 class DiagnosticError(Exception):
     """Raised where analysis cannot proceed (lexing, parsing, typing)."""
 

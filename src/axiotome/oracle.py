@@ -2,9 +2,10 @@
 
 Axioms are oriented left-to-right and formulaic bodies unfolded, giving a
 directed reduction relation; ``normalize`` reduces at the leftmost-outermost
-redex under a step budget, trying at each subterm only the rules that
-``Registry.rules`` indexes under its head and first argument.  ``eval``
-always reduces this way: leftmost-outermost is its specification.
+redex under a step budget, found in one non-recursive pre-order walk that
+tries at each subterm only the rules that ``Registry.rules`` indexes under
+its head and first argument.  ``eval`` always reduces this way:
+leftmost-outermost is its specification.
 
 ``brute_force_validate`` checks a quantified equivalence by enumerating
 every assignment of inhabitants to the quantified metavariables and
@@ -29,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .rewrite import RuleIndex, apply_substitution, match, replace_at, rules_at
+from .rewrite import Position, RuleIndex, apply_substitution, match, replace_at, rules_at
 from .syntax import SumBody, Term, TypeExpr, format_term
 from .typesys import Registry, substitute_type
 
@@ -109,36 +110,33 @@ def _enumerate(ty: TypeExpr, registry: Registry, visiting: frozenset) -> list[Te
 
 # ------------------------------------------------------------ normalization
 
-def _find_redex(term: Term, rules: RuleIndex, path, innermost: bool):
-    """Leftmost redex in the requested strategy order."""
-    if innermost:
-        for i, child in enumerate(term.args):
-            hit = _find_redex(child, rules, path + (i,), innermost)
-            if hit is not None:
-                return hit
-    for _, rule in rules_at(rules, term):
-        sigma = match(rule.lhs, term, rule.metavars)
-        if sigma is not None:
-            return path, apply_substitution(sigma, rule.rhs)
-    if not innermost:
-        for i, child in enumerate(term.args):
-            hit = _find_redex(child, rules, path + (i,), innermost)
-            if hit is not None:
-                return hit
+def _find_redex(term: Term, rules: RuleIndex) -> tuple[Position, Term] | None:
+    """The leftmost-outermost redex as (position, replacement): the first
+    node in pre-order that a rule matches, walked with an explicit stack
+    whose children are pushed right to left."""
+    stack: list[tuple[Position, Term]] = [((), term)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        path, node = pop()
+        for _, rule in rules_at(rules, node):
+            sigma = match(rule.lhs, node, rule.metavars)
+            if sigma is not None:
+                return path, apply_substitution(sigma, rule.rhs)
+        args = node.args
+        i = len(args)
+        while i:
+            i -= 1
+            push((path + (i,), args[i]))
     return None
 
 
-def normalize(term: Term, registry: Registry, budget: int = DEFAULT_BUDGET,
-              innermost: bool = False) -> NormalizationResult:
-    """Reduce ``term`` until no axiom applies or the budget is consumed.
-
-    The default strategy is leftmost-outermost; ``innermost=True`` selects
-    leftmost-innermost (used to cross-check confluence).
-    """
+def normalize(term: Term, registry: Registry, budget: int = DEFAULT_BUDGET) -> NormalizationResult:
+    """Reduce ``term`` at its leftmost-outermost redex until no rule applies
+    or the budget is consumed."""
     rules = registry.rules.reductions
     steps = 0
     while steps < budget:
-        hit = _find_redex(term, rules, (), innermost)
+        hit = _find_redex(term, rules)
         if hit is None:
             return NormalizationResult(term, steps, False)
         path, replacement = hit

@@ -25,7 +25,9 @@ position outside which the two terms agree, found in one walk down both)
 and its ancestors.  Each match's substituted other side is compared with
 ``next``'s subterm there, so no rewritten term is built; the verdicts,
 witnesses and inferred clauses are those of enumerating every rewrite.
-Successor moves and tuple steps walk every position of ``prev``.
+Successor moves and ``clause_results`` (tuple steps, and the images of a
+written clause that repair re-anchors) match at every position of
+``prev``, through the same ``RuleSet.matches``.
 
 Declarations become rewrite rules in one place, ``RuleSet``, built once per
 registry (``Registry.rules``) and indexed by head symbol and first argument.
@@ -429,25 +431,7 @@ def resolve_rule(name: str, env: StepEnv) -> RewriteRule | Diagnostic:
     return rule
 
 
-# ------------------------------------------------------- single rule steps
-
-def enumerate_rewrites(term: Term, rule: RewriteRule) -> list[tuple[Position, Term]]:
-    """Every single application of ``rule`` (oriented per its direction),
-    in leftmost-outermost position order."""
-    return [(pos, res) for pos, res, _ in _applications(term, rule)]
-
-
-def _applications(term: Term, rule: RewriteRule) -> list[tuple[Position, Term, Substitution]]:
-    if not rule.determined():
-        return []
-    src, dst = rule.oriented()
-    out = []
-    for pos, sub in positions(term):
-        sigma = match(src, sub, rule.metavars)
-        if sigma is not None:
-            out.append((pos, replace_at(term, pos, apply_substitution(sigma, dst)), sigma))
-    return out
-
+# ------------------------------------------------------- rule applications
 
 def _disjoint(p: Position, q: Position) -> bool:
     shorter = min(len(p), len(q))
@@ -456,8 +440,11 @@ def _disjoint(p: Position, q: Position) -> bool:
 
 def _tuple_results(prev: Term, names: tuple[str, ...], rules: RuleSet) -> Iterator[tuple[Term, tuple]]:
     """Simultaneous application of one rewrite per named rule at pairwise
-    disjoint positions.  Rules are assigned in listed order; every direction
-    mix is tried, leftmost-outermost first."""
+    disjoint positions; for one name, each single application.  Rules are
+    assigned in listed order; each rule's matches come from
+    ``RuleSet.matches`` on its own ``RuleSet.cited`` index, so every
+    direction mix is tried, forward before backward, leftmost-outermost
+    first."""
 
     # Positions are enumerated against the original term so that
     # disjointness and ordering are independent of earlier rewrites.
@@ -547,6 +534,10 @@ def clause_results(prev: Term, just: Justification, env: StepEnv) -> list[tuple[
     """Deterministically ordered list of terms reachable from ``prev`` in one
     justified step under ``just``, each paired with its witness.
 
+    A rule clause, one name or a tuple, is applied by ``_tuple_results`` at
+    every position of ``prev``: a single name's results are its forward
+    rewrites, then its backward ones, each outermost first.
+
     For case ranges, elimination results are the full-replacement
     apportionments; ``check_justified_step`` is more permissive there (any
     term whose substitution instance is ``prev`` is accepted).
@@ -557,15 +548,10 @@ def clause_results(prev: Term, just: Justification, env: StepEnv) -> list[tuple[
             return bad
         return _case_results(prev, just, env)
 
-    rules = []
     for name in just.names:
         rule = resolve_rule(name, env)
         if isinstance(rule, Diagnostic):
             return rule
-        rules.append(rule)
-    if len(rules) == 1:
-        return [(res, ((pos, oriented, dict(sigma)),)) for oriented in (rules[0], rules[0].reversed())
-                for pos, res, sigma in _applications(prev, oriented)]
     return list(_tuple_results(prev, just.names, env.registry.rules))
 
 

@@ -8,7 +8,7 @@ single justified rewrites — plus same-rule simultaneous tuples and
 case-range moves — and returns the lexicographically first shortest chain
 under that move order.
 
-``repair_proof`` fixes proofs whose steps are unjustified because terms were
+``repair_theorem`` fixes proofs whose steps are unjustified because terms were
 omitted.  For a broken hop it splices the shortest chain between the two
 written terms; the displaced ``via`` clause is then re-anchored by applying
 it to the step's own term, which inserts the term its author skipped.  Vias
@@ -370,9 +370,3 @@ def repair_theorem(thm: TheoremDecl, report, registry: Registry,
         return RepairOutcome(None, tuple(inserted), ())
     return RepairOutcome(patched, tuple(inserted), ())
 
-
-def repair_proof(thm: TheoremDecl, report, registry: Registry,
-                 budget: SearchBudget | None = None) -> TheoremDecl | None:
-    """Patched theorem whose proof re-verifies as accepted, or None when a
-    gap is unfillable within budget (or the failure is not gap-shaped)."""
-    return repair_theorem(thm, report, registry, budget).theorem

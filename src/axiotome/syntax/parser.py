@@ -10,7 +10,7 @@ starts) and for a diagnostic, from the token's offset.
 
 Statements are delimited by semicolons or by newlines at bracket depth zero.
 Proof-step lines are recognized by their ``<digits> '.'`` prefix; indentation
-is never significant.  Case blocks attach to the innermost enclosing
+is never significant.  Case blocks attach to the nearest enclosing
 ``proof by cases`` whose subjects cover the case's ranged metavariables,
 which is what lets nested case proofs parse without layout information.
 

@@ -162,17 +162,11 @@ def check_case_coverage(decomposition: tuple[TypeExpr, tuple[TypeExpr, ...]],
     return diags
 
 
-def enter_case(case: CaseBlock, lhs: Term, rhs: Term, env: StepEnv) \
-        -> tuple[tuple[Term, ...], StepEnv, list[Diagnostic]]:
-    """Accepted premiss forms (the unsubstituted assertion lhs and its
-    pre-substituted form) and the case-local environment; diagnoses a
-    restated assertion that differs from the enclosing one."""
+def enter_case(case: CaseBlock, lhs: Term, rhs: Term, env: StepEnv) -> tuple[StepEnv, list[Diagnostic]]:
+    """The case-local environment; diagnoses a restated assertion that
+    differs from the enclosing one."""
     case_env = StepEnv(env.registry, env.case_bindings + case.ranges, env.current_theorem)
     sigma = _case_sigma(case_env.case_bindings)
-    forms = [lhs]
-    substituted = apply_substitution(sigma, lhs)
-    if substituted != lhs:
-        forms.append(substituted)
     diags: list[Diagnostic] = []
     if case.restated is not None:
         r_lhs, r_rhs = case.restated
@@ -185,7 +179,7 @@ def enter_case(case: CaseBlock, lhs: Term, rhs: Term, env: StepEnv) \
                 f"which differs from the asserted {format_term(lhs)} ↔ {format_term(rhs)}",
                 case.span,
             ))
-    return tuple(forms), case_env, diags
+    return case_env, diags
 
 
 @dataclass
@@ -232,7 +226,7 @@ class _Verification:
                     self.theorem.span,
                 ))
         for case in body.cases:
-            forms, case_env, diags = enter_case(case, lhs, rhs, env)
+            case_env, diags = enter_case(case, lhs, rhs, env)
             self.diagnostics.extend(diags)
             self.verify_body(case.body, lhs, rhs, case_env, path + (_case_label(case),))
 
@@ -344,16 +338,6 @@ class _Verification:
             ))
             return True
         return False
-
-
-def verify_linear(lhs: Term, rhs: Term, steps: tuple[ProofStep, ...], env: StepEnv,
-                  quantifier_types: dict[str, TypeExpr] | None = None,
-                  theorem: TheoremDecl | None = None) -> list[Diagnostic]:
-    """Standalone linear-segment check; empty result means accepted."""
-    thm = theorem or TheoremDecl("<anonymous>", (), lhs, rhs, LinearProof(steps))
-    v = _Verification(env.registry, thm, dict(quantifier_types or {}))
-    v.verify_linear(lhs, rhs, steps, env, ())
-    return v.diagnostics
 
 
 def verify_theorem(thm: TheoremDecl, registry: Registry) -> VerificationReport:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from axiotome.rewrite import StepEnv
+from axiotome.rewrite import (
+    Position, RewriteRule, StepEnv, Substitution, apply_substitution, match, positions, replace_at,
+)
 from axiotome.syntax import OperatorDecl, Program, Quantifier, Term, TypeExpr, parse_program
 from axiotome.typesys import Registry, build_registry
 
@@ -95,6 +97,22 @@ def terms(arities: dict[str, int], leaves: tuple[str, ...] = ("False", "True")) 
                           for h, n in arities.items()])
 
     return st.recursive(st.sampled_from([Term(leaf) for leaf in leaves]), extend, max_leaves=12)
+
+
+def _applications(term: Term, rule: RewriteRule) -> list[tuple[Position, Term, Substitution]]:
+    """Every single application of ``rule`` (oriented per its direction) to
+    ``term``, as (position, result, substitution) in leftmost-outermost
+    order: the unindexed reference enumeration, trying the rule at every
+    position."""
+    if not rule.determined():
+        return []
+    src, dst = rule.oriented()
+    out = []
+    for pos, sub in positions(term):
+        sigma = match(src, sub, rule.metavars)
+        if sigma is not None:
+            out.append((pos, replace_at(term, pos, apply_substitution(sigma, dst)), sigma))
+    return out
 
 
 #: Axioms, unfoldings and theorems, with rules under every kind of index key.

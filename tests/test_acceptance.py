@@ -11,7 +11,7 @@ import random
 
 from axiotome.cli import main as cli_main
 from axiotome.diagnostics import Severity
-from axiotome.oracle import brute_force_validate, enumerable_domain, normalize
+from axiotome.oracle import DEFAULT_BUDGET, brute_force_validate, enumerable_domain, normalize
 from axiotome.rewrite import (
     Direction, StepEnv, apply_substitution, check_justified_step, match, positions,
 )
@@ -225,17 +225,18 @@ def test_criterion_6_soundness_suite():
                         inverse_checked += 1
     assert inverse_checked > 50
 
-    # (d) boolean-fragment confluence: leftmost-outermost equals
-    # leftmost-innermost, exhaustively to depth 2 with the conditional and on
-    # a seeded sample of deeper terms to depth 4 (the full depth-4 space is
-    # astronomically large; see the oracle test module for the generators).
-    from test_oracle import _ground_terms, _random_term
+    # (d) boolean-fragment confluence: leftmost-outermost ``normalize`` equals
+    # the test-side leftmost-innermost reference, exhaustively to depth 2 with
+    # the conditional and on a seeded sample of deeper terms to depth 4 (the
+    # full depth-4 space is astronomically large; see the oracle test module
+    # for the generators).
+    from test_oracle import _ground_terms, _random_term, _reference_normalize
     registry = load_registry(*BOOL_FNS, "if_function.axm")
     rng = random.Random(987654)
     terms = _ground_terms(2, with_if=True) + [_random_term(rng, 4) for _ in range(1000)]
     for term in terms:
         outer = normalize(term, registry)
-        inner = normalize(term, registry, innermost=True)
+        inner = _reference_normalize(term, registry, DEFAULT_BUDGET, innermost=True)
         assert outer.normal_form == inner.normal_form
         assert outer.normal_form in (Term("False"), Term("True"))
     report(6, "soundness property suite (oracle agreement, mutations, inverses, confluence)")

@@ -189,6 +189,14 @@ def test_eval_rejects_unknown_names():
     assert "E-UNRESOLVED" in out
 
 
+def test_eval_of_a_deep_term_reports_the_budget():
+    # The redex search walks with an explicit stack, so a term nested deeper
+    # than the interpreter's recursion limit is reduced, not a crash.
+    expression = "not(" * 1500 + "False" + ")" * 1500
+    assert run("eval", expression, *NOT_PATHS, "--budget", "2") \
+        == (1, "", "error: normalization budget of 2 exhausted\n")
+
+
 # --------------------------------------------------------------------- fill
 
 def test_fill_repairs_de_morgan(tmp_path):

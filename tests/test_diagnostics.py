@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from axiotome.diagnostics import (
-    CODES, Span, error, note, render_human, render_machine, warning,
+    CODES, Diagnostic, Severity, Span, error, render_human, render_machine, warning,
 )
 
 SRC = Path(__file__).parent.parent / "src" / "axiotome"
@@ -40,7 +40,7 @@ def test_render_human_includes_related_notes():
 
 def test_render_human_severity_tokens():
     w = warning("W-INFERRED-VIA", "justification inferred: $not°T")
-    n = note("W-INFERRED-VIA", "for information")
+    n = Diagnostic(Severity.NOTE, "W-INFERRED-VIA", "for information")
     assert "warning[W-INFERRED-VIA]" in render_human(w)
     assert "note[" in render_human(n)
 

@@ -13,7 +13,7 @@ from axiotome import oracle
 from axiotome.oracle import (
     DEFAULT_BUDGET, NormalizationResult, brute_force_validate, enumerable_domain, evaluator, normalize,
 )
-from axiotome.rewrite import apply_substitution, match, replace_at
+from axiotome.rewrite import apply_substitution, match, replace_at, subterm_at
 from axiotome.syntax import FormulaicBody, Term, TypeExpr, parse_program, parse_term
 from axiotome.typesys import build_registry
 from axiotome.verifier import effective_quantifiers
@@ -202,14 +202,15 @@ def _random_term(rng: random.Random, depth: int) -> Term:
 def test_boolean_fragment_confluence(full_registry):
     # Exhaustive over every ground term to depth 2 including the ternary
     # conditional, then a seeded sample of deeper terms to depth 4: the
-    # leftmost-outermost and leftmost-innermost strategies must agree.
+    # leftmost-outermost ``normalize`` and the leftmost-innermost reference
+    # strategy must agree.
     exhaustive = _ground_terms(2, with_if=True)
     assert len(exhaustive) == 8822
     rng = random.Random(20240901)
     sampled = [_random_term(rng, 4) for _ in range(1500)]
     for term in exhaustive + sampled:
         outer = normalize(term, full_registry)
-        inner = normalize(term, full_registry, innermost=True)
+        inner = _reference_normalize(term, full_registry, DEFAULT_BUDGET, innermost=True)
         assert not outer.exhausted_budget and not inner.exhausted_budget
         assert outer.normal_form == inner.normal_form
 
@@ -225,7 +226,9 @@ def test_boolean_normal_forms_are_constants(full_registry):
 
 def _reference_normalize(term: Term, registry, budget: int, innermost: bool) -> NormalizationResult:
     """``normalize`` without the rule set: the directed rules are rebuilt on
-    each call, and every rule with the subterm's head is tried."""
+    each call, and every rule with the subterm's head is tried.  With
+    ``innermost``, the leftmost-innermost redex is reduced first, the
+    strategy the confluence checks compare ``normalize`` with."""
     rules: dict[str, list] = {}
     for axiom, owner in registry.axioms.values():
         metavars = frozenset(registry.axiom_metavars(axiom, owner))
@@ -273,11 +276,21 @@ BOOLEAN_HEADS = {"not": 1, "and": 2, "or": 2, "if": 3, "doubleNegation": 1, "pic
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(terms(BOOLEAN_HEADS), st.one_of(st.integers(0, 20), st.just(DEFAULT_BUDGET)), st.booleans())
-def test_indexed_normalize_agrees_with_reference(term, budget, innermost):
+@given(terms(BOOLEAN_HEADS), st.one_of(st.integers(0, 20), st.just(DEFAULT_BUDGET)))
+def test_indexed_normalize_agrees_with_reference(term, budget):
     for registry in INDEXED_REGISTRIES:
-        assert normalize(term, registry, budget, innermost) == \
-            _reference_normalize(term, registry, budget, innermost)
+        assert normalize(term, registry, budget) == _reference_normalize(term, registry, budget, innermost=False)
+
+
+def test_normalize_finds_a_redex_at_depth_1500(bool_registry):
+    # ``_find_redex`` walks with an explicit stack.  The result is read back
+    # with ``subterm_at``, because ``Term.__eq__`` still recurses.
+    deep = Term("False")
+    for _ in range(1500):
+        deep = Term("not", (), (deep,))
+    result = normalize(deep, bool_registry, 2)
+    assert (result.steps, result.exhausted_budget) == (2, True)
+    assert subterm_at(result.normal_form, (0,) * 1498).head == "False"
 
 
 # ------------------------------------------------- memoized validation

@@ -1,4 +1,4 @@
-"""Matching, substitution, rewrite enumeration and step checking."""
+"""Matching, substitution, single-rule clause results and step checking."""
 
 from __future__ import annotations
 
@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from axiotome.diagnostics import Diagnostic
 from axiotome.oracle import enumerable_domain, normalize
 from axiotome.rewrite import (
-    Direction, RewriteRule, RuleSource, StepEnv, StepVerdict, _applications, _case_sigma, _fork,
-    _unjustified, _validate_case_bindings, apply_substitution, check_justified_step, clause_results,
-    enumerate_rewrites, infer_step_justification, match, positions, replace_at, resolve_rule,
-    subterm_at,
+    Direction, RewriteRule, RuleSource, StepEnv, StepVerdict, _case_sigma, _fork, _unjustified,
+    _validate_case_bindings, apply_substitution, check_justified_step, clause_results,
+    infer_step_justification, match, positions, replace_at, resolve_rule, subterm_at,
 )
 from axiotome.search import successor_moves
 from axiotome.syntax import (
@@ -22,16 +21,13 @@ from axiotome.syntax import (
 )
 from axiotome.typesys import term_metavars
 
-from conftest import BOOL_FNS, ENVS, RULE_TERMS, RULES_REGISTRY, load_program, load_registry
+from conftest import (
+    BOOL_FNS, ENVS, RULE_TERMS, RULES_REGISTRY, _applications, load_program, load_registry,
+)
 
 
 def t(source: str) -> Term:
     return parse_term(source)
-
-
-def _rule(registry, name, backward=False):
-    rule = resolve_rule(name, StepEnv(registry))
-    return rule.reversed() if backward else rule
 
 
 # ---------------------------------------------------------------- matching
@@ -95,39 +91,42 @@ def test_match_apply_inverse_over_corpus(bool_registry):
     assert checked > 50
 
 
-# -------------------------------------------------------------- enumeration
+# --------------------------------------------------- single-rule results
+
+def _single(term, registry, name):
+    """``clause_results`` of the one-name clause ``name`` on ``term``, as
+    (position, direction, result) per rewrite."""
+    outcomes = clause_results(term, RuleJustification((name,)), StepEnv(registry))
+    return [(witness[0][0], witness[0][1].direction, result) for result, witness in outcomes]
+
 
 def test_enumerate_forward_rewrite(bool_registry):
-    rule = _rule(bool_registry, "$not°F")
-    assert enumerate_rewrites(t("not(not(False))"), rule) == [((0,), t("not(True)"))]
+    assert _single(t("not(not(False))"), bool_registry, "$not°F") == [((0,), Direction.FORWARD, t("not(True)"))]
 
 
 def test_enumerate_backward_rewrite_at_root(bool_registry):
-    rule = _rule(bool_registry, "$or°TT", backward=True)
-    assert enumerate_rewrites(t("True"), rule) == [((), t("or(True, True)"))]
+    assert _single(t("True"), bool_registry, "$or°TT") == [((), Direction.BACKWARD, t("or(True, True)"))]
 
 
 def test_enumerate_no_redex(bool_registry):
-    assert enumerate_rewrites(t("False"), _rule(bool_registry, "$not°F")) == []
+    assert _single(t("False"), bool_registry, "$not°F") == []
 
 
 def test_positions_are_leftmost_outermost(bool_registry):
-    rule = _rule(bool_registry, "$not°F")
-    hits = enumerate_rewrites(t("and(not(False), not(False))"), rule)
-    assert [pos for pos, _ in hits] == [(0,), (1,)]
+    hits = _single(t("and(not(False), not(False))"), bool_registry, "$not°F")
+    assert [pos for pos, _, _ in hits] == [(0,), (1,)]
 
 
 def test_position_soundness(bool_registry):
     # Results differ from the input only at or below the reported position.
     term = t("and(not(False), or(not(False), True))")
     for rule in bool_registry.rules.rules:  # the axioms: BOOL_FNS has no other rules
-        for oriented in (rule, rule.reversed()):
-            for pos, result in enumerate_rewrites(term, oriented):
-                for q, sub in positions(term):
-                    shorter = min(len(q), len(pos))
-                    if q[:shorter] != pos[:shorter] or len(q) < len(pos):
-                        if q[:shorter] != pos[:shorter]:
-                            assert subterm_at(result, q) == sub
+        for pos, _, result in _single(term, bool_registry, rule.name):
+            for q, sub in positions(term):
+                shorter = min(len(q), len(pos))
+                if q[:shorter] != pos[:shorter] or len(q) < len(pos):
+                    if q[:shorter] != pos[:shorter]:
+                        assert subterm_at(result, q) == sub
 
 
 # ------------------------------------------------------------ step checking
@@ -302,8 +301,20 @@ def test_justified_steps_preserve_boolean_semantics(bool_registry):
 
 # ------------------------------------------- fork-site checks vs enumeration
 
+def _reference_clause_results(prev, just, env):
+    """``clause_results`` of a one-name clause by ``_applications``: every
+    rewrite of ``prev`` by the rule forward, then backward, each
+    leftmost-outermost, with its witness."""
+    rule = resolve_rule(just.names[0], env)
+    if isinstance(rule, Diagnostic):
+        return rule
+    return [(res, ((pos, oriented, dict(sigma)),)) for oriented in (rule, rule.reversed())
+            for pos, res, sigma in _applications(prev, oriented)]
+
+
 def _reference_check_justified_step(prev, next_term, just, env):
-    """``check_justified_step`` by enumerating every result of the clause."""
+    """``check_justified_step`` by enumerating every result of the clause,
+    single names through ``_reference_clause_results``."""
     if isinstance(just, CaseRangeJustification):
         bad = _validate_case_bindings(just, env)
         if bad is not None:
@@ -314,7 +325,10 @@ def _reference_check_justified_step(prev, next_term, just, env):
             return StepVerdict(True, witness=(((), rule, dict(sigma)),))
         return StepVerdict(False, failure=_unjustified(prev, next_term, just))
 
-    outcomes = clause_results(prev, just, env)
+    if len(just.names) == 1:
+        outcomes = _reference_clause_results(prev, just, env)
+    else:
+        outcomes = clause_results(prev, just, env)
     if isinstance(outcomes, Diagnostic):
         return StepVerdict(False, failure=outcomes)
     for res, witness in outcomes:
@@ -365,6 +379,9 @@ def test_fork_checks_agree_with_enumeration(prev, env, data):
         moves = successor_moves(source, StepEnv(env.registry, env.case_bindings), scope)
         if moves:
             nexts.append(data.draw(st.sampled_from(moves))[1])
+    for name in NAMES:
+        clause = RuleJustification((name,))
+        assert clause_results(prev, clause, env) == _reference_clause_results(prev, clause, env)
     for next_term in nexts:
         for name in NAMES:
             clause = RuleJustification((name,))

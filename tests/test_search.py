@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from axiotome import search
 from axiotome.rewrite import (
-    RuleSource, StepEnv, _applications, _case_results, _disjoint, _fork, apply_substitution,
+    RuleSource, StepEnv, _case_results, _disjoint, _fork, apply_substitution,
     check_justified_step, positions, replace_at,
 )
 from axiotome.search import (
     JustifiedChain, SearchBudget, fill_gap, infer_step_justification,
-    repair_proof, repair_theorem, successor_edits, successor_moves,
+    repair_theorem, successor_edits, successor_moves,
 )
 from axiotome.syntax import (
     CaseRangeJustification, Justification, Quantifier, RuleJustification, Term,
@@ -25,7 +25,7 @@ from axiotome.syntax import (
 from axiotome.typesys import term_metavars
 from axiotome.verifier import verify_theorem
 
-from conftest import BOOL_FNS, ENVS, RULE_TERMS, load_program, load_registry
+from conftest import BOOL_FNS, ENVS, RULE_TERMS, _applications, load_program, load_registry
 
 
 def t(source: str) -> Term:
@@ -165,7 +165,7 @@ def _registry_and_theorem(fixture):
 def test_repair_of_original_de_morgan_matches_corrected_fixture():
     registry, thm = _registry_and_theorem("de_morgan_original.axm")
     report = verify_theorem(thm, registry)
-    patched = repair_proof(thm, report, registry)
+    patched = repair_theorem(thm, report, registry).theorem
     assert patched is not None
     assert verify_theorem(patched, registry).accepted
     corrected = load_program(*BOOL_FNS, "de_morgan_corrected.axm").statements[-1]
@@ -176,7 +176,7 @@ def test_repair_of_original_de_morgan_matches_corrected_fixture():
 
 def test_repair_preserves_original_terms_in_order():
     registry, thm = _registry_and_theorem("de_morgan_original.axm")
-    patched = repair_proof(thm, verify_theorem(thm, registry), registry)
+    patched = repair_theorem(thm, verify_theorem(thm, registry), registry).theorem
     for original_case, patched_case in zip(thm.proof.cases, patched.proof.cases):
         patched_terms = [s.term for s in patched_case.body.steps]
         originals = [s.term for s in original_case.body.steps]
@@ -206,7 +206,7 @@ def test_repair_returns_accepted_proof_unchanged():
     registry, thm = _registry_and_theorem("de_morgan_corrected.axm")
     report = verify_theorem(thm, registry)
     assert report.accepted
-    assert repair_proof(thm, report, registry) is thm
+    assert repair_theorem(thm, report, registry).theorem is thm
 
 
 def test_wrong_via_is_irreparable_with_suggestion():
@@ -228,7 +228,7 @@ def test_endpoint_mismatch_is_not_a_gap_problem(bool_registry):
     thm = parse_program(src).statements[0]
     report = verify_theorem(thm, bool_registry)
     assert not report.accepted
-    assert repair_proof(thm, report, bool_registry) is None
+    assert repair_theorem(thm, report, bool_registry).theorem is None
 
 
 def test_genuine_gap_with_correct_trailing_via_is_filled(bool_registry):
@@ -241,7 +241,7 @@ def test_genuine_gap_with_correct_trailing_via_is_filled(bool_registry):
     thm = parse_program(src).statements[0]
     report = verify_theorem(thm, bool_registry)
     assert not report.accepted
-    patched = repair_proof(thm, report, bool_registry)
+    patched = repair_theorem(thm, report, bool_registry).theorem
     assert patched is not None
     steps = patched.proof.steps
     assert [s.term for s in steps] == [t("not(not(False))"), t("not(True)"), t("False")]
@@ -253,8 +253,8 @@ def test_genuine_gap_with_correct_trailing_via_is_filled(bool_registry):
 def test_repair_is_deterministic():
     registry, thm = _registry_and_theorem("de_morgan_original.axm")
     report = verify_theorem(thm, registry)
-    first = repair_proof(thm, report, registry)
-    second = repair_proof(thm, report, registry)
+    first = repair_theorem(thm, report, registry).theorem
+    second = repair_theorem(thm, report, registry).theorem
     assert first == second
 
 

@@ -8,10 +8,7 @@ from axiotome.syntax import (
     ByCasesProof, CaseBlock, LinearProof, ProofStep, Quantifier,
     RuleJustification, Term, TheoremDecl, TypeExpr, parse_program, parse_term,
 )
-from axiotome.verifier import (
-    check_case_coverage, effective_quantifiers, enter_case, verify_linear,
-    verify_theorem,
-)
+from axiotome.verifier import check_case_coverage, effective_quantifiers, enter_case, verify_theorem
 
 from conftest import BOOL_FNS, CORE, load_registry
 
@@ -110,29 +107,35 @@ def test_via_less_step_is_inferred_with_warning(core_registry):
     assert inferred[0].clause == "$not°T"
 
 
-# ------------------------------------------------------------- verify_linear
+# ------------------------------------------------------------ linear proofs
+
+def _linear(lhs: str, rhs: str, steps, registry):
+    """Diagnostics of ``verify_theorem`` on ``lhs ↔ rhs`` proved by ``steps``."""
+    thm = TheoremDecl("t", (), t(lhs), t(rhs), LinearProof(steps))
+    return list(verify_theorem(thm, registry).diagnostics)
+
 
 def test_single_reflexive_step_is_accepted(bool_registry):
     steps = (ProofStep(0, t("not(False)")),)
-    diags = verify_linear(t("not(False)"), t("not(False)"), steps, StepEnv(bool_registry))
+    diags = _linear("not(False)", "not(False)", steps, bool_registry)
     assert diags == []
 
 
 def test_gap_in_numbering_is_diagnosed(bool_registry):
     steps = (ProofStep(0, t("not(False)")), ProofStep(2, t("True"), RuleJustification(("$not°F",))))
-    diags = verify_linear(t("not(False)"), t("True"), steps, StepEnv(bool_registry))
+    diags = _linear("not(False)", "True", steps, bool_registry)
     assert any(d.code == "E-STEP-NUMBERING" for d in diags)
 
 
 def test_premiss_with_justification_is_diagnosed(bool_registry):
     steps = (ProofStep(0, t("not(False)"), RuleJustification(("$not°F",))),)
-    diags = verify_linear(t("not(False)"), t("not(False)"), steps, StepEnv(bool_registry))
+    diags = _linear("not(False)", "not(False)", steps, bool_registry)
     assert any(d.code == "E-PREMISS-MISMATCH" for d in diags)
 
 
 def test_endpoint_mismatch_is_diagnosed(bool_registry):
     steps = (ProofStep(0, t("not(False)")), ProofStep(1, t("True"), RuleJustification(("$not°F",))))
-    diags = verify_linear(t("not(False)"), t("False"), steps, StepEnv(bool_registry))
+    diags = _linear("not(False)", "False", steps, bool_registry)
     assert [d.code for d in diags] == ["E-ENDPOINT-MISMATCH"]
 
 
@@ -143,7 +146,7 @@ def test_hop_checking_stops_at_first_failure(bool_registry):
         ProofStep(1, t("False"), RuleJustification(("$not°F",))),
         ProofStep(2, t("or(True, True)"), RuleJustification(("$not°F",))),
     )
-    diags = verify_linear(t("not(False)"), t("or(True, True)"), steps, StepEnv(bool_registry))
+    diags = _linear("not(False)", "or(True, True)", steps, bool_registry)
     assert [d.code for d in diags] == ["E-UNJUSTIFIED-STEP"]
     assert "step 1" in diags[0].message
 
@@ -200,21 +203,29 @@ def test_non_sum_scrutinee_is_reported(bool_registry):
 def test_unsubstituted_premiss_is_accepted(bool_registry):
     case = CaseBlock(None, (Quantifier("a", TypeExpr("False")),), None,
                      LinearProof((ProofStep(0, t("and(False, a)")),)))
-    forms, case_env, diags = enter_case(case, t("and(False, a)"), t("False"), StepEnv(bool_registry))
+    case_env, diags = enter_case(case, t("and(False, a)"), t("False"), StepEnv(bool_registry))
     assert diags == []
-    assert t("and(False, a)") in forms and t("and(False, False)") in forms
     assert [q.var for q in case_env.case_bindings] == ["a"]
+    src = (
+        "theorem ¶t: ∀a ∈ Boolean: and(False, a) ↔ False\n"
+        "proof by cases of a using Boolean = False U True\n"
+        "case ∀a ∈ False:\n  0. and(False, a)\n  1. and(False, False) via ∀a ∈ False\n"
+        "  2. False via $and°FF\n"
+        "case ∀a ∈ True:\n  0. and(False, a)\n  1. and(False, True) via ∀a ∈ True\n"
+        "  2. False via $and°FT\n"
+    )
+    assert verify_theorem(parse_program(src).statements[0], bool_registry).accepted
 
 
 def test_restated_assertion_must_match(bool_registry):
     ranges = (Quantifier("a", TypeExpr("False")),)
     good = CaseBlock("A", ranges, (t("or(a, b)"), t("or(b, a)")),
                      LinearProof((ProofStep(0, t("or(a, b)")),)))
-    _, _, diags = enter_case(good, t("or(a, b)"), t("or(b, a)"), StepEnv(bool_registry))
+    _, diags = enter_case(good, t("or(a, b)"), t("or(b, a)"), StepEnv(bool_registry))
     assert diags == []
     bad = CaseBlock("A", ranges, (t("or(a, b)"), t("or(a, b)")),
                     LinearProof((ProofStep(0, t("or(a, b)")),)))
-    _, _, diags = enter_case(bad, t("or(a, b)"), t("or(b, a)"), StepEnv(bool_registry))
+    _, diags = enter_case(bad, t("or(a, b)"), t("or(b, a)"), StepEnv(bool_registry))
     assert [d.code for d in diags] == ["E-RESTATEMENT"]
 
 
