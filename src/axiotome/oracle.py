@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .rewrite import Position, RuleIndex, apply_substitution, match, replace_at, rules_at
-from .syntax import SumBody, Term, TypeExpr, format_term
+from .syntax import SumBody, Term, TypeExpr, format_type
 from .typesys import Registry, substitute_type
 
 DEFAULT_BUDGET = 10_000
@@ -232,7 +232,7 @@ def brute_force_validate(quantifiers: Sequence[tuple[str, TypeExpr]], lhs: Term,
     for var, ty in quantifiers:
         dom = enumerable_domain(ty, registry)
         if not dom.finite:
-            return ValidationVerdict("inconclusive", reason=f"domain {format_term(Term(ty.name))} is not finite")
+            return ValidationVerdict("inconclusive", reason=f"domain {format_type(ty)} is not finite")
         domains.append((var, dom.inhabitants))
     names = [var for var, _ in domains]
     evaluate = evaluator((lhs, rhs), registry, budget)

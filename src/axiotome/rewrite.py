@@ -25,9 +25,11 @@ position outside which the two terms agree, found in one walk down both)
 and its ancestors.  Each match's substituted other side is compared with
 ``next``'s subterm there, so no rewritten term is built; the verdicts,
 witnesses and inferred clauses are those of enumerating every rewrite.
-Successor moves and ``clause_results`` (tuple steps, and the images of a
-written clause that repair re-anchors) match at every position of
-``prev``, through the same ``RuleSet.matches``.
+Every other move, of ``clause_edits`` and of gap search, is ``Edits``:
+(position, replacement) pairs at disjoint positions of ``prev``, one per
+rule application, a whole-term one for case-range introduction, and one per
+constructor occurrence for elimination.  Only callers that need the term
+build it (``_applied``); ``_reached`` tests a move against a target first.
 
 Declarations become rewrite rules in one place, ``RuleSet``, built once per
 registry (``Registry.rules``) and indexed by head symbol and first argument.
@@ -41,15 +43,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import combinations, product
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .diagnostics import Diagnostic, error
 from .syntax import (
     CaseRangeJustification, EquationalBody, FormulaicBody, Justification,
     Quantifier, RuleJustification, Term, TypeExpr, format_justification,
-    format_term,
+    format_term, format_type,
 )
 from .typesys import Registry
 from .typesys import term_metavars as term_vars  # re-exported under its older name
@@ -180,8 +183,11 @@ def positions(term: Term) -> list[tuple[Position, Term]]:
     return out
 
 
-def subterm_at(term: Term, path: Position) -> Term:
+def subterm_at(term: Term, path: Position) -> Term | None:
+    """The subterm of ``term`` at ``path``, or None when the path leaves it."""
     for i in path:
+        if i >= len(term.args):
+            return None
         term = term.args[i]
     return term
 
@@ -235,6 +241,37 @@ def _sites(prev: Term, next_term: Term) -> list[tuple[Position, Term, Term]]:
         sites.append((fork[:depth], prev.args[i], next_term.args[i]))
         prev, next_term = prev.args[i], next_term.args[i]
     return sites
+
+
+#: What a move does to a term: (position, replacement) pairs at pairwise
+#: disjoint positions, applied in order.
+Edits = tuple[tuple[Position, Term], ...]
+
+
+def _applied(term: Term, edits: Edits) -> Term:
+    for pos, new in edits:
+        term = replace_at(term, pos, new)
+    return term
+
+
+def _reached(term: Term, edits: Edits, target: Term, fork: Position) -> Term | None:
+    """The result of ``edits`` on ``term`` when it is ``target``, else None.
+
+    For one edit, ``term`` differs from ``target`` and ``fork`` is their
+    ``_fork``.  An edit at ``p`` then reaches ``target`` exactly when ``p``
+    is ``fork`` or one of its ancestors and ``target`` holds the
+    replacement at ``p``, so nothing is built unless it does.  A tuple is
+    built only once ``target`` holds every replacement at its position,
+    and is then compared whole; ``fork`` is not read."""
+    if len(edits) == 1:
+        pos, new = edits[0]
+        if fork[:len(pos)] != pos or subterm_at(target, pos) != new:
+            return None
+        return replace_at(term, pos, new)
+    if any(subterm_at(target, pos) != new for pos, new in edits):
+        return None
+    result = _applied(term, edits)
+    return result if result == target else None
 
 
 # ------------------------------------------------------------------- rules
@@ -438,34 +475,18 @@ def _disjoint(p: Position, q: Position) -> bool:
     return p[:shorter] != q[:shorter]
 
 
-def _tuple_results(prev: Term, names: tuple[str, ...], rules: RuleSet) -> Iterator[tuple[Term, tuple]]:
+def _tuple_edits(prev: Term, names: tuple[str, ...], rules: RuleSet) -> list[tuple[Edits, tuple]]:
     """Simultaneous application of one rewrite per named rule at pairwise
-    disjoint positions; for one name, each single application.  Rules are
-    assigned in listed order; each rule's matches come from
-    ``RuleSet.matches`` on its own ``RuleSet.cited`` index, so every
-    direction mix is tried, forward before backward, leftmost-outermost
-    first."""
-
-    # Positions are enumerated against the original term so that
-    # disjointness and ordering are independent of earlier rewrites.
+    disjoint positions of ``prev``, as (edits, witness); for one name, each
+    single application.  Each rule's matches come from ``RuleSet.matches``
+    on its own ``RuleSet.cited`` index, so every direction mix is tried,
+    forward before backward, leftmost-outermost first, the first name
+    varying slowest."""
     sites = [(pos, sub, None) for pos, sub in positions(prev)]
-    applications = {name: rules.matches(sites, rules.cited[name]) for name in names}
-
-    def stage(term: Term, idx: int, used: list[Position], witness: list) -> Iterator[tuple[Term, tuple]]:
-        if idx == len(names):
-            yield term, tuple(witness)
-            return
-        for _, pos, oriented, sigma, _ in applications[names[idx]]:
-            if any(not _disjoint(pos, u) for u in used):
-                continue
-            witness.append((pos, oriented, dict(sigma)))
-            used.append(pos)
-            yield from stage(replace_at(term, pos, apply_substitution(sigma, oriented.oriented()[1])),
-                             idx + 1, used, witness)
-            used.pop()
-            witness.pop()
-
-    yield from stage(prev, 0, [], [])
+    moves = [[((pos, apply_substitution(sigma, rule.oriented()[1])), (pos, rule, dict(sigma)))
+              for _, pos, rule, sigma, _ in rules.matches(sites, rules.cited[name])] for name in names]
+    return [(tuple(edit for edit, _ in combo), tuple(step for _, step in combo)) for combo in product(*moves)
+            if all(_disjoint(p[0], q[0]) for (p, _), (q, _) in combinations(combo, 2))]
 
 
 # ---------------------------------------------------------- case ranges
@@ -493,66 +514,63 @@ def _validate_case_bindings(just: CaseRangeJustification, env: StepEnv) -> Diagn
         if bound != q.domain:
             return error(
                 "E-UNJUSTIFIED-STEP",
-                f"case range binds {q.var} ∈ {q.domain.name}, but the enclosing case "
-                f"binds {q.var} ∈ {bound.name}",
+                f"case range binds {q.var} ∈ {format_type(q.domain)}, but the enclosing case "
+                f"binds {q.var} ∈ {format_type(bound)}",
                 just.span,
             )
     return None
 
 
-def _case_results(prev: Term, just: CaseRangeJustification, env: StepEnv) -> list[tuple[Term, tuple]]:
-    """Constant introduction when ``prev`` mentions a bound metavariable,
-    else every elimination assignment.  Only these pass
+def _case_edits(prev: Term, just: CaseRangeJustification) -> list[tuple[Edits, tuple]]:
+    """Constant introduction, one whole-term edit, when ``prev`` mentions a
+    bound metavariable, else every elimination assignment.  Only these pass
     ``check_justified_step``: an introduced term mentions no bound
     metavariable, so a term that does can only be introduced from."""
     sigma = _case_sigma(just.bindings)
     witness = (((), RewriteRule(format_justification(just), RuleSource.CASE_RANGE, prev, prev), sigma),)
     introduced = apply_substitution(sigma, prev)
     if introduced != prev:
-        return [(introduced, witness)]
+        return [((((), introduced),), witness)]
 
     # Elimination: group the bound metavariables by their constructor term,
-    # then replace every occurrence of each constructor, trying every
-    # apportionment of occurrences over the variables of its group.  The
-    # occurrences are leaves and each group's names distinct, so every
-    # apportionment is a distinct term.
-    groups: dict[Term, dict[str, None]] = {}
+    # then edit each occurrence of a constructor, a leaf, to each variable
+    # of its group, the first occurrence varying slowest.  Each group's
+    # names are distinct, so every assignment is a distinct term.
+    groups: dict[Term, dict[Term, None]] = {}
     for q in just.bindings:
-        groups.setdefault(constructor_term(q.domain), {})[q.var] = None
-
-    candidates: list[Term] = [prev]
-    for ctor, vars_ in groups.items():
-        for pos, sub in positions(prev):
-            if sub == ctor:
-                candidates = [replace_at(t, pos, Term(v)) for t in candidates for v in vars_]
-    return [(cand, witness) for cand in candidates if cand != prev]
+        groups.setdefault(constructor_term(q.domain), {})[Term(q.var)] = None
+    subterms = positions(prev)
+    leaves = [(pos, ctor, vars_) for ctor, vars_ in groups.items() for pos, sub in subterms if sub == ctor]
+    return [(tuple((pos, new) for (pos, _, _), new in zip(leaves, choice)), witness)
+            for choice in product(*(vars_ for _, _, vars_ in leaves))
+            if any(new != ctor for (_, ctor, _), new in zip(leaves, choice))]
 
 
 # ------------------------------------------------------------ clause engine
 
-def clause_results(prev: Term, just: Justification, env: StepEnv) -> list[tuple[Term, tuple]] | Diagnostic:
-    """Deterministically ordered list of terms reachable from ``prev`` in one
-    justified step under ``just``, each paired with its witness.
+def clause_edits(prev: Term, just: Justification, env: StepEnv) -> list[tuple[Edits, tuple]] | Diagnostic:
+    """Deterministically ordered list of the moves from ``prev`` in one
+    justified step under ``just``, as (edits, witness).
 
-    A rule clause, one name or a tuple, is applied by ``_tuple_results`` at
-    every position of ``prev``: a single name's results are its forward
+    A rule clause, one name or a tuple, is applied by ``_tuple_edits`` at
+    every position of ``prev``: a single name's moves are its forward
     rewrites, then its backward ones, each outermost first.
 
-    For case ranges, elimination results are the full-replacement
-    apportionments; ``check_justified_step`` is more permissive there (any
+    For case ranges, elimination moves replace every constructor
+    occurrence; ``check_justified_step`` is more permissive there (any
     term whose substitution instance is ``prev`` is accepted).
     """
     if isinstance(just, CaseRangeJustification):
         bad = _validate_case_bindings(just, env)
         if bad is not None:
             return bad
-        return _case_results(prev, just, env)
+        return _case_edits(prev, just)
 
     for name in just.names:
         rule = resolve_rule(name, env)
         if isinstance(rule, Diagnostic):
             return rule
-    return list(_tuple_results(prev, just.names, env.registry.rules))
+    return _tuple_edits(prev, just.names, env.registry.rules)
 
 
 def check_justified_step(prev: Term, next_term: Term, just: Justification, env: StepEnv) -> StepVerdict:
@@ -593,11 +611,14 @@ def check_justified_step(prev: Term, next_term: Term, just: Justification, env: 
             return StepVerdict(True, witness=(((), rule, dict(sigma)),))
         return StepVerdict(False, failure=_unjustified(prev, next_term, just))
 
-    outcomes = clause_results(prev, just, env)
+    # A tuple: a move's result is built only once ``next_term`` holds
+    # every replacement (see ``_reached``).
+    outcomes = clause_edits(prev, just, env)
     if isinstance(outcomes, Diagnostic):
         return StepVerdict(False, failure=outcomes)
-    for res, witness in outcomes:
-        if res == next_term:
+    fork = _fork(prev, next_term)
+    for edits, witness in outcomes:
+        if _reached(prev, edits, next_term, fork) is not None:
             return StepVerdict(True, witness=witness)
     return StepVerdict(False, failure=_unjustified(prev, next_term, just))
 

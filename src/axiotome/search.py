@@ -24,13 +24,12 @@ from itertools import groupby
 from operator import itemgetter
 
 from .rewrite import (
-    Position, RuleSource, StepEnv, _case_results, _disjoint, _fork, apply_substitution,
-    check_justified_step, clause_results, infer_step_justification, positions, replace_at,
-    subterm_at,
+    Edits, Position, RuleSource, StepEnv, _applied, _case_edits, _disjoint, _fork, _reached,
+    apply_substitution, check_justified_step, clause_edits, infer_step_justification, positions,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, Justification, LinearProof,
-    ProofBody, ProofStep, RuleJustification, Term, TheoremDecl,
+    ProofBody, ProofStep, RuleJustification, Term, TheoremDecl, format_type,
 )
 from .typesys import Registry, term_metavars
 from .verifier import verify_theorem
@@ -74,17 +73,6 @@ class RepairOutcome:
 
 # ------------------------------------------------------------------- moves
 
-#: What a move does to a term: (position, replacement) pairs at pairwise
-#: disjoint positions, applied in order.
-Edits = tuple[tuple[Position, Term], ...]
-
-
-def _applied(term: Term, edits: Edits) -> Term:
-    for pos, new in edits:
-        term = replace_at(term, pos, new)
-    return term
-
-
 def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tuple[Justification, Edits]]:
     """Single justified rewrites of ``term``, deterministically ordered, as
     (clause, edits) without building their results.
@@ -93,16 +81,17 @@ def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
     applies at two or more disjoint positions, then the same backwards.
     Case-range introduction and elimination moves follow the axioms, then
     formulaic unfoldings and theorem applications.  A single rewrite makes
-    one edit, a tuple one per chosen position, and a case-range move
-    replaces the whole term (position ``()``).  Rules are matched through
-    ``RuleSet.matches`` on the citable ``moves`` index, so every move passes
-    ``check_justified_step``.  Moves whose result mentions metavariables
-    outside ``scope`` are dropped.
+    one edit, a tuple one per chosen position, a case-range introduction
+    one whole-term edit and an elimination one leaf edit per constructor
+    occurrence.  Rules are matched through ``RuleSet.matches`` on the
+    citable ``moves`` index, so every move passes ``check_justified_step``.
+    Moves whose result mentions metavariables outside ``scope`` are dropped.
 
     ``term`` itself must lie in ``scope`` (as every term ``fill_gap``
-    expands does).  Every value a match binds is a subterm of ``term``, so
-    a rule's replacements are in scope exactly when the metavariables its
-    target side adds are; that is tested once per rule.
+    expands does), so a move is in scope when its replacements are.  Every
+    value a match binds is a subterm of ``term``, so a rule's replacements
+    are in scope exactly when the metavariables its target side adds are;
+    that is tested once per rule, and a case move's replacements one by one.
     """
     registry = env.registry
     moves: list[tuple[Justification, Edits]] = []
@@ -110,8 +99,8 @@ def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
     case_moves: list[tuple[Justification, Edits]] = []
     if env.case_bindings:
         clause = CaseRangeJustification(env.case_bindings)
-        case_moves = [(clause, (((), result),)) for result, _ in _case_results(term, clause, env)
-                      if term_metavars(result, registry) <= scope]
+        case_moves = [(clause, edits) for edits, _ in _case_edits(term, clause)
+                      if all(term_metavars(new, registry) <= scope for _, new in edits)]
     rules = registry.rules
     sites = [(pos, sub, None) for pos, sub in positions(term)]
     for _, group in groupby(rules.matches(sites, rules.moves, env.current_theorem), itemgetter(0)):
@@ -142,33 +131,6 @@ def successor_moves(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
 
 
 # --------------------------------------------------------------- gap search
-
-def _subterm_or_none(term: Term, path: Position) -> Term | None:
-    for i in path:
-        if i >= len(term.args):
-            return None
-        term = term.args[i]
-    return term
-
-
-def _reached(term: Term, edits: Edits, target: Term, fork: Position) -> Term | None:
-    """The result of ``edits`` on ``term`` when it is ``target``, else None.
-
-    ``term`` differs from ``target``, and ``fork`` is their ``_fork``.  One
-    edit at ``p`` then reaches ``target`` exactly when ``p`` is ``fork`` or
-    one of its ancestors and ``target`` holds the replacement at ``p``, so
-    nothing is built unless it does.  A tuple is built only once ``target``
-    holds every replacement at its position, and is then compared whole."""
-    if len(edits) == 1:
-        pos, new = edits[0]
-        if fork[:len(pos)] != pos or subterm_at(target, pos) != new:
-            return None
-        return replace_at(term, pos, new)
-    if any(_subterm_or_none(target, pos) != new for pos, new in edits):
-        return None
-    result = _applied(term, edits)
-    return result if result == target else None
-
 
 def fill_gap(source: Term, target: Term, env: StepEnv,
              budget: SearchBudget | None = None) -> JustifiedChain | None:
@@ -224,8 +186,10 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
 # ------------------------------------------------------------------- repair
 
 def _clause_images(term: Term, just: Justification, env: StepEnv) -> list[Term]:
-    outcomes = clause_results(term, just, env)
-    return list(dict.fromkeys(result for result, _ in outcomes)) if isinstance(outcomes, list) else []
+    outcomes = clause_edits(term, just, env)
+    if not isinstance(outcomes, list):
+        return []
+    return list(dict.fromkeys(_applied(term, edits) for edits, _ in outcomes))
 
 
 def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
@@ -321,7 +285,7 @@ def _repair_body(body: ProofBody, lhs: Term, env: StepEnv, budget: SearchBudget,
         new_cases = []
         for case in body.cases:
             case_env = StepEnv(env.registry, env.case_bindings + case.ranges, env.current_theorem)
-            label = case.label or ", ".join(f"{q.var} ∈ {q.domain.name}" for q in case.ranges)
+            label = case.label or ", ".join(f"{q.var} ∈ {format_type(q.domain)}" for q in case.ranges)
             new_body = _repair_body(case.body, lhs, case_env, budget, path + (label,), inserted, failures)
             new_cases.append(CaseBlock(case.label, case.ranges, case.restated, new_body, case.span))
         return ByCasesProof(body.subjects, body.scrutinee, body.stated_summands, tuple(new_cases))

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, DiagnosticError, Severity, error, warning
 from .rewrite import (
-    StepEnv, apply_substitution, check_justified_step, clause_results, infer_step_justification,
-    _case_sigma,
+    StepEnv, _applied, _case_sigma, apply_substitution, check_justified_step, clause_edits,
+    infer_step_justification,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, LinearProof, ProofBody,
@@ -321,10 +321,11 @@ class _Verification:
         """Accept ``prev → X → step.term`` where the stated case range
         licenses the final hop and a single inferable rewrite covers the
         first; records the insertion like an inferred justification."""
-        outcomes = clause_results(step.term, just, env)
+        outcomes = clause_edits(step.term, just, env)
         if isinstance(outcomes, Diagnostic):
             return False
-        for intermediate, _ in outcomes:
+        for edits, _ in outcomes:
+            intermediate = _applied(step.term, edits)
             inferred = infer_step_justification(prev, intermediate, env)
             if inferred is None:
                 continue

@@ -7,10 +7,16 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from typing import Iterator
+
 from axiotome.rewrite import (
-    Position, RewriteRule, StepEnv, Substitution, apply_substitution, match, positions, replace_at,
+    Position, RewriteRule, RuleSet, RuleSource, StepEnv, Substitution, _case_sigma, _disjoint,
+    apply_substitution, constructor_term, match, positions, replace_at,
 )
-from axiotome.syntax import OperatorDecl, Program, Quantifier, Term, TypeExpr, parse_program
+from axiotome.syntax import (
+    CaseRangeJustification, OperatorDecl, Program, Quantifier, Term, TypeExpr, format_justification,
+    parse_program,
+)
 from axiotome.typesys import Registry, build_registry
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -113,6 +119,67 @@ def _applications(term: Term, rule: RewriteRule) -> list[tuple[Position, Term, S
         if sigma is not None:
             out.append((pos, replace_at(term, pos, apply_substitution(sigma, dst)), sigma))
     return out
+
+
+# The two functions below are the reference enumeration of tuple and
+# case-range clauses: each builds every result term as it goes.
+
+def _tuple_results(prev: Term, names: tuple[str, ...], rules: RuleSet) -> Iterator[tuple[Term, tuple]]:
+    """Simultaneous application of one rewrite per named rule at pairwise
+    disjoint positions; for one name, each single application.  Rules are
+    assigned in listed order; each rule's matches come from
+    ``RuleSet.matches`` on its own ``RuleSet.cited`` index, so every
+    direction mix is tried, forward before backward, leftmost-outermost
+    first."""
+
+    # Positions are enumerated against the original term so that
+    # disjointness and ordering are independent of earlier rewrites.
+    sites = [(pos, sub, None) for pos, sub in positions(prev)]
+    applications = {name: rules.matches(sites, rules.cited[name]) for name in names}
+
+    def stage(term: Term, idx: int, used: list[Position], witness: list) -> Iterator[tuple[Term, tuple]]:
+        if idx == len(names):
+            yield term, tuple(witness)
+            return
+        for _, pos, oriented, sigma, _ in applications[names[idx]]:
+            if any(not _disjoint(pos, u) for u in used):
+                continue
+            witness.append((pos, oriented, dict(sigma)))
+            used.append(pos)
+            yield from stage(replace_at(term, pos, apply_substitution(sigma, oriented.oriented()[1])),
+                             idx + 1, used, witness)
+            used.pop()
+            witness.pop()
+
+    yield from stage(prev, 0, [], [])
+
+
+def _case_results(prev: Term, just: CaseRangeJustification, env: StepEnv) -> list[tuple[Term, tuple]]:
+    """Constant introduction when ``prev`` mentions a bound metavariable,
+    else every elimination assignment.  Only these pass
+    ``check_justified_step``: an introduced term mentions no bound
+    metavariable, so a term that does can only be introduced from."""
+    sigma = _case_sigma(just.bindings)
+    witness = (((), RewriteRule(format_justification(just), RuleSource.CASE_RANGE, prev, prev), sigma),)
+    introduced = apply_substitution(sigma, prev)
+    if introduced != prev:
+        return [(introduced, witness)]
+
+    # Elimination: group the bound metavariables by their constructor term,
+    # then replace every occurrence of each constructor, trying every
+    # apportionment of occurrences over the variables of its group.  The
+    # occurrences are leaves and each group's names distinct, so every
+    # apportionment is a distinct term.
+    groups: dict[Term, dict[str, None]] = {}
+    for q in just.bindings:
+        groups.setdefault(constructor_term(q.domain), {})[q.var] = None
+
+    candidates: list[Term] = [prev]
+    for ctor, vars_ in groups.items():
+        for pos, sub in positions(prev):
+            if sub == ctor:
+                candidates = [replace_at(t, pos, Term(v)) for t in candidates for v in vars_]
+    return [(cand, witness) for cand in candidates if cand != prev]
 
 
 #: Axioms, unfoldings and theorems, with rules under every kind of index key.

@@ -14,6 +14,19 @@ from conftest import BASE_TYPES, BOOL_FNS, CORE, corpus_path, corpus_text
 CORE_PATHS = [str(corpus_path(n)) for n in CORE]
 BOOL_PATHS = [str(corpus_path(n)) for n in BOOL_FNS]
 NOT_PATHS = [str(corpus_path(n)) for n in BASE_TYPES + ["not_function.axm"]]
+BASE_PATHS = [str(corpus_path(n)) for n in BASE_TYPES]
+
+#: A polymorphic sum over two nullary products, and a function over it.
+OPT = """\
+type Nil[A] ≡ Product[]
+type Unit[A] ≡ Product[]
+type Opt[A] ≡ Sum[Nil[A], Unit[A]]
+function g(o: Opt[Boolean]) : Boolean
+  allowing $g°N: g(Nil[Boolean]) ↔ False
+           $g°U: g(Unit[Boolean]) ↔ False
+theorem ¶t: ∀o ∈ Opt[Boolean]: g(o) ↔ False
+proof by cases of o using Opt[Boolean] = Nil[Boolean] U Unit[Boolean]
+"""
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -110,6 +123,18 @@ def test_operator_injection_flag(tmp_path):
     assert ascii_alias[0] == 0
 
 
+def test_case_range_mismatch_shows_type_arguments(tmp_path):
+    source = tmp_path / "opt.axm"
+    source.write_text(OPT + "  case ∀o ∈ Nil[Boolean]:\n"
+                      "    0. g(o)\n    1. g(Nil[Boolean]) via ∀o ∈ Nil[False]\n    2. False via $g°N\n"
+                      "  case ∀o ∈ Unit[Boolean]:\n"
+                      "    0. g(o)\n    1. g(Unit[Boolean]) via ∀o ∈ Unit[Boolean]\n    2. False via $g°U\n",
+                      encoding="utf-8")
+    code, out, _ = run("check", str(source), *BASE_PATHS)
+    assert code == 1
+    assert "step 1: case range binds o ∈ Nil[False], but the enclosing case binds o ∈ Nil[Boolean]" in out
+
+
 # ----------------------------------------------------------------- validate
 
 def test_validate_reports_statement_truth():
@@ -197,6 +222,13 @@ def test_eval_of_a_deep_term_reports_the_budget():
         == (1, "", "error: normalization budget of 2 exhausted\n")
 
 
+def test_validate_names_a_polymorphic_infinite_domain_with_its_arguments(tmp_path):
+    source = tmp_path / "pair.axm"
+    source.write_text("theorem ¶t: ∀p ∈ Pair[Number, Boolean]: p ↔ p\nproof\n  0. p\n", encoding="utf-8")
+    code, out, _ = run("validate", *BASE_PATHS, str(source))
+    assert (code, out) == (0, "¶t: inconclusive (domain Pair[Number, Boolean] is not finite)\n")
+
+
 # --------------------------------------------------------------------- fill
 
 def test_fill_repairs_de_morgan(tmp_path):
@@ -247,6 +279,20 @@ def test_fill_inserts_only_steps_a_via_can_cite(tmp_path):
     assert code == 0
     assert out.splitlines()[:3] == ["¶t: repaired", "  + 1. not(True) via $not°F", "  + 2. False via $not°T"]
     assert run("check", *NOT_PATHS, str(defs), str(target))[0] == 0
+
+
+def test_fill_labels_cases_with_type_arguments(tmp_path):
+    source = tmp_path / "opt.axm"
+    source.write_text(OPT + "  case ∀o ∈ Nil[Boolean]:\n    0. g(o)\n    1. False via $g°N\n"
+                      "  case ∀o ∈ Unit[Boolean]:\n    0. g(o)\n    1. False via $g°U\n", encoding="utf-8")
+    target = tmp_path / "out.axm"
+    code, out, _ = run("fill", str(source), *BASE_PATHS, "-o", str(target))
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "¶t: repaired",
+        "  o ∈ Nil[Boolean] + 1. g(Nil[Boolean]) via ∀o ∈ Nil[Boolean]",
+        "  o ∈ Unit[Boolean] + 1. g(Unit[Boolean]) via ∀o ∈ Unit[Boolean]",
+    ]
 
 
 def test_fill_keeps_the_operator_flags(tmp_path):

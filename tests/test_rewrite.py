@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from axiotome.diagnostics import Diagnostic
 from axiotome.oracle import enumerable_domain, normalize
 from axiotome.rewrite import (
-    Direction, RewriteRule, RuleSource, StepEnv, StepVerdict, _case_sigma, _fork, _unjustified,
-    _validate_case_bindings, apply_substitution, check_justified_step, clause_results,
+    Direction, RewriteRule, RuleSource, StepEnv, StepVerdict, _applied, _case_sigma, _fork,
+    _unjustified, _validate_case_bindings, apply_substitution, check_justified_step, clause_edits,
     infer_step_justification, match, positions, replace_at, resolve_rule, subterm_at,
 )
 from axiotome.search import successor_moves
@@ -22,7 +22,8 @@ from axiotome.syntax import (
 from axiotome.typesys import term_metavars
 
 from conftest import (
-    BOOL_FNS, ENVS, RULE_TERMS, RULES_REGISTRY, _applications, load_program, load_registry,
+    BOOL_FNS, ENVS, RULE_TERMS, RULES_REGISTRY, _applications, _case_results, _tuple_results,
+    load_program, load_registry,
 )
 
 
@@ -93,10 +94,18 @@ def test_match_apply_inverse_over_corpus(bool_registry):
 
 # --------------------------------------------------- single-rule results
 
+def _built(prev, outcomes):
+    """``clause_edits`` outcomes with each move's result built:
+    (result, witness)."""
+    if isinstance(outcomes, Diagnostic):
+        return outcomes
+    return [(_applied(prev, edits), witness) for edits, witness in outcomes]
+
+
 def _single(term, registry, name):
-    """``clause_results`` of the one-name clause ``name`` on ``term``, as
+    """The moves of the one-name clause ``name`` on ``term``, as
     (position, direction, result) per rewrite."""
-    outcomes = clause_results(term, RuleJustification((name,)), StepEnv(registry))
+    outcomes = _built(term, clause_edits(term, RuleJustification((name,)), StepEnv(registry)))
     return [(witness[0][0], witness[0][1].direction, result) for result, witness in outcomes]
 
 
@@ -302,19 +311,27 @@ def test_justified_steps_preserve_boolean_semantics(bool_registry):
 # ------------------------------------------- fork-site checks vs enumeration
 
 def _reference_clause_results(prev, just, env):
-    """``clause_results`` of a one-name clause by ``_applications``: every
-    rewrite of ``prev`` by the rule forward, then backward, each
-    leftmost-outermost, with its witness."""
-    rule = resolve_rule(just.names[0], env)
-    if isinstance(rule, Diagnostic):
-        return rule
-    return [(res, ((pos, oriented, dict(sigma)),)) for oriented in (rule, rule.reversed())
+    """The built ``clause_edits`` of ``just`` on ``prev`` by the reference
+    enumerations, with witnesses: a case range by ``_case_results``, a
+    tuple by ``_tuple_results``, and a single name by ``_applications``,
+    every rewrite of ``prev`` by the rule forward, then backward, each
+    leftmost-outermost."""
+    if isinstance(just, CaseRangeJustification):
+        bad = _validate_case_bindings(just, env)
+        return bad if bad is not None else _case_results(prev, just, env)
+    rules = [resolve_rule(name, env) for name in just.names]
+    bad = next((rule for rule in rules if isinstance(rule, Diagnostic)), None)
+    if bad is not None:
+        return bad
+    if len(rules) > 1:
+        return list(_tuple_results(prev, just.names, env.registry.rules))
+    return [(res, ((pos, oriented, dict(sigma)),)) for oriented in (rules[0], rules[0].reversed())
             for pos, res, sigma in _applications(prev, oriented)]
 
 
 def _reference_check_justified_step(prev, next_term, just, env):
-    """``check_justified_step`` by enumerating every result of the clause,
-    single names through ``_reference_clause_results``."""
+    """``check_justified_step`` by enumerating every result of the clause
+    through ``_reference_clause_results``."""
     if isinstance(just, CaseRangeJustification):
         bad = _validate_case_bindings(just, env)
         if bad is not None:
@@ -325,10 +342,7 @@ def _reference_check_justified_step(prev, next_term, just, env):
             return StepVerdict(True, witness=(((), rule, dict(sigma)),))
         return StepVerdict(False, failure=_unjustified(prev, next_term, just))
 
-    if len(just.names) == 1:
-        outcomes = _reference_clause_results(prev, just, env)
-    else:
-        outcomes = clause_results(prev, just, env)
+    outcomes = _reference_clause_results(prev, just, env)
     if isinstance(outcomes, Diagnostic):
         return StepVerdict(False, failure=outcomes)
     for res, witness in outcomes:
@@ -367,9 +381,10 @@ NAMES = sorted({rule.name for rule in RULES_REGISTRY.rules.rules} | set(RULES_RE
                | {"$nope", "nope"} | {env.current_theorem for env in ENVS if env.current_theorem})
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(RULE_TERMS, st.sampled_from(ENVS), st.data())
-def test_fork_checks_agree_with_enumeration(prev, env, data):
+def _draw_nexts(prev, env, data):
+    """Terms to check a step from ``prev`` to: ``prev`` itself, ``prev``
+    with one subterm replaced by a random term, that term, and one
+    successor move each of ``prev`` and of that term."""
     scope = frozenset({"a", "b"})
     other = data.draw(RULE_TERMS)
     pos, _ = data.draw(st.sampled_from(positions(prev)))
@@ -379,9 +394,16 @@ def test_fork_checks_agree_with_enumeration(prev, env, data):
         moves = successor_moves(source, StepEnv(env.registry, env.case_bindings), scope)
         if moves:
             nexts.append(data.draw(st.sampled_from(moves))[1])
+    return nexts
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS), st.data())
+def test_fork_checks_agree_with_enumeration(prev, env, data):
+    nexts = _draw_nexts(prev, env, data)
     for name in NAMES:
         clause = RuleJustification((name,))
-        assert clause_results(prev, clause, env) == _reference_clause_results(prev, clause, env)
+        assert _built(prev, clause_edits(prev, clause, env)) == _reference_clause_results(prev, clause, env)
     for next_term in nexts:
         for name in NAMES:
             clause = RuleJustification((name,))
@@ -389,6 +411,23 @@ def test_fork_checks_agree_with_enumeration(prev, env, data):
                 == _reference_check_justified_step(prev, next_term, clause, env)
         assert infer_step_justification(prev, next_term, env) \
             == _reference_infer_step_justification(prev, next_term, env)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS), st.lists(st.sampled_from(NAMES), min_size=2, max_size=3), st.data())
+def test_tuple_and_case_edits_agree_with_enumeration(prev, env, names, data):
+    # Tuples of 2-3 names, and each case binding of ``env`` alone, then all
+    # of them.
+    clauses = [RuleJustification(tuple(names))]
+    clauses += [CaseRangeJustification((binding,)) for binding in env.case_bindings]
+    if env.case_bindings:
+        clauses.append(CaseRangeJustification(env.case_bindings))
+    nexts = _draw_nexts(prev, env, data)
+    for clause in clauses:
+        assert _built(prev, clause_edits(prev, clause, env)) == _reference_clause_results(prev, clause, env)
+        for next_term in nexts:
+            assert check_justified_step(prev, next_term, clause, env) \
+                == _reference_check_justified_step(prev, next_term, clause, env)
 
 
 def _nots(k: int, leaf: str) -> Term:
@@ -427,6 +466,14 @@ def test_positions_and_replace_at_reach_depth_5000():
     assert subterm_at(replaced, bottom).head == "True"
     assert subterm_at(replaced, bottom[1:]).head == "not"
     assert subterm_at(deep, bottom).head == "False"
+
+
+def test_subterm_at_is_none_off_the_term():
+    term = t("and(not(False), True)")
+    assert subterm_at(term, (0, 0)) == t("False")
+    assert subterm_at(term, (2,)) is None
+    assert subterm_at(term, (1, 0)) is None
+    assert subterm_at(term, (0, 0, 0)) is None
 
 
 def test_fork_is_the_deepest_position_outside_which_terms_agree():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from axiotome import search
 from axiotome.rewrite import (
-    RuleSource, StepEnv, _case_results, _disjoint, _fork, apply_substitution,
+    RuleSource, StepEnv, _applied, _disjoint, _fork, _reached, apply_substitution,
     check_justified_step, positions, replace_at,
 )
 from axiotome.search import (
@@ -25,7 +25,9 @@ from axiotome.syntax import (
 from axiotome.typesys import term_metavars
 from axiotome.verifier import verify_theorem
 
-from conftest import BOOL_FNS, ENVS, RULE_TERMS, _applications, load_program, load_registry
+from conftest import (
+    BOOL_FNS, ENVS, RULE_TERMS, _applications, _case_results, load_program, load_registry,
+)
 
 
 def t(source: str) -> Term:
@@ -345,6 +347,13 @@ def test_case_moves_introduce_from_a_term_with_bound_variables():
     ]
 
 
+def test_case_elimination_edits_each_occurrence():
+    a, b = t("a"), t("b")
+    edits = [edits for clause, edits in successor_edits(t("and(False, False)"), ENVS[1], SCOPE)
+             if isinstance(clause, CaseRangeJustification)]
+    assert edits == [(((0,), x), ((1,), y)) for x in (a, b) for y in (a, b)]
+
+
 def _eager_successor_moves(term, env, scope):
     """``successor_moves`` with every result built as its match is found,
     and each replacement scope-tested whole."""
@@ -411,7 +420,7 @@ def _reaching_moves(term, goals, env):
     """Check, for every move of ``term`` and every goal other than ``term``,
     that ``fill_gap``'s target test agrees with building the result and
     comparing it; return the (goal, clause, edits) that reach their goal."""
-    moves = [(clause, edits, search._applied(term, edits))
+    moves = [(clause, edits, _applied(term, edits))
              for clause, edits in successor_edits(term, env, SCOPE)]
     hits = []
     for goal in goals:
@@ -419,7 +428,7 @@ def _reaching_moves(term, goals, env):
             continue
         fork = _fork(term, goal)
         for clause, edits, built in moves:
-            reached = search._reached(term, edits, goal, fork)
+            reached = _reached(term, edits, goal, fork)
             if built == goal:
                 assert reached == built and _spans(reached) == _spans(built), (goal, clause, edits)
                 hits.append((goal, clause, edits))
@@ -460,13 +469,25 @@ def test_target_recognition_of_tuples_cases_and_identity_rewrites():
     env = StepEnv(load_registry(*BOOL_FNS, extra=_AND_COMMUTES))
     term = t("and(and(a, a), not(True))")
     identities = [edits for clause, edits in successor_edits(term, env, SCOPE)
-                  if search._applied(term, edits) == term]
+                  if _applied(term, edits) == term]
     assert [edits[0][0] for edits in identities] == [(0,), (0,)]  # forward, backward
     # The identity's position is an ancestor of the fork of ``term`` and the
     # last goal, (0, 1), and it must not be taken for a hop to that goal.
     goals = [t("and(and(a, a), False)"), t("and(not(True), and(a, a))"), t("and(and(a, b), not(True))")]
     hits = _reaching_moves(term, goals, env)
     assert [goal for goal, _, _ in hits] == [goals[0], goals[1], goals[1]]
+
+
+def test_tuple_step_between_equal_terms():
+    # Equal terms have no fork, and the tuple is recognised whole.
+    env = StepEnv(load_registry(*BOOL_FNS, extra=_AND_COMMUTES))
+    term = t("or(and(a, a), and(b, b))")
+    verdict = check_justified_step(term, term, RuleJustification(("andCommutes", "andCommutes")), env)
+    assert verdict.justified
+    assert [(pos, rule.name, rule.direction.value, sigma) for pos, rule, sigma in verdict.witness] == [
+        ((0,), "andCommutes", "forward", {"a": t("a"), "b": t("a")}),
+        ((1,), "andCommutes", "forward", {"a": t("b"), "b": t("b")}),
+    ]
 
 
 # ------------------------------------------------------ layered gap search
