@@ -7,28 +7,26 @@ tries at each subterm only the rules that ``Registry.rules`` indexes under
 its head and first argument.  ``eval`` always reduces this way:
 leftmost-outermost is its specification.
 
-``brute_force_validate`` checks a quantified equivalence by enumerating
-every assignment of inhabitants to the quantified metavariables and
-comparing normal forms, independently of any proof.  Which way it reduces
-depends on the rule set (``RuleSet.orthogonal``):
-
-* orthogonal, linear and non-erasing rules are evaluated bottom-up: each
-  node's normal form is memoized by its head, type arguments and the
-  identities of its children's normal forms, and ``normalize`` reduces only
-  a node whose children are already normal.  Every complete reduction then
-  has the same normal form and length (O'Donnell, *Computing in Systems
-  Described by Equations*, 1977), so the verdicts, step counts and budget
-  exhaustion are those of leftmost-outermost reduction;
-* any other rule set (``if`` erases a branch, a commutativity axiom
-  overlaps the truth table) is reduced by ``normalize`` on the whole
-  substituted term.
+``brute_force_validate`` checks a quantified equivalence on every assignment
+of inhabitants to the quantified metavariables, independently of any proof.
+Where the reductions it reaches are orthogonal (``RuleSet.orthogonal_over``),
+every complete reduction has the same normal form and length (O'Donnell,
+*Computing in Systems Described by Equations*, 1977), so both sides
+are evaluated bottom-up on blocks of assignments at once, with the
+assignments that give each value held as a bit mask (Knuth, *TAOCP* 4A,
+§7.1); elsewhere ``normalize`` reduces each substituted term.  A block
+holds at most ``BLOCK`` assignments and a node at most ``SPREAD`` values;
+where a node's values spread further (a constructor that keeps its
+variables takes one per assignment), the walk goes on in blocks of at
+most ``SPREAD`` assignments, down to one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from math import inf, prod
+from typing import Mapping, Sequence
 
 from .rewrite import Position, RuleIndex, apply_substitution, match, replace_at, rules_at
 from .syntax import SumBody, Term, TypeExpr, format_type
@@ -151,6 +149,23 @@ def normalize(term: Term, registry: Registry, budget: int = DEFAULT_BUDGET) -> N
 #: before their parent and left to right.
 Postfix = list[tuple[str, tuple[TypeExpr, ...], int]]
 
+#: A term's values on a block of assignments, each (id of the normal form,
+#: cumulative steps) or ``EXHAUSTED`` with the mask of the assignments that
+#: give it.
+Partition = dict[tuple[int | None, float], int]
+
+#: The value of a reduction that ran out of budget.
+EXHAUSTED = (None, inf)
+
+#: The most assignments in a block, bit ``i`` standing for its ``i``-th in
+#: product order; no mask outgrows 8 KiB.
+BLOCK = 1 << 16
+
+#: The most values a node may take on a block.  A block where some node
+#: takes more is walked again in blocks of at most ``SPREAD`` assignments,
+#: where no node can, so a partition never holds more than ``SPREAD`` masks.
+SPREAD = 64
+
 
 def _postfix(term: Term) -> Postfix:
     """``term``'s nodes in post-order, walked with an explicit stack."""
@@ -164,83 +179,166 @@ def _postfix(term: Term) -> Postfix:
     return out
 
 
-def _bottom_up(program: Postfix, env: Mapping[str, NormalizationResult], memo: dict,
-               registry: Registry, budget: int) -> NormalizationResult:
-    """Normalize the term ``program`` spells node by node, with each bare
-    metavariable in ``env`` read as the reduced value given there.  A node's
-    normal form is looked up in ``memo`` under its head, type arguments and
-    the identities of its children's normal forms; on a miss ``normalize``
-    reduces the node, whose children are normal, and a result that reached a
-    normal form is stored.  The memo keeps the normal forms its keys name
-    alive.
-
-    Exact only for an orthogonal rule set: steps are summed over the tree,
-    and the budget is exhausted once the total reaches it, as in
-    ``normalize``.  An exhausted result holds the subterm being reduced."""
-    values: list[Term] = []
-    steps = 0
+def _bottom_up(program: Postfix, leaves: Mapping[str, Partition], full: int, memo: dict,
+               forms: dict, registry: Registry, budget: int) -> Partition | None:
+    """The values of the term ``program`` spells on the block ``full``, with
+    a bare metavariable in ``leaves`` taking the values given there, or
+    ``None`` once a node's children meet in more than ``SPREAD`` ways.  Any
+    other node is reduced once per combination of its children's values
+    whose masks meet: by ``memo``, keyed by its head, type arguments and the
+    ids of its children's normal forms, or else by ``normalize`` with the
+    budget they left.  ``forms`` holds each normal form reached by its id,
+    one object per value: a node that is normal is made from its key, and a
+    reduct is walked again to find the object its nodes make, so ids compare
+    normal forms without hashing a term."""
+    values: list[Partition] = []
+    first = 0  # the lowest assignment out of budget; no later one can decide the verdict, so they are dropped
     for head, type_args, arity in program:
-        result = None if arity or type_args else env.get(head)
-        if result is None:
-            children = values[len(values) - arity:]
-            del values[len(values) - arity:]
-            key = (head, type_args, *map(id, children))
-            result = memo.get(key)
-            if result is None:
-                result = normalize(Term(head, type_args, tuple(children)), registry, budget - steps)
-                if not result.exhausted_budget:
-                    memo[key] = result
-        steps += result.steps
-        if steps >= budget:
-            return NormalizationResult(result.normal_form, max(budget, 0), True)
-        values.append(result.normal_form)
-    return NormalizationResult(values[0], steps, False)
+        if not (arity or type_args) and head in leaves:
+            values.append(leaves[head])
+            continue
+        combos = [(full & (2 * first - 1), 0, ())]  # (mask, steps, normal forms' ids) of the children so far
+        children = values[len(values) - arity:]
+        del values[len(values) - arity:]
+        for child in children:
+            combos = [(meet, steps + s, ids + (i,))
+                      for mask, steps, ids in combos for (i, s), m in child.items() if (meet := mask & m)]
+            if len(combos) > SPREAD:
+                return None
+        part: Partition = {}
+        for mask, steps, ids in combos:
+            value = EXHAUSTED
+            if steps < budget:
+                key = (head, type_args, *ids)
+                hit = memo.get(key)
+                if hit is None:
+                    result = normalize(Term(head, type_args, tuple(map(forms.get, ids))), registry, budget - steps)
+                    hit, nf = EXHAUSTED, result.normal_form
+                    if not result.exhausted_budget:
+                        if result.steps and id(nf) not in forms:  # a new reduct: its nodes are looked up
+                            [(form, _)] = _bottom_up(_postfix(nf), {}, 1, memo, forms, registry, 1)
+                            nf = forms[form]
+                        forms[id(nf)] = nf
+                        hit = memo[key] = id(nf), result.steps
+                if steps + hit[1] < budget:
+                    value = hit[0], steps + hit[1]
+            if value is EXHAUSTED:
+                first = mask & -mask
+            part[value] = part.get(value, 0) | mask
+        values.append(part)
+    return values[0]
 
 
-def evaluator(terms: Sequence[Term], registry: Registry, budget: int = DEFAULT_BUDGET) \
-        -> Callable[[Mapping[str, Term]], list[NormalizationResult]]:
-    """The function that reduces ``sigma(term)`` for each of ``terms``, given
-    an assignment ``sigma``, as ``brute_force_validate`` does: bottom-up with
-    one memo for every call of the function if the rule set is orthogonal,
-    else by ``normalize`` of the substituted terms."""
-    if not registry.rules.orthogonal:
-        return lambda sigma: [normalize(apply_substitution(sigma, t), registry, budget) for t in terms]
-    memo: dict = {}
-    programs = [_postfix(t) for t in terms]
-    reduced: dict[int, tuple[Term, NormalizationResult]] = {}  # holding the value keeps its id unique
+def _walker(names: list[str], domains: list[tuple[Term, ...]], programs: list[Postfix], assignments: int,
+            memo: dict, forms: dict, registry: Registry, budget: int):
+    """``(split, walk)``: the variables from ``split`` on, whose domains
+    have at most ``SPREAD`` inhabitants each and at most ``assignments`` in
+    product, vary within a block, and ``walk(fixed)`` gives the values of
+    ``programs`` on the block that fixes the others to ``fixed`` (``None``
+    if a node spreads).  Digit ``c`` of a varying variable is set on the
+    ``c``-th run of ``stride`` bits in every period of its domain size times
+    ``stride``; inhabitants are reduced by the same walk."""
+    sizes = [len(dom) for dom in domains]
+    split = next(j for j in range(len(sizes) + 1)
+                 if max(sizes[j:], default=0) <= SPREAD and prod(sizes[j:]) <= assignments)
+    size = prod(sizes[split:])
+    full, leaves, held = (1 << size) - 1, {}, {}
 
-    def evaluate(sigma: Mapping[str, Term]) -> list[NormalizationResult]:
-        env = {}
-        for var, t in sigma.items():
-            hit = reduced.get(id(t))
-            if hit is None:
-                hit = reduced[id(t)] = t, _bottom_up(_postfix(t), {}, memo, registry, budget)
-            env[var] = hit[1]
-        return [_bottom_up(program, env, memo, registry, budget) for program in programs]
+    def leaf(inhabitants, masks) -> Partition:
+        part: Partition = {}
+        for c, m in zip(inhabitants, masks):
+            for value, mask in _bottom_up(_postfix(c), {}, m, memo, forms, registry, budget).items():
+                part[value] = part.get(value, 0) | mask
+        return part
 
-    return evaluate
+    for j in range(split, len(sizes)):
+        stride = prod(sizes[j + 1:])
+        zero, width = (1 << stride) - 1, stride * sizes[j]
+        while width < size:
+            zero |= zero << width
+            width *= 2
+        leaves[names[j]] = leaf(domains[j], [zero << c * stride & full for c in range(sizes[j])])
+
+    def walk(fixed: tuple[Term, ...]) -> list[Partition] | None:
+        for var, c in zip(names, fixed):  # a fixed inhabitant is reduced once, held by its id as domains hold it
+            leaves[var] = held.get(id(c)) or held.setdefault(id(c), leaf((c,), (full,)))
+        values = [_bottom_up(program, leaves, full, memo, forms, registry, budget) for program in programs]
+        return None if None in values else values
+
+    return split, walk
+
+
+def _blocks(names: list[str], domains: list[tuple[Term, ...]], terms: Sequence[Term],
+            registry: Registry, budget: int, forms: dict):
+    """Each block of assignments in product order, as the inhabitants of its
+    leading variables and the values of ``terms`` on it, reduced bottom-up:
+    exact where the reductions they reach are orthogonal.  Blocks hold up
+    to ``BLOCK`` assignments until a node spreads, and up to ``SPREAD``
+    from that block on.  ``forms`` gathers the normal forms that the
+    partitions name by id."""
+    programs, memo = [_postfix(t) for t in terms], {}
+    split, walk = _walker(names, domains, programs, BLOCK, memo, forms, registry, budget)
+    prefixes = itertools.product(*domains[:split])
+    for fixed in prefixes:
+        values = walk(fixed)
+        if values is None:
+            break
+        yield fixed, values
+    else:
+        return
+    finer, walk = _walker(names, domains, programs, SPREAD, memo, forms, registry, budget)
+    for fixed in itertools.chain([fixed], prefixes):
+        for rest in itertools.product(*domains[split:finer]):
+            yield (*fixed, *rest), walk((*fixed, *rest))
+
+
+def _by_form(part: Partition) -> dict[int | None, int]:
+    """The union of ``part``'s masks for each normal form, ``None`` for
+    ``EXHAUSTED``."""
+    out: dict[int | None, int] = {}
+    for (form, _), mask in part.items():
+        out[form] = out.get(form, 0) | mask
+    return out
 
 
 # --------------------------------------------------------------- validation
 
 def brute_force_validate(quantifiers: Sequence[tuple[str, TypeExpr]], lhs: Term, rhs: Term,
                          registry: Registry, budget: int = DEFAULT_BUDGET) -> ValidationVerdict:
-    """Check ``lhs ↔ rhs`` over every assignment of inhabitants to the
-    quantified metavariables.  Counterexamples are reported for the
-    lexicographically first failing assignment."""
+    """Check ``lhs ↔ rhs`` on every assignment of inhabitants to the
+    quantified metavariables.  The first failing one in product order is the
+    counterexample, unless a side runs out of budget there or earlier."""
     domains = []
     for var, ty in quantifiers:
         dom = enumerable_domain(ty, registry)
         if not dom.finite:
             return ValidationVerdict("inconclusive", reason=f"domain {format_type(ty)} is not finite")
-        domains.append((var, dom.inhabitants))
-    names = [var for var, _ in domains]
-    evaluate = evaluator((lhs, rhs), registry, budget)
-    for combo in itertools.product(*(inh for _, inh in domains)):
-        sigma = dict(zip(names, combo))
-        left, right = evaluate(sigma)
-        if left.exhausted_budget or right.exhausted_budget:
-            return ValidationVerdict("inconclusive", reason="normalization budget exhausted")
-        if left.normal_form != right.normal_form:
-            return ValidationVerdict("invalid", counterexample=sigma)
+        domains.append(dom.inhabitants)
+    names = [var for var, _ in quantifiers]
+    reached = {head for term in (lhs, rhs, *itertools.chain(*domains)) for head, _, _ in _postfix(term)}
+    if not registry.rules.orthogonal_over(reached):
+        for combo in itertools.product(*domains):
+            sigma = dict(zip(names, combo))
+            left, right = (normalize(apply_substitution(sigma, side), registry, budget) for side in (lhs, rhs))
+            if left.exhausted_budget or right.exhausted_budget:
+                return ValidationVerdict("inconclusive", reason="normalization budget exhausted")
+            if left.normal_form != right.normal_form:
+                return ValidationVerdict("invalid", counterexample=sigma)
+        return ValidationVerdict("valid")
+    for fixed, sides in _blocks(names, domains, (lhs, rhs), registry, budget, {}):
+        left, right = map(_by_form, sides)
+        exhausted = left.pop(None, 0) | right.pop(None, 0)
+        same = 0
+        for form, mask in left.items():
+            same |= mask & right.get(form, 0)
+        # Each side's masks are disjoint, so their sum is their union.
+        failed = exhausted | sum(left.values()) & sum(right.values()) & ~same
+        if failed:
+            first = failed & -failed
+            if first & exhausted:
+                return ValidationVerdict("inconclusive", reason="normalization budget exhausted")
+            index = first.bit_length() - 1  # in mixed radix over the trailing domains
+            digits = [dom[index // prod(map(len, domains[j + 1:])) % len(dom)]
+                      for j, dom in enumerate(domains) if j >= len(fixed)]
+            return ValidationVerdict("invalid", counterexample=dict(zip(names, (*fixed, *digits))))
     return ValidationVerdict("valid")

@@ -46,7 +46,7 @@ from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .diagnostics import Diagnostic, error
 from .syntax import (
@@ -395,17 +395,11 @@ class RuleSet:
     formulaic unfoldings, then theorems.  ``named`` maps the names a ``via``
     can cite to rules; a theorem named like a function is not citable, as
     the name denotes the function (see ``resolve_rule``).  ``reductions``
-    indexes the forward axioms and unfoldings; ``moves`` indexes each
-    direction of a citable rule whose match determines its result.
-    ``orthogonal`` tells whether the reductions are orthogonal, linear and
-    non-erasing, so that the order of reduction cannot change a term's
-    normal form, its step count or whether a budget runs out."""
+    indexes the forward axioms and unfoldings."""
 
     rules: tuple[RewriteRule, ...]
     named: Mapping[str, RewriteRule]
     reductions: RuleIndex
-    moves: RuleIndex
-    orthogonal: bool
 
     @classmethod
     def of(cls, registry: Registry) -> RuleSet:
@@ -421,9 +415,14 @@ class RuleSet:
         named = {rule.name: rule for rule in rules
                  if rule.source is not RuleSource.THEOREM or rule.name not in registry.functions}
         reductions = [(i, rule) for i, rule in enumerate(rules) if rule.source is not RuleSource.THEOREM]
-        moves = [move for i, rule in enumerate(rules) if named.get(rule.name) is rule for move in _moves(i, rule)]
-        return cls(tuple(rules), MappingProxyType(named), MappingProxyType(_index(reductions)),
-                   MappingProxyType(_index(moves)), _orthogonal([rule for _, rule in reductions]))
+        return cls(tuple(rules), MappingProxyType(named), MappingProxyType(_index(reductions)))
+
+    @cached_property
+    def moves(self) -> RuleIndex:
+        """Each direction of a citable rule whose match determines its
+        result, built on first use: validation never moves."""
+        return MappingProxyType(_index([move for i, rule in enumerate(self.rules)
+                                        if self.named.get(rule.name) is rule for move in _moves(i, rule)]))
 
     @cached_property
     def cited(self) -> Mapping[str, RuleIndex]:
@@ -432,6 +431,29 @@ class RuleSet:
         validation never cites."""
         return MappingProxyType({rule.name: _index(_moves(i, rule)) for i, rule in enumerate(self.rules)
                                  if self.named.get(rule.name) is rule})
+
+    def orthogonal_over(self, heads: Iterable[str]) -> bool:
+        """Are the reductions that can fire on a term built from ``heads``,
+        or on a term it reduces to, orthogonal, linear and non-erasing
+        (``_orthogonal``)?  Then the order of reduction cannot change such a
+        term's normal form, its step count or whether a budget runs out.  A
+        reduction can fire once the head of its left-hand side is reached:
+        one of ``heads``, or a head of a right-hand side that can fire.  A
+        bare-metavariable left-hand side fires anywhere."""
+        by_head: dict[str | None, list[RewriteRule]] = {}
+        for rule in self.rules:
+            if rule.source is not RuleSource.THEOREM:
+                by_head.setdefault(None if _is_var(rule.lhs, rule.metavars) else rule.lhs.head, []).append(rule)
+        reached: list[RewriteRule] = []
+        todo, seen = [None, *heads], set()
+        while todo:
+            head = todo.pop()
+            if head not in seen:
+                seen.add(head)
+                for rule in by_head.get(head, ()):
+                    reached.append(rule)
+                    todo.extend(sub.head for _, sub in positions(rule.rhs))
+        return _orthogonal(reached)
 
     def matches(self, sites: list[Site], index: RuleIndex, exclude: str | None = None) \
             -> list[tuple[int, Position, RewriteRule, Substitution, Term | None]]:

@@ -7,15 +7,19 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from typing import Iterator
+from itertools import product
+from typing import Callable, Iterator, Mapping, Sequence
 
+from axiotome.oracle import (
+    DEFAULT_BUDGET, NormalizationResult, Postfix, ValidationVerdict, _postfix, enumerable_domain, normalize,
+)
 from axiotome.rewrite import (
-    Position, RewriteRule, RuleSet, RuleSource, StepEnv, Substitution, _case_sigma, _disjoint,
+    Position, RewriteRule, RuleSet, RuleSource, StepEnv, Substitution, _case_sigma, _disjoint, _orthogonal,
     apply_substitution, constructor_term, match, positions, replace_at,
 )
 from axiotome.syntax import (
     CaseRangeJustification, OperatorDecl, Program, Quantifier, Term, TypeExpr, format_justification,
-    parse_program,
+    format_type, parse_program,
 )
 from axiotome.typesys import Registry, build_registry
 
@@ -180,6 +184,88 @@ def _case_results(prev: Term, just: CaseRangeJustification, env: StepEnv) -> lis
             if sub == ctor:
                 candidates = [replace_at(t, pos, Term(v)) for t in candidates for v in vars_]
     return [(cand, witness) for cand in candidates if cand != prev]
+
+
+# The per-assignment reference for brute-force validation: ``_bottom_up`` and
+# ``evaluator`` as the oracle had them before it evaluated sets of
+# assignments, with orthogonality decided once for the whole registry.
+
+def _bottom_up(program: Postfix, env: Mapping[str, NormalizationResult], memo: dict,
+               registry: Registry, budget: int) -> NormalizationResult:
+    """Normalize the term ``program`` spells node by node, with each bare
+    metavariable in ``env`` read as the reduced value given there.  A node's
+    normal form is looked up in ``memo`` under its head, type arguments and
+    the identities of its children's normal forms; on a miss ``normalize``
+    reduces the node, whose children are normal, and a result that reached a
+    normal form is stored.  The memo keeps the normal forms its keys name
+    alive.
+
+    Exact only for an orthogonal rule set: steps are summed over the tree,
+    and the budget is exhausted once the total reaches it, as in
+    ``normalize``.  An exhausted result holds the subterm being reduced."""
+    values: list[Term] = []
+    steps = 0
+    for head, type_args, arity in program:
+        result = None if arity or type_args else env.get(head)
+        if result is None:
+            children = values[len(values) - arity:]
+            del values[len(values) - arity:]
+            key = (head, type_args, *map(id, children))
+            result = memo.get(key)
+            if result is None:
+                result = normalize(Term(head, type_args, tuple(children)), registry, budget - steps)
+                if not result.exhausted_budget:
+                    memo[key] = result
+        steps += result.steps
+        if steps >= budget:
+            return NormalizationResult(result.normal_form, max(budget, 0), True)
+        values.append(result.normal_form)
+    return NormalizationResult(values[0], steps, False)
+
+
+def evaluator(terms: Sequence[Term], registry: Registry, budget: int = DEFAULT_BUDGET) \
+        -> Callable[[Mapping[str, Term]], list[NormalizationResult]]:
+    """The function that reduces ``sigma(term)`` for each of ``terms``, given
+    an assignment ``sigma``, as ``brute_force_validate`` does: bottom-up with
+    one memo for every call of the function if the rule set is orthogonal,
+    else by ``normalize`` of the substituted terms."""
+    if not _orthogonal([rule for rule in registry.rules.rules if rule.source is not RuleSource.THEOREM]):
+        return lambda sigma: [normalize(apply_substitution(sigma, t), registry, budget) for t in terms]
+    memo: dict = {}
+    programs = [_postfix(t) for t in terms]
+    reduced: dict[int, tuple[Term, NormalizationResult]] = {}  # holding the value keeps its id unique
+
+    def evaluate(sigma: Mapping[str, Term]) -> list[NormalizationResult]:
+        env = {}
+        for var, t in sigma.items():
+            hit = reduced.get(id(t))
+            if hit is None:
+                hit = reduced[id(t)] = t, _bottom_up(_postfix(t), {}, memo, registry, budget)
+            env[var] = hit[1]
+        return [_bottom_up(program, env, memo, registry, budget) for program in programs]
+
+    return evaluate
+
+
+def reference_validate(quantifiers: Sequence[tuple[str, TypeExpr]], lhs: Term, rhs: Term,
+                       registry: Registry, budget: int = DEFAULT_BUDGET) -> ValidationVerdict:
+    """``brute_force_validate`` one assignment at a time, over ``evaluator``."""
+    domains = []
+    for var, ty in quantifiers:
+        dom = enumerable_domain(ty, registry)
+        if not dom.finite:
+            return ValidationVerdict("inconclusive", reason=f"domain {format_type(ty)} is not finite")
+        domains.append((var, dom.inhabitants))
+    names = [var for var, _ in domains]
+    evaluate = evaluator((lhs, rhs), registry, budget)
+    for combo in product(*(inh for _, inh in domains)):
+        sigma = dict(zip(names, combo))
+        left, right = evaluate(sigma)
+        if left.exhausted_budget or right.exhausted_budget:
+            return ValidationVerdict("inconclusive", reason="normalization budget exhausted")
+        if left.normal_form != right.normal_form:
+            return ValidationVerdict("invalid", counterexample=sigma)
+    return ValidationVerdict("valid")
 
 
 #: Axioms, unfoldings and theorems, with rules under every kind of index key.

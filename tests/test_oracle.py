@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,14 +13,14 @@ from hypothesis import strategies as st
 
 from axiotome import oracle
 from axiotome.oracle import (
-    DEFAULT_BUDGET, NormalizationResult, brute_force_validate, enumerable_domain, evaluator, normalize,
+    DEFAULT_BUDGET, NormalizationResult, brute_force_validate, enumerable_domain, normalize,
 )
 from axiotome.rewrite import apply_substitution, match, replace_at, subterm_at
 from axiotome.syntax import FormulaicBody, Term, TypeExpr, parse_program, parse_term
 from axiotome.typesys import build_registry
 from axiotome.verifier import effective_quantifiers
 
-from conftest import BASE_TYPES, BOOL_FNS, MIXED_RULES, load_program, load_registry, terms
+from conftest import BASE_TYPES, BOOL_FNS, MIXED_RULES, load_program, load_registry, reference_validate, terms
 
 
 def t(source: str) -> Term:
@@ -298,57 +300,109 @@ def test_normalize_finds_a_redex_at_depth_1500(bool_registry):
 SPIN = "function spin(b: Boolean) : Boolean\n  allowing $spin: spin(b) ↔ spin(spin(b))\n"
 
 #: Registries whose reduction rules are, and are not, orthogonal, linear and
-#: non-erasing, each with the first rule property it breaks.
+#: non-erasing where the head given is reached, each with the first rule
+#: property it breaks.
 RULE_SETS = {
-    "booleans": (load_registry(*BOOL_FNS), True),
-    "doubleNegation": (load_registry(*BOOL_FNS, "double_negation_function.axm"), True),
-    "spin": (load_registry(*BOOL_FNS, extra=SPIN), True),
-    "if erases a branch": (load_registry(*BOOL_FNS, "double_negation_function.axm", "if_function.axm"), False),
+    "booleans": (load_registry(*BOOL_FNS), "or", True),
+    "doubleNegation": (load_registry(*BOOL_FNS, "double_negation_function.axm"), "doubleNegation", True),
+    "spin": (load_registry(*BOOL_FNS, extra=SPIN), "spin", True),
+    "if erases a branch": (load_registry(*BOOL_FNS, "double_negation_function.axm", "if_function.axm"), "if",
+                           False),
     "commutativity overlaps the truth table": (load_registry(*BASE_TYPES, extra=(
         "function and(a: Boolean, b: Boolean) : Boolean\n"
         "  allowing $and°FF: and(False, False) ↔ False\n"
-        "           $and°C: and(a, b) ↔ and(b, a)\n")), False),
+        "           $and°C: and(a, b) ↔ and(b, a)\n")), "and", False),
     "not left-linear": (load_registry(*BASE_TYPES, extra=(
-        "function eq(a: Boolean, b: Boolean) : Boolean\n  allowing $eq: eq(a, a) ↔ True\n")), False),
+        "function eq(a: Boolean, b: Boolean) : Boolean\n  allowing $eq: eq(a, a) ↔ True\n")), "eq", False),
     "duplicating": (load_registry(*BOOL_FNS, extra=(
-        "function dup(a: Boolean) : Boolean\n  allowing $dup: dup(a) ↔ and(a, a)\n")), False),
+        "function dup(a: Boolean) : Boolean\n  allowing $dup: dup(a) ↔ and(a, a)\n")), "dup", False),
     "overlaps itself below the root": (load_registry(*BASE_TYPES, extra=(
-        "function twice(b: Boolean) : Boolean\n  allowing $twice: twice(twice(b)) ↔ b\n")), False),
+        "function twice(b: Boolean) : Boolean\n  allowing $twice: twice(twice(b)) ↔ b\n")), "twice", False),
 }
 
 
 @pytest.mark.parametrize("name", RULE_SETS)
 def test_orthogonality_is_decided_once_per_rule_set(name):
-    registry, orthogonal = RULE_SETS[name]
-    assert registry.rules.orthogonal is orthogonal
+    # Decided per theorem, over the reductions its heads can reach: a rule
+    # that breaks orthogonality counts only where its head is reached.
+    registry, head, orthogonal = RULE_SETS[name]
+    assert registry.rules.orthogonal_over({head, "a", "False"}) is orthogonal
+    assert registry.rules.orthogonal_over({"a", "False", "True"})
+
+
+def test_orthogonality_follows_right_hand_sides():
+    registry = load_registry(*BOOL_FNS, "if_function.axm", extra=(
+        "function choose(c: Boolean) : Boolean ≡ if(c, True, False)\n"
+        "function negate(c: Boolean) : Boolean ≡ not(c)\n"))
+    assert registry.rules.orthogonal_over({"negate", "and"})
+    assert not registry.rules.orthogonal_over({"choose"})
+    anywhere = load_registry(*BOOL_FNS, extra=(
+        "function wrap(b: Boolean) : Boolean\n  allowing $wrap: b ↔ wrap(b)\n"))
+    assert not anywhere.rules.orthogonal_over({"False"})  # a bare left-hand side matches every head
 
 
 EVALUATED_REGISTRIES = [RULE_SETS[name][0] for name in ("booleans", "doubleNegation", "spin", "if erases a branch")]
 EVALUATED_HEADS = {"not": 1, "and": 2, "or": 2, "if": 3, "doubleNegation": 1, "spin": 1}
+BUDGETS = st.one_of(st.integers(0, 20), st.just(DEFAULT_BUDGET))
+BOOLEAN = TypeExpr("Boolean")
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(terms(EVALUATED_HEADS, ("False", "True", "a")), st.one_of(st.integers(0, 20), st.just(DEFAULT_BUDGET)))
+@given(terms(EVALUATED_HEADS, ("False", "True", "a")), BUDGETS)
 @example(t("and(not(a), spin(False))"), 5)  # ``spin(False)`` alone has a step more to go
 @example(t("if(True, a, not(False))"), DEFAULT_BUDGET)  # leftmost-outermost erases the redex
 def test_validation_evaluator_agrees_with_reference(term, budget):
-    # One evaluator per registry reduces the term and its arguments under two
-    # assignments, so later results read the memo of earlier ones, including
-    # those that ran out of budget.
+    # One block walks the term and its arguments over both values of ``a``
+    # with one memo, so later walks read the memo of earlier ones, including
+    # those that ran out of budget.  A walk stops at the first assignment
+    # that runs out of budget: the values of later ones are not checked.
     subjects = [term, *term.args]
+    programs = [oracle._postfix(subject) for subject in subjects]
+    heads = {head for program in programs for head, _, _ in program}
     for registry in EVALUATED_REGISTRIES:
-        evaluate = evaluator(subjects, registry, budget)
-        for value in ("False", "True"):
-            sigma = {"a": Term(value)}
-            for got, subject in zip(evaluate(sigma), subjects):
+        if not registry.rules.orthogonal_over(heads):
+            continue  # validated by ``normalize`` of each substituted term
+        forms: dict = {}
+        [(fixed, results)] = oracle._blocks(["a"], [(t("False"), t("True"))], subjects, registry, budget, forms)
+        assert not fixed
+        for partition, subject in zip(results, subjects):
+            for bit, value in enumerate(("False", "True")):
+                sigma = {"a": Term(value)}
                 want = _reference_normalize(apply_substitution(sigma, subject), registry, budget, innermost=False)
-                assert got.exhausted_budget == want.exhausted_budget
-                if not want.exhausted_budget:
-                    assert (got.normal_form, got.steps) == (want.normal_form, want.steps)
+                got = [(forms.get(form), steps) for (form, steps), mask in partition.items() if mask >> bit & 1]
+                assert got == [oracle.EXHAUSTED if want.exhausted_budget else (want.normal_form, want.steps)]
+                if want.exhausted_budget:
+                    break
+
+
+VARIABLES = "abcde"
+
+
+@st.composite
+def identities(draw):
+    names = VARIABLES[:draw(st.integers(1, len(VARIABLES)))]
+    side = terms(EVALUATED_HEADS, ("False", "True", *names))
+    return [(v, BOOLEAN) for v in names], draw(side), draw(side)
+
+
+@pytest.mark.parametrize("spread", [2, oracle.SPREAD])
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(identities(), BUDGETS)
+@example(([("a", BOOLEAN), ("b", BOOLEAN)], t("and(a, spin(b))"), t("a")), 30)
+@example(([("a", BOOLEAN)], t("if(a, a, not(a))"), t("True")), DEFAULT_BUDGET)
+@example(([("a", BOOLEAN), ("a", BOOLEAN)], t("and(a, True)"), t("not(a)")), DEFAULT_BUDGET)  # the later ``a`` wins
+def test_validation_agrees_with_per_assignment_reference(spread, identity, budget):
+    # At ``SPREAD`` 2 most identities spread and are walked again in blocks
+    # of at most two assignments.
+    quantifiers, lhs, rhs = identity
+    with mock.patch.object(oracle, "SPREAD", spread):
+        for registry in EVALUATED_REGISTRIES:
+            assert brute_force_validate(quantifiers, lhs, rhs, registry, budget) \
+                == reference_validate(quantifiers, lhs, rhs, registry, budget)
 
 
 def test_deep_term_validates_bottom_up(bool_registry):
-    assert bool_registry.rules.orthogonal
+    assert bool_registry.rules.orthogonal_over({"not", "a"})
     deep = Term("a")
     for _ in range(5000):
         deep = Term("not", (), (deep,))
@@ -356,9 +410,18 @@ def test_deep_term_validates_bottom_up(bool_registry):
     assert verdict.status == "valid"
 
 
-def test_memoized_validation_reduces_few_nodes(bool_registry, monkeypatch):
+def _reassociation(names: str) -> tuple[list[tuple[str, TypeExpr]], Term, Term]:
+    """``a ∧ b ∧ …`` nested to the left, and the same nested to the right."""
+    left, right = Term(names[0]), Term(names[-1])
+    for x, y in zip(names[1:], reversed(names[:-1])):
+        left, right = Term("and", (), (left, Term(x))), Term("and", (), (Term(y), right))
+    return [(v, BOOLEAN) for v in names], left, right
+
+
+def test_memoized_validation_reduces_few_nodes(bool_registry, full_registry, monkeypatch):
     # Whole-term normalization calls ``normalize`` twice per assignment, 8192
     # times here; bottom-up, it reduces only nodes the memo has not seen.
+    # ``if`` erases a branch, but this theorem never reaches it.
     calls = []
 
     def counting(*args):
@@ -366,10 +429,126 @@ def test_memoized_validation_reduces_few_nodes(bool_registry, monkeypatch):
         return normalize(*args)
 
     monkeypatch.setattr(oracle, "normalize", counting)
-    names = "abcdefghijkl"
-    left, right = Term(names[0]), Term(names[-1])
-    for x, y in zip(names[1:], reversed(names[:-1])):
-        left, right = Term("and", (), (left, Term(x))), Term("and", (), (Term(y), right))
-    quantifiers = [(v, TypeExpr("Boolean")) for v in names]
-    assert brute_force_validate(quantifiers, left, right, bool_registry).status == "valid"
-    assert 0 < len(calls) <= 48
+    for registry in (bool_registry, full_registry):
+        calls.clear()
+        assert brute_force_validate(*_reassociation("abcdefghijkl"), registry).status == "valid"
+        assert 0 < len(calls) <= 48
+
+
+# ------------------------------------------------------ assignment masks
+
+PAIR = TypeExpr("Pair", (BOOLEAN, BOOLEAN))
+
+
+def test_ground_theorem_is_refuted_by_the_empty_assignment(bool_registry):
+    assert brute_force_validate([], t("not(False)"), t("False"), bool_registry) \
+        == oracle.ValidationVerdict("invalid", counterexample={})
+
+
+@pytest.mark.parametrize("spread", [2, oracle.SPREAD])
+@pytest.mark.parametrize("block", [1, 2, 8, oracle.BLOCK])
+def test_counterexample_is_decoded_in_mixed_radix(bool_registry, monkeypatch, block, spread):
+    # ``Pair[Boolean, Boolean]`` has four inhabitants.  ``Pair(b, b)`` is
+    # ``p`` for one of them, whatever ``c`` is, so the first failure is at
+    # digits (0, 1, 0): on the block's bits, or on the blocks, or both.
+    # With ``SPREAD`` at 2, ``p`` has too many inhabitants to vary in a block.
+    monkeypatch.setattr(oracle, "BLOCK", block)
+    monkeypatch.setattr(oracle, "SPREAD", spread)
+    quantifiers = [("b", BOOLEAN), ("p", PAIR), ("c", BOOLEAN)]
+    lhs = Term("Pair", PAIR.args, (t("b"), t("b")))
+    verdict = brute_force_validate(quantifiers, lhs, t("p"), bool_registry)
+    assert verdict == reference_validate(quantifiers, lhs, t("p"), bool_registry)
+    assert verdict.counterexample == {"b": t("False"), "p": Term("Pair", PAIR.args, (t("False"), t("True"))),
+                                      "c": t("False")}
+
+
+@pytest.mark.parametrize("block", [1, oracle.BLOCK])
+def test_empty_domain_has_no_assignment(monkeypatch, block):
+    # Leading (one assignment per block) or trailing, an empty domain leaves
+    # no assignment to refute the identity.
+    monkeypatch.setattr(oracle, "BLOCK", block)
+    registry = load_registry(*BOOL_FNS, extra="type Void ≡ Sum[]\n")
+    for quantifiers in ([("b", BOOLEAN), ("x", TypeExpr("Void"))], [("x", TypeExpr("Void")), ("b", BOOLEAN)]):
+        assert brute_force_validate(quantifiers, t("not(b)"), t("b"), registry).status == "valid"
+
+
+def test_validation_builds_no_move_index():
+    registry = load_registry(*BOOL_FNS)
+    assert brute_force_validate([("a", BOOLEAN)], t("not(not(a))"), t("a"), registry).status == "valid"
+    assert not {"moves", "cited"} & set(vars(registry.rules))
+
+
+def test_first_counterexample_is_in_a_later_block(bool_registry):
+    # 18 variables: the last 16 fill a block, and the blocks fix ``x0, x1``
+    # in product order.  The block (True, True) fails at its first bit, but
+    # (True, False) comes first and fails at its second.
+    names = [f"x{i}" for i in range(18)]
+    lhs = t(f"and(x0, or(x1, {names[-1]}))")
+    verdict = brute_force_validate([(v, BOOLEAN) for v in names], lhs, t("False"), bool_registry)
+    assert verdict.status == "invalid"
+    assert verdict.counterexample == {v: t("True" if v in ("x0", names[-1]) else "False") for v in names}
+
+
+def _nest(leaves: list[Term]) -> tuple[Term, TypeExpr]:
+    """``leaves`` of type ``Boolean`` paired up into a balanced tree, and its type."""
+    if len(leaves) == 1:
+        return leaves[0], BOOLEAN
+    (left, left_ty), (right, right_ty) = _nest(leaves[:len(leaves) // 2]), _nest(leaves[len(leaves) // 2:])
+    return Term("Pair", (left_ty, right_ty), (left, right)), TypeExpr("Pair", (left_ty, right_ty))
+
+
+@pytest.mark.parametrize("spread", [2, 4, oracle.SPREAD])
+def test_spreading_values_are_walked_in_small_blocks(bool_registry, monkeypatch, spread):
+    # A nest of 8 variables takes a value of its own on each of the 256
+    # assignments of one block, more than ``SPREAD``: the walk gives up on
+    # that block and walks it in blocks of at most ``SPREAD`` assignments,
+    # so no node ever holds more masks.  ``rhs`` fails only where ``x0``,
+    # ``x1`` and ``x7`` hold, at assignment 193 of a later small block.
+    monkeypatch.setattr(oracle, "SPREAD", spread)
+    parts = []
+    walk = oracle._bottom_up
+
+    def measuring(*args):
+        parts.append(walk(*args))
+        return parts[-1]
+
+    monkeypatch.setattr(oracle, "_bottom_up", measuring)
+    names = [f"x{i}" for i in range(8)]
+    quantifiers = [(v, BOOLEAN) for v in names]
+    lhs, _ = _nest([Term(v) for v in names])
+    rhs, _ = _nest([*map(Term, names[:-1]), t("and(x7, not(and(x0, x1)))")])
+    twice, _ = _nest([t(f"not(not({v}))") for v in names])
+    for other, budget in ((rhs, DEFAULT_BUDGET), (twice, DEFAULT_BUDGET), (twice, 15), (twice, 0)):
+        verdict = brute_force_validate(quantifiers, lhs, other, bool_registry, budget)
+        assert verdict == reference_validate(quantifiers, lhs, other, bool_registry, budget)
+    assert brute_force_validate(quantifiers, lhs, rhs, bool_registry).counterexample \
+        == {v: t("True" if v in ("x0", "x1", "x7") else "False") for v in names}
+    assert None in parts and max(map(len, filter(None, parts))) <= spread
+
+
+def _chain(op: str, names: list[str]) -> Term:
+    term = Term(names[0])
+    for name in names[1:]:
+        term = Term(op, (), (term, Term(name)))
+    return term
+
+
+def test_forty_variable_counterexample_is_found_in_the_first_block(bool_registry):
+    names = [f"x{i}" for i in range(40)]
+    start = time.perf_counter()
+    verdict = brute_force_validate([(v, BOOLEAN) for v in names], _chain("and", names), _chain("or", names),
+                                   bool_registry)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.counterexample == {v: t("True" if v == names[-1] else "False") for v in names}
+
+
+@pytest.mark.parametrize("registry", ["bool_registry", "full_registry"])
+def test_sixteen_variable_reassociation_validates_fast(request, registry):
+    registry = request.getfixturevalue(registry)
+    identity = _reassociation("abcdefghijklmnop")
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert brute_force_validate(*identity, registry).status == "valid"
+        best = min(best, time.perf_counter() - start)
+    assert best <= 0.05
