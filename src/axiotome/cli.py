@@ -25,7 +25,7 @@ from .oracle import normalize as normalize_term
 from .search import SearchBudget, repair_theorem
 from .syntax import (
     OperatorDecl, Program, TheoremDecl, format_justification, format_node,
-    format_term, parse_program, parse_term,
+    format_term, parse_program, parse_term_with_spans,
 )
 from .typesys import Registry, build_registry, check_well_formed
 from .verifier import effective_quantifiers, verify_theorem
@@ -180,9 +180,9 @@ def cmd_eval(args, out, err) -> int:
     operators = dict(registry.operators)
     operators.update(args.operators)
     try:
-        term = parse_term(args.expression, "<expression>", operators)
+        term, spans = parse_term_with_spans(args.expression, "<expression>", operators)
         from .typesys import TypingContext, infer_type
-        infer_type(term, TypingContext(), registry)
+        infer_type(term, TypingContext(), registry, spans)
     except DiagnosticError as exc:
         _emit_diagnostics(exc.diagnostics, args.machine, out)
         return 1

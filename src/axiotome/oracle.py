@@ -88,22 +88,15 @@ def _enumerate(ty: TypeExpr, registry: Registry, visiting: frozenset) -> list[Te
             sub = _enumerate(substitute_type(summand, bindings), registry, visiting)
             if sub is None:
                 return None
-            for term in sub:
-                if term not in out:
-                    out.append(term)
-        return out
+            out.extend(sub)
+        return list(dict.fromkeys(out))
     field_domains: list[list[Term]] = []
     for _, field_ty in decl.body.fields:
         sub = _enumerate(substitute_type(field_ty, bindings), registry, visiting)
         if sub is None:
             return None
         field_domains.append(sub)
-    out = []
-    for combo in itertools.product(*field_domains):
-        term = Term(ty.name, ty.args, tuple(combo))
-        if term not in out:
-            out.append(term)
-    return out
+    return list(dict.fromkeys(Term(ty.name, ty.args, combo) for combo in itertools.product(*field_domains)))
 
 
 # ------------------------------------------------------------ normalization
@@ -149,10 +142,9 @@ def normalize(term: Term, registry: Registry, budget: int = DEFAULT_BUDGET) -> N
 #: before their parent and left to right.
 Postfix = list[tuple[str, tuple[TypeExpr, ...], int]]
 
-#: A term's values on a block of assignments, each (id of the normal form,
-#: cumulative steps) or ``EXHAUSTED`` with the mask of the assignments that
-#: give it.
-Partition = dict[tuple[int | None, float], int]
+#: A term's values on a block of assignments, each (normal form, cumulative
+#: steps) or ``EXHAUSTED`` with the mask of the assignments that give it.
+Partition = dict[tuple[Term | None, float], int]
 
 #: The value of a reduction that ran out of budget.
 EXHAUSTED = (None, inf)
@@ -168,58 +160,44 @@ SPREAD = 64
 
 
 def _postfix(term: Term) -> Postfix:
-    """``term``'s nodes in post-order, walked with an explicit stack."""
-    out: Postfix = []
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        out.append((node.head, node.type_args, len(node.args)))
-        stack.extend(node.args)
-    out.reverse()
-    return out
+    return [(node.head, node.type_args, len(node.args)) for node in term.postorder()]
 
 
 def _bottom_up(program: Postfix, leaves: Mapping[str, Partition], full: int, memo: dict,
-               forms: dict, registry: Registry, budget: int) -> Partition | None:
+               registry: Registry, budget: int) -> Partition | None:
     """The values of the term ``program`` spells on the block ``full``, with
     a bare metavariable in ``leaves`` taking the values given there, or
     ``None`` once a node's children meet in more than ``SPREAD`` ways.  Any
     other node is reduced once per combination of its children's values
-    whose masks meet: by ``memo``, keyed by its head, type arguments and the
-    ids of its children's normal forms, or else by ``normalize`` with the
-    budget they left.  ``forms`` holds each normal form reached by its id,
-    one object per value: a node that is normal is made from its key, and a
-    reduct is walked again to find the object its nodes make, so ids compare
-    normal forms without hashing a term."""
+    whose masks meet: by ``memo``, keyed by the node their normal forms
+    make, or else by ``normalize`` with the budget they left.  Terms are
+    interned, so a normal form is one object per value and a partition
+    keys on it."""
     values: list[Partition] = []
     first = 0  # the lowest assignment out of budget; no later one can decide the verdict, so they are dropped
     for head, type_args, arity in program:
         if not (arity or type_args) and head in leaves:
             values.append(leaves[head])
             continue
-        combos = [(full & (2 * first - 1), 0, ())]  # (mask, steps, normal forms' ids) of the children so far
+        combos = [(full & (2 * first - 1), 0, ())]  # (mask, steps, normal forms) of the children so far
         children = values[len(values) - arity:]
         del values[len(values) - arity:]
         for child in children:
-            combos = [(meet, steps + s, ids + (i,))
-                      for mask, steps, ids in combos for (i, s), m in child.items() if (meet := mask & m)]
+            combos = [(meet, steps + s, forms + (form,))
+                      for mask, steps, forms in combos for (form, s), m in child.items() if (meet := mask & m)]
             if len(combos) > SPREAD:
                 return None
         part: Partition = {}
-        for mask, steps, ids in combos:
+        for mask, steps, forms in combos:
             value = EXHAUSTED
             if steps < budget:
-                key = (head, type_args, *ids)
-                hit = memo.get(key)
+                node = Term(head, type_args, forms)
+                hit = memo.get(node)
                 if hit is None:
-                    result = normalize(Term(head, type_args, tuple(map(forms.get, ids))), registry, budget - steps)
-                    hit, nf = EXHAUSTED, result.normal_form
+                    result = normalize(node, registry, budget - steps)
+                    hit = EXHAUSTED
                     if not result.exhausted_budget:
-                        if result.steps and id(nf) not in forms:  # a new reduct: its nodes are looked up
-                            [(form, _)] = _bottom_up(_postfix(nf), {}, 1, memo, forms, registry, 1)
-                            nf = forms[form]
-                        forms[id(nf)] = nf
-                        hit = memo[key] = id(nf), result.steps
+                        hit = memo[node] = result.normal_form, result.steps
                 if steps + hit[1] < budget:
                     value = hit[0], steps + hit[1]
             if value is EXHAUSTED:
@@ -230,7 +208,7 @@ def _bottom_up(program: Postfix, leaves: Mapping[str, Partition], full: int, mem
 
 
 def _walker(names: list[str], domains: list[tuple[Term, ...]], programs: list[Postfix], assignments: int,
-            memo: dict, forms: dict, registry: Registry, budget: int):
+            memo: dict, registry: Registry, budget: int):
     """``(split, walk)``: the variables from ``split`` on, whose domains
     have at most ``SPREAD`` inhabitants each and at most ``assignments`` in
     product, vary within a block, and ``walk(fixed)`` gives the values of
@@ -247,7 +225,7 @@ def _walker(names: list[str], domains: list[tuple[Term, ...]], programs: list[Po
     def leaf(inhabitants, masks) -> Partition:
         part: Partition = {}
         for c, m in zip(inhabitants, masks):
-            for value, mask in _bottom_up(_postfix(c), {}, m, memo, forms, registry, budget).items():
+            for value, mask in _bottom_up(_postfix(c), {}, m, memo, registry, budget).items():
                 part[value] = part.get(value, 0) | mask
         return part
 
@@ -260,24 +238,23 @@ def _walker(names: list[str], domains: list[tuple[Term, ...]], programs: list[Po
         leaves[names[j]] = leaf(domains[j], [zero << c * stride & full for c in range(sizes[j])])
 
     def walk(fixed: tuple[Term, ...]) -> list[Partition] | None:
-        for var, c in zip(names, fixed):  # a fixed inhabitant is reduced once, held by its id as domains hold it
-            leaves[var] = held.get(id(c)) or held.setdefault(id(c), leaf((c,), (full,)))
-        values = [_bottom_up(program, leaves, full, memo, forms, registry, budget) for program in programs]
+        for var, c in zip(names, fixed):  # a fixed inhabitant is reduced once
+            leaves[var] = held.get(c) or held.setdefault(c, leaf((c,), (full,)))
+        values = [_bottom_up(program, leaves, full, memo, registry, budget) for program in programs]
         return None if None in values else values
 
     return split, walk
 
 
 def _blocks(names: list[str], domains: list[tuple[Term, ...]], terms: Sequence[Term],
-            registry: Registry, budget: int, forms: dict):
+            registry: Registry, budget: int):
     """Each block of assignments in product order, as the inhabitants of its
     leading variables and the values of ``terms`` on it, reduced bottom-up:
     exact where the reductions they reach are orthogonal.  Blocks hold up
     to ``BLOCK`` assignments until a node spreads, and up to ``SPREAD``
-    from that block on.  ``forms`` gathers the normal forms that the
-    partitions name by id."""
+    from that block on."""
     programs, memo = [_postfix(t) for t in terms], {}
-    split, walk = _walker(names, domains, programs, BLOCK, memo, forms, registry, budget)
+    split, walk = _walker(names, domains, programs, BLOCK, memo, registry, budget)
     prefixes = itertools.product(*domains[:split])
     for fixed in prefixes:
         values = walk(fixed)
@@ -286,16 +263,16 @@ def _blocks(names: list[str], domains: list[tuple[Term, ...]], terms: Sequence[T
         yield fixed, values
     else:
         return
-    finer, walk = _walker(names, domains, programs, SPREAD, memo, forms, registry, budget)
+    finer, walk = _walker(names, domains, programs, SPREAD, memo, registry, budget)
     for fixed in itertools.chain([fixed], prefixes):
         for rest in itertools.product(*domains[split:finer]):
             yield (*fixed, *rest), walk((*fixed, *rest))
 
 
-def _by_form(part: Partition) -> dict[int | None, int]:
+def _by_form(part: Partition) -> dict[Term | None, int]:
     """The union of ``part``'s masks for each normal form, ``None`` for
     ``EXHAUSTED``."""
-    out: dict[int | None, int] = {}
+    out: dict[Term | None, int] = {}
     for (form, _), mask in part.items():
         out[form] = out.get(form, 0) | mask
     return out
@@ -325,7 +302,7 @@ def brute_force_validate(quantifiers: Sequence[tuple[str, TypeExpr]], lhs: Term,
             if left.normal_form != right.normal_form:
                 return ValidationVerdict("invalid", counterexample=sigma)
         return ValidationVerdict("valid")
-    for fixed, sides in _blocks(names, domains, (lhs, rhs), registry, budget, {}):
+    for fixed, sides in _blocks(names, domains, (lhs, rhs), registry, budget):
         left, right = map(_by_form, sides)
         exhausted = left.pop(None, 0) | right.pop(None, 0)
         same = 0

@@ -46,7 +46,7 @@ from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .diagnostics import Diagnostic, error
 from .syntax import (
@@ -79,7 +79,7 @@ class RuleSource(Enum):
 @dataclass(frozen=True)
 class RewriteRule:
     """An oriented rewrite rule; equivalences yield one rule per direction.
-    ``lhs_vars`` and ``rhs_vars`` are the metavariables each side mentions."""
+    ``lhs_vars`` and ``rhs_vars`` are each side's metavariables, ``free`` the other undeclared leaves of both."""
 
     name: str
     source: RuleSource
@@ -89,6 +89,7 @@ class RewriteRule:
     metavars: frozenset[str] = frozenset()
     lhs_vars: frozenset[str] = frozenset()
     rhs_vars: frozenset[str] = frozenset()
+    free: frozenset[str] = frozenset()
 
     def reversed(self) -> "RewriteRule":
         flipped = Direction.BACKWARD if self.direction is Direction.FORWARD else Direction.FORWARD
@@ -130,39 +131,36 @@ def match(pattern: Term, subject: Term, pattern_vars: frozenset[str] | set[str])
     """First-order, non-unifying match of ``pattern`` against ``subject``.
 
     Subject metavariables are treated as constants; nonlinear patterns
-    require syntactically equal subterms.  Returns the substitution, or
-    None when there is no match.
+    require identical (that is, equal) subterms.  Returns the substitution,
+    or None when there is no match.  One walk down both with a stack.
     """
     sigma: Substitution = {}
-    if _match_into(pattern, subject, pattern_vars, sigma):
-        return sigma
-    return None
-
-
-def _match_into(pattern: Term, subject: Term, pattern_vars, sigma: Substitution) -> bool:
-    if pattern.head in pattern_vars and not pattern.args and not pattern.type_args:
-        bound = sigma.get(pattern.head)
-        if bound is None:
-            sigma[pattern.head] = subject
-            return True
-        return bound == subject
-    if pattern.head != subject.head or pattern.type_args != subject.type_args:
-        return False
-    if len(pattern.args) != len(subject.args):
-        return False
-    for p, s in zip(pattern.args, subject.args):
-        if not _match_into(p, s, pattern_vars, sigma):
-            return False
-    return True
+    pairs = [(pattern, subject)]
+    while pairs:
+        p, s = pairs.pop()
+        if p.head in pattern_vars and not p.args and not p.type_args:
+            if sigma.setdefault(p.head, s) is not s:
+                return None
+        elif p.head != s.head or p.type_args != s.type_args or len(p.args) != len(s.args):
+            return None
+        else:
+            pairs.extend(zip(p.args, s.args))
+    return sigma
 
 
 def apply_substitution(sigma: Mapping[str, Term], term: Term) -> Term:
-    """Replace every bound metavariable simultaneously."""
-    if term.head in sigma and not term.args and not term.type_args:
-        return sigma[term.head]
-    if not term.args:
+    """Replace every bound metavariable simultaneously, node by node in
+    post-order, so term depth is unbounded."""
+    if not sigma:
         return term
-    return Term(term.head, term.type_args, tuple(apply_substitution(sigma, a) for a in term.args), term.span)
+    done: dict[Term, Term] = {}
+    for node in term.postorder():
+        if not node.args:
+            done[node] = node if node.type_args else sigma.get(node.head, node)
+        elif node not in done:
+            args = tuple(map(done.__getitem__, node.args))
+            done[node] = node if args == node.args else Term(node.head, node.type_args, args)
+    return done[term]
 
 
 def positions(term: Term) -> list[tuple[Position, Term]]:
@@ -194,7 +192,7 @@ def subterm_at(term: Term, path: Position) -> Term | None:
 
 def replace_at(term: Term, path: Position, new: Term) -> Term:
     """``term`` with ``new`` at ``path``: one walk down to the position, then
-    the ancestors are rebuilt bottom-up, each with its own span."""
+    the ancestors are rebuilt bottom-up."""
     spine: list[Term] = []
     for i in path:
         spine.append(term)
@@ -202,25 +200,24 @@ def replace_at(term: Term, path: Position, new: Term) -> Term:
     for node, i in zip(reversed(spine), reversed(path)):
         args = list(node.args)
         args[i] = new
-        new = Term(node.head, node.type_args, tuple(args), node.span)
+        new = Term(node.head, node.type_args, tuple(args))
     return new
 
 
 def _fork(prev: Term, next_term: Term) -> Position | None:
     """The deepest position outside which ``prev`` and ``next_term`` agree,
     or None when they are equal.  One walk down: a node with one argument
-    is descended without comparing, siblings are compared only at n-ary
-    nodes."""
+    is descended without comparing (distinct terms that agree at the root
+    differ below it), siblings are compared by identity at n-ary nodes."""
+    if prev is next_term:
+        return None
     path: list[int] = []
     while prev.head == next_term.head and prev.type_args == next_term.type_args \
             and len(prev.args) == len(next_term.args):
         if len(prev.args) == 1:
             i = 0
         else:
-            differ = [i for i, (a, b) in enumerate(zip(prev.args, next_term.args)) if a != b]
-            if not differ:
-                # Reached through one-argument nodes only: the terms are equal.
-                return None
+            differ = [i for i, (a, b) in enumerate(zip(prev.args, next_term.args)) if a is not b]
             if len(differ) > 1:
                 break
             i = differ[0]
@@ -229,18 +226,19 @@ def _fork(prev: Term, next_term: Term) -> Position | None:
     return tuple(path)
 
 
-def _sites(prev: Term, next_term: Term) -> list[tuple[Position, Term, Term]]:
+def _sites(prev: Term, next_term: Term) -> Iterator[tuple[Position, Term, Term]]:
     """Where one rewrite can turn ``prev`` into ``next_term``, outermost
     first, as (position, subterm of ``prev``, subterm of ``next_term``): the
-    fork and its ancestors, or every position when the terms are equal."""
+    fork and its ancestors, or every position when the terms are equal.
+    Made one at a time, so the paths down a deep fork are never all held."""
     fork = _fork(prev, next_term)
     if fork is None:
-        return [(pos, sub, sub) for pos, sub in positions(prev)]
-    sites = [((), prev, next_term)]
+        yield from ((pos, sub, sub) for pos, sub in positions(prev))
+        return
+    yield (), prev, next_term
     for depth, i in enumerate(fork, 1):
-        sites.append((fork[:depth], prev.args[i], next_term.args[i]))
         prev, next_term = prev.args[i], next_term.args[i]
-    return sites
+        yield fork[:depth], prev, next_term
 
 
 #: What a move does to a term: (position, replacement) pairs at pairwise
@@ -260,18 +258,15 @@ def _reached(term: Term, edits: Edits, target: Term, fork: Position) -> Term | N
     For one edit, ``term`` differs from ``target`` and ``fork`` is their
     ``_fork``.  An edit at ``p`` then reaches ``target`` exactly when ``p``
     is ``fork`` or one of its ancestors and ``target`` holds the
-    replacement at ``p``, so nothing is built unless it does.  A tuple is
-    built only once ``target`` holds every replacement at its position,
-    and is then compared whole; ``fork`` is not read."""
+    replacement at ``p``, and the result, an equal term, is ``target``
+    itself: nothing is built.  A tuple is built only once ``target`` holds
+    every replacement at its position; ``fork`` is not read."""
     if len(edits) == 1:
         pos, new = edits[0]
-        if fork[:len(pos)] != pos or subterm_at(target, pos) != new:
-            return None
-        return replace_at(term, pos, new)
-    if any(subterm_at(target, pos) != new for pos, new in edits):
+        return target if fork[:len(pos)] == pos and subterm_at(target, pos) is new else None
+    if any(subterm_at(target, pos) is not new for pos, new in edits):
         return None
-    result = _applied(term, edits)
-    return result if result == target else None
+    return target if _applied(term, edits) is target else None
 
 
 # ------------------------------------------------------------------- rules
@@ -280,11 +275,13 @@ def _is_var(term: Term, metavars: frozenset[str]) -> bool:
     return term.head in metavars and not term.args and not term.type_args
 
 
-def _rule(name: str, source: RuleSource, lhs: Term, rhs: Term, metavars) -> RewriteRule:
+def _rule(name: str, source: RuleSource, lhs: Term, rhs: Term, metavars, registry: Registry) -> RewriteRule:
     metavars = frozenset(metavars)
-    lhs_vars, rhs_vars = (frozenset(sub.head for _, sub in positions(side) if _is_var(sub, metavars))
-                          for side in (lhs, rhs))
-    return RewriteRule(name, source, lhs, rhs, Direction.FORWARD, metavars, lhs_vars, rhs_vars)
+    lhs_names, rhs_names = ({sub.head for sub in side.postorder() if not (sub.args or sub.type_args)}
+                            for side in (lhs, rhs))
+    free = frozenset((lhs_names | rhs_names) - metavars).difference(registry.types, registry.functions)
+    return RewriteRule(name, source, lhs, rhs, Direction.FORWARD, metavars, metavars & lhs_names,
+                       metavars & rhs_names, free)
 
 
 #: A one-level discrimination index: the key ``(head, first argument's
@@ -363,7 +360,7 @@ def _orthogonal(rules: list[RewriteRule]) -> bool:
     for rule in rules:
         if _is_var(rule.lhs, rule.metavars):
             return False
-        lhs_vars, rhs_vars = ([sub.head for _, sub in positions(side) if _is_var(sub, rule.metavars)]
+        lhs_vars, rhs_vars = ([sub.head for sub in side.postorder() if _is_var(sub, rule.metavars)]
                               for side in (rule.lhs, rule.rhs))
         if len(set(lhs_vars)) != len(lhs_vars) or any(rhs_vars.count(v) != 1 for v in lhs_vars):
             return False
@@ -403,14 +400,14 @@ class RuleSet:
 
     @classmethod
     def of(cls, registry: Registry) -> RuleSet:
-        rules = [_rule(name, RuleSource.AXIOM, axiom.lhs, axiom.rhs, registry.axiom_metavars(axiom, owner))
+        rules = [_rule(name, RuleSource.AXIOM, axiom.lhs, axiom.rhs, registry.axiom_metavars(axiom, owner), registry)
                  for name, (axiom, owner) in registry.axioms.items()]
         for fn in registry.functions.values():
             if isinstance(fn.body, FormulaicBody):
                 params = [p for p, _ in fn.params]
                 lhs = Term(fn.name, (), tuple(Term(p) for p in params))
-                rules.append(_rule(fn.name, RuleSource.FORMULAIC, lhs, fn.body.term, params))
-        rules += [_rule(thm.name, RuleSource.THEOREM, thm.lhs, thm.rhs, (q.var for q in thm.quantifiers))
+                rules.append(_rule(fn.name, RuleSource.FORMULAIC, lhs, fn.body.term, params, registry))
+        rules += [_rule(thm.name, RuleSource.THEOREM, thm.lhs, thm.rhs, (q.var for q in thm.quantifiers), registry)
                   for thm in registry.theorems.values()]
         named = {rule.name: rule for rule in rules
                  if rule.source is not RuleSource.THEOREM or rule.name not in registry.functions}
@@ -455,7 +452,7 @@ class RuleSet:
                     todo.extend(sub.head for _, sub in positions(rule.rhs))
         return _orthogonal(reached)
 
-    def matches(self, sites: list[Site], index: RuleIndex, exclude: str | None = None) \
+    def matches(self, sites: Iterable[Site], index: RuleIndex, exclude: str | None = None) \
             -> list[tuple[int, Position, RewriteRule, Substitution, Term | None]]:
         """Every match of an oriented rule of ``index`` (but theorem
         ``exclude``) at ``sites``, as (rank, position, rule, substitution,

@@ -18,7 +18,7 @@ proof irreparable-by-insertion, reported with a suggested replacement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import groupby
 from operator import itemgetter
@@ -88,20 +88,19 @@ def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
     Moves whose result mentions metavariables outside ``scope`` are dropped.
 
     ``term`` itself must lie in ``scope`` (as every term ``fill_gap``
-    expands does), so a move is in scope when its replacements are.  Every
-    value a match binds is a subterm of ``term``, so a rule's replacements
-    are in scope exactly when the metavariables its target side adds are;
-    that is tested once per rule, and a case move's replacements one by one.
+    expands does), so a move is in scope when its replacements are.  A
+    match binds subterms of ``term`` and finds its source side's names
+    there, so a rule's moves are in scope when ``RewriteRule.free`` is; a
+    case move's replacements are tested one by one.
     """
-    registry = env.registry
+    rules = env.registry.rules
     moves: list[tuple[Justification, Edits]] = []
 
     case_moves: list[tuple[Justification, Edits]] = []
     if env.case_bindings:
         clause = CaseRangeJustification(env.case_bindings)
         case_moves = [(clause, edits) for edits, _ in _case_edits(term, clause)
-                      if all(term_metavars(new, registry) <= scope for _, new in edits)]
-    rules = registry.rules
+                      if all(term_metavars(new, env.registry) <= scope for _, new in edits)]
     sites = [(pos, sub, None) for pos, sub in positions(term)]
     for _, group in groupby(rules.matches(sites, rules.moves, env.current_theorem), itemgetter(0)):
         group = list(group)
@@ -109,9 +108,9 @@ def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
         if rule.source is not RuleSource.AXIOM:
             moves += case_moves
             case_moves = []
-        _, dst = rule.oriented()
-        if not term_metavars(dst, registry) - rule.metavars <= scope:
+        if not rule.free <= scope:
             continue
+        _, dst = rule.oriented()
         replaced = [(pos, apply_substitution(sigma, dst)) for _, pos, _, sigma, _ in group]
         clause = RuleJustification((rule.name,))
         moves.extend((clause, (edit,)) for edit in replaced)
@@ -303,7 +302,7 @@ def _repair_body(body: ProofBody, lhs: Term, env: StepEnv, budget: SearchBudget,
             infer_step_justification(prev_term, stuck.term, env),
         ))
         return body
-    new_steps = [ProofStep(0, premiss, None, steps[0].span)]
+    new_steps = [steps[0]]  # the premiss; with unjustified steps the only errors, it is step 0 without a clause
     for i, (term, clause, was_inserted) in enumerate(repaired, start=1):
         new_steps.append(ProofStep(i, term, clause))
         if was_inserted:
@@ -328,7 +327,7 @@ def repair_theorem(thm: TheoremDecl, report, registry: Registry,
     new_proof = _repair_body(thm.proof, thm.lhs, env, budget, (), inserted, failures)
     if failures:
         return RepairOutcome(None, tuple(inserted), tuple(failures))
-    patched = TheoremDecl(thm.name, thm.quantifiers, thm.lhs, thm.rhs, new_proof, thm.span)
+    patched = replace(thm, proof=new_proof)
 
     if not verify_theorem(patched, registry).accepted:
         return RepairOutcome(None, tuple(inserted), ())

@@ -7,7 +7,7 @@ from .nodes import (
     ProductBody, Program, ProofBody, ProofStep, Quantifier, RuleJustification,
     Statement, SumBody, Term, TheoremDecl, Token, TokenKind, TypeDecl, TypeExpr,
 )
-from .parser import parse_program, parse_term
+from .parser import parse_program, parse_term, parse_term_with_spans
 from .printer import (
     format_justification, format_node, format_quantifier, format_term, format_type,
 )
@@ -16,7 +16,7 @@ from .printer import (
 format = format_node
 
 __all__ = [
-    "OPERATOR_GLYPHS", "tokenize", "parse_program", "parse_term",
+    "OPERATOR_GLYPHS", "tokenize", "parse_program", "parse_term", "parse_term_with_spans",
     "format", "format_node", "format_term", "format_type",
     "format_quantifier", "format_justification",
     "Axiom", "ByCasesProof", "CaseBlock", "CaseRangeJustification",

@@ -1,18 +1,42 @@
 """Token and AST node types for Axiotome programs.
 
-AST nodes are frozen dataclasses; tokens are named tuples, which are
-cheaper to build.  Source spans (and a token's trivia) are carried for
-diagnostics but excluded from equality and hashing, so two parses of
-equivalent text compare equal node-for-node.
+Terms are interned (hash-consed): every ``Term`` is built through one
+table keyed by its head, its type arguments and the identity of each
+argument, so structurally equal terms are one and the same object, and
+``==`` and ``hash`` are identity and never recurse (Filliâtre & Conchon,
+"Type-Safe Modular Hash-Consing", 2006).  Each type expression points to
+the one interned type of its structure without spans, its ``bare`` type,
+and types compare by it.  The tables hold their objects weakly: an entry
+goes when its object dies, so they hold no more than the objects in use.
+Lookups and inserts are single dict operations, atomic under the GIL, so
+threads that build equal terms get the same object.
+
+A term carries no source positions.  As in ATerm, where annotations stay
+outside term identity (van den Brand et al., 2000), the parser keeps each
+parsed term's spans in pre-order beside it, on the proof step or
+declaration that owns it (``term_spans``, ``lhs_spans``, ``rhs_spans``),
+and a term holds its type arguments bare.
+
+The other AST nodes are frozen dataclasses and tokens are named tuples,
+which are cheaper to build.  Their spans (and a token's trivia) are
+excluded from equality and hashing, so two parses of equivalent text
+compare equal node-for-node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import is_
 from typing import NamedTuple, Union
+from weakref import ref
+
+from _weakref import _remove_dead_weakref
 
 from ..diagnostics import Span
+
+#: The span of a node that was not parsed.
+_NOWHERE = Span()
 
 
 class TokenKind(Enum):
@@ -45,25 +69,134 @@ class Token(NamedTuple):
         return hash((self.kind, self.lexeme))
 
 
-@dataclass(frozen=True)
+def _record(table: dict[tuple, ref], key: tuple, obj):
+    """Intern ``obj`` under ``key`` in ``table``: return it, or the live
+    object recorded there before it.  A table holds its objects weakly, and
+    an entry goes when its object dies, so a table holds no more than the
+    objects in use.  The entry is put in with one ``setdefault``: of two
+    threads that record equal objects at once, both get the one recorded
+    first, and a dead entry in the way is removed only while it is dead."""
+    entry = ref(obj, lambda _, key=key: _remove_dead_weakref(table, key))
+    while (found := table.setdefault(key, entry)) is not entry:
+        twin = found()
+        if twin is not None:
+            return twin
+        _remove_dead_weakref(table, key)
+    return obj
+
+
+#: The span-free types by name and arguments, and the terms by head, type
+#: arguments and arguments, each to a weak reference.
+_TYPES: dict[tuple, ref] = {}
+_TERMS: dict[tuple, ref] = {}
+
+
+@dataclass(frozen=True, eq=False)
 class TypeExpr:
+    """A type name applied to type arguments.
+
+    Each structure has one interned type with no span, ``bare``: types are
+    equal when their ``bare`` is the same object, so ``==`` ignores spans
+    and, like ``hash``, never recurses.  A term holds its type arguments
+    bare."""
+
     name: str
     args: tuple["TypeExpr", ...] = ()
-    span: Span = field(default=Span(), compare=False)
+    span: Span = _NOWHERE
+
+    #: The bare type, set on construction where it is another object.
+    _bare = None
+
+    def __post_init__(self) -> None:
+        args = tuple(a.bare for a in self.args)
+        key = (self.name, args)
+        object.__setattr__(self, "_hash", hash(key))
+        entry = _TYPES.get(key)
+        bare = None if entry is None else entry()
+        if bare is None:
+            if self.span == _NOWHERE and all(map(is_, args, self.args)):
+                bare = _record(_TYPES, key, self)
+            else:
+                bare = TypeExpr(self.name, args).bare
+        if bare is not self:
+            object.__setattr__(self, "_bare", bare)
+
+    @property
+    def bare(self) -> TypeExpr:
+        return self._bare or self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TypeExpr:
+            return NotImplemented
+        return (self._bare or self) is (other._bare or other)
+
+    def __reduce__(self):
+        return TypeExpr, (self.name, self.args, self.span)
 
 
-@dataclass(frozen=True)
 class Term:
     """Application tree; a bare identifier is a nullary application.
 
     Heads are left symbolic here; whether a head is a constructor, a function
     or a metavariable is resolved against a registry and a typing context.
+
+    ``Term(head, type_args, args)`` returns the one live term with these
+    parts, building and recording it if there is none.  Its key holds the
+    arguments, which compare and hash by identity, and the bare type
+    arguments.
     """
 
+    __slots__ = ("head", "type_args", "args", "__weakref__")
+
     head: str
-    type_args: tuple[TypeExpr, ...] = ()
-    args: tuple["Term", ...] = ()
-    span: Span = field(default=Span(), compare=False)
+    type_args: tuple[TypeExpr, ...]
+    args: tuple[Term, ...]
+
+    def __new__(cls, head: str, type_args: tuple[TypeExpr, ...] = (), args: tuple[Term, ...] = ()) -> Term:
+        if type_args:
+            type_args = tuple(t.bare for t in type_args)
+        key = (head, type_args, args)
+        entry = _TERMS.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _set_head(node, head)
+        _set_type_args(node, type_args)
+        _set_args(node, args)
+        return _record(_TERMS, key, node)
+
+    def postorder(self) -> list[Term]:
+        """Every node of the term written out as a tree, children before
+        their parent and left to right, found with an explicit stack."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack.extend(node.args)
+        out.reverse()
+        return out
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: terms are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: terms are immutable")
+
+    def __reduce__(self):
+        return Term, (self.head, self.type_args, self.args)
+
+    def __repr__(self) -> str:
+        from .printer import format_term
+        return f"<Term {format_term(self)}>"
+
+
+#: Set a new term's slots, which ``Term.__setattr__`` refuses.
+_set_head, _set_type_args, _set_args = Term.head.__set__, Term.type_args.__set__, Term.args.__set__
 
 
 @dataclass(frozen=True)
@@ -79,6 +212,8 @@ class Axiom:
     rhs: Term
     metavar_types: tuple[tuple[str, TypeExpr], ...] = ()
     span: Span = field(default=Span(), compare=False)
+    lhs_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
+    rhs_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -107,6 +242,7 @@ class EquationalBody:
 @dataclass(frozen=True)
 class FormulaicBody:
     term: Term
+    term_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -160,6 +296,7 @@ class ProofStep:
     term: Term
     justification: Justification | None = None
     span: Span = field(default=Span(), compare=False)
+    term_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -195,6 +332,8 @@ class TheoremDecl:
     rhs: Term
     proof: ProofBody
     span: Span = field(default=Span(), compare=False)
+    lhs_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
+    rhs_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
 
 
 Statement = Union[TypeDecl, FunctionDecl, OperatorDecl, TheoremDecl]

@@ -4,9 +4,12 @@ The parser reads the flat token lists of one ``lexer.scan`` by integer
 index.  Declarations and proofs are read top-down, one method per grammar
 rule; terms and type expressions are read with an explicit stack of open
 brackets, so their nesting depth is bounded by memory rather than by the
-recursion limit.  A ``Span`` is made only for a node that keeps one (term
-heads, type names, declaration keywords, step indices and justification
-starts) and for a diagnostic, from the token's offset.
+recursion limit.  A ``Span`` is made only for a node that keeps one (type
+names, declaration keywords, step indices and justification starts), for
+each node of a term, and for a diagnostic, from the token's offset.  A term
+carries no span: its nodes' spans, in pre-order, are kept beside it on the
+step or declaration that owns it (``term_spans``, ``lhs_spans`` and
+``rhs_spans``).
 
 Statements are delimited by semicolons or by newlines at bracket depth zero.
 Proof-step lines are recognized by their ``<digits> '.'`` prefix; indentation
@@ -17,7 +20,7 @@ which is what lets nested case proofs parse without layout information.
 Infix operator glyphs are desugared into function applications using the
 operator declarations seen so far in the same program, plus any injected via
 the ``operators`` argument.  Chains of one glyph are left-associative, and
-the desugared node carries its first operand's span; mixing distinct glyphs
+the desugared node takes its first operand's span; mixing distinct glyphs
 without parentheses is a syntax error.
 """
 
@@ -171,31 +174,38 @@ class _Parser:
 
     # -------------------------------------------------------------- terms
 
-    def parse_term(self, annotations: dict[str, TypeExpr] | None = None) -> Term:
-        """A term, read with a stack of its open brackets.
+    def parse_term(self, annotations: dict[str, TypeExpr] | None = None) -> tuple[Term, tuple[Span, ...]]:
+        """A term and its nodes' spans in pre-order, read with a stack of
+        its open brackets.
 
-        Each entry is ``(head, type arguments, arguments so far, span,
-        chain)`` for an application and ``(None, ..., chain)`` for a
-        parenthesized term, where ``chain`` is the infix chain the bracket
-        interrupts: ``None``, or ``[left operand so far, glyph, function]``.
+        Each entry is ``(head, type arguments, arguments so far, start,
+        chain)`` for an application and ``(None, ..., start, chain)`` for a
+        parenthesized term, where ``start`` is the index of the bracketed
+        term's first span and ``chain`` is the infix chain the bracket
+        interrupts: ``None``, or ``[left operand so far, glyph, function,
+        start of the left operand]``.  A head's span is recorded as it is
+        read, which is pre-order but for desugared infix nodes: each is
+        inserted before its first operand's spans, as a copy of the first.
         ``annotations`` collects the ``name: Type`` annotations of an
         axiom's arguments; without it an annotation is a syntax error.
         """
         kinds, lex, starts, texts, operators = self.kinds, self.lex, self.starts, self.texts, self.operators
         file, line_starts = self.file, self.line_starts
         pos = self.pos
+        spans: list[Span] = []
         stack: list[tuple] = []
         chain: list | None = None
         line = line_start = line_end = 0  # the line of the last head read
         while True:
             # Read a primary, opening its brackets on the way in.
+            start = len(spans)
             if kinds[pos] is IDENT:
                 head = lex[pos]
-                start = starts[pos]
-                if start >= line_end:
-                    line = bisect_right(line_starts, start)
+                offset = starts[pos]
+                if offset >= line_end:
+                    line = bisect_right(line_starts, offset)
                     line_start, line_end = line_starts[line - 1], line_starts[line]
-                span = new_tuple(Span, (file, line, start - line_start + 1, len(texts[pos])))
+                spans.append(new_tuple(Span, (file, line, offset - line_start + 1, len(texts[pos]))))
                 pos += 1
                 type_args: tuple[TypeExpr, ...] = ()
                 if lex[pos] == "[":
@@ -204,14 +214,14 @@ class _Parser:
                     pos = self.pos
                 if lex[pos] == "(":
                     if lex[pos + 1] != ")":
-                        stack.append((head, type_args, [], span, chain))
+                        stack.append((head, type_args, [], start, chain))
                         chain = None
                         pos += 1
                         continue
                     pos += 2
-                value = Term(head, type_args, (), span)
+                value = Term(head, type_args)
             elif lex[pos] == "(":
-                stack.append((None, None, None, None, chain))
+                stack.append((None, None, None, start, chain))
                 chain = None
                 pos += 1
                 continue
@@ -221,14 +231,15 @@ class _Parser:
             # each finished term completes.
             while True:
                 if chain is not None:
-                    left = chain[0]
-                    value = Term(chain[2], (), (left, value), left.span)
+                    start = chain[3]
+                    spans.insert(start, spans[start])
+                    value = Term(chain[2], (), (chain[0], value))
                 tok = lex[pos]
                 if tok in OPERATOR_GLYPHS:
                     if chain is None:
                         if tok not in operators:
                             self.fail(f"infix operator {tok!r} used without an operator declaration", pos)
-                        chain = [value, tok, operators[tok]]
+                        chain = [value, tok, operators[tok], start]
                     elif tok != chain[1]:
                         self.fail(f"mixing infix operators {chain[1]!r} and {tok!r} requires parentheses", pos)
                     else:
@@ -237,7 +248,7 @@ class _Parser:
                     break
                 if not stack:
                     self.pos = pos
-                    return value
+                    return value, tuple(spans)
                 frame = stack[-1]
                 if frame[0] is not None:
                     if tok == ":":
@@ -253,9 +264,9 @@ class _Parser:
                 if tok != ")":
                     self.fail(f"expected ), found {tok!r}", pos)
                 pos += 1
-                head, type_args, args, span, chain = stack.pop()
+                head, type_args, args, start, chain = stack.pop()
                 if head is not None:
-                    value = Term(head, type_args, tuple(args), span)
+                    value = Term(head, type_args, tuple(args))
 
     def parse_annotation(self, term: Term, annotations: dict[str, TypeExpr] | None) -> None:
         """Record the ``: Type`` annotation at the current token on the
@@ -352,7 +363,7 @@ class _Parser:
         if self.accept("allowing"):
             body: EquationalBody | FormulaicBody = EquationalBody(tuple(self.parse_axioms()))
         elif self.accept("≡"):
-            body = FormulaicBody(self.parse_term())
+            body = FormulaicBody(*self.parse_term())
         else:
             self.fail("expected 'allowing' or '≡' after the function signature")
         return FunctionDecl(name, type_params, tuple(params), return_type, body, self.span(kw))
@@ -371,10 +382,11 @@ class _Parser:
         name = self.expect_kind(AXIOM_NAME, "an axiom name")
         self.expect(":")
         annotations: dict[str, TypeExpr] = {}
-        lhs = self.parse_term(annotations)
+        lhs, lhs_spans = self.parse_term(annotations)
         self.expect("↔")
-        rhs = self.parse_term(annotations)
-        return Axiom(self.lex[name], lhs, rhs, tuple(sorted(annotations.items())), self.span(name))
+        rhs, rhs_spans = self.parse_term(annotations)
+        return Axiom(self.lex[name], lhs, rhs, tuple(sorted(annotations.items())), self.span(name),
+                     lhs_spans, rhs_spans)
 
     def parse_operator_decl(self) -> OperatorDecl:
         kw = self.expect("operator")
@@ -401,12 +413,12 @@ class _Parser:
         if self.lex[self.pos] == "∀":
             quantifiers = self.parse_quantifiers()
             self.expect(":")
-        lhs = self.parse_term()
+        lhs, lhs_spans = self.parse_term()
         self.expect("↔")
-        rhs = self.parse_term()
+        rhs, rhs_spans = self.parse_term()
         self.skip_separators()
         proof = self.parse_proof()
-        return TheoremDecl(name, quantifiers, lhs, rhs, proof, self.span(kw))
+        return TheoremDecl(name, quantifiers, lhs, rhs, proof, self.span(kw), lhs_spans, rhs_spans)
 
     def parse_quantifiers(self) -> tuple[Quantifier, ...]:
         quantifiers = [self.parse_quantifier()]
@@ -442,14 +454,14 @@ class _Parser:
                 return tuple(steps)
             index = pos
             self.pos = pos + 2
-            term = self.parse_term()
+            term, term_spans = self.parse_term()
             justification = None
             if lex[self.pos] == "via":
                 self.pos += 1
                 justification = self.parse_justification()
             if not self.at_end_of_item():
                 self.fail("expected end of proof step")
-            steps.append(ProofStep(int(lex[index]), term, justification, self.span(index)))
+            steps.append(ProofStep(int(lex[index]), term, justification, self.span(index), term_spans))
 
     def parse_justification(self) -> Justification:
         start = self.pos
@@ -527,9 +539,9 @@ class _Parser:
         self.expect(":")
         restated = None
         if not self.at_end_of_item():
-            lhs = self.parse_term()
+            lhs, _ = self.parse_term()
             self.expect("↔")
-            restated = (lhs, self.parse_term())
+            restated = (lhs, self.parse_term()[0])
         self.skip_separators()
         if self.lex[self.pos] == "proof":
             body: ProofBody = self.parse_proof()
@@ -548,12 +560,18 @@ def parse_program(source: str, file: str = "<input>", operators: dict[str, str] 
 
 def parse_term(source: str, file: str = "<input>", operators: dict[str, str] | None = None) -> Term:
     """Parse a single term (the ``eval`` surface and the term fixtures)."""
+    return parse_term_with_spans(source, file, operators)[0]
+
+
+def parse_term_with_spans(source: str, file: str = "<input>", operators: dict[str, str] | None = None) \
+        -> tuple[Term, tuple[Span, ...]]:
+    """Parse a single term; returns it and its nodes' spans in pre-order."""
     scanned = scan(source, file)
     keep = [kind is not NEWLINE for kind in scanned.kinds]
     lists = (list(compress(tokens, keep))
              for tokens in (scanned.kinds, scanned.lexemes, scanned.starts, scanned.texts))
     parser = _Parser(Scan(file, *lists, {}, scanned.line_starts), operators)
-    term = parser.parse_term()
+    parsed = parser.parse_term()
     if parser.kinds[parser.pos] is not EOF:
         parser.fail("unexpected trailing input after term")
-    return term
+    return parsed

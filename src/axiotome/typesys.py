@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .diagnostics import Diagnostic, DiagnosticError, Span, error, warning
 from .syntax import (
@@ -33,10 +33,17 @@ class ConstructorSignature:
 
 @dataclass(frozen=True)
 class TypingContext:
-    """Metavariable types plus the type parameters currently in scope."""
+    """Metavariable types plus the type parameters currently in scope.
+
+    ``memo`` holds the type of each node typed in the context so far.  A
+    node's type depends on the context and the registry alone, so a context
+    is for the terms of one registry.  Threads that type terms in one
+    context fill its memo together; those that race on a node store equal
+    entries, and a dict's single get or set is atomic under the GIL."""
 
     metavar_types: dict[str, TypeExpr] = field(default_factory=dict)
     type_params: frozenset[str] = frozenset()
+    memo: dict[Term, TypeExpr] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -66,12 +73,8 @@ class Registry:
         return RuleSet.of(self)
 
     @cached_property
-    def typing_memo(self) -> dict[tuple[str, tuple[TypeExpr, ...], tuple[TypeExpr, ...]], TypeExpr]:
-        """Result types of the well-typed monomorphic applications met so
-        far, keyed by head, explicit type arguments and argument types.
-
-        ``infer_type`` fills it; a polymorphic head stays out because its
-        result carries its arguments' types, spans included."""
+    def constructors(self) -> dict[str, ConstructorSignature]:
+        """The signatures ``constructor_signature`` has made, by name."""
         return {}
 
     def axiom_metavars(self, axiom: Axiom, owner: str) -> dict[str, TypeExpr]:
@@ -84,6 +87,8 @@ class Registry:
 
 
 def substitute_type(ty: TypeExpr, bindings: dict[str, TypeExpr]) -> TypeExpr:
+    if not bindings:
+        return ty
     if not ty.args:
         return bindings.get(ty.name, ty)
     return TypeExpr(ty.name, tuple(substitute_type(a, bindings) for a in ty.args), ty.span)
@@ -193,7 +198,11 @@ def conforms(sub: TypeExpr, sup: TypeExpr, reg: Registry) -> bool:
 
 
 def constructor_signature(name: str, reg: Registry) -> ConstructorSignature:
-    """Signature of the constructor implied by a product type definition."""
+    """Signature of the constructor implied by a product type definition,
+    made once per registry."""
+    sig = reg.constructors.get(name)
+    if sig is not None:
+        return sig
     decl = reg.types.get(name)
     if decl is None:
         raise DiagnosticError(error("E-UNRESOLVED", f"unknown type {name!r}"))
@@ -202,7 +211,8 @@ def constructor_signature(name: str, reg: Registry) -> ConstructorSignature:
             "E-NO-CONSTRUCTOR", f"sum type {name!r} has no constructor of its own", decl.span,
         ))
     result = TypeExpr(name, tuple(TypeExpr(p) for p in decl.params))
-    return ConstructorSignature(decl.params, decl.body.fields, result)
+    sig = reg.constructors[name] = ConstructorSignature(decl.params, decl.body.fields, result)
+    return sig
 
 
 def join_types(t1: TypeExpr, t2: TypeExpr, reg: Registry) -> TypeExpr | None:
@@ -241,7 +251,12 @@ def _solve_params(pattern: TypeExpr, actual: TypeExpr, params: set[str],
             _solve_params(p, a, params, bindings, reg)
 
 
-def _signature(term: Term, ctx: TypingContext, reg: Registry) \
+#: Where a typing error lies: ``place(node)`` is the span of ``node``, and
+#: ``place(node, i)`` that of its ``i``-th argument.
+Placer = Callable[..., Span]
+
+
+def _signature(term: Term, ctx: TypingContext, reg: Registry, place: Placer) \
         -> tuple[tuple[tuple[str, TypeExpr], ...], tuple[str, ...], TypeExpr]:
     """Declared parameters, type parameters and result type of the function
     or constructor at ``term``'s head, once ``term`` is checked to give it
@@ -254,12 +269,12 @@ def _signature(term: Term, ctx: TypingContext, reg: Registry) \
         if decl is None:
             if term.head in ctx.type_params:
                 raise DiagnosticError(error(
-                    "E-UNRESOLVED", f"type parameter {term.head!r} used as a term", term.span,
+                    "E-UNRESOLVED", f"type parameter {term.head!r} used as a term", place(term),
                 ))
-            raise DiagnosticError(error("E-UNRESOLVED", f"unknown term head {term.head!r}", term.span))
+            raise DiagnosticError(error("E-UNRESOLVED", f"unknown term head {term.head!r}", place(term)))
         if isinstance(decl.body, SumBody):
             raise DiagnosticError(error(
-                "E-NO-CONSTRUCTOR", f"sum type {term.head!r} has no constructor", term.span,
+                "E-NO-CONSTRUCTOR", f"sum type {term.head!r} has no constructor", place(term),
             ))
         sig = constructor_signature(term.head, reg)
         declared, type_params, result = sig.fields, sig.type_params, sig.result_type
@@ -268,59 +283,75 @@ def _signature(term: Term, ctx: TypingContext, reg: Registry) \
         raise DiagnosticError(error(
             "E-ARITY",
             f"{term.head!r} expects {len(type_params)} type argument(s), got {len(explicit)}",
-            term.span,
+            place(term),
         ))
     if len(term.args) != len(declared):
         raise DiagnosticError(error(
             "E-ARITY",
             f"{term.head!r} expects {len(declared)} argument(s), got {len(term.args)}",
-            term.span,
+            place(term),
         ))
     return declared, type_params, result
 
 
 def _result_type(term: Term, declared: tuple[tuple[str, TypeExpr], ...], type_params: tuple[str, ...],
-                 result: TypeExpr, arg_types: tuple[TypeExpr, ...], reg: Registry) -> TypeExpr:
+                 result: TypeExpr, arg_types: tuple[TypeExpr, ...], reg: Registry, place: Placer) -> TypeExpr:
     """Type of the application ``term`` given its arguments' types: solve
     the type parameters not given explicitly, then check each argument."""
     explicit = term.type_args
     bindings: dict[str, TypeExpr] = dict(zip(type_params, explicit))
     params = set(type_params)
-    if not explicit:
+    if params and not explicit:
         for (_, pty), aty in zip(declared, arg_types):
             _solve_params(pty, aty, params, bindings, reg)
-    for (_, pty), aty, arg in zip(declared, arg_types, term.args):
+    for i, ((_, pty), aty, arg) in enumerate(zip(declared, arg_types, term.args)):
         expected = substitute_type(pty, bindings)
-        unsolved = _mentions_unsolved(expected, params, bindings)
+        unsolved = params and _mentions_unsolved(expected, params, bindings)
         if not unsolved and not conforms(aty, expected, reg):
             raise DiagnosticError(error(
                 "E-TYPE-MISMATCH",
                 f"argument {format_term(arg)} of {term.head!r}: "
                 f"{format_type(aty)} does not conform to {format_type(expected)}",
-                arg.span,
+                place(term, i),
             ))
     # Unsolved parameters stay symbolic (e.g. Nil's unused element type).
     return substitute_type(result, bindings)
 
 
 def _mentions_unsolved(ty: TypeExpr, params: set[str], bindings: dict[str, TypeExpr]) -> bool:
-    if ty.name in params and ty.name not in bindings:
-        return True
-    return any(_mentions_unsolved(a, params, bindings) for a in ty.args)
+    stack = [ty]
+    while stack:
+        ty = stack.pop()
+        if ty.name in params and ty.name not in bindings:
+            return True
+        stack.extend(ty.args)
+    return False
 
 
-def infer_type(term: Term, ctx: TypingContext, reg: Registry) -> TypeExpr:
+def infer_type(term: Term, ctx: TypingContext, reg: Registry, spans: Sequence[Span] = ()) -> TypeExpr:
     """Most specific type of ``term``; raises DiagnosticError on failure.
 
     One post-order walk with an explicit stack, so term depth is unbounded.
     A node's head is checked on entering it, before its arguments (left to
     right), and its argument types on leaving it, so the first error is the
-    one a depth-first recursion would meet.  A monomorphic application's
-    type depends only on its head, type arguments and argument types, and
-    is looked up in ``reg.typing_memo`` under exactly that key.
+    one a depth-first recursion would meet.  Each node's type is kept in
+    ``ctx.memo``: a node is typed once per context, however often it occurs
+    in the terms typed there.
+
+    ``spans`` are the spans of ``term``'s nodes in pre-order, as the parser
+    keeps them.  An error lies at the failing node's first occurrence in
+    pre-order, where the walk meets it, or at that occurrence's argument;
+    without spans it has none.
     """
-    memo = reg.typing_memo
+    memo = ctx.memo
+    known = memo.get(term)
+    if known is not None:
+        return known
     metavar_types = ctx.metavar_types
+
+    def place(node: Term, arg: int | None = None) -> Span:
+        return _place(term, spans, node, arg)
+
     types: list[TypeExpr] = []  # types of the finished subterms, in order
     # Terms to enter, and (term, signature, base of its argument types) to leave.
     stack: list = [term]
@@ -330,31 +361,37 @@ def infer_type(term: Term, ctx: TypingContext, reg: Registry) -> TypeExpr:
             node, (declared, type_params, result), base = item
             arg_types = tuple(types[base:])
             del types[base:]
-            if type_params:
-                ty = _result_type(node, declared, type_params, result, arg_types, reg)
-            else:
-                key = (node.head, node.type_args, arg_types)
-                ty = memo.get(key)
-                if ty is None:
-                    ty = memo[key] = _result_type(node, declared, type_params, result, arg_types, reg)
+            ty = memo[node] = _result_type(node, declared, type_params, result, arg_types, reg, place)
             types.append(ty)
             continue
-        head = item.head
-        if head in metavar_types:
+        ty = memo.get(item)
+        if ty is None:
+            if item.head not in metavar_types:
+                stack.append((item, _signature(item, ctx, reg, place), len(types)))
+                stack.extend(reversed(item.args))
+                continue
             if item.args or item.type_args:
                 raise DiagnosticError(error(
-                    "E-TYPE-MISMATCH", f"metavariable {head!r} cannot take arguments", item.span,
+                    "E-TYPE-MISMATCH", f"metavariable {item.head!r} cannot take arguments", place(item),
                 ))
-            types.append(metavar_types[head])
-            continue
-        if not item.args and not item.type_args:
-            ty = memo.get((head, (), ()))
-            if ty is not None:
-                types.append(ty)
-                continue
-        stack.append((item, _signature(item, ctx, reg), len(types)))
-        stack.extend(reversed(item.args))
+            ty = metavar_types[item.head]
+        types.append(ty)
     return types[0]
+
+
+def _place(term: Term, spans: Sequence[Span], node: Term, arg: int | None) -> Span:
+    """The span of ``node``'s first occurrence in ``term`` in pre-order, or
+    of that occurrence's ``arg``-th argument, from ``term``'s ``spans``."""
+    index, stack = 0, [term]
+    while stack:
+        sub = stack.pop()
+        if sub is node:
+            break
+        index += 1
+        stack.extend(reversed(sub.args))
+    if arg is not None:
+        index += 1 + sum(len(a.postorder()) for a in node.args[:arg])
+    return spans[index] if index < len(spans) else Span()
 
 
 def term_metavars(term: Term, reg: Registry) -> set[str]:
@@ -412,14 +449,15 @@ def _check_function(fn: FunctionDecl, reg: Registry) -> list[Diagnostic]:
         diags.append(error("E-DUP-NAME", f"duplicate parameter {name!r} in function {fn.name!r}", fn.span))
     if isinstance(fn.body, FormulaicBody):
         ctx = TypingContext(dict(fn.params), frozenset(fn.type_params))
+        body, spans = fn.body.term, fn.body.term_spans
         try:
-            body_ty = infer_type(fn.body.term, ctx, reg)
+            body_ty = infer_type(body, ctx, reg, spans)
             if not conforms(body_ty, fn.return_type, reg) and body_ty != fn.return_type:
                 diags.append(error(
                     "E-TYPE-MISMATCH",
                     f"body of {fn.name!r} has type {format_type(body_ty)}, "
                     f"expected {format_type(fn.return_type)}",
-                    fn.body.term.span,
+                    _place(body, spans, body, None),
                 ))
         except DiagnosticError as exc:
             diags.extend(exc.diagnostics)
@@ -441,8 +479,8 @@ def _check_function(fn: FunctionDecl, reg: Registry) -> list[Diagnostic]:
         metavars = reg.axiom_metavars(ax, fn.name)
         ctx = TypingContext(metavars, frozenset(fn.type_params))
         try:
-            lhs_ty = infer_type(ax.lhs, ctx, reg)
-            rhs_ty = infer_type(ax.rhs, ctx, reg)
+            lhs_ty = infer_type(ax.lhs, ctx, reg, ax.lhs_spans)
+            rhs_ty = infer_type(ax.rhs, ctx, reg, ax.rhs_spans)
         except DiagnosticError as exc:
             diags.extend(exc.diagnostics)
             continue

@@ -189,7 +189,8 @@ class _Verification:
     quantifier_types: dict[str, TypeExpr]
     diagnostics: list[Diagnostic] = field(default_factory=list)
     inferred: list[InferredVia] = field(default_factory=list)
-    #: Types the quantified metavariables, for every term of the theorem.
+    #: Types the quantified metavariables, for every term of the theorem, and
+    #: keeps each node's type once known.
     typing: TypingContext = field(init=False)
 
     def __post_init__(self) -> None:
@@ -197,9 +198,9 @@ class _Verification:
 
     # ----------------------------------------------------------- helpers
 
-    def _type_check(self, term: Term) -> bool:
+    def _type_check(self, step: ProofStep) -> bool:
         try:
-            infer_type(term, self.typing, self.registry)
+            infer_type(step.term, self.typing, self.registry, step.term_spans)
             return True
         except DiagnosticError as exc:
             self.diagnostics.extend(exc.diagnostics)
@@ -259,7 +260,7 @@ class _Verification:
             ))
 
         for step in steps:
-            if not self._type_check(step.term):
+            if not self._type_check(step):
                 return
 
         cur = steps[0].term
@@ -348,9 +349,9 @@ def verify_theorem(thm: TheoremDecl, registry: Registry) -> VerificationReport:
     v.diagnostics.extend(q_diags)
 
     side_types = []
-    for side in (thm.lhs, thm.rhs):
+    for side, spans in ((thm.lhs, thm.lhs_spans), (thm.rhs, thm.rhs_spans)):
         try:
-            side_types.append(infer_type(side, v.typing, registry))
+            side_types.append(infer_type(side, v.typing, registry, spans))
         except DiagnosticError as exc:
             v.diagnostics.extend(exc.diagnostics)
     if len(side_types) == 2:

@@ -214,6 +214,61 @@ def test_eval_rejects_unknown_names():
     assert "E-UNRESOLVED" in out
 
 
+#: A type error in each kind of typed term, and the output of ``check``: each
+#: error points at the failing node's first occurrence (an argument mismatch
+#: at the argument), an infix application at its first operand.
+TYPE_ERRORS = {
+    "proof step": (
+        "operator ∧ ≡ and\n"
+        "theorem ¶step: not(False) ↔ True\nproof\n  0. not(False)\n  1. and(not(Zero), not(Zero)) via $not°F\n"
+        "theorem ¶infix: False ∧ True ↔ False\nproof\n  0. False ∧ True\n  1. False ∧ (True ∧ Zero) via $and°FT\n"
+        "theorem ¶node: False ↔ False\nproof\n"
+        "  0. False\n  1. not(Successor(True ∧ False)) via $not°F\n",
+        "t.axm:5:14: error[E-TYPE-MISMATCH]: argument Zero of 'not': Zero does not conform to Boolean\n"
+        "t.axm:9:22: error[E-TYPE-MISMATCH]: argument Zero of 'and': Zero does not conform to Boolean\n"
+        "t.axm:13:20: error[E-TYPE-MISMATCH]: argument and(True, False) of 'Successor': "
+        "Boolean does not conform to Number\n"
+        "¶step: rejected\n¶infix: rejected\n¶node: rejected\n"),
+    "theorem side": (
+        "theorem ¶left: and(True, Zero) ↔ False\nproof\n  0. and(True, Zero)\n"
+        "theorem ¶side: ∀b ∈ Boolean: not(b) ↔ or(b,\n    not(b, b))\nproof\n  0. not(b)\n",
+        "t.axm:1:26: error[E-TYPE-MISMATCH]: argument Zero of 'and': Zero does not conform to Boolean\n"
+        "t.axm:3:16: error[E-TYPE-MISMATCH]: argument Zero of 'and': Zero does not conform to Boolean\n"
+        "t.axm:5:5: error[E-ARITY]: 'not' expects 1 argument(s), got 2\n"
+        "t.axm:7:3: error[E-ENDPOINT-MISMATCH]: final term is not(b), expected or(b, not(b, b))\n"
+        "¶left: rejected\n¶side: rejected\n"),
+    "axiom side": (
+        "function h(b: Boolean) : Boolean\n"
+        "  allowing $h°F: h(False) ↔ and(True, Successor(Zero))\n"
+        "           $h°T: h(mystery(True)) ↔ True\n",
+        "t.axm:2:39: error[E-TYPE-MISMATCH]: argument Successor(Zero) of 'and': "
+        "Successor does not conform to Boolean\n"
+        "t.axm:3:20: error[E-UNRESOLVED]: unknown term head 'mystery'\n"),
+    "formulaic body": (
+        "function g(b: Boolean) : Boolean ≡ or(b, not(Zero))\nfunction g2(b: Boolean) : Boolean ≡ Zero\n",
+        "t.axm:1:46: error[E-TYPE-MISMATCH]: argument Zero of 'not': Zero does not conform to Boolean\n"
+        "t.axm:2:37: error[E-TYPE-MISMATCH]: body of 'g2' has type Zero, expected Boolean\n"),
+}
+
+
+@pytest.mark.parametrize("where", TYPE_ERRORS)
+def test_type_errors_point_into_the_term(tmp_path, monkeypatch, where):
+    source, expected = TYPE_ERRORS[where]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.axm").write_text(source, encoding="utf-8")
+    assert run("check", *BOOL_PATHS, "t.axm") == (1, expected, "")
+
+
+@pytest.mark.parametrize("expression, expected", [
+    ("and(not(False), Successor(Zero))",
+     "<expression>:1:17: error[E-TYPE-MISMATCH]: argument Successor(Zero) of 'and': "
+     "Successor does not conform to Boolean\n"),
+    ("or(False,\n mystery(True))", "<expression>:2:2: error[E-UNRESOLVED]: unknown term head 'mystery'\n"),
+])
+def test_eval_type_errors_point_into_the_expression(expression, expected):
+    assert run("eval", expression, *BOOL_PATHS) == (1, expected, "")
+
+
 def test_eval_of_a_deep_term_reports_the_budget():
     # The redex search walks with an explicit stack, so a term nested deeper
     # than the interpreter's recursion limit is reduced, not a crash.
@@ -362,9 +417,42 @@ def test_usage_error_exits_two():
     assert run("check")[0] == 2
 
 
-def test_internal_error_exits_three_without_a_traceback(tmp_path):
-    # Comparing the 300-deep terms of this step overflows the interpreter's
-    # recursion limit: a kernel defect, which must not read as a finding.
+def test_internal_error_exits_three_without_a_traceback(tmp_path, monkeypatch):
+    # A kernel defect must not read as a finding.
+    def broken(*args):
+        raise RecursionError("maximum recursion depth exceeded\nin comparison")
+
+    monkeypatch.setattr("axiotome.cli.verify_theorem", broken)
+    code, out, err = run("check", *BOOL_PATHS, str(corpus_path("not_not_false_corrected.axm")))
+    assert code == 3
+    assert err == "error: internal error: RecursionError: maximum recursion depth exceeded in comparison\n"
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("k", [250, 1000, 5000])
+def test_deep_step_is_checked(tmp_path, k):
+    # Term equality is identity, and no walk on the way recurses.
+    deep = "not(" * k + "False" + ")" * k
+    step = "not(" * (k - 1) + "True" + ")" * (k - 1)
+    source = tmp_path / "deep.axm"
+    source.write_text(f"theorem ¶deep: {deep} ↔ {step}\nproof\n  0. {deep}\n  1. {step} via $not°F\n",
+                      encoding="utf-8")
+    assert run("check", *BOOL_PATHS, str(source)) == (0, "¶deep: accepted\n", "")
+
+
+def test_deep_type_argument_is_checked(tmp_path):
+    # Type expressions compare by their interned bare form, and typing a
+    # polymorphic application walks its type arguments with a stack.
+    deep = "List[" * 3000 + "Boolean" + "]" * 3000
+    source = tmp_path / "deep.axm"
+    source.write_text(f"theorem ¶deep: if(True, Nil[{deep}], Nil[{deep}]) ↔ Nil[{deep}]\nproof\n"
+                      f"  0. if(True, Nil[{deep}], Nil[{deep}])\n  1. Nil[{deep}] via $if°True\n", encoding="utf-8")
+    paths = [str(corpus_path(n)) for n in BASE_TYPES + ["polymorphic_lists.axm", "if_function.axm"]]
+    assert run("check", *paths, str(source)) == (0, "¶deep: accepted\n", "")
+
+
+def test_deep_unjustified_step_is_a_finding(tmp_path):
+    # Comparing these 300-deep terms once overflowed the recursion limit.
     k = 300
     deep = "not(" * k + "False" + ")" * k
     shallower = "not(" * (k - 2) + "False" + ")" * (k - 2)
@@ -372,9 +460,8 @@ def test_internal_error_exits_three_without_a_traceback(tmp_path):
     source.write_text(f"theorem ¶deep: {deep} ↔ {shallower}\nproof\n  0. {deep}\n  1. {shallower} via $not°F\n",
                       encoding="utf-8")
     code, out, err = run("check", *BOOL_PATHS, str(source))
-    assert code == 3
-    assert err.startswith("error: internal error: RecursionError: ") and err.count("\n") == 1
-    assert "Traceback" not in out + err
+    assert (code, err) == (1, "")
+    assert out.endswith("¶deep: rejected\n") and out.count("error[E-UNJUSTIFIED-STEP]") == 1
 
 
 DE_MORGAN = str(corpus_path("de_morgan_original.axm"))

@@ -57,6 +57,19 @@ def test_pair_domain_is_a_cross_product(bool_registry):
     assert dom.finite and len(dom.inhabitants) == 4
 
 
+def test_large_product_domain_is_enumerated_in_one_pass(bool_registry):
+    # ``Pair[P8, P4]``, P8 a nest of 8 Booleans: 4,096 inhabitants, whose
+    # enumeration took 12 s when each was looked up in a list.  It takes
+    # about 0.04 s once duplicates are dropped through a dict.
+    _, p8 = _nest([t("False")] * 8)
+    _, p4 = _nest([t("False")] * 4)
+    start = time.perf_counter()
+    dom = enumerable_domain(TypeExpr("Pair", (p8, p4)), bool_registry)
+    elapsed = time.perf_counter() - start
+    assert dom.finite and len(set(dom.inhabitants)) == len(dom.inhabitants) == 4096
+    assert elapsed < 1.0
+
+
 # ------------------------------------------------------------ normalization
 
 def test_normalize_double_negation(bool_registry):
@@ -362,14 +375,13 @@ def test_validation_evaluator_agrees_with_reference(term, budget):
     for registry in EVALUATED_REGISTRIES:
         if not registry.rules.orthogonal_over(heads):
             continue  # validated by ``normalize`` of each substituted term
-        forms: dict = {}
-        [(fixed, results)] = oracle._blocks(["a"], [(t("False"), t("True"))], subjects, registry, budget, forms)
+        [(fixed, results)] = oracle._blocks(["a"], [(t("False"), t("True"))], subjects, registry, budget)
         assert not fixed
         for partition, subject in zip(results, subjects):
             for bit, value in enumerate(("False", "True")):
                 sigma = {"a": Term(value)}
                 want = _reference_normalize(apply_substitution(sigma, subject), registry, budget, innermost=False)
-                got = [(forms.get(form), steps) for (form, steps), mask in partition.items() if mask >> bit & 1]
+                got = [value for value, mask in partition.items() if mask >> bit & 1]
                 assert got == [oracle.EXHAUSTED if want.exhausted_budget else (want.normal_form, want.steps)]
                 if want.exhausted_budget:
                     break

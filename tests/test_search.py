@@ -412,10 +412,6 @@ def test_moves_built_from_edits_agree_with_eager_moves(term, env, extra):
     assert successor_moves(term, env, scope) == _eager_successor_moves(term, env, scope)
 
 
-def _spans(term):
-    return [sub.span for _, sub in positions(term)]
-
-
 def _reaching_moves(term, goals, env):
     """Check, for every move of ``term`` and every goal other than ``term``,
     that ``fill_gap``'s target test agrees with building the result and
@@ -430,7 +426,7 @@ def _reaching_moves(term, goals, env):
         for clause, edits, built in moves:
             reached = _reached(term, edits, goal, fork)
             if built == goal:
-                assert reached == built and _spans(reached) == _spans(built), (goal, clause, edits)
+                assert reached is built, (goal, clause, edits)  # one object: terms are interned
                 hits.append((goal, clause, edits))
             else:
                 assert reached is None, (goal, clause, edits)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from axiotome.diagnostics import DiagnosticError, Span
 from axiotome.syntax import (
-    Axiom, CaseBlock, CaseRangeJustification, FunctionDecl, LinearProof, OperatorDecl,
+    Axiom, CaseBlock, CaseRangeJustification, FormulaicBody, FunctionDecl, LinearProof, OperatorDecl,
     ProductBody, ProofStep, Quantifier, RuleJustification, Term, TheoremDecl, Token,
     TokenKind, TypeDecl, TypeExpr, format_node, parse_program, parse_term, tokenize,
 )
@@ -222,6 +222,23 @@ def _nodes(root):
             stack.extend(node)
 
 
+def _spanned_terms(node):
+    """The terms a parsed node owns, each with its nodes' spans."""
+    if isinstance(node, (ProofStep, FormulaicBody)):
+        yield node.term, node.term_spans
+    elif isinstance(node, (TheoremDecl, Axiom)):
+        yield node.lhs, node.lhs_spans
+        yield node.rhs, node.rhs_spans
+
+
+def _preorder(term):
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.args))
+
+
 _KEYWORD_OF = {TypeDecl: "type", FunctionDecl: "function", OperatorDecl: "operator",
                TheoremDecl: "theorem", CaseBlock: "case"}
 
@@ -252,11 +269,15 @@ def test_parsed_spans_point_at_their_lexemes(source):
         return
     operators = {d.function_name for d in program.statements if isinstance(d, OperatorDecl)}
     for node in _nodes(program):
+        for term, spans in _spanned_terms(node):
+            subterms = list(_preorder(term))
+            assert len(spans) == len(subterms)
+            for i, (sub, span) in enumerate(zip(subterms, spans)):
+                if text_at(span) != sub.head:
+                    # An infix application carries its first operand's span.
+                    assert sub.head in operators and len(sub.args) == 2 and span == spans[i + 1]
         text = text_at(node.span) if hasattr(node, "span") else None
-        if isinstance(node, Term) and text != node.head:
-            # An infix application carries its first operand's span.
-            assert node.head in operators and len(node.args) == 2 and node.span == node.args[0].span
-        elif isinstance(node, TypeExpr):
+        if isinstance(node, TypeExpr):
             assert text == node.name
         elif isinstance(node, ProofStep):
             assert re.fullmatch("[0-9]+", text) and int(text) == node.index
@@ -370,9 +391,9 @@ def test_dotted_rule_names_merge_while_each_dot_follows_on_the_first_line():
 
 
 def test_spans_of_a_term_across_lines():
-    term = parse_program("theorem ¶t: a ↔ a\nproof\n  0. f(\na,\n  g(b))\n").statements[0].proof.steps[0].term
-    assert [(t.span.line, t.span.column) for t in (term, *term.args, term.args[1].args[0])] == [
-        (3, 6), (4, 1), (5, 3), (5, 5)]
+    step = parse_program("theorem ¶t: a ↔ a\nproof\n  0. f(\na,\n  g(b))\n").statements[0].proof.steps[0]
+    # f, a, g and b in pre-order.
+    assert [(span.line, span.column) for span in step.term_spans] == [(3, 6), (4, 1), (5, 3), (5, 5)]
 
 
 def test_nullary_application_equals_bare_identifier():

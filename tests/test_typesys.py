@@ -277,26 +277,31 @@ def test_deep_terms_are_scanned_and_typed_without_recursion(bool_registry):
 
 # ------------------------------------------------- the recursive reference
 
-def _reference_check_application(name, declared, type_params, explicit, result, term, ctx, reg):
+def _size(term):
+    return 1 + sum(_size(a) for a in term.args)
+
+
+def _reference_check_application(name, declared, type_params, explicit, result, term, ctx, reg, spans, at):
     if explicit and len(explicit) != len(type_params):
         raise DiagnosticError(error(
             "E-ARITY",
             f"{name!r} expects {len(type_params)} type argument(s), got {len(explicit)}",
-            term.span,
+            spans[at],
         ))
     if len(term.args) != len(declared):
         raise DiagnosticError(error(
             "E-ARITY",
             f"{name!r} expects {len(declared)} argument(s), got {len(term.args)}",
-            term.span,
+            spans[at],
         ))
     bindings = dict(zip(type_params, explicit))
-    arg_types = [_reference_infer_type(a, ctx, reg) for a in term.args]
+    places = list(itertools.accumulate((_size(a) for a in term.args[:-1]), initial=at + 1))
+    arg_types = [_reference_infer_type(a, ctx, reg, spans, i) for a, i in zip(term.args, places)]
     params = set(type_params)
     if not explicit:
         for (_, pty), aty in zip(declared, arg_types):
             _solve_params(pty, aty, params, bindings, reg)
-    for (pname, pty), aty, arg in zip(declared, arg_types, term.args):
+    for (pname, pty), aty, arg, i in zip(declared, arg_types, term.args, places):
         expected = substitute_type(pty, bindings)
         unsolved = _mentions_unsolved(expected, params, bindings)
         if not unsolved and not conforms(aty, expected, reg):
@@ -304,44 +309,44 @@ def _reference_check_application(name, declared, type_params, explicit, result, 
                 "E-TYPE-MISMATCH",
                 f"argument {format_term(arg)} of {name!r}: "
                 f"{format_type(aty)} does not conform to {format_type(expected)}",
-                arg.span,
+                spans[i],
             ))
     return substitute_type(result, bindings)
 
 
-def _reference_infer_type(term, ctx, reg):
-    """The recursive typer, with no memo, that ``infer_type`` replaced."""
+def _reference_infer_type(term, ctx, reg, spans, at=0):
+    """The recursive typer, with no memo, that ``infer_type`` replaced; the
+    node at pre-order index ``at`` of the typed term has span ``spans[at]``."""
     if term.head in ctx.metavar_types:
         if term.args or term.type_args:
             raise DiagnosticError(error(
-                "E-TYPE-MISMATCH", f"metavariable {term.head!r} cannot take arguments", term.span,
+                "E-TYPE-MISMATCH", f"metavariable {term.head!r} cannot take arguments", spans[at],
             ))
         return ctx.metavar_types[term.head]
     fn = reg.functions.get(term.head)
     if fn is not None:
         return _reference_check_application(
-            fn.name, fn.params, fn.type_params, term.type_args, fn.return_type, term, ctx, reg,
+            fn.name, fn.params, fn.type_params, term.type_args, fn.return_type, term, ctx, reg, spans, at,
         )
     decl = reg.types.get(term.head)
     if decl is not None:
         if isinstance(decl.body, SumBody):
             raise DiagnosticError(error(
-                "E-NO-CONSTRUCTOR", f"sum type {term.head!r} has no constructor", term.span,
+                "E-NO-CONSTRUCTOR", f"sum type {term.head!r} has no constructor", spans[at],
             ))
         sig = constructor_signature(term.head, reg)
         return _reference_check_application(
-            term.head, sig.fields, sig.type_params, term.type_args, sig.result_type, term, ctx, reg,
+            term.head, sig.fields, sig.type_params, term.type_args, sig.result_type, term, ctx, reg, spans, at,
         )
     if term.head in ctx.type_params:
         raise DiagnosticError(error(
-            "E-UNRESOLVED", f"type parameter {term.head!r} used as a term", term.span,
+            "E-UNRESOLVED", f"type parameter {term.head!r} used as a term", spans[at],
         ))
-    raise DiagnosticError(error("E-UNRESOLVED", f"unknown term head {term.head!r}", term.span))
+    raise DiagnosticError(error("E-UNRESOLVED", f"unknown term head {term.head!r}", spans[at]))
 
 
 # ------------------------------------------------ typer against reference
 
-#: Shared across examples, so later examples read memo entries of earlier ones.
 TYPING_REGISTRIES = {
     "booleans": load_registry(*BOOL_FNS, "if_function.axm", "polymorphic_lists.axm"),
     "naturals": load_registry("natural_numbers.axm"),
@@ -356,7 +361,9 @@ def _context(file: str) -> TypingContext:
                           for i, (var, ty) in enumerate(types.items())}, frozenset({"T"}))
 
 
-TYPING_CONTEXTS = (_context("first.axm"), _context("second.axm"))
+#: Two contexts per registry, each shared across examples, so later examples
+#: read the memo entries of earlier ones.
+TYPING_CONTEXTS = {name: (_context("first.axm"), _context("second.axm")) for name in TYPING_REGISTRIES}
 
 
 def _app(head: str, *args: Term, type_args: tuple[TypeExpr, ...] = ()) -> Term:
@@ -447,50 +454,46 @@ _MUTATIONS = {
 
 @st.composite
 def _typing_cases(draw):
-    """A registry, and a term for it that may be mutated at one node."""
+    """A registry, a context for it, a term for it that may be mutated at
+    one node, and a distinct span for each of the term's nodes in pre-order."""
     name = draw(st.sampled_from(sorted(TYPING_REGISTRIES)))
     term = draw(TYPING_TERMS[name])
     if draw(st.booleans()):
         path = draw(st.sampled_from(list(_paths(term))))
         mutate = _MUTATIONS[draw(st.sampled_from(sorted(_MUTATIONS)))]
         term = _replace(term, path, mutate(_at(term, path)))
-    return TYPING_REGISTRIES[name], _spanned(term, itertools.count(1))
-
-
-def _spanned(term: Term, columns) -> Term:
-    """``term`` with a distinct span on every node and type argument."""
-    span = Span("term.axm", 1, next(columns), 1)
-    type_args = tuple(TypeExpr(t.name, t.args, Span("term.axm", 2, next(columns), 1)) for t in term.type_args)
-    return Term(term.head, type_args, tuple(_spanned(a, columns) for a in term.args), span)
+    spans = tuple(Span("term.axm", 1, column, 1) for column in range(1, _size(term) + 1))
+    return TYPING_REGISTRIES[name], draw(st.sampled_from(TYPING_CONTEXTS[name])), term, spans
 
 
 def _type_spans(ty: TypeExpr):
     return ty.name, ty.span, tuple(_type_spans(a) for a in ty.args)
 
 
-def _outcome(typer, term: Term, ctx: TypingContext, registry):
+def _outcome(typer, term: Term, ctx: TypingContext, registry, spans):
     try:
-        return "typed", _type_spans(typer(term, ctx, registry))
+        return "typed", _type_spans(typer(term, ctx, registry, spans))
     except DiagnosticError as exc:
         return "rejected", [(d.code, d.message, d.span, d.related) for d in exc.diagnostics]
 
 
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
-@given(_typing_cases(), st.sampled_from(TYPING_CONTEXTS))
-def test_typer_agrees_with_recursive_reference(case, ctx):
-    registry, term = case
+@given(_typing_cases())
+def test_typer_agrees_with_recursive_reference(case):
+    registry, ctx, term, spans = case
     # Compare the type with every span inside it, or the first error whole.
-    assert _outcome(infer_type, term, ctx, registry) == _outcome(_reference_infer_type, term, ctx, registry)
+    expected = _outcome(_reference_infer_type, term, ctx, registry, spans)
+    assert _outcome(infer_type, term, ctx, registry, spans) == expected
 
 
 def test_threads_fill_one_typing_memo_consistently():
-    registry = load_registry(*BOOL_FNS)  # a memo of its own, empty at the start
+    registry = load_registry(*BOOL_FNS)
     leaves = [Term("False"), Term("True"), Term("a")]
     level1 = leaves + [_app("not", x) for x in leaves] + [_app(h, x, y) for h in ("and", "or")
                                                           for x in leaves for y in leaves]
     subjects = level1 + [_app(h, x, y) for h in ("and", "or") for x in level1 for y in level1[::3]]
-    ctx = TYPING_CONTEXTS[0]
-    expected = [_type_spans(_reference_infer_type(t, ctx, registry)) for t in subjects]
+    ctx = _context("first.axm")  # a memo of its own, empty at the start
+    expected = [_type_spans(_reference_infer_type(t, ctx, registry, ())) for t in subjects]
     results = {}
 
     def work(i):
