@@ -269,6 +269,38 @@ def _reached(term: Term, edits: Edits, target: Term, fork: Position) -> Term | N
     return target if _applied(term, edits) is target else None
 
 
+def _may_reach(term: Term, target: Term, env: StepEnv) -> bool:
+    """Can one move of gap search turn ``term`` into ``target``?  A cheap
+    necessary condition: False means no move does.
+
+    A move edits disjoint positions, so an edit at ``p`` leaves exactly its
+    replacement at ``p``.  Where the two terms differ outermost, at a
+    position whose symbols differ, some edit must sit there or at an
+    ancestor, with ``target``'s subterm there as its replacement: a match
+    of ``RuleSet.matches`` on ``moves``, or a case move, which swaps a
+    bound constructor leaf and its metavariable (elimination edits the
+    leaf, and introduction's whole-term edit holds the constructor wherever
+    ``term`` holds the metavariable).  One walk down both terms, by
+    identity, tries each ancestor outermost first and stops below a match
+    that covers it."""
+    rules = env.registry.rules
+    swaps = set()
+    for q in env.case_bindings:
+        var, ctor = Term(q.var), constructor_term(q.domain)
+        swaps.update(((var, ctor), (ctor, var)))
+    stack = [((), term, target)] if term is not target else []
+    while stack:
+        site = stack.pop()  # its position is not needed, so every site has ()
+        _, sub, goal = site
+        if _first_hit(rules.matches((site,), rules.moves, env.current_theorem)) is not None:
+            continue
+        if sub.head == goal.head and sub.type_args == goal.type_args and len(sub.args) == len(goal.args):
+            stack.extend(((), a, b) for a, b in zip(sub.args, goal.args) if a is not b)
+        elif (sub, goal) not in swaps:
+            return False
+    return True
+
+
 # ------------------------------------------------------------------- rules
 
 def _is_var(term: Term, metavars: frozenset[str]) -> bool:
@@ -540,16 +572,17 @@ def _validate_case_bindings(just: CaseRangeJustification, env: StepEnv) -> Diagn
     return None
 
 
-def _case_edits(prev: Term, just: CaseRangeJustification) -> list[tuple[Edits, tuple]]:
+def _case_edits(prev: Term, just: CaseRangeJustification) -> list[Edits]:
     """Constant introduction, one whole-term edit, when ``prev`` mentions a
     bound metavariable, else every elimination assignment.  Only these pass
     ``check_justified_step``: an introduced term mentions no bound
-    metavariable, so a term that does can only be introduced from."""
+    metavariable, so a term that does can only be introduced from.  One
+    walk over ``prev`` decides which: a leaf that the substitution changes
+    is a bound metavariable."""
     sigma = _case_sigma(just.bindings)
-    witness = (((), RewriteRule(format_justification(just), RuleSource.CASE_RANGE, prev, prev), sigma),)
-    introduced = apply_substitution(sigma, prev)
-    if introduced != prev:
-        return [((((), introduced),), witness)]
+    subterms = positions(prev)
+    if any(not sub.args and not sub.type_args and sigma.get(sub.head, sub) != sub for _, sub in subterms):
+        return [(((), apply_substitution(sigma, prev)),)]
 
     # Elimination: group the bound metavariables by their constructor term,
     # then edit each occurrence of a constructor, a leaf, to each variable
@@ -558,9 +591,8 @@ def _case_edits(prev: Term, just: CaseRangeJustification) -> list[tuple[Edits, t
     groups: dict[Term, dict[Term, None]] = {}
     for q in just.bindings:
         groups.setdefault(constructor_term(q.domain), {})[Term(q.var)] = None
-    subterms = positions(prev)
     leaves = [(pos, ctor, vars_) for ctor, vars_ in groups.items() for pos, sub in subterms if sub == ctor]
-    return [(tuple((pos, new) for (pos, _, _), new in zip(leaves, choice)), witness)
+    return [tuple((pos, new) for (pos, _, _), new in zip(leaves, choice))
             for choice in product(*(vars_ for _, _, vars_ in leaves))
             if any(new != ctor for (_, ctor, _), new in zip(leaves, choice))]
 
@@ -583,7 +615,9 @@ def clause_edits(prev: Term, just: Justification, env: StepEnv) -> list[tuple[Ed
         bad = _validate_case_bindings(just, env)
         if bad is not None:
             return bad
-        return _case_edits(prev, just)
+        rule = RewriteRule(format_justification(just), RuleSource.CASE_RANGE, prev, prev)
+        witness = (((), rule, _case_sigma(just.bindings)),)
+        return [(edits, witness) for edits in _case_edits(prev, just)]
 
     for name in just.names:
         rule = resolve_rule(name, env)

@@ -6,7 +6,12 @@ and lives in ``rewrite``; it is re-exported here.
 ``fill_gap`` searches breadth-first, one layer of hops per depth, over
 single justified rewrites — plus same-rule simultaneous tuples and
 case-range moves — and returns the lexicographically first shortest chain
-under that move order.
+under that move order.  It applies the goal test as a hop is generated: a
+term is expanded at once only when ``rewrite._may_reach`` finds that one
+move may reach the target, and the rest of a layer only when no move did
+and a next layer is allowed, so a failing search never expands its last
+layer in full (Russell & Norvig, *Artificial Intelligence: A Modern
+Approach*, 3rd ed., §3.4.1).
 
 ``repair_theorem`` fixes proofs whose steps are unjustified because terms were
 omitted.  For a broken hop it splices the shortest chain between the two
@@ -24,8 +29,8 @@ from itertools import groupby
 from operator import itemgetter
 
 from .rewrite import (
-    Edits, Position, RuleSource, StepEnv, _applied, _case_edits, _disjoint, _fork, _reached,
-    apply_substitution, check_justified_step, clause_edits, infer_step_justification, positions,
+    Edits, Position, RuleSource, StepEnv, _applied, _case_edits, _disjoint, _fork, _may_reach,
+    _reached, apply_substitution, check_justified_step, clause_edits, infer_step_justification, positions,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, Justification, LinearProof,
@@ -99,7 +104,7 @@ def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
     case_moves: list[tuple[Justification, Edits]] = []
     if env.case_bindings:
         clause = CaseRangeJustification(env.case_bindings)
-        case_moves = [(clause, edits) for edits, _ in _case_edits(term, clause)
+        case_moves = [(clause, edits) for edits in _case_edits(term, clause)
                       if all(term_metavars(new, env.registry) <= scope for _, new in edits)]
     sites = [(pos, sub, None) for pos, sub in positions(term)]
     for _, group in groupby(rules.matches(sites, rules.moves, env.current_theorem), itemgetter(0)):
@@ -114,9 +119,11 @@ def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
         replaced = [(pos, apply_substitution(sigma, dst)) for _, pos, _, sigma, _ in group]
         clause = RuleJustification((rule.name,))
         moves.extend((clause, (edit,)) for edit in replaced)
-        chosen: list[tuple[Position, Term]] = []
-        for edit in replaced:
-            if all(_disjoint(edit[0], c[0]) for c in chosen):
+        # Matches come in pre-order, so a position that overlaps an earlier
+        # chosen one lies below it and overlaps the last chosen one too.
+        chosen: list[tuple[Position, Term]] = replaced[:1]
+        for edit in replaced[1:]:
+            if _disjoint(edit[0], chosen[-1][0]):
                 chosen.append(edit)
         if len(chosen) >= 2:
             moves.append((RuleJustification((rule.name,) * len(chosen)), tuple(chosen)))
@@ -139,13 +146,19 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
     the deterministic move order of ``successor_edits``, duplicates
     included, so the first hop that reaches ``target`` ends the
     lexicographically first shortest chain by (rule order, direction,
-    position).  A term is expanded at its first hop only.  A hop is held
-    as its parent and its move's edits, and its term is built only when
-    the hop is taken off its layer; a move is recognised as reaching
-    ``target`` through the fork of the expanded term and ``target``,
-    without building its result (see ``_reached``).  ``None`` when no
-    chain of at most ``budget.max_depth`` hops exists, or when finding one
-    would expand more than ``budget.max_nodes`` distinct terms.
+    position).  A hop is held as its parent and its move's edits, and its
+    term is built when the hop is taken off its layer.
+
+    Each layer is taken in two passes.  The first builds each hop's term
+    and, at its first hop only, counts it against ``budget.max_nodes``;
+    it expands only the terms that ``_may_reach`` the target, and tests
+    their moves for the target through the fork of the term and
+    ``target`` (see ``_reached``), so the goal test is applied as a hop is
+    generated.  The second pass, made only when no move reached ``target``
+    and a next layer is allowed, expands the other terms, in the same
+    order, to make that layer.  ``None`` when no chain of at most
+    ``budget.max_depth`` hops exists, or when finding one would visit more
+    than ``budget.max_nodes`` distinct terms.
     """
     budget = budget or SearchBudget()
     if source == target:
@@ -158,7 +171,8 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
     layer: list[tuple] = [(None, None, ())]
     expanded: set[Term] = set()
     for depth in range(1, budget.max_depth + 1):
-        next_layer = []
+        # The first pass: each new term's hop, with its moves if it was expanded.
+        hops: list[tuple[tuple, list | None]] = []
         for parent, clause, edits in layer:
             term = source if parent is None else _applied(parent[0], edits)
             if term in expanded:
@@ -167,18 +181,23 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
                 return None
             expanded.add(term)
             hop = (term, clause, parent)
-            fork = _fork(term, target)
-            for clause, edits in successor_edits(term, env, scope):
-                result = _reached(term, edits, target, fork)
-                if result is not None:
-                    steps = [(result, clause)]
-                    while hop[2] is not None:
-                        steps.append(hop[:2])
-                        hop = hop[2]
-                    return JustifiedChain(tuple(reversed(steps)), source, target)
-                if depth < budget.max_depth:
-                    next_layer.append((hop, clause, edits))
-        layer = next_layer
+            moves = None
+            if _may_reach(term, target, env):
+                moves = successor_edits(term, env, scope)
+                fork = _fork(term, target)
+                for clause, edits in moves:
+                    result = _reached(term, edits, target, fork)
+                    if result is not None:
+                        steps = [(result, clause)]
+                        while hop[2] is not None:
+                            steps.append(hop[:2])
+                            hop = hop[2]
+                        return JustifiedChain(tuple(reversed(steps)), source, target)
+            hops.append((hop, moves))
+        if depth == budget.max_depth:
+            break
+        layer = [(hop, clause, edits) for hop, moves in hops
+                 for clause, edits in (successor_edits(hop[0], env, scope) if moves is None else moves)]
     return None
 
 

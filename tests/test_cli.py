@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import time
 
 import pytest
 
@@ -361,6 +362,36 @@ def test_fill_keeps_the_operator_flags(tmp_path):
     assert out.splitlines()[:2] == ["¶t: repaired", "  + 1. or(False, True) via $not°F"]
     assert run("check", *BOOL_PATHS, str(target))[0] == 0
     assert run("fill", str(source), *BOOL_PATHS, "-o", str(target))[0] == 1  # undeclared glyph
+
+
+_DE_MORGAN_CASES = [("False", "False"), ("False", "True"), ("True", "False"), ("True", "True")]
+
+#: de Morgan with steps 1-5 of every case left out and no vias: four 6-hop gaps.
+_DE_MORGAN_6_HOPS = (
+    "theorem ¶deMorgan1: ∀a ∈ Boolean, ∀b ∈ Boolean: not(and(a, b)) ↔ or(not(a), not(b))\n"
+    "proof by cases of (a, b) using Boolean = False U True\n"
+    + "".join(f"  case ∀a ∈ {x}, ∀b ∈ {y}:\n    0. not(and(a, b))\n    1. or(not(a), not(b))\n"
+              for x, y in _DE_MORGAN_CASES)
+)
+
+
+@pytest.mark.parametrize("depth", ["4", "5"])
+def test_fill_gives_up_on_six_hop_gaps_within_a_time_bound(tmp_path, depth):
+    # No chain of at most five hops exists; the search must show it without
+    # expanding the last layer's terms (about 1 s at depth 5 on a 2-core x86-64 VM).
+    source = tmp_path / "de_morgan_6.axm"
+    source.write_text(_DE_MORGAN_6_HOPS, encoding="utf-8")
+    target = tmp_path / "out.axm"
+    started = time.perf_counter()
+    code, out, _ = run("fill", str(source), *BOOL_PATHS, "-o", str(target), "--max-depth", depth)
+    assert time.perf_counter() - started < 30
+    assert code == 1
+    assert out == "".join(
+        ["¶deMorgan1: not repairable by insertion\n"]
+        + [f"  a ∈ {x}, b ∈ {y} step 1: via (no via) does not justify not(and(a, b)) into or(not(a), not(b))\n"
+           for x, y in _DE_MORGAN_CASES]
+        + [f"wrote {target}\n"])
+    assert target.read_text(encoding="utf-8") == _DE_MORGAN_6_HOPS
 
 
 # ---------------------------------------------------------------------- fmt

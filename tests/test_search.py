@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from axiotome import search
 from axiotome.rewrite import (
-    RuleSource, StepEnv, _applied, _disjoint, _fork, _reached, apply_substitution,
+    RuleSource, StepEnv, _applied, _disjoint, _fork, _may_reach, _reached, apply_substitution,
     check_justified_step, positions, replace_at,
 )
 from axiotome.search import (
@@ -447,6 +447,34 @@ def test_target_is_recognised_as_building_would(term, env, data):
     _reaching_moves(term, goals, env)
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS), st.data())
+def test_one_move_reach_test_passes_every_move(term, env, data):
+    # ``fill_gap`` expands a term early only when it passes ``_may_reach``,
+    # so every result of one move must pass it; a drawn target that fails
+    # it, one term or a walk of two moves, is the result of no move.
+    results = [result for _, result in successor_moves(term, env, SCOPE)]
+    for result in results:
+        assert _may_reach(term, result, env), result
+    targets = [data.draw(RULE_TERMS)]
+    if results:
+        walk = data.draw(st.sampled_from(results))
+        targets += [result for _, result in successor_moves(walk, env, SCOPE)]
+    for target in targets:
+        if not _may_reach(term, target, env):
+            assert target not in results, target
+
+
+def test_one_move_reach_test_rejects_farther_terms():
+    env = ENVS[1]  # a, b ∈ False, theorem ¶deMorgan1 excluded
+    assert _may_reach(t("not(and(a, b))"), t("not(and(False, False))"), env)  # introduction
+    assert _may_reach(t("not(and(False, False))"), t("not(and(a, False))"), env)  # elimination
+    assert _may_reach(t("or(not(True), not(True))"), t("or(False, False)"), env)  # a tuple
+    assert not _may_reach(t("not(and(a, b))"), t("not(False)"), env)
+    assert not _may_reach(t("not(not(True))"), t("True"), env)
+    assert not _may_reach(t("or(not(True), True)"), t("or(False, False)"), env)
+
+
 _AND_COMMUTES = """\
 theorem ¶andCommutes: ∀a ∈ Boolean, ∀b ∈ Boolean: and(a, b) ↔ and(b, a)
 proof
@@ -547,15 +575,20 @@ def _reference_fill_gap(source: Term, target: Term, env: StepEnv,
 
 
 def _expanding(gap_search, source, goal, env, budget):
-    """The result of ``gap_search`` and the terms it expanded, in order."""
-    expanded = []
+    """The result of ``gap_search`` and the terms it counted against
+    ``budget.max_nodes``, in order: each term as it is first tested for a
+    one-move reach (``fill_gap``) or expanded (the reference)."""
+    counted = {}
 
-    def recorded(term, env, scope):
-        expanded.append(term)
-        return successor_edits(term, env, scope)
+    def recorded(call):
+        def recording(term, *args):
+            counted.setdefault(term)
+            return call(term, *args)
+        return recording
 
-    with patch.object(search, "successor_edits", recorded):
-        return gap_search(source, goal, env, budget), expanded
+    with patch.object(search, "successor_edits", recorded(successor_edits)), \
+            patch.object(search, "_may_reach", recorded(_may_reach)):
+        return gap_search(source, goal, env, budget), list(counted)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
