@@ -292,7 +292,7 @@ def _may_reach(term: Term, target: Term, env: StepEnv) -> bool:
     while stack:
         site = stack.pop()  # its position is not needed, so every site has ()
         _, sub, goal = site
-        if _first_hit(rules.matches((site,), rules.moves, env.current_theorem)) is not None:
+        if _first_hit(rules.matches((site,), env.current_theorem)) is not None:
             continue
         if sub.head == goal.head and sub.type_args == goal.type_args and len(sub.args) == len(goal.args):
             stack.extend(((), a, b) for a, b in zip(sub.args, goal.args) if a is not b)
@@ -398,19 +398,14 @@ def _orthogonal(rules: list[RewriteRule]) -> bool:
             return False
         by_head.setdefault(rule.lhs.head, []).append(rule)
     for outer in rules:
-        for pos, sub in positions(outer.lhs):
+        for sub in outer.lhs.postorder():
             if _is_var(sub, outer.metavars):
                 continue
             for inner in by_head.get(sub.head, ()):
-                if (inner is not outer or pos) and _unifiable(inner.lhs, inner.metavars, sub, outer.metavars):
+                if (inner is not outer or sub is not outer.lhs) \
+                        and _unifiable(inner.lhs, inner.metavars, sub, outer.metavars):
                     return False
     return True
-
-
-def _moves(i: int, rule: RewriteRule) -> list[tuple[int, RewriteRule]]:
-    """The directions of ``rules[i]`` whose match determines the result,
-    ranked ``2 * i`` forward and ``2 * i + 1`` backward."""
-    return [(2 * i + d, o) for d, o in enumerate((rule, rule.reversed())) if o.determined()]
 
 
 #: Where a rule is tried: the position, the subterm there, and the term a
@@ -449,17 +444,11 @@ class RuleSet:
     @cached_property
     def moves(self) -> RuleIndex:
         """Each direction of a citable rule whose match determines its
-        result, built on first use: validation never moves."""
-        return MappingProxyType(_index([move for i, rule in enumerate(self.rules)
-                                        if self.named.get(rule.name) is rule for move in _moves(i, rule)]))
-
-    @cached_property
-    def cited(self) -> Mapping[str, RuleIndex]:
-        """The ``moves`` of each citable rule alone, under its name, so that
-        a single-name step looks at its own rule only.  Built on first use:
-        validation never cites."""
-        return MappingProxyType({rule.name: _index(_moves(i, rule)) for i, rule in enumerate(self.rules)
-                                 if self.named.get(rule.name) is rule})
+        result, ``rules[i]`` ranked ``2 * i`` forward and ``2 * i + 1``
+        backward.  Built on first use: validation never moves."""
+        return MappingProxyType(_index([(2 * i + d, o) for i, rule in enumerate(self.rules)
+                                        if self.named.get(rule.name) is rule
+                                        for d, o in enumerate((rule, rule.reversed())) if o.determined()]))
 
     def orthogonal_over(self, heads: Iterable[str]) -> bool:
         """Are the reductions that can fire on a term built from ``heads``,
@@ -481,18 +470,20 @@ class RuleSet:
                 seen.add(head)
                 for rule in by_head.get(head, ()):
                     reached.append(rule)
-                    todo.extend(sub.head for _, sub in positions(rule.rhs))
+                    todo.extend(sub.head for sub in rule.rhs.postorder())
         return _orthogonal(reached)
 
-    def matches(self, sites: Iterable[Site], index: RuleIndex, exclude: str | None = None) \
+    def matches(self, sites: Iterable[Site], exclude: str | None = None, only: str | None = None) \
             -> list[tuple[int, Position, RewriteRule, Substitution, Term | None]]:
-        """Every match of an oriented rule of ``index`` (but theorem
-        ``exclude``) at ``sites``, as (rank, position, rule, substitution,
-        target), in (rank, site) order."""
-        found = []
+        """Every match of an oriented rule of ``moves`` at ``sites``, as
+        (rank, position, rule, substitution, target), in (rank, site) order:
+        of the rule named ``only`` alone when it is given, and never of
+        theorem ``exclude``."""
+        found, moves = [], self.moves
         for pos, sub, target in sites:
-            for rank, rule in rules_at(index, sub):
-                if rule.source is RuleSource.THEOREM and rule.name == exclude:
+            for rank, rule in rules_at(moves, sub):
+                if (only is not None and rule.name != only) \
+                        or (rule.source is RuleSource.THEOREM and rule.name == exclude):
                     continue
                 sigma = match(rule.oriented()[0], sub, rule.metavars)
                 if sigma is not None:
@@ -530,12 +521,11 @@ def _tuple_edits(prev: Term, names: tuple[str, ...], rules: RuleSet) -> list[tup
     """Simultaneous application of one rewrite per named rule at pairwise
     disjoint positions of ``prev``, as (edits, witness); for one name, each
     single application.  Each rule's matches come from ``RuleSet.matches``
-    on its own ``RuleSet.cited`` index, so every direction mix is tried,
-    forward before backward, leftmost-outermost first, the first name
-    varying slowest."""
+    with ``only`` its name, so every direction mix is tried, forward before
+    backward, leftmost-outermost first, the first name varying slowest."""
     sites = [(pos, sub, None) for pos, sub in positions(prev)]
     moves = [[((pos, apply_substitution(sigma, rule.oriented()[1])), (pos, rule, dict(sigma)))
-              for _, pos, rule, sigma, _ in rules.matches(sites, rules.cited[name])] for name in names]
+              for _, pos, rule, sigma, _ in rules.matches(sites, only=name)] for name in names]
     return [(tuple(edit for edit, _ in combo), tuple(step for _, step in combo)) for combo in product(*moves)
             if all(_disjoint(p[0], q[0]) for (p, _), (q, _) in combinations(combo, 2))]
 
@@ -632,21 +622,21 @@ def check_justified_step(prev: Term, next_term: Term, just: Justification, env: 
     The check is direction-symmetric: a justified step read backwards is
     justified by the same clause.
 
-    A single rule name is matched, through its own index in
-    ``RuleSet.cited``, only where one rewrite can make the step: at the
-    fork of the two terms (the deepest position outside which they agree)
-    and its ancestors, or at every position when they are equal.  There
-    the rule's substituted other side is compared with the subterm of
-    ``next_term``, so no rewritten term is built.  The witness is the first
-    in forward-then-backward, outermost-first order, as when every rewrite
-    of ``prev`` is enumerated.
+    A single rule name is matched, by ``RuleSet.matches`` with ``only`` its
+    name, only where one rewrite can make the step: at the fork of the two
+    terms (the deepest position outside which they agree) and its
+    ancestors, or at every position when they are equal.  There the rule's
+    substituted other side is compared with the subterm of ``next_term``,
+    so no rewritten term is built.  The witness is the first in
+    forward-then-backward, outermost-first order, as when every rewrite of
+    ``prev`` is enumerated.
     """
     if isinstance(just, RuleJustification) and len(just.names) == 1:
         rule = resolve_rule(just.names[0], env)
         if isinstance(rule, Diagnostic):
             return StepVerdict(False, failure=rule)
         rules = env.registry.rules
-        hit = _first_hit(rules.matches(_sites(prev, next_term), rules.cited[rule.name]))
+        hit = _first_hit(rules.matches(_sites(prev, next_term), only=rule.name))
         if hit is not None:
             return StepVerdict(True, witness=(hit,))
         return StepVerdict(False, failure=_unjustified(prev, next_term, just))
@@ -686,7 +676,7 @@ def infer_step_justification(prev: Term, next_term: Term, env: StepEnv) -> Justi
     (rank, site) order, so the first success is the first rule that
     certifies the step."""
     rules = env.registry.rules
-    hit = _first_hit(rules.matches(_sites(prev, next_term), rules.moves, env.current_theorem))
+    hit = _first_hit(rules.matches(_sites(prev, next_term), env.current_theorem))
     found = None if hit is None else hit[1]
     if found is not None and found.source is RuleSource.AXIOM:
         return RuleJustification((found.name,))

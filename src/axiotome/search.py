@@ -107,7 +107,7 @@ def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
         case_moves = [(clause, edits) for edits in _case_edits(term, clause)
                       if all(term_metavars(new, env.registry) <= scope for _, new in edits)]
     sites = [(pos, sub, None) for pos, sub in positions(term)]
-    for _, group in groupby(rules.matches(sites, rules.moves, env.current_theorem), itemgetter(0)):
+    for _, group in groupby(rules.matches(sites, env.current_theorem), itemgetter(0)):
         group = list(group)
         rule = group[0][2]
         if rule.source is not RuleSource.AXIOM:
@@ -234,16 +234,13 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
     start = (0, premiss)
     heap: list[tuple[int, int, tuple[int, Term], list]] = [(0, counter, start, [])]
     best: dict[tuple[int, Term], int] = {start: 0}
-    final_term = steps[-1].term if steps else premiss
 
     while heap:
         cost, _, (k, cur), emitted = heappop(heap)
         if best.get((k, cur), cost) < cost:
             continue
-        if k == n:
-            if cur == final_term or n == 0:
-                return emitted, None
-            continue
+        if k == n:  # every move into the last step ends on its term
+            return emitted, None
         step = steps[k]
         just = step.justification
 
@@ -297,14 +294,14 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
     return [], max(n - 1, 0)
 
 
-def _repair_body(body: ProofBody, lhs: Term, env: StepEnv, budget: SearchBudget,
+def _repair_body(body: ProofBody, env: StepEnv, budget: SearchBudget,
                  path: tuple[str, ...], inserted: list, failures: list) -> ProofBody:
     if isinstance(body, ByCasesProof):
         new_cases = []
         for case in body.cases:
             case_env = StepEnv(env.registry, env.case_bindings + case.ranges, env.current_theorem)
             label = case.label or ", ".join(f"{q.var} ∈ {format_type(q.domain)}" for q in case.ranges)
-            new_body = _repair_body(case.body, lhs, case_env, budget, path + (label,), inserted, failures)
+            new_body = _repair_body(case.body, case_env, budget, path + (label,), inserted, failures)
             new_cases.append(CaseBlock(case.label, case.ranges, case.restated, new_body, case.span))
         return ByCasesProof(body.subjects, body.scrutinee, body.stated_summands, tuple(new_cases))
 
@@ -343,7 +340,7 @@ def repair_theorem(thm: TheoremDecl, report, registry: Registry,
     env = StepEnv(registry, (), thm.name)
     inserted: list = []
     failures: list = []
-    new_proof = _repair_body(thm.proof, thm.lhs, env, budget, (), inserted, failures)
+    new_proof = _repair_body(thm.proof, env, budget, (), inserted, failures)
     if failures:
         return RepairOutcome(None, tuple(inserted), tuple(failures))
     patched = replace(thm, proof=new_proof)

@@ -9,7 +9,7 @@ Conformance is width subtyping through sums with invariant type arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -51,7 +51,7 @@ class Registry:
     """Immutable view of every declaration in a program.
 
     The maps are copied into read-only mappings on construction, so the
-    rewrite rules derived from them (``rules``) cannot go stale.
+    tables derived from them (``rules``, ``signatures``) cannot go stale.
     """
 
     types: Mapping[str, TypeDecl] = field(default_factory=dict)
@@ -73,9 +73,15 @@ class Registry:
         return RuleSet.of(self)
 
     @cached_property
-    def constructors(self) -> dict[str, ConstructorSignature]:
-        """The signatures ``constructor_signature`` has made, by name."""
-        return {}
+    def signatures(self) -> Mapping[str, ConstructorSignature]:
+        """The signature of each function and each product type's
+        constructor, by name, built whole on first use."""
+        sigs = {name: ConstructorSignature(decl.params, decl.body.fields,
+                                           TypeExpr(name, tuple(TypeExpr(p) for p in decl.params)))
+                for name, decl in self.types.items() if isinstance(decl.body, ProductBody)}
+        sigs.update((name, ConstructorSignature(fn.type_params, fn.params, fn.return_type))
+                    for name, fn in self.functions.items())
+        return MappingProxyType(sigs)
 
     def axiom_metavars(self, axiom: Axiom, owner: str) -> dict[str, TypeExpr]:
         """Metavariable typing for an axiom: the owning function's declared
@@ -166,43 +172,54 @@ def build_registry(program: Program) -> tuple[Registry, list[Diagnostic]]:
 
 
 def _resolve_type(ty: TypeExpr, scope: frozenset[str], reg: Registry) -> list[Diagnostic]:
-    if ty.name in scope:
-        if ty.args:
-            return [error("E-ARITY", f"type parameter {ty.name!r} takes no arguments", ty.span)]
-        return []
-    decl = reg.types.get(ty.name)
-    if decl is None:
-        return [error("E-UNRESOLVED", f"reference to undeclared type {ty.name!r}", ty.span)]
+    """Name and arity errors of ``ty`` and its arguments, in pre-order."""
     out: list[Diagnostic] = []
-    if len(ty.args) != len(decl.params):
-        out.append(error(
-            "E-ARITY",
-            f"type {ty.name!r} expects {len(decl.params)} type argument(s), got {len(ty.args)}",
-            ty.span,
-        ))
-    for arg in ty.args:
-        out.extend(_resolve_type(arg, scope, reg))
+    stack = [ty]
+    while stack:
+        ty = stack.pop()
+        if ty.name in scope:
+            if ty.args:
+                out.append(error("E-ARITY", f"type parameter {ty.name!r} takes no arguments", ty.span))
+            continue
+        decl = reg.types.get(ty.name)
+        if decl is None:
+            out.append(error("E-UNRESOLVED", f"reference to undeclared type {ty.name!r}", ty.span))
+            continue
+        if len(ty.args) != len(decl.params):
+            out.append(error(
+                "E-ARITY",
+                f"type {ty.name!r} expects {len(decl.params)} type argument(s), got {len(ty.args)}",
+                ty.span,
+            ))
+        stack.extend(reversed(ty.args))
     return out
 
 
 def conforms(sub: TypeExpr, sup: TypeExpr, reg: Registry) -> bool:
-    """Structural equality, or membership in ``sup``'s summand closure.
-    Type arguments are invariant."""
+    """Structural equality, or membership in ``sup``'s summand closure,
+    walked with a seen set so that cyclic sums end.  Type arguments are
+    invariant.  Only a sum that recurses with growing type arguments has a
+    closure of over 10,000 types; that raises RecursionError."""
     if sub == sup:
         return True
-    decl = reg.types.get(sup.name)
-    if decl is None or not isinstance(decl.body, SumBody):
-        return False
-    bindings = dict(zip(decl.params, sup.args))
-    return any(conforms(sub, substitute_type(s, bindings), reg) for s in decl.body.summands)
+    todo, seen = [sup], {sup}
+    while todo:
+        ty = todo.pop()
+        decl = reg.types.get(ty.name)
+        if decl is not None and isinstance(decl.body, SumBody):
+            bindings = dict(zip(decl.params, ty.args))
+            summands = [substitute_type(s, bindings) for s in decl.body.summands]
+            if sub in summands:
+                return True
+            todo += [s for s in summands if s not in seen]
+            seen.update(summands)
+            if len(seen) > 10_000:
+                raise RecursionError(f"the summand closure of {format_type(sup)} holds over 10,000 types")
+    return False
 
 
 def constructor_signature(name: str, reg: Registry) -> ConstructorSignature:
-    """Signature of the constructor implied by a product type definition,
-    made once per registry."""
-    sig = reg.constructors.get(name)
-    if sig is not None:
-        return sig
+    """Signature of the constructor implied by a product type definition."""
     decl = reg.types.get(name)
     if decl is None:
         raise DiagnosticError(error("E-UNRESOLVED", f"unknown type {name!r}"))
@@ -210,9 +227,7 @@ def constructor_signature(name: str, reg: Registry) -> ConstructorSignature:
         raise DiagnosticError(error(
             "E-NO-CONSTRUCTOR", f"sum type {name!r} has no constructor of its own", decl.span,
         ))
-    result = TypeExpr(name, tuple(TypeExpr(p) for p in decl.params))
-    sig = reg.constructors[name] = ConstructorSignature(decl.params, decl.body.fields, result)
-    return sig
+    return reg.signatures[name]
 
 
 def join_types(t1: TypeExpr, t2: TypeExpr, reg: Registry) -> TypeExpr | None:
@@ -229,26 +244,29 @@ def join_types(t1: TypeExpr, t2: TypeExpr, reg: Registry) -> TypeExpr | None:
     return None
 
 
-def _solve_params(pattern: TypeExpr, actual: TypeExpr, params: set[str],
-                  bindings: dict[str, TypeExpr], reg: Registry) -> None:
-    if pattern.name in params and not pattern.args:
-        seen = bindings.get(pattern.name)
-        if seen is None:
-            bindings[pattern.name] = actual
-        elif seen != actual:
-            joined = join_types(seen, actual, reg)
-            if joined is None:
-                raise DiagnosticError(error(
-                    "E-TYPE-MISMATCH",
-                    f"cannot reconcile {format_type(seen)} and {format_type(actual)} "
-                    f"for type parameter {pattern.name!r}",
-                    actual.span,
-                ))
-            bindings[pattern.name] = joined
-        return
-    if pattern.name == actual.name and len(pattern.args) == len(actual.args):
-        for p, a in zip(pattern.args, actual.args):
-            _solve_params(p, a, params, bindings, reg)
+def _solve_params(pattern: TypeExpr, actual: TypeExpr, params: set[str], bindings: dict[str, TypeExpr],
+                  reg: Registry, where: Callable[[], Span]) -> None:
+    """Bind ``pattern``'s type parameters to ``actual``'s parts, left to
+    right; a failed join lies at ``where()``, the span of the argument."""
+    pairs = [(pattern, actual)]
+    while pairs:
+        pattern, actual = pairs.pop()
+        if pattern.name in params and not pattern.args:
+            seen = bindings.get(pattern.name)
+            if seen is None:
+                bindings[pattern.name] = actual
+            elif seen != actual:
+                joined = join_types(seen, actual, reg)
+                if joined is None:
+                    raise DiagnosticError(error(
+                        "E-TYPE-MISMATCH",
+                        f"cannot reconcile {format_type(seen)} and {format_type(actual)} "
+                        f"for type parameter {pattern.name!r}",
+                        where(),
+                    ))
+                bindings[pattern.name] = joined
+        elif pattern.name == actual.name and len(pattern.args) == len(actual.args):
+            pairs.extend(reversed(tuple(zip(pattern.args, actual.args))))
 
 
 #: Where a typing error lies: ``place(node)`` is the span of ``node``, and
@@ -256,55 +274,48 @@ def _solve_params(pattern: TypeExpr, actual: TypeExpr, params: set[str],
 Placer = Callable[..., Span]
 
 
-def _signature(term: Term, ctx: TypingContext, reg: Registry, place: Placer) \
-        -> tuple[tuple[tuple[str, TypeExpr], ...], tuple[str, ...], TypeExpr]:
-    """Declared parameters, type parameters and result type of the function
-    or constructor at ``term``'s head, once ``term`` is checked to give it
-    as many type arguments (if any) and arguments as it declares."""
-    fn = reg.functions.get(term.head)
-    if fn is not None:
-        declared, type_params, result = fn.params, fn.type_params, fn.return_type
-    else:
-        decl = reg.types.get(term.head)
-        if decl is None:
-            if term.head in ctx.type_params:
-                raise DiagnosticError(error(
-                    "E-UNRESOLVED", f"type parameter {term.head!r} used as a term", place(term),
-                ))
-            raise DiagnosticError(error("E-UNRESOLVED", f"unknown term head {term.head!r}", place(term)))
-        if isinstance(decl.body, SumBody):
+def _signature(term: Term, ctx: TypingContext, reg: Registry, place: Placer) -> ConstructorSignature:
+    """Signature of the function or constructor at ``term``'s head, once
+    ``term`` is checked to give it as many type arguments (if any) and
+    arguments as it declares."""
+    sig = reg.signatures.get(term.head)
+    if sig is None:
+        if term.head in reg.types:
             raise DiagnosticError(error(
                 "E-NO-CONSTRUCTOR", f"sum type {term.head!r} has no constructor", place(term),
             ))
-        sig = constructor_signature(term.head, reg)
-        declared, type_params, result = sig.fields, sig.type_params, sig.result_type
+        if term.head in ctx.type_params:
+            raise DiagnosticError(error(
+                "E-UNRESOLVED", f"type parameter {term.head!r} used as a term", place(term),
+            ))
+        raise DiagnosticError(error("E-UNRESOLVED", f"unknown term head {term.head!r}", place(term)))
     explicit = term.type_args
-    if explicit and len(explicit) != len(type_params):
+    if explicit and len(explicit) != len(sig.type_params):
         raise DiagnosticError(error(
             "E-ARITY",
-            f"{term.head!r} expects {len(type_params)} type argument(s), got {len(explicit)}",
+            f"{term.head!r} expects {len(sig.type_params)} type argument(s), got {len(explicit)}",
             place(term),
         ))
-    if len(term.args) != len(declared):
+    if len(term.args) != len(sig.fields):
         raise DiagnosticError(error(
             "E-ARITY",
-            f"{term.head!r} expects {len(declared)} argument(s), got {len(term.args)}",
+            f"{term.head!r} expects {len(sig.fields)} argument(s), got {len(term.args)}",
             place(term),
         ))
-    return declared, type_params, result
+    return sig
 
 
-def _result_type(term: Term, declared: tuple[tuple[str, TypeExpr], ...], type_params: tuple[str, ...],
-                 result: TypeExpr, arg_types: tuple[TypeExpr, ...], reg: Registry, place: Placer) -> TypeExpr:
+def _result_type(term: Term, sig: ConstructorSignature, arg_types: tuple[TypeExpr, ...], reg: Registry,
+                 place: Placer) -> TypeExpr:
     """Type of the application ``term`` given its arguments' types: solve
     the type parameters not given explicitly, then check each argument."""
     explicit = term.type_args
-    bindings: dict[str, TypeExpr] = dict(zip(type_params, explicit))
-    params = set(type_params)
+    bindings: dict[str, TypeExpr] = dict(zip(sig.type_params, explicit))
+    params = set(sig.type_params)
     if params and not explicit:
-        for (_, pty), aty in zip(declared, arg_types):
-            _solve_params(pty, aty, params, bindings, reg)
-    for i, ((_, pty), aty, arg) in enumerate(zip(declared, arg_types, term.args)):
+        for i, ((_, pty), aty) in enumerate(zip(sig.fields, arg_types)):
+            _solve_params(pty, aty, params, bindings, reg, partial(place, term, i))
+    for i, ((_, pty), aty, arg) in enumerate(zip(sig.fields, arg_types, term.args)):
         expected = substitute_type(pty, bindings)
         unsolved = params and _mentions_unsolved(expected, params, bindings)
         if not unsolved and not conforms(aty, expected, reg):
@@ -315,7 +326,7 @@ def _result_type(term: Term, declared: tuple[tuple[str, TypeExpr], ...], type_pa
                 place(term, i),
             ))
     # Unsolved parameters stay symbolic (e.g. Nil's unused element type).
-    return substitute_type(result, bindings)
+    return substitute_type(sig.result_type, bindings)
 
 
 def _mentions_unsolved(ty: TypeExpr, params: set[str], bindings: dict[str, TypeExpr]) -> bool:
@@ -358,10 +369,10 @@ def infer_type(term: Term, ctx: TypingContext, reg: Registry, spans: Sequence[Sp
     while stack:
         item = stack.pop()
         if item.__class__ is tuple:
-            node, (declared, type_params, result), base = item
+            node, sig, base = item
             arg_types = tuple(types[base:])
             del types[base:]
-            ty = memo[node] = _result_type(node, declared, type_params, result, arg_types, reg, place)
+            ty = memo[node] = _result_type(node, sig, arg_types, reg, place)
             types.append(ty)
             continue
         ty = memo.get(item)

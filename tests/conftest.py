@@ -132,14 +132,13 @@ def _tuple_results(prev: Term, names: tuple[str, ...], rules: RuleSet) -> Iterat
     """Simultaneous application of one rewrite per named rule at pairwise
     disjoint positions; for one name, each single application.  Rules are
     assigned in listed order; each rule's matches come from
-    ``RuleSet.matches`` on its own ``RuleSet.cited`` index, so every
-    direction mix is tried, forward before backward, leftmost-outermost
-    first."""
+    ``RuleSet.matches`` with ``only`` its name, so every direction mix is
+    tried, forward before backward, leftmost-outermost first."""
 
     # Positions are enumerated against the original term so that
     # disjointness and ordering are independent of earlier rewrites.
     sites = [(pos, sub, None) for pos, sub in positions(prev)]
-    applications = {name: rules.matches(sites, rules.cited[name]) for name in names}
+    applications = {name: rules.matches(sites, only=name) for name in names}
 
     def stage(term: Term, idx: int, used: list[Position], witness: list) -> Iterator[tuple[Term, tuple]]:
         if idx == len(names):

@@ -482,6 +482,38 @@ def test_deep_type_argument_is_checked(tmp_path):
     assert run("check", *paths, str(source)) == (0, "¶deep: accepted\n", "")
 
 
+def test_deep_declared_type_is_checked(tmp_path):
+    # Resolving a quantifier's declared domain walks it with a stack.
+    deep = "List[" * 3000 + "Boolean" + "]" * 3000
+    source = tmp_path / "deep.axm"
+    source.write_text(f"theorem ¶deep: ∀x ∈ {deep}: x ↔ x\nproof\n  0. x\n", encoding="utf-8")
+    paths = [str(corpus_path(n)) for n in BASE_TYPES + ["polymorphic_lists.axm"]]
+    assert run("check", *paths, str(source)) == (0, "¶deep: accepted\n", "")
+
+
+def test_cyclic_sum_types_are_a_finding(tmp_path):
+    # The summand closure of A is {A, B}: Zero conforms to neither.
+    source = tmp_path / "cyclic.axm"
+    source.write_text("type Zero ≡ Product[]\ntype A ≡ Sum[B]\ntype B ≡ Sum[A]\nfunction f(x: A) : A ≡ x\n"
+                      "theorem ¶t: f(Zero) ↔ Zero\nproof\n  0. f(Zero)\n  1. Zero via f\n", encoding="utf-8")
+    code, out, err = run("check", str(source))
+    mismatch = "error[E-TYPE-MISMATCH]: argument Zero of 'f': Zero does not conform to A"
+    assert (code, err) == (1, "")
+    assert out == f"{source}:5:15: {mismatch}\n{source}:7:8: {mismatch}\n¶t: rejected\n"
+
+
+def test_unreconciled_type_parameter_lies_at_the_argument(tmp_path):
+    # ``if`` binds A to Zero at its second argument, then meets False.
+    source = tmp_path / "reconcile.axm"
+    source.write_text("theorem ¶r: if(True, Zero, False) ↔ Zero\nproof\n  0. if(True, Zero, False)\n"
+                      "  1. Zero via $if°True\n", encoding="utf-8")
+    paths = [str(corpus_path(n)) for n in BASE_TYPES + ["if_function.axm"]]
+    code, out, _ = run("check", *paths, str(source))
+    message = "error[E-TYPE-MISMATCH]: cannot reconcile Zero and False for type parameter 'A'"
+    assert code == 1
+    assert out == f"{source}:1:28: {message}\n{source}:3:21: {message}\n¶r: rejected\n"
+
+
 def test_deep_unjustified_step_is_a_finding(tmp_path):
     # Comparing these 300-deep terms once overflowed the recursion limit.
     k = 300

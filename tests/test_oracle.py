@@ -487,7 +487,7 @@ def test_empty_domain_has_no_assignment(monkeypatch, block):
 def test_validation_builds_no_move_index():
     registry = load_registry(*BOOL_FNS)
     assert brute_force_validate([("a", BOOLEAN)], t("not(not(a))"), t("a"), registry).status == "valid"
-    assert not {"moves", "cited"} & set(vars(registry.rules))
+    assert "moves" not in vars(registry.rules)
 
 
 def test_first_counterexample_is_in_a_later_block(bool_registry):

@@ -369,7 +369,7 @@ def _eager_successor_moves(term, env, scope):
         case_moves = [(clause, result) for result, _ in _case_results(term, clause, env) if scoped(result)]
     rules = registry.rules
     sites = [(pos, sub, None) for pos, sub in positions(term)]
-    for _, group in groupby(rules.matches(sites, rules.moves, env.current_theorem), itemgetter(0)):
+    for _, group in groupby(rules.matches(sites, env.current_theorem), itemgetter(0)):
         group = list(group)
         rule = group[0][2]
         if rule.source is not RuleSource.AXIOM:

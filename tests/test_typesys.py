@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from axiotome.typesys import (
     TypingContext, _mentions_unsolved, _solve_params, build_registry, check_well_formed, conforms,
     constructor_signature, infer_type, substitute_type, term_metavars,
 )
+from axiotome.verifier import verify_theorem
 
 from conftest import BASE_TYPES, BOOL_FNS, load_program, load_registry, terms
 
@@ -43,6 +45,16 @@ def test_unresolved_sum_summand():
     program = parse_program("type X ≡ Sum[Missing]")
     _, diags = build_registry(program)
     assert "E-UNRESOLVED" in _diag_codes(diags)
+
+
+def test_type_reference_errors_come_in_pre_order():
+    program = parse_program("type B ≡ Product[]\ntype P[X, Y] ≡ Product[]\n"
+                            "function f[T](a: P[Nope, B[T[B], Q], R]) : B ≡ B")
+    _, diags = build_registry(program)
+    assert [(d.code, d.span.column) for d in diags] == [
+        ("E-ARITY", 18), ("E-UNRESOLVED", 20), ("E-ARITY", 26), ("E-ARITY", 28), ("E-UNRESOLVED", 34),
+        ("E-UNRESOLVED", 38),
+    ]
 
 
 def test_verbatim_core_types_lack_true_and_zero():
@@ -92,6 +104,21 @@ def test_built_registry_is_immutable(bool_registry):
         del bool_registry.types["Boolean"]
     with pytest.raises(AttributeError):
         bool_registry.theorems = {}
+
+
+def test_checked_registry_holds_only_read_only_maps_and_two_rule_indexes():
+    # Typing reads the signature table, built whole; checking steps reads
+    # the ``moves`` index, whatever rule a clause cites.
+    registry = load_registry(*BOOL_FNS, "triple_negation.axm", "de_morgan_corrected.axm")
+    assert check_well_formed(registry) == []
+    assert all(verify_theorem(thm, registry).accepted for thm in registry.theorems.values())
+    for name, value in vars(registry).items():
+        assert isinstance(value, MappingProxyType) or value is registry.rules, name
+    products = {name for name, decl in registry.types.items() if not isinstance(decl.body, SumBody)}
+    assert set(registry.signatures) == products | set(registry.functions)
+    rules = registry.rules
+    assert set(vars(rules)) == {"rules", "named", "reductions", "moves"}
+    assert all(isinstance(vars(rules)[name], MappingProxyType) for name in ("named", "reductions", "moves"))
 
 
 def test_axiom_arity_violation():
@@ -213,6 +240,17 @@ def test_conforms_through_polymorphic_sum():
     assert not conforms(TypeExpr("Nil", (TypeExpr("Zero"),)), lst, registry)  # invariant args
 
 
+def test_conforms_ends_on_cyclic_sums():
+    registry, _ = build_registry(parse_program(
+        "type Zero ≡ Product[]\ntype W[T] ≡ Product[]\ntype A ≡ Sum[B, W[Zero]]\ntype B ≡ Sum[A]\n"
+        "type G[T] ≡ Sum[G[W[T]]]\n"))
+    assert conforms(TypeExpr("W", (TypeExpr("Zero"),)), TypeExpr("B"), registry)
+    assert not conforms(TypeExpr("Zero"), TypeExpr("B"), registry)
+    # G's closure grows without end: G[Zero], G[W[Zero]], G[W[W[Zero]]], ...
+    with pytest.raises(RecursionError, match="summand closure of G\\[Zero\\] holds over 10,000 types"):
+        conforms(TypeExpr("Zero"), TypeExpr("G", (TypeExpr("Zero"),)), registry)
+
+
 def test_conforms_reflexive_and_transitive_on_corpus():
     registry = load_registry(*BOOL_FNS, "polymorphic_lists.axm")
     instances = [
@@ -299,8 +337,8 @@ def _reference_check_application(name, declared, type_params, explicit, result, 
     arg_types = [_reference_infer_type(a, ctx, reg, spans, i) for a, i in zip(term.args, places)]
     params = set(type_params)
     if not explicit:
-        for (_, pty), aty in zip(declared, arg_types):
-            _solve_params(pty, aty, params, bindings, reg)
+        for (_, pty), aty, i in zip(declared, arg_types, places):
+            _solve_params(pty, aty, params, bindings, reg, lambda: spans[i])
     for (pname, pty), aty, arg, i in zip(declared, arg_types, term.args, places):
         expected = substitute_type(pty, bindings)
         unsolved = _mentions_unsolved(expected, params, bindings)
