@@ -60,10 +60,6 @@ def _read(path: str, err) -> str:
     raise _Exit(2)
 
 
-def _read_sources(paths: list[str], err) -> list[tuple[str, str]]:
-    return [(path, _read(path, err)) for path in paths]
-
-
 def _load_programs(sources: list[tuple[str, str]], operators: dict[str, str]) \
         -> tuple[list[Program], list[Diagnostic]]:
     """Parse every file in order, threading operator declarations from
@@ -84,12 +80,12 @@ def _load_programs(sources: list[tuple[str, str]], operators: dict[str, str]) \
     return programs, diagnostics
 
 
-def _build(sources, operators) -> tuple[Registry, list[Program], list[Diagnostic]]:
+def _build(paths: list[str], operators: dict[str, str], err) -> tuple[Registry, list[Program], list[Diagnostic]]:
     """The registry of every file's statements merged in order, each file's
-    parse, and the diagnostics of parsing, building and well-formedness."""
-    programs, diagnostics = _load_programs(sources, operators)
-    merged = Program(tuple(stmt for program in programs for stmt in program.statements),
-                     ";".join(p for p, _ in sources))
+    parse, and the diagnostics of parsing, building and well-formedness;
+    exit 2 if a file cannot be read."""
+    programs, diagnostics = _load_programs([(path, _read(path, err)) for path in paths], operators)
+    merged = Program(tuple(stmt for program in programs for stmt in program.statements), ";".join(paths))
     registry, diags = build_registry(merged)
     diagnostics.extend(diags)
     diagnostics.extend(check_well_formed(registry))
@@ -125,8 +121,7 @@ def _has_errors(diags: list[Diagnostic]) -> bool:
 # ----------------------------------------------------------------- commands
 
 def cmd_check(args, out, err) -> int:
-    sources = _read_sources(args.paths, err)
-    registry, programs, diags = _build(sources, args.operators)
+    registry, programs, diags = _build(args.paths, args.operators, err)
     reports = []
     for stmt in (stmt for program in programs for stmt in program.statements):
         if isinstance(stmt, TheoremDecl) and registry.theorems.get(stmt.name) is stmt:
@@ -145,8 +140,7 @@ def cmd_check(args, out, err) -> int:
 
 
 def cmd_validate(args, out, err) -> int:
-    sources = _read_sources(args.paths, err)
-    registry, _, diags = _build(sources, args.operators)
+    registry, _, diags = _build(args.paths, args.operators, err)
     _emit_diagnostics([d for d in diags if d.severity is Severity.ERROR], args.machine, out)
     if _has_errors(diags):
         return 1
@@ -172,8 +166,7 @@ def cmd_validate(args, out, err) -> int:
 
 
 def cmd_eval(args, out, err) -> int:
-    sources = _read_sources(args.paths, err)
-    registry, _, diags = _build(sources, args.operators)
+    registry, _, diags = _build(args.paths, args.operators, err)
     if _has_errors(diags):
         _emit_diagnostics(diags, args.machine, out)
         return 1
@@ -198,13 +191,12 @@ def cmd_fill(args, out, err) -> int:
     if not args.in_place and not args.output:
         print("error: fill requires --output PATH or --in-place", file=err)
         return 2
-    sources = _read_sources(args.paths, err)
-    registry, programs, diags = _build(sources, args.operators)
+    registry, programs, diags = _build(args.paths, args.operators, err)
     if _has_errors(diags):
         _emit_diagnostics(diags, args.machine, out)
         return 1
     # With no errors every file parsed, so the first program is the target's.
-    target_path, target = sources[0][0], programs[0]
+    target_path, target = args.paths[0], programs[0]
 
     budget = SearchBudget(args.max_depth, args.max_nodes)
     patched_statements = []
@@ -298,9 +290,8 @@ def _arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_paths=True):
-        if with_paths:
-            p.add_argument("paths", nargs="+", help="input .axm files")
+    def common(p):
+        p.add_argument("paths", nargs="+", help="input .axm files")
         p.add_argument("--machine", action="store_true", help="line-oriented machine output")
         p.add_argument("--operator", dest="operators", action="append", default=[],
                        metavar="G=F", help="treat infix glyph G as function F")

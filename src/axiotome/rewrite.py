@@ -616,6 +616,15 @@ def clause_edits(prev: Term, just: Justification, env: StepEnv) -> list[tuple[Ed
     return _tuple_edits(prev, just.names, env.registry.rules)
 
 
+def clause_images(term: Term, just: Justification, env: StepEnv) -> list[Term]:
+    """The distinct results of ``just``'s moves from ``term``, in
+    ``clause_edits`` order; none when the clause does not resolve."""
+    outcomes = clause_edits(term, just, env)
+    if isinstance(outcomes, Diagnostic):
+        return []
+    return list(dict.fromkeys(_applied(term, edits) for edits, _ in outcomes))
+
+
 def check_justified_step(prev: Term, next_term: Term, just: Justification, env: StepEnv) -> StepVerdict:
     """Is the transition from ``prev`` to ``next_term`` licensed by ``just``?
 

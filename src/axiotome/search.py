@@ -30,7 +30,7 @@ from operator import itemgetter
 
 from .rewrite import (
     Edits, Position, RuleSource, StepEnv, _applied, _case_edits, _disjoint, _fork, _may_reach,
-    _reached, apply_substitution, check_justified_step, clause_edits, infer_step_justification, positions,
+    _reached, apply_substitution, check_justified_step, clause_images, infer_step_justification, positions,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, Justification, LinearProof,
@@ -203,11 +203,12 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
 
 # ------------------------------------------------------------------- repair
 
-def _clause_images(term: Term, just: Justification, env: StepEnv) -> list[Term]:
-    outcomes = clause_edits(term, just, env)
-    if not isinstance(outcomes, list):
-        return []
-    return list(dict.fromkeys(_applied(term, edits) for edits, _ in outcomes))
+def _hop_checks(prev: Term, step: ProofStep, env: StepEnv) -> bool:
+    """Does the written hop from ``prev`` to ``step`` check, or infer when
+    it has no via?"""
+    if step.justification is None:
+        return infer_step_justification(prev, step.term, env) is not None
+    return check_justified_step(prev, step.term, step.justification, env).justified
 
 
 def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
@@ -254,41 +255,29 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
             counter += 1
             heappush(heap, (new_cost, counter, state, emitted + extra))
 
-        if just is not None:
-            if check_justified_step(cur, step.term, just, env).justified:
-                push([(step.term, just, False)], step.term, 0)
-            else:
-                chain = fill_gap(cur, step.term, env, budget)
-                if chain is not None and chain.steps:
-                    inserted = [(t, c, True) for t, c in chain.steps]
-                    # fill: the chain independently rediscovers the written via
-                    # for the final hop, so the original clause is preserved.
-                    if chain.steps[-1][1] == just:
-                        kept = inserted[:-1] + [(step.term, just, False)]
-                        push(kept, step.term, len(chain.steps) - 1)
-                if chain is not None and k + 1 < n:
-                    # displace: the written via belongs one hop later.
-                    prefix = [(t, c, True) for t, c in chain.steps]
-                    for image in _clause_images(step.term, just, env):
-                        push(prefix + [(image, just, True)], image, len(chain.steps))
-        else:
-            inferred = infer_step_justification(cur, step.term, env)
-            if inferred is not None:
-                push([(step.term, None, False)], step.term, 0)
-            else:
-                chain = fill_gap(cur, step.term, env, budget)
-                if chain is not None and chain.steps:
-                    push([(t, c, True) for t, c in chain.steps], step.term, len(chain.steps) - 1)
+        if _hop_checks(cur, step, env):
+            push([(step.term, just, False)], step.term, 0)
+            continue
+        chain = fill_gap(cur, step.term, env, budget)
+        if chain is None:
+            continue
+        inserted = [(t, c, True) for t, c in chain.steps]
+        if chain.steps and just is None:
+            push(inserted, step.term, len(inserted) - 1)
+        elif chain.steps and chain.steps[-1][1] == just:
+            # fill: the chain independently rediscovers the written via
+            # for the final hop, so the original clause is preserved.
+            push(inserted[:-1] + [(step.term, just, False)], step.term, len(inserted) - 1)
+        if just is not None and k + 1 < n:
+            # displace: the written via belongs one hop later.
+            for image in clause_images(step.term, just, env):
+                push(inserted + [(image, just, True)], image, len(inserted))
 
     # Search exhausted: blame the first hop that does not check on a plain
     # sequential walk (the same step the verifier flags), else the last.
     walk = premiss
     for i, step in enumerate(steps):
-        if step.justification is not None:
-            ok = check_justified_step(walk, step.term, step.justification, env).justified
-        else:
-            ok = infer_step_justification(walk, step.term, env) is not None
-        if not ok:
+        if not _hop_checks(walk, step, env):
             return [], i
         walk = step.term
     return [], max(n - 1, 0)

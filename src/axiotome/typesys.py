@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Mapping, Sequence
 
 from .diagnostics import Diagnostic, DiagnosticError, Span, error, warning
 from .syntax import (
@@ -110,36 +110,27 @@ def build_registry(program: Program) -> tuple[Registry, list[Diagnostic]]:
     theorems: dict[str, TheoremDecl] = {}
     diags: list[Diagnostic] = []
 
-    def dup(kind: str, name: str, span: Span) -> None:
-        diags.append(error("E-DUP-NAME", f"duplicate {kind} name {name!r}", span))
+    def record(table: dict, name: str, value, kind: str, span: Span, taken: Container[str] = ()) -> bool:
+        """Record ``value`` under ``name``, or report it when ``table`` or
+        ``taken`` already holds that name."""
+        if name in table or name in taken:
+            diags.append(error("E-DUP-NAME", f"duplicate {kind} name {name!r}", span))
+            return False
+        table[name] = value
+        return True
 
     for stmt in program.statements:
         if isinstance(stmt, TypeDecl):
-            if stmt.name in types or stmt.name in functions:
-                dup("type", stmt.name, stmt.span)
-            else:
-                types[stmt.name] = stmt
+            record(types, stmt.name, stmt, "type", stmt.span, functions)
         elif isinstance(stmt, FunctionDecl):
-            if stmt.name in functions or stmt.name in types:
-                dup("function", stmt.name, stmt.span)
-            else:
-                functions[stmt.name] = stmt
-                if isinstance(stmt.body, EquationalBody):
-                    for ax in stmt.body.axioms:
-                        if ax.name in axioms:
-                            dup("axiom", ax.name, ax.span)
-                        else:
-                            axioms[ax.name] = (ax, stmt.name)
+            if record(functions, stmt.name, stmt, "function", stmt.span, types) \
+                    and isinstance(stmt.body, EquationalBody):
+                for ax in stmt.body.axioms:
+                    record(axioms, ax.name, (ax, stmt.name), "axiom", ax.span)
         elif isinstance(stmt, OperatorDecl):
-            if stmt.glyph in operators:
-                dup("operator", stmt.glyph, stmt.span)
-            else:
-                operators[stmt.glyph] = stmt.function_name
+            record(operators, stmt.glyph, stmt.function_name, "operator", stmt.span)
         elif isinstance(stmt, TheoremDecl):
-            if stmt.name in theorems:
-                dup("theorem", stmt.name, stmt.span)
-            else:
-                theorems[stmt.name] = stmt
+            record(theorems, stmt.name, stmt, "theorem", stmt.span)
 
     reg = Registry(types, functions, axioms, operators, theorems)
 
@@ -195,6 +186,16 @@ def _resolve_type(ty: TypeExpr, scope: frozenset[str], reg: Registry) -> list[Di
     return out
 
 
+def summands(ty: TypeExpr, reg: Registry) -> list[TypeExpr] | None:
+    """The summands of the declared sum that ``ty`` names, with ``ty``'s
+    type arguments substituted; ``None`` unless ``ty`` names a declared sum."""
+    decl = reg.types.get(ty.name)
+    if decl is None or not isinstance(decl.body, SumBody):
+        return None
+    bindings = dict(zip(decl.params, ty.args))
+    return [substitute_type(s, bindings) for s in decl.body.summands]
+
+
 def conforms(sub: TypeExpr, sup: TypeExpr, reg: Registry) -> bool:
     """Structural equality, or membership in ``sup``'s summand closure,
     walked with a seen set so that cyclic sums end.  Type arguments are
@@ -204,17 +205,13 @@ def conforms(sub: TypeExpr, sup: TypeExpr, reg: Registry) -> bool:
         return True
     todo, seen = [sup], {sup}
     while todo:
-        ty = todo.pop()
-        decl = reg.types.get(ty.name)
-        if decl is not None and isinstance(decl.body, SumBody):
-            bindings = dict(zip(decl.params, ty.args))
-            summands = [substitute_type(s, bindings) for s in decl.body.summands]
-            if sub in summands:
-                return True
-            todo += [s for s in summands if s not in seen]
-            seen.update(summands)
-            if len(seen) > 10_000:
-                raise RecursionError(f"the summand closure of {format_type(sup)} holds over 10,000 types")
+        parts = summands(todo.pop(), reg) or ()
+        if sub in parts:
+            return True
+        todo += [s for s in parts if s not in seen]
+        seen.update(parts)
+        if len(seen) > 10_000:
+            raise RecursionError(f"the summand closure of {format_type(sup)} holds over 10,000 types")
     return False
 
 
@@ -407,15 +404,9 @@ def _place(term: Term, spans: Sequence[Span], node: Term, arg: int | None) -> Sp
 
 def term_metavars(term: Term, reg: Registry) -> set[str]:
     """Nullary heads that resolve to neither a constructor nor a function."""
-    out: set[str] = set()
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if node.args:
-            stack.extend(node.args)
-        elif not node.type_args and node.head not in reg.types and node.head not in reg.functions:
-            out.add(node.head)
-    return out
+    return {node.head for node in term.postorder()
+            if not node.args and not node.type_args and node.head not in reg.types
+            and node.head not in reg.functions}
 
 
 def check_well_formed(reg: Registry) -> list[Diagnostic]:
@@ -463,7 +454,7 @@ def _check_function(fn: FunctionDecl, reg: Registry) -> list[Diagnostic]:
         body, spans = fn.body.term, fn.body.term_spans
         try:
             body_ty = infer_type(body, ctx, reg, spans)
-            if not conforms(body_ty, fn.return_type, reg) and body_ty != fn.return_type:
+            if not conforms(body_ty, fn.return_type, reg):
                 diags.append(error(
                     "E-TYPE-MISMATCH",
                     f"body of {fn.name!r} has type {format_type(body_ty)}, "
@@ -496,8 +487,7 @@ def _check_function(fn: FunctionDecl, reg: Registry) -> list[Diagnostic]:
             diags.extend(exc.diagnostics)
             continue
         for side, ty in (("left", lhs_ty), ("right", rhs_ty)):
-            if ty != fn.return_type and not conforms(ty, fn.return_type, reg) \
-                    and not _is_param(ty, fn.type_params):
+            if not conforms(ty, fn.return_type, reg) and not _is_param(ty, fn.type_params):
                 diags.append(error(
                     "E-TYPE-MISMATCH",
                     f"axiom {ax.name}: {side}-hand side has type {format_type(ty)}, "

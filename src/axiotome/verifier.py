@@ -18,21 +18,19 @@ yields exactly one error; premiss, endpoint and coverage checks still run.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, DiagnosticError, Severity, error, warning
 from .rewrite import (
-    StepEnv, _applied, _case_sigma, apply_substitution, check_justified_step, clause_edits,
-    infer_step_justification,
+    StepEnv, _case_sigma, apply_substitution, check_justified_step, clause_images, infer_step_justification,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, LinearProof, ProofBody,
-    ProofStep, Quantifier, SumBody, Term, TheoremDecl, TypeExpr,
+    ProofStep, Quantifier, Term, TheoremDecl, TypeExpr,
     format_justification, format_quantifier, format_term, format_type,
 )
-from .typesys import (
-    Registry, TypingContext, infer_type, join_types, substitute_type, term_metavars,
-)
+from .typesys import Registry, TypingContext, infer_type, join_types, summands, term_metavars
 
 
 @dataclass(frozen=True)
@@ -103,26 +101,20 @@ def check_case_coverage(decomposition: tuple[TypeExpr, tuple[TypeExpr, ...]],
     the cases' range tuples must cover the full cartesian product over the
     subjects exactly once."""
     scrutinee, stated = decomposition
-    diags: list[Diagnostic] = []
-    decl = registry.types.get(scrutinee.name)
-    if decl is None or not isinstance(decl.body, SumBody):
-        diags.append(error(
-            "E-COVERAGE", f"{format_type(scrutinee)} is not a declared sum type", scrutinee.span,
-        ))
-        return diags
-    bindings = dict(zip(decl.params, scrutinee.args))
-    declared = [substitute_type(s, bindings) for s in decl.body.summands]
-    if sorted(format_type(s) for s in stated) != sorted(format_type(s) for s in declared):
-        diags.append(error(
+    declared = summands(scrutinee, registry)
+    if declared is None:
+        return [error("E-COVERAGE", f"{format_type(scrutinee)} is not a declared sum type", scrutinee.span)]
+    if Counter(stated) != Counter(declared):
+        return [error(
             "E-COVERAGE",
             f"decomposition states {format_type(scrutinee)} = "
             f"{' U '.join(format_type(s) for s in stated)}, but the declaration has "
             f"summands {', '.join(format_type(s) for s in declared)}",
             scrutinee.span,
-        ))
-        return diags
+        )]
 
-    seen: dict[tuple[str, ...], CaseBlock] = {}
+    diags: list[Diagnostic] = []
+    seen: dict[tuple[TypeExpr, ...], CaseBlock] = {}
     for case in cases:
         ranged = {q.var: q.domain for q in case.ranges}
         if set(ranged) != set(subjects):
@@ -133,32 +125,21 @@ def check_case_coverage(decomposition: tuple[TypeExpr, tuple[TypeExpr, ...]],
                 case.span,
             ))
             continue
-        bad = False
-        for var, ty in ranged.items():
-            if all(ty != d for d in declared):
-                diags.append(error(
-                    "E-COVERAGE",
-                    f"{_case_label(case)}: {format_type(ty)} is not a summand of "
-                    f"{format_type(scrutinee)}",
-                    case.span,
-                ))
-                bad = True
-        if bad:
+        strays = [ty for ty in ranged.values() if ty not in declared]
+        diags += [error("E-COVERAGE", f"{_case_label(case)}: {format_type(ty)} is not a summand of "
+                                      f"{format_type(scrutinee)}", case.span) for ty in strays]
+        if strays:
             continue
-        combo = tuple(format_type(ranged[s]) for s in subjects)
+        combo = tuple(ranged[s] for s in subjects)
         if combo in seen:
             diags.append(error(
-                "E-COVERAGE", f"duplicate case for ({', '.join(combo)})", case.span,
+                "E-COVERAGE", f"duplicate case for ({', '.join(map(format_type, combo))})", case.span,
             ))
         else:
             seen[combo] = case
-    expected = itertools.product(*[[format_type(d) for d in declared]] * len(subjects))
-    missing = [combo for combo in expected if combo not in seen]
-    for combo in missing:
-        diags.append(error(
-            "E-COVERAGE",
-            f"missing case for ({', '.join(combo)})",
-        ))
+    for combo in itertools.product(declared, repeat=len(subjects)):
+        if combo not in seen:
+            diags.append(error("E-COVERAGE", f"missing case for ({', '.join(map(format_type, combo))})"))
     return diags
 
 
@@ -249,15 +230,7 @@ class _Verification:
                 "E-PREMISS-MISMATCH", "the premiss needs no justification", steps[0].span,
             ))
 
-        sigma = _case_sigma(env.case_bindings)
-        premiss_forms = {lhs, apply_substitution(sigma, lhs)}
-        if steps[0].term not in premiss_forms:
-            expected = " or ".join(sorted(format_term(t) for t in premiss_forms))
-            self.diagnostics.append(error(
-                "E-PREMISS-MISMATCH",
-                f"premiss is {format_term(steps[0].term)}, expected {expected}",
-                steps[0].span,
-            ))
+        self._check_side("E-PREMISS-MISMATCH", "premiss", steps[0], lhs, env)
 
         for step in steps:
             if not self._type_check(step):
@@ -269,14 +242,16 @@ class _Verification:
                 break
             cur = step.term
 
-        final = steps[-1].term
-        endpoint_forms = {rhs, apply_substitution(sigma, rhs)}
-        if final not in endpoint_forms:
-            expected = " or ".join(sorted(format_term(t) for t in endpoint_forms))
+        self._check_side("E-ENDPOINT-MISMATCH", "final term", steps[-1], rhs, env)
+
+    def _check_side(self, code: str, what: str, step: ProofStep, side: Term, env: StepEnv) -> None:
+        """Report ``step`` under ``code`` unless its term is ``side`` or
+        ``side`` under the case bindings."""
+        forms = {side, apply_substitution(_case_sigma(env.case_bindings), side)}
+        if step.term not in forms:
+            expected = " or ".join(sorted(format_term(t) for t in forms))
             self.diagnostics.append(error(
-                "E-ENDPOINT-MISMATCH",
-                f"final term is {format_term(final)}, expected {expected}",
-                steps[-1].span,
+                code, f"{what} is {format_term(step.term)}, expected {expected}", step.span,
             ))
 
     def _check_hop(self, prev: Term, step: ProofStep, env: StepEnv, path: tuple[str, ...]) -> bool:
@@ -322,11 +297,7 @@ class _Verification:
         """Accept ``prev → X → step.term`` where the stated case range
         licenses the final hop and a single inferable rewrite covers the
         first; records the insertion like an inferred justification."""
-        outcomes = clause_edits(step.term, just, env)
-        if isinstance(outcomes, Diagnostic):
-            return False
-        for edits, _ in outcomes:
-            intermediate = _applied(step.term, edits)
+        for intermediate in clause_images(step.term, just, env):
             inferred = infer_step_justification(prev, intermediate, env)
             if inferred is None:
                 continue
