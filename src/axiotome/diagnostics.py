@@ -34,6 +34,7 @@ CODES = frozenset({
     "E-COVERAGE",
     "E-STEP-NUMBERING",
     "E-RESTATEMENT",
+    "E-INFINITE-SUM",
     "W-INFERRED-VIA",
     "W-INHABITATION",
     "W-IMPLICIT-QUANTIFIER",

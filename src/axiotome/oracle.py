@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from .rewrite import Position, RuleIndex, apply_substitution, match, replace_at, rules_at
 from .syntax import SumBody, Term, TypeExpr, format_type
-from .typesys import Registry, substitute_type
+from .typesys import Registry, substitute_type, summands
 
 DEFAULT_BUDGET = 10_000
 
@@ -65,38 +65,56 @@ class ValidationVerdict:
 def enumerable_domain(ty: TypeExpr, registry: Registry) -> DomainEnumeration:
     """Inhabitants of ``ty``, built bottom-up; a type is finite iff its
     constructor graph is acyclic and every field type is finite."""
-    inhabitants = _enumerate(ty, registry, frozenset())
+    inhabitants = _enumerate(ty, registry)
     if inhabitants is None:
         return DomainEnumeration(ty, (), False)
     return DomainEnumeration(ty, tuple(inhabitants), True)
 
 
-def _enumerate(ty: TypeExpr, registry: Registry, visiting: frozenset) -> list[Term] | None:
-    key = (ty.name, ty.args)
-    if key in visiting:
-        return None
-    decl = registry.types.get(ty.name)
-    if decl is None:
-        return None  # unresolved or a bare type parameter: not enumerable
-    bindings = dict(zip(decl.params, ty.args))
-    if len(ty.args) != len(decl.params):
-        return None
-    visiting = visiting | {key}
-    if isinstance(decl.body, SumBody):
-        out: list[Term] = []
-        for summand in decl.body.summands:
-            sub = _enumerate(substitute_type(summand, bindings), registry, visiting)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return list(dict.fromkeys(out))
-    field_domains: list[list[Term]] = []
-    for _, field_ty in decl.body.fields:
-        sub = _enumerate(substitute_type(field_ty, bindings), registry, visiting)
-        if sub is None:
-            return None
-        field_domains.append(sub)
-    return list(dict.fromkeys(Term(ty.name, ty.args, combo) for combo in itertools.product(*field_domains)))
+def _enumerate(ty: TypeExpr, registry: Registry) -> list[Term] | None:
+    """The inhabitants of ``ty``, or ``None`` where it is not finite: where
+    a type recurs inside itself or names no declared type.  A post-order
+    walk with an explicit stack, so type depth is unbounded.
+
+    Between two subterms of ``ty`` on a path, the walk meets only types
+    that declarations spell.  If one declaration recurs there, the walk can
+    repeat the steps between its two occurrences forever, so it ends only
+    at a recurring type, if at all.  A path of more than (depth of ``ty`` +
+    1) × (declarations + 1) types holds such a recurrence, and ends the
+    walk as one."""
+    depth, nodes = 0, [(ty, 0)]
+    while nodes:
+        node, d = nodes.pop()
+        depth = max(depth, d)
+        nodes += [(arg, d + 1) for arg in node.args]
+    bound = (depth + 1) * (len(registry.types) + 1)
+    done: list[list[Term]] = []  # inhabitants of the finished types, in order
+    path: set[TypeExpr] = set()  # the types entered and not yet left
+    # Types to enter, and (type, is it a sum, base of its parts in ``done``) to leave.
+    stack: list = [ty]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is tuple:
+            node, is_sum, base = item
+            parts = done[base:]
+            del done[base:]
+            path.remove(node)
+            if is_sum:
+                done.append(list(dict.fromkeys(itertools.chain.from_iterable(parts))))
+            else:
+                done.append(list(dict.fromkeys(Term(node.name, node.args, combo)
+                                               for combo in itertools.product(*parts))))
+            continue
+        decl = registry.types.get(item.name)
+        if item in path or len(path) >= bound or decl is None or len(item.args) != len(decl.params):
+            return None  # a recurring type, an unresolved one or a bare type parameter
+        is_sum = isinstance(decl.body, SumBody)
+        bindings = dict(zip(decl.params, item.args))
+        parts = summands(item, registry) if is_sum else [substitute_type(f, bindings) for _, f in decl.body.fields]
+        path.add(item)
+        stack.append((item, is_sum, len(done)))
+        stack.extend(reversed(parts))
+    return done[0]
 
 
 # ------------------------------------------------------------ normalization

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Container, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterator, Mapping, Sequence
 
 from .diagnostics import Diagnostic, DiagnosticError, Span, error, warning
 from .syntax import (
@@ -93,11 +93,22 @@ class Registry:
 
 
 def substitute_type(ty: TypeExpr, bindings: dict[str, TypeExpr]) -> TypeExpr:
+    """``ty`` with each bound type parameter replaced, node by node in
+    post-order, so type depth is unbounded; a rebuilt node keeps its span."""
     if not bindings:
         return ty
     if not ty.args:
         return bindings.get(ty.name, ty)
-    return TypeExpr(ty.name, tuple(substitute_type(a, bindings) for a in ty.args), ty.span)
+    order, stack = [], [ty]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.args)
+    done: dict[int, TypeExpr] = {}  # by identity, as equal types may differ in span
+    for node in reversed(order):
+        done[id(node)] = TypeExpr(node.name, tuple(done[id(a)] for a in node.args), node.span) \
+            if node.args else bindings.get(node.name, node)
+    return done[id(ty)]
 
 
 def build_registry(program: Program) -> tuple[Registry, list[Diagnostic]]:
@@ -196,23 +207,33 @@ def summands(ty: TypeExpr, reg: Registry) -> list[TypeExpr] | None:
     return [substitute_type(s, bindings) for s in decl.body.summands]
 
 
-def conforms(sub: TypeExpr, sup: TypeExpr, reg: Registry) -> bool:
-    """Structural equality, or membership in ``sup``'s summand closure,
-    walked with a seen set so that cyclic sums end.  Type arguments are
-    invariant.  Only a sum that recurses with growing type arguments has a
-    closure of over 10,000 types; that raises RecursionError."""
-    if sub == sup:
-        return True
+#: The most types a walk of a summand closure visits.  Only a sum that
+#: recurses with growing type arguments has more: infinitely many.
+CLOSURE_BOUND = 10_000
+
+
+def _summand_closure(sup: TypeExpr, reg: Registry) -> Iterator[TypeExpr]:
+    """``sup`` and the types in its summand closure, each once, walked with
+    a seen set so that cyclic sums end; the walk stops after
+    ``CLOSURE_BOUND`` + 1 types."""
+    yield sup
     todo, seen = [sup], {sup}
     while todo:
-        parts = summands(todo.pop(), reg) or ()
-        if sub in parts:
-            return True
-        todo += [s for s in parts if s not in seen]
-        seen.update(parts)
-        if len(seen) > 10_000:
-            raise RecursionError(f"the summand closure of {format_type(sup)} holds over 10,000 types")
-    return False
+        for ty in summands(todo.pop(), reg) or ():
+            if ty not in seen:
+                if len(seen) > CLOSURE_BOUND:
+                    return
+                seen.add(ty)
+                todo.append(ty)
+                yield ty
+
+
+def conforms(sub: TypeExpr, sup: TypeExpr, reg: Registry) -> bool:
+    """Structural equality, or membership in ``sup``'s summand closure.
+    Type arguments are invariant.  Past ``CLOSURE_BOUND`` types of an
+    infinite closure, which ``check_well_formed`` reports, the answer is
+    False."""
+    return sub in _summand_closure(sup, reg)
 
 
 def constructor_signature(name: str, reg: Registry) -> ConstructorSignature:
@@ -421,6 +442,15 @@ def check_well_formed(reg: Registry) -> list[Diagnostic]:
                 diags.append(warning(
                     "W-INHABITATION",
                     f"product type {decl.name!r} recurses without an intervening sum and has no inhabitants",
+                    decl.span,
+                ))
+        else:
+            own = TypeExpr(decl.name, tuple(TypeExpr(p) for p in decl.params))
+            if sum(1 for _ in _summand_closure(own, reg)) > CLOSURE_BOUND:
+                diags.append(error(
+                    "E-INFINITE-SUM",
+                    f"the summand closure of {format_type(own)} is infinite: a sum recurses "
+                    f"with growing type arguments",
                     decl.span,
                 ))
     for fn in reg.functions.values():

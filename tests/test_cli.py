@@ -491,6 +491,29 @@ def test_deep_declared_type_is_checked(tmp_path):
     assert run("check", *paths, str(source)) == (0, "¶deep: accepted\n", "")
 
 
+def test_deep_declared_type_is_validated(tmp_path):
+    # Enumerating a quantifier's declared domain walks it with a stack.
+    deep = "List[" * 3000 + "Boolean" + "]" * 3000
+    source = tmp_path / "deep.axm"
+    source.write_text(f"theorem ¶deep: ∀x ∈ {deep}: x ↔ x\nproof\n  0. x\n", encoding="utf-8")
+    paths = [str(corpus_path(n)) for n in BASE_TYPES + ["polymorphic_lists.axm"]]
+    assert run("validate", *paths, str(source)) == (0, f"¶deep: inconclusive (domain {deep} is not finite)\n", "")
+
+
+def test_sum_with_growing_type_arguments_is_a_finding(tmp_path):
+    # A[Zero]'s summand closure is A[W[Zero]], A[W[W[Zero]]], ...: infinite.
+    source = tmp_path / "growing.axm"
+    source.write_text("type Zero ≡ Product[]\ntype W[T] ≡ Product[]\ntype A[T] ≡ Sum[A[W[T]]]\n"
+                      "function f(x: A[Zero]) : Zero ≡ Zero\n"
+                      "theorem ¶t: f(Zero) ↔ Zero\nproof\n  0. f(Zero)\n  1. Zero via f\n", encoding="utf-8")
+    code, out, err = run("check", str(source))
+    infinite = "error[E-INFINITE-SUM]: the summand closure of A[T] is infinite: a sum recurses with growing " \
+               "type arguments"
+    mismatch = "error[E-TYPE-MISMATCH]: argument Zero of 'f': Zero does not conform to A[Zero]"
+    assert (code, err) == (1, "")
+    assert out == f"{source}:3:1: {infinite}\n{source}:5:15: {mismatch}\n{source}:7:8: {mismatch}\n¶t: rejected\n"
+
+
 def test_cyclic_sum_types_are_a_finding(tmp_path):
     # The summand closure of A is {A, B}: Zero conforms to neither.
     source = tmp_path / "cyclic.axm"

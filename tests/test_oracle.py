@@ -52,6 +52,24 @@ def test_lists_are_not_finite():
     assert not dom.finite
 
 
+def test_deep_finite_type_is_enumerated():
+    # Box^5000[Boolean] has two inhabitants; the walk keeps its own stack.
+    registry = load_registry(*BASE_TYPES, extra="type Box[T] ≡ Product[item: T]\n")
+    ty = TypeExpr("Boolean")
+    for _ in range(5000):
+        ty = TypeExpr("Box", (ty,))
+    dom = enumerable_domain(ty, registry)
+    assert dom.finite and len(dom.inhabitants) == 2
+
+
+def test_fields_that_recur_with_growing_type_arguments_are_not_finite():
+    # L[Zero] holds C(l) for each l in L[W[Zero]], which holds C(l') for each
+    # l' in L[W[W[Zero]]], and so on: no type recurs inside itself.
+    registry = load_registry(extra="type Zero ≡ Product[]\ntype W[T] ≡ Product[]\ntype N[T] ≡ Product[]\n"
+                                   "type L[T] ≡ Sum[N[T], C[T]]\ntype C[T] ≡ Product[head: L[W[T]]]\n")
+    assert not enumerable_domain(TypeExpr("L", (TypeExpr("Zero"),)), registry).finite
+
+
 def test_pair_domain_is_a_cross_product(bool_registry):
     dom = enumerable_domain(TypeExpr("Pair", (TypeExpr("Boolean"), TypeExpr("Boolean"))), bool_registry)
     assert dom.finite and len(dom.inhabitants) == 4
