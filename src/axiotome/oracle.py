@@ -107,10 +107,16 @@ def _enumerate(ty: TypeExpr, registry: Registry) -> list[Term] | None:
             continue
         decl = registry.types.get(item.name)
         if item in path or len(path) >= bound or decl is None or len(item.args) != len(decl.params):
-            return None  # a recurring type, an unresolved one or a bare type parameter
+            return None  # recurring, nested too deep, unresolved or a bare type parameter
         is_sum = isinstance(decl.body, SumBody)
-        bindings = dict(zip(decl.params, item.args))
-        parts = summands(item, registry) if is_sum else [substitute_type(f, bindings) for _, f in decl.body.fields]
+        if is_sum:
+            parts = summands(item, registry)
+        else:
+            bindings = dict(zip(decl.params, item.args))
+            parts = [substitute_type(field_ty, bindings) for _, field_ty in decl.body.fields]
+        if not (parts or is_sum):  # a nullary product: its one inhabitant at once
+            done.append([Term(item.name, item.args, ())])
+            continue
         path.add(item)
         stack.append((item, is_sum, len(done)))
         stack.extend(reversed(parts))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Container, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Mapping, Sequence
 
 from .diagnostics import Diagnostic, DiagnosticError, Span, error, warning
 from .syntax import (
@@ -212,20 +212,20 @@ def summands(ty: TypeExpr, reg: Registry) -> list[TypeExpr] | None:
 CLOSURE_BOUND = 10_000
 
 
-def _summand_closure(sup: TypeExpr, reg: Registry) -> Iterator[TypeExpr]:
-    """``sup`` and the types in its summand closure, each once, walked with
-    a seen set so that cyclic sums end; the walk stops after
-    ``CLOSURE_BOUND`` + 1 types."""
-    yield sup
+def _in_closure(sub: TypeExpr | None, sup: TypeExpr, reg: Registry) -> bool | None:
+    """Whether ``sub`` lies in ``sup``'s summand closure, walked with a seen
+    set so that cyclic sums end; ``None`` once the walk passes
+    ``CLOSURE_BOUND`` types without meeting ``sub``."""
     todo, seen = [sup], {sup}
     while todo:
-        for ty in summands(todo.pop(), reg) or ():
-            if ty not in seen:
-                if len(seen) > CLOSURE_BOUND:
-                    return
-                seen.add(ty)
-                todo.append(ty)
-                yield ty
+        parts = summands(todo.pop(), reg) or ()
+        if sub in parts:
+            return True
+        todo += [s for s in parts if s not in seen]
+        seen.update(parts)
+        if len(seen) > CLOSURE_BOUND:
+            return None
+    return False
 
 
 def conforms(sub: TypeExpr, sup: TypeExpr, reg: Registry) -> bool:
@@ -233,7 +233,7 @@ def conforms(sub: TypeExpr, sup: TypeExpr, reg: Registry) -> bool:
     Type arguments are invariant.  Past ``CLOSURE_BOUND`` types of an
     infinite closure, which ``check_well_formed`` reports, the answer is
     False."""
-    return sub in _summand_closure(sup, reg)
+    return sub == sup or bool(_in_closure(sub, sup, reg))
 
 
 def constructor_signature(name: str, reg: Registry) -> ConstructorSignature:
@@ -446,7 +446,7 @@ def check_well_formed(reg: Registry) -> list[Diagnostic]:
                 ))
         else:
             own = TypeExpr(decl.name, tuple(TypeExpr(p) for p in decl.params))
-            if sum(1 for _ in _summand_closure(own, reg)) > CLOSURE_BOUND:
+            if _in_closure(None, own, reg) is None:
                 diags.append(error(
                     "E-INFINITE-SUM",
                     f"the summand closure of {format_type(own)} is infinite: a sum recurses "
