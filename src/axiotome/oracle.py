@@ -82,12 +82,11 @@ def _enumerate(ty: TypeExpr, registry: Registry) -> list[Term] | None:
     at a recurring type, if at all.  A path of more than (depth of ``ty`` +
     1) × (declarations + 1) types holds such a recurrence, and ends the
     walk as one."""
-    depth, nodes = 0, [(ty, 0)]
-    while nodes:
-        node, d = nodes.pop()
-        depth = max(depth, d)
-        nodes += [(arg, d + 1) for arg in node.args]
-    bound = (depth + 1) * (len(registry.types) + 1)
+    levels, level = 0, [ty]  # levels = depth of ``ty`` + 1
+    while level:
+        level = [arg for node in level for arg in node.args]
+        levels += 1
+    bound = levels * (len(registry.types) + 1)
     done: list[list[Term]] = []  # inhabitants of the finished types, in order
     path: set[TypeExpr] = set()  # the types entered and not yet left
     # Types to enter, and (type, is it a sum, base of its parts in ``done``) to leave.

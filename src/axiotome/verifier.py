@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, DiagnosticError, Severity, error, warning
 from .rewrite import (
-    StepEnv, _case_sigma, apply_substitution, check_justified_step, clause_images, infer_step_justification,
+    StepEnv, Substitution, _case_sigma, apply_substitution, check_justified_step, clause_images,
+    infer_step_justification,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, LinearProof, ProofBody,
@@ -230,7 +231,8 @@ class _Verification:
                 "E-PREMISS-MISMATCH", "the premiss needs no justification", steps[0].span,
             ))
 
-        self._check_side("E-PREMISS-MISMATCH", "premiss", steps[0], lhs, env)
+        sigma = _case_sigma(env.case_bindings)
+        self._check_side("E-PREMISS-MISMATCH", "premiss", steps[0], lhs, sigma)
 
         for step in steps:
             if not self._type_check(step):
@@ -242,12 +244,12 @@ class _Verification:
                 break
             cur = step.term
 
-        self._check_side("E-ENDPOINT-MISMATCH", "final term", steps[-1], rhs, env)
+        self._check_side("E-ENDPOINT-MISMATCH", "final term", steps[-1], rhs, sigma)
 
-    def _check_side(self, code: str, what: str, step: ProofStep, side: Term, env: StepEnv) -> None:
+    def _check_side(self, code: str, what: str, step: ProofStep, side: Term, sigma: Substitution) -> None:
         """Report ``step`` under ``code`` unless its term is ``side`` or
-        ``side`` under the case bindings."""
-        forms = {side, apply_substitution(_case_sigma(env.case_bindings), side)}
+        ``side`` under the case bindings' substitution ``sigma``."""
+        forms = {side, apply_substitution(sigma, side)}
         if step.term not in forms:
             expected = " or ".join(sorted(format_term(t) for t in forms))
             self.diagnostics.append(error(
