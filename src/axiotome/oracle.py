@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from .rewrite import Position, RuleIndex, apply_substitution, match, replace_at, rules_at
 from .syntax import SumBody, Term, TypeExpr, format_type
-from .typesys import Registry, substitute_type, summands
+from .typesys import CLOSURE_BOUND, Registry, substitute_type, summands
 
 DEFAULT_BUDGET = 10_000
 
@@ -74,19 +74,13 @@ def enumerable_domain(ty: TypeExpr, registry: Registry) -> DomainEnumeration:
 def _enumerate(ty: TypeExpr, registry: Registry) -> list[Term] | None:
     """The inhabitants of ``ty``, or ``None`` where it is not finite: where
     a type recurs inside itself or names no declared type.  A post-order
-    walk with an explicit stack, so type depth is unbounded.
+    walk with an explicit stack, so its depth is not limited by the
+    interpreter's recursion limit.
 
-    Between two subterms of ``ty`` on a path, the walk meets only types
-    that declarations spell.  If one declaration recurs there, the walk can
-    repeat the steps between its two occurrences forever, so it ends only
-    at a recurring type, if at all.  A path of more than (depth of ``ty`` +
-    1) × (declarations + 1) types holds such a recurrence, and ends the
-    walk as one."""
-    levels, level = 0, [ty]  # levels = depth of ``ty`` + 1
-    while level:
-        level = [arg for node in level for arg in node.args]
-        levels += 1
-    bound = levels * (len(registry.types) + 1)
+    A type that recurs with growing type arguments never repeats, so its
+    path has no end; like the summand closure walk, this one gives up
+    once the path holds ``CLOSURE_BOUND`` types, and reads the type as
+    not finite.  A finite type nested that deep reads so too."""
     done: list[list[Term]] = []  # inhabitants of the finished types, in order
     path: set[TypeExpr] = set()  # the types entered and not yet left
     # Types to enter, and (type, is it a sum, base of its parts in ``done``) to leave.
@@ -105,7 +99,7 @@ def _enumerate(ty: TypeExpr, registry: Registry) -> list[Term] | None:
                                                for combo in itertools.product(*parts))))
             continue
         decl = registry.types.get(item.name)
-        if item in path or len(path) >= bound or decl is None or len(item.args) != len(decl.params):
+        if item in path or len(path) >= CLOSURE_BOUND or decl is None or len(item.args) != len(decl.params):
             return None  # recurring, nested too deep, unresolved or a bare type parameter
         is_sum = isinstance(decl.body, SumBody)
         if is_sum:

@@ -616,13 +616,19 @@ def clause_edits(prev: Term, just: Justification, env: StepEnv) -> list[tuple[Ed
     return _tuple_edits(prev, just.names, env.registry.rules)
 
 
-def clause_images(term: Term, just: Justification, env: StepEnv) -> list[Term]:
+def clause_images(term: Term, just: Justification, env: StepEnv) -> Iterator[Term]:
     """The distinct results of ``just``'s moves from ``term``, in
-    ``clause_edits`` order; none when the clause does not resolve."""
+    ``clause_edits`` order, each built as it is asked for; none when the
+    clause does not resolve."""
     outcomes = clause_edits(term, just, env)
     if isinstance(outcomes, Diagnostic):
-        return []
-    return list(dict.fromkeys(_applied(term, edits) for edits, _ in outcomes))
+        return
+    seen: set[Term] = set()
+    for edits, _ in outcomes:
+        image = _applied(term, edits)
+        if image not in seen:
+            seen.add(image)
+            yield image
 
 
 def check_justified_step(prev: Term, next_term: Term, just: Justification, env: StepEnv) -> StepVerdict:

@@ -207,8 +207,9 @@ def summands(ty: TypeExpr, reg: Registry) -> list[TypeExpr] | None:
     return [substitute_type(s, bindings) for s in decl.body.summands]
 
 
-#: The most types a walk of a summand closure visits.  Only a sum that
-#: recurses with growing type arguments has more: infinitely many.
+#: The most types a walk of a summand closure visits, and the longest path
+#: of an enumeration walk (``oracle._enumerate``).  A type that recurses
+#: with growing type arguments has infinitely many.
 CLOSURE_BOUND = 10_000
 
 

@@ -62,6 +62,42 @@ def test_deep_finite_type_is_enumerated():
     assert dom.finite and len(dom.inhabitants) == 2
 
 
+def _heads(term: Term) -> tuple[str, ...]:
+    """The heads of a nest of one-field constructors, outermost first."""
+    heads = [term.head]
+    while term.args:
+        term = term.args[0]
+        heads.append(term.head)
+    return tuple(heads)
+
+
+def test_finite_type_whose_declaration_nests_a_field_deeply_is_enumerated():
+    # Deep[Boolean]'s one field is Box^20[Boolean]: a path of 22 types,
+    # longer than the type's own depth times the number of declarations.
+    box20 = "T"
+    for _ in range(20):
+        box20 = f"Box[{box20}]"
+    registry = load_registry(*BASE_TYPES, extra="type Box[T] ≡ Product[item: T]\n"
+                                                 f"type Deep[T] ≡ Product[v: {box20}]\n")
+    dom = enumerable_domain(TypeExpr("Deep", (TypeExpr("Boolean"),)), registry)
+    assert dom.finite
+    assert [_heads(term) for term in dom.inhabitants] == [
+        ("Deep", *["Box"] * 20, leaf) for leaf in ("False", "True")]
+
+
+def test_finite_type_whose_declarations_compound_their_nesting_is_enumerated():
+    # D(k)[T] holds a D(k-1)[D(k-1)[T]], so D8[Boolean]'s inhabitants nest
+    # 2^9 - 1 constructors, although the type has depth 1 and the registry
+    # holds 16 declarations.
+    decls = "type D0[T] ≡ Product[v: T]\n" + "".join(
+        f"type D{k}[T] ≡ Product[v: D{k - 1}[D{k - 1}[T]]]\n" for k in range(1, 9))
+    registry = load_registry(*BASE_TYPES, extra=decls)
+    dom = enumerable_domain(TypeExpr("D8", (TypeExpr("Boolean"),)), registry)
+    assert dom.finite
+    assert [len(_heads(term)) for term in dom.inhabitants] == [2 ** 9, 2 ** 9]
+    assert [_heads(term)[-1] for term in dom.inhabitants] == ["False", "True"]
+
+
 def test_fields_that_recur_with_growing_type_arguments_are_not_finite():
     # L[Zero] holds C(l) for each l in L[W[Zero]], which holds C(l') for each
     # l' in L[W[W[Zero]]], and so on: no type recurs inside itself.
