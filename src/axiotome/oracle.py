@@ -302,14 +302,16 @@ def brute_force_validate(quantifiers: Sequence[tuple[str, TypeExpr]], lhs: Term,
     """Check ``lhs ↔ rhs`` on every assignment of inhabitants to the
     quantified metavariables.  The first failing one in product order is the
     counterexample, unless a side runs out of budget there or earlier."""
-    domains = []
-    for var, ty in quantifiers:
-        dom = enumerable_domain(ty, registry)
-        if not dom.finite:
-            return ValidationVerdict("inconclusive", reason=f"domain {format_type(ty)} is not finite")
-        domains.append(dom.inhabitants)
+    enumerated: dict[TypeExpr, tuple[Term, ...]] = {}  # each distinct domain once
+    for _, ty in quantifiers:
+        if ty not in enumerated:
+            dom = enumerable_domain(ty, registry)
+            if not dom.finite:
+                return ValidationVerdict("inconclusive", reason=f"domain {format_type(ty)} is not finite")
+            enumerated[ty] = dom.inhabitants
+    domains = [enumerated[ty] for _, ty in quantifiers]
     names = [var for var, _ in quantifiers]
-    reached = {head for term in (lhs, rhs, *itertools.chain(*domains)) for head, _, _ in _postfix(term)}
+    reached = {head for term in (lhs, rhs, *itertools.chain(*enumerated.values())) for head, _, _ in _postfix(term)}
     if not registry.rules.orthogonal_over(reached):
         for combo in itertools.product(*domains):
             sigma = dict(zip(names, combo))

@@ -16,15 +16,18 @@ order:
 Enumeration order is leftmost-outermost positions, forward before backward,
 which also fixes the witness recorded for steps with several derivations.
 
-Which rules a step may use, and where they match, is decided in one place,
-``RuleSet.matches``: it walks (position, subterm, target) sites and returns
-every match of an indexed oriented rule there in (rank, site) order.  A
-single-name step is checked, and depth-1 inference run, at the sites where
-one rewrite can turn ``prev`` into ``next``: their fork (the deepest
-position outside which the two terms agree, found in one walk down both)
-and its ancestors.  Each match's substituted other side is compared with
-``next``'s subterm there, so no rewritten term is built; the verdicts,
+The rules a step may use are the oriented rules of one index,
+``RuleSet.moves``, and each carries its reach (``RewriteRule.reach``),
+computed once: where above the fork of two terms (the deepest position
+outside which they agree, found in one walk down both) a rewrite by it can
+turn one into the other.  A single-name step is checked, and depth-1
+inference run, by ``RuleSet.hop``: an anchored rule is probed at its one
+site, and the fork's ancestors are walked for the open rules only while one
+could still come first.  Each match's substituted other side is compared
+with ``next``'s subterm there, so no rewritten term is built; the verdicts,
 witnesses and inferred clauses are those of enumerating every rewrite.
+``RuleSet.matches`` returns every match at given sites in (rank, site)
+order, for tuple clauses, gap search and ``_may_reach``.
 Every other move, of ``clause_edits`` and of gap search, is ``Edits``:
 (position, replacement) pairs at disjoint positions of ``prev``, one per
 rule application, a whole-term one for case-range introduction, and one per
@@ -43,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -106,6 +109,45 @@ class RewriteRule:
         if self.direction is Direction.FORWARD:
             return self.rhs_vars <= self.lhs_vars
         return self.lhs_vars <= self.rhs_vars
+
+    @cached_property
+    def reach(self) -> int:
+        """How far above the fork of a hop a rewrite by this rule can make
+        it.  A rewrite at ``p`` makes a hop whose fork is ``p`` followed by
+        the ``_fork`` of the substituted sides, so the two sides are walked
+        down together the way ``_fork`` walks two terms.
+
+        A head, type-argument or arity mismatch, or two differing ground
+        argument pairs of an n-ary node, stops ``_fork`` there whatever the
+        substitution.  Met before any metavariable, and before any
+        differing argument pair that holds one, it *anchors* the rule at
+        its depth ``e``: the rule makes a hop only at the fork's ancestor
+        ``e`` above it, and the reach is ``e``.  Otherwise the rule is
+        *open* from the depth ``j`` where the walk stopped: it can make a
+        hop at any ancestor at least ``j`` above the fork, and the reach is
+        ``~j``, negative.  Equal sides make no hop; they read as anchored
+        at 0 (Baader & Nipkow, *Term Rewriting and All That*, 1998, ch. 3)."""
+        src, dst = self.oriented()
+        metavars = self.metavars
+        depth = 0
+        while src is not dst:
+            if _is_var(src, metavars) or _is_var(dst, metavars):
+                return ~depth
+            if src.head != dst.head or src.type_args != dst.type_args or len(src.args) != len(dst.args):
+                return depth
+            i = 0
+            if len(src.args) > 1:
+                differ = [i for i, (a, b) in enumerate(zip(src.args, dst.args)) if a is not b]
+                ground = [i for i in differ if not any(_is_var(n, metavars) for side in (src, dst)
+                                                       for n in side.args[i].postorder())]
+                if len(ground) > 1:
+                    return depth
+                if len(ground) < len(differ):
+                    return ~depth
+                i = differ[0]
+            src, dst = src.args[i], dst.args[i]
+            depth += 1
+        return depth
 
 
 @dataclass(frozen=True)
@@ -224,21 +266,6 @@ def _fork(prev: Term, next_term: Term) -> Position | None:
         path.append(i)
         prev, next_term = prev.args[i], next_term.args[i]
     return tuple(path)
-
-
-def _sites(prev: Term, next_term: Term) -> Iterator[tuple[Position, Term, Term]]:
-    """Where one rewrite can turn ``prev`` into ``next_term``, outermost
-    first, as (position, subterm of ``prev``, subterm of ``next_term``): the
-    fork and its ancestors, or every position when the terms are equal.
-    Made one at a time, so the paths down a deep fork are never all held."""
-    fork = _fork(prev, next_term)
-    if fork is None:
-        yield from ((pos, sub, sub) for pos, sub in positions(prev))
-        return
-    yield (), prev, next_term
-    for depth, i in enumerate(fork, 1):
-        prev, next_term = prev.args[i], next_term.args[i]
-        yield fork[:depth], prev, next_term
 
 
 #: What a move does to a term: (position, replacement) pairs at pairwise
@@ -408,6 +435,12 @@ def _orthogonal(rules: list[RewriteRule]) -> bool:
     return True
 
 
+#: The key of ``RuleSet.moves`` that holds the reach of its rules as a
+#: whole: the anchored depths in ascending order, and the open rules,
+#: ranked, in rank order.  No head is an object, so no lookup meets it.
+REACH = object()
+
+
 #: Where a rule is tried: the position, the subterm there, and the term a
 #: rewrite must produce there (``None`` when any result will do).
 Site = tuple[Position, Term, Term | None]
@@ -445,10 +478,14 @@ class RuleSet:
     def moves(self) -> RuleIndex:
         """Each direction of a citable rule whose match determines its
         result, ``rules[i]`` ranked ``2 * i`` forward and ``2 * i + 1``
-        backward.  Built on first use: validation never moves."""
-        return MappingProxyType(_index([(2 * i + d, o) for i, rule in enumerate(self.rules)
-                                        if self.named.get(rule.name) is rule
-                                        for d, o in enumerate((rule, rule.reversed())) if o.determined()]))
+        backward, and under ``REACH`` their reach as a whole.  Built on
+        first use: validation never moves."""
+        ranked = [(2 * i + d, o) for i, rule in enumerate(self.rules) if self.named.get(rule.name) is rule
+                  for d, o in enumerate((rule, rule.reversed())) if o.determined()]
+        index = _index(ranked)
+        index[REACH] = (tuple(sorted({o.reach for _, o in ranked if o.reach >= 0})),
+                        tuple((rank, o) for rank, o in ranked if o.reach < 0))
+        return MappingProxyType(index)
 
     def orthogonal_over(self, heads: Iterable[str]) -> bool:
         """Are the reductions that can fire on a term built from ``heads``,
@@ -490,6 +527,47 @@ class RuleSet:
                     found.append((rank, pos, rule, sigma, target))
         found.sort(key=itemgetter(0))  # stable: sites stay in order within a rank
         return found
+
+    def hop(self, prev: Term, next_term: Term, exclude: str | None = None, only: str | None = None) \
+            -> tuple[Position, RewriteRule, Substitution] | None:
+        """The first rewrite of ``prev`` into ``next_term`` by a rule of
+        ``moves`` in (rank, site) order, sites outermost first, as a witness
+        entry; ``only`` and ``exclude`` as for ``matches``.  Each rule is
+        tried only where its ``reach`` lets it make the hop: the sites are
+        the subterms on the path down to ``_fork``'s fork, each anchored
+        depth's site is probed for the rules anchored there, and then the
+        sites are probed outermost first for the open rules while one ranked
+        before the best hit so far remains.  Equal terms are tried at every
+        position."""
+        fork = _fork(prev, next_term)
+        if fork is None:
+            return _first_hit(self.matches(((pos, sub, sub) for pos, sub in positions(prev)), exclude, only))
+        moves = self.moves
+        depths, opened = moves[REACH]
+        spine = [(prev, next_term)]
+        for i in fork:
+            prev, next_term = prev.args[i], next_term.args[i]
+            spine.append((prev, next_term))
+        n, best = len(fork), (len(self.rules) * 2, 0, None, None)  # (rank, site, rule, substitution)
+        ranks = [rank for rank, rule in opened if (only is None or rule.name == only)
+                 and (rule.source is not RuleSource.THEOREM or rule.name != exclude)]
+        # (site, least reach, greatest reach): anchored depths, then the open walk.
+        probes = chain(((n - e, e, e) for e in depths if e <= n), ((at, ~(n - at), -1) for at in range(n + 1)))
+        for at, low, high in probes:
+            if high < 0 and not (ranks and ranks[0] < best[0]):
+                break
+            sub, goal = spine[at]
+            for rank, rule in rules_at(moves, sub):
+                if rank >= best[0]:
+                    break
+                if low <= rule.reach <= high and (only is None or rule.name == only) \
+                        and (rule.source is not RuleSource.THEOREM or rule.name != exclude):
+                    src, dst = rule.oriented()
+                    sigma = match(src, sub, rule.metavars)
+                    if sigma is not None and apply_substitution(sigma, dst) is goal:
+                        best = rank, at, rule, sigma
+                        break
+        return None if best[2] is None else (fork[:best[1]], best[2], best[3])
 
 
 def resolve_rule(name: str, env: StepEnv) -> RewriteRule | Diagnostic:
@@ -637,21 +715,20 @@ def check_justified_step(prev: Term, next_term: Term, just: Justification, env: 
     The check is direction-symmetric: a justified step read backwards is
     justified by the same clause.
 
-    A single rule name is matched, by ``RuleSet.matches`` with ``only`` its
-    name, only where one rewrite can make the step: at the fork of the two
-    terms (the deepest position outside which they agree) and its
-    ancestors, or at every position when they are equal.  There the rule's
-    substituted other side is compared with the subterm of ``next_term``,
-    so no rewritten term is built.  The witness is the first in
-    forward-then-backward, outermost-first order, as when every rewrite of
-    ``prev`` is enumerated.
+    A single rule name is matched, by ``RuleSet.hop`` with ``only`` its
+    name, only where one rewrite by it can make the step: at the site its
+    reach allows above the fork of the two terms (the deepest position
+    outside which they agree), or at every position when they are equal.
+    There the rule's substituted other side is compared with the subterm of
+    ``next_term``, so no rewritten term is built.  The witness is the first
+    in forward-then-backward, outermost-first order, as when every rewrite
+    of ``prev`` is enumerated.
     """
     if isinstance(just, RuleJustification) and len(just.names) == 1:
         rule = resolve_rule(just.names[0], env)
         if isinstance(rule, Diagnostic):
             return StepVerdict(False, failure=rule)
-        rules = env.registry.rules
-        hit = _first_hit(rules.matches(_sites(prev, next_term), only=rule.name))
+        hit = env.registry.rules.hop(prev, next_term, only=rule.name)
         if hit is not None:
             return StepVerdict(True, witness=(hit,))
         return StepVerdict(False, failure=_unjustified(prev, next_term, just))
@@ -686,12 +763,10 @@ def infer_step_justification(prev: Term, next_term: Term, env: StepEnv) -> Justi
     among axioms in registry order, case ranges (each binding alone, then
     all of them), function unfoldings and theorems.
 
-    Rules are matched through the ``moves`` index at the sites of
-    ``check_justified_step`` only, and compared with ``next_term`` in
-    (rank, site) order, so the first success is the first rule that
-    certifies the step."""
-    rules = env.registry.rules
-    hit = _first_hit(rules.matches(_sites(prev, next_term), env.current_theorem))
+    Rules are matched by ``RuleSet.hop``, as in ``check_justified_step``,
+    and compared with ``next_term`` in (rank, site) order, so the first
+    success is the first rule that certifies the step."""
+    hit = env.registry.rules.hop(prev, next_term, env.current_theorem)
     found = None if hit is None else hit[1]
     if found is not None and found.source is RuleSource.AXIOM:
         return RuleJustification((found.name,))

@@ -285,15 +285,32 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
 
 def _repair_body(body: ProofBody, env: StepEnv, budget: SearchBudget,
                  path: tuple[str, ...], inserted: list, failures: list) -> ProofBody:
-    if isinstance(body, ByCasesProof):
-        new_cases = []
-        for case in body.cases:
-            case_env = StepEnv(env.registry, env.case_bindings + case.ranges, env.current_theorem)
-            label = case.label or ", ".join(f"{q.var} ∈ {format_type(q.domain)}" for q in case.ranges)
-            new_body = _repair_body(case.body, case_env, budget, path + (label,), inserted, failures)
-            new_cases.append(CaseBlock(case.label, case.ranges, case.restated, new_body, case.span))
-        return ByCasesProof(body.subjects, body.scrutinee, body.stated_summands, tuple(new_cases))
+    """``body`` with every gap of its linear segments filled, in order, from
+    a stack of the bodies still to repair; a ``proof by cases`` is rebuilt
+    once its cases' bodies are repaired."""
+    done: list[ProofBody] = []  # repaired bodies, in the order they were finished
+    stack: list = [(body, env, path, False)]
+    while stack:
+        item, env, path, ready = stack.pop()
+        if isinstance(item, LinearProof):
+            done.append(_repair_linear(item, env, budget, path, inserted, failures))
+        elif ready:
+            bodies = done[len(done) - len(item.cases):]
+            del done[len(done) - len(item.cases):]
+            cases = tuple(CaseBlock(case.label, case.ranges, case.restated, new_body, case.span)
+                          for case, new_body in zip(item.cases, bodies))
+            done.append(ByCasesProof(item.subjects, item.scrutinee, item.stated_summands, cases))
+        else:
+            stack.append((item, env, path, True))
+            for case in reversed(item.cases):
+                case_env = StepEnv(env.registry, env.case_bindings + case.ranges, env.current_theorem)
+                label = case.label or ", ".join(f"{q.var} ∈ {format_type(q.domain)}" for q in case.ranges)
+                stack.append((case.body, case_env, path + (label,), False))
+    return done[0]
 
+
+def _repair_linear(body: LinearProof, env: StepEnv, budget: SearchBudget,
+                   path: tuple[str, ...], inserted: list, failures: list) -> LinearProof:
     steps = body.steps
     if not steps:
         return body

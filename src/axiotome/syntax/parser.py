@@ -3,13 +3,13 @@
 The parser reads the flat token lists of one ``lexer.scan`` by integer
 index.  Declarations and proofs are read top-down, one method per grammar
 rule; terms and type expressions are read with an explicit stack of open
-brackets, so their nesting depth is bounded by memory rather than by the
-recursion limit.  A ``Span`` is made only for a node that keeps one (type
-names, declaration keywords, step indices and justification starts), for
-each node of a term, and for a diagnostic, from the token's offset.  A term
-carries no span: its nodes' spans, in pre-order, are kept beside it on the
-step or declaration that owns it (``term_spans``, ``lhs_spans`` and
-``rhs_spans``).
+brackets, and nested proofs with one of open case blocks, so their nesting
+depth is bounded by memory rather than by the recursion limit.  A ``Span``
+is made only for a node that keeps one (type names, declaration keywords,
+step indices and justification starts), for each node of a term, and for
+a diagnostic, from the token's offset.  A term carries no span: its nodes'
+spans, in pre-order, are kept beside it on the step or declaration that
+owns it (``term_spans``, ``lhs_spans`` and ``rhs_spans``).
 
 Statements are delimited by semicolons or by newlines at bracket depth zero.
 Proof-step lines are recognized by their ``<digits> '.'`` prefix; indentation
@@ -434,14 +434,62 @@ class _Parser:
         return Quantifier(var, self.parse_type_expr(), self.span(forall))
 
     def parse_proof(self) -> ProofBody:
+        """``proof`` and its body.  Nested proofs are read with a stack of
+        the open ``proof by cases`` (subjects, scrutinee, summands and the
+        cases so far) and, above each, of the case block being read
+        (where its separators start, and its header).  A case block whose
+        ranges the innermost open subjects do not cover belongs to an
+        enclosing ``proof by cases``: it is handed back, to be read again
+        there, and the innermost one ends."""
+        stack: list = []
+        body = self.begin_proof(stack)
+        while True:
+            if body is not None:  # a body ends the case block that holds it, or the proof
+                if not stack:
+                    return body
+                save, kw, label, ranges, restated = stack.pop()
+                subjects, _, _, cases = stack[-1]
+                if {q.var for q in ranges} <= set(subjects):
+                    cases.append(CaseBlock(label, ranges, restated, body, self.span(kw)))
+                    body = None
+                else:
+                    self.pos = save
+                    body = self.end_cases(stack)
+                continue
+            save = self.pos  # the innermost open proof by cases reads its next case
+            self.skip_separators()
+            if self.lex[self.pos] != "case":
+                self.pos = save
+                body = self.end_cases(stack)
+                continue
+            stack.append((save, *self.parse_case_header()))
+            self.skip_separators()
+            if self.lex[self.pos] == "proof":
+                body = self.begin_proof(stack)
+            else:
+                steps = self.parse_steps()
+                if not steps:
+                    self.fail("expected a case body (proof steps or a nested proof)")
+                body = LinearProof(steps)
+
+    def begin_proof(self, stack: list) -> LinearProof | None:
+        """``proof`` and a linear body, or the header of a ``proof by
+        cases``, which opens on ``stack`` (``parse_proof``)."""
         self.expect("proof")
         if self.lex[self.pos] == "by":
-            return self.parse_by_cases()
+            stack.append((*self.parse_cases_header(), []))
+            return None
         self.skip_separators()
         steps = self.parse_steps()
         if not steps:
             self.fail("expected proof steps after 'proof'")
         return LinearProof(steps)
+
+    def end_cases(self, stack: list) -> ByCasesProof:
+        subjects, scrutinee, summands, cases = stack.pop()
+        if not cases:
+            self.fail("expected at least one case")
+        return ByCasesProof(subjects, scrutinee, summands, tuple(cases))
 
     def parse_steps(self) -> tuple[ProofStep, ...]:
         kinds, lex = self.kinds, self.lex
@@ -488,7 +536,9 @@ class _Parser:
             return self.parse_plain_name("a rule name")
         self.fail("expected a rule name or a case range")
 
-    def parse_by_cases(self) -> ByCasesProof:
+    def parse_cases_header(self) -> tuple[tuple[str, ...], TypeExpr, tuple[TypeExpr, ...]]:
+        """``by cases of`` subjects ``using`` a decomposition: the subjects,
+        the scrutinee and the stated summands."""
         self.expect("by")
         self.expect("cases")
         self.expect("of")
@@ -512,24 +562,11 @@ class _Parser:
         self.accept("^")
         if self.kinds[self.pos] is NUMBER:
             self.pos += 1
-        cases = []
-        while True:
-            save = self.pos
-            self.skip_separators()
-            if self.lex[self.pos] != "case":
-                self.pos = save
-                break
-            case = self.parse_case_block()
-            if not {q.var for q in case.ranges} <= set(subjects):
-                # Belongs to an enclosing proof-by-cases; hand it back.
-                self.pos = save
-                break
-            cases.append(case)
-        if not cases:
-            self.fail("expected at least one case")
-        return ByCasesProof(subjects, scrutinee, tuple(summands), tuple(cases))
+        return subjects, scrutinee, tuple(summands)
 
-    def parse_case_block(self) -> CaseBlock:
+    def parse_case_header(self) -> tuple[int, str | None, tuple[Quantifier, ...], tuple[Term, Term] | None]:
+        """``case [label:]`` ranges ``:`` [restated assertion]: the index
+        of ``case``, the label, the ranges and the restated sides."""
         kw = self.expect("case")
         label = None
         if self.kinds[self.pos] is IDENT and self.lex[self.pos + 1] == ":":
@@ -542,15 +579,7 @@ class _Parser:
             lhs, _ = self.parse_term()
             self.expect("↔")
             restated = (lhs, self.parse_term()[0])
-        self.skip_separators()
-        if self.lex[self.pos] == "proof":
-            body: ProofBody = self.parse_proof()
-        else:
-            steps = self.parse_steps()
-            if not steps:
-                self.fail("expected a case body (proof steps or a nested proof)")
-            body = LinearProof(steps)
-        return CaseBlock(label, ranges, restated, body, self.span(kw))
+        return kw, label, ranges, restated
 
 
 def parse_program(source: str, file: str = "<input>", operators: dict[str, str] | None = None) -> Program:

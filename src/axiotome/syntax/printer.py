@@ -96,33 +96,33 @@ def _format_linear(proof: LinearProof, indent: int) -> list[str]:
     return lines
 
 
-def _format_by_cases(proof: ByCasesProof, indent: int) -> list[str]:
-    pad = " " * indent
-    subjects = proof.subjects[0] if len(proof.subjects) == 1 else f"({', '.join(proof.subjects)})"
-    summands = " U ".join(format_type(s) for s in proof.stated_summands)
-    lines = [f"{pad}proof by cases of {subjects} using {format_type(proof.scrutinee)} = {summands}"]
-    for case in proof.cases:
-        lines.extend(_format_case(case, indent + 2))
-    return lines
-
-
-def _format_case(case: CaseBlock, indent: int) -> list[str]:
-    pad = " " * indent
-    header = f"{pad}case "
-    if case.label is not None:
-        header += f"{case.label}: "
-    header += ", ".join(format_quantifier(q) for q in case.ranges) + ":"
-    if case.restated is not None:
-        header += f" {format_term(case.restated[0])} ↔ {format_term(case.restated[1])}"
-    lines = [header]
-    lines.extend(_format_proof_body(case.body, indent + 2))
-    return lines
-
-
 def _format_proof_body(body: ProofBody, indent: int) -> list[str]:
-    if isinstance(body, LinearProof):
-        return _format_linear(body, indent)
-    return _format_by_cases(body, indent)
+    """The lines of ``body`` at ``indent``, each case block two spaces in
+    from its ``proof by cases`` and its body two more, read with a stack of
+    the bodies and case blocks still to print."""
+    lines: list[str] = []
+    stack: list[tuple[ProofBody | CaseBlock, int]] = [(body, indent)]
+    while stack:
+        item, indent = stack.pop()
+        if isinstance(item, LinearProof):
+            lines.extend(_format_linear(item, indent))
+            continue
+        pad = " " * indent
+        if isinstance(item, ByCasesProof):
+            subjects = item.subjects[0] if len(item.subjects) == 1 else f"({', '.join(item.subjects)})"
+            summands = " U ".join(format_type(s) for s in item.stated_summands)
+            lines.append(f"{pad}proof by cases of {subjects} using {format_type(item.scrutinee)} = {summands}")
+            stack.extend((case, indent + 2) for case in reversed(item.cases))
+        else:
+            header = f"{pad}case "
+            if item.label is not None:
+                header += f"{item.label}: "
+            header += ", ".join(format_quantifier(q) for q in item.ranges) + ":"
+            if item.restated is not None:
+                header += f" {format_term(item.restated[0])} ↔ {format_term(item.restated[1])}"
+            lines.append(header)
+            stack.append((item.body, indent + 2))
+    return lines
 
 
 def _format_statement(stmt) -> str:
@@ -160,11 +160,9 @@ def _format_statement(stmt) -> str:
             header += " " + ", ".join(format_quantifier(q) for q in stmt.quantifiers) + ":"
         header += f" {format_term(stmt.lhs)} ↔ {format_term(stmt.rhs)}"
         if isinstance(stmt.proof, LinearProof):
-            lines = [header, "proof"]
-            lines.extend(_format_linear(stmt.proof, 2))
+            lines = [header, "proof", *_format_linear(stmt.proof, 2)]
         else:
-            lines = [header]
-            lines.extend(_format_by_cases(stmt.proof, 0))
+            lines = [header, *_format_proof_body(stmt.proof, 0)]
         return "\n".join(lines)
 
     raise TypeError(f"cannot format node of type {type(stmt).__name__}")

@@ -67,15 +67,13 @@ def effective_quantifiers(thm: TheoremDecl, registry: Registry) -> tuple[list[Qu
     explicit = {q.var for q in quantifiers}
     assertion_vars = term_metavars(thm.lhs, registry) | term_metavars(thm.rhs, registry)
     subject_types: dict[str, TypeExpr] = {}
-
-    def collect(body: ProofBody) -> None:
+    bodies = [thm.proof]  # in pre-order, so a subject's outermost scrutinee counts
+    while bodies:
+        body = bodies.pop()
         if isinstance(body, ByCasesProof):
             for subject in body.subjects:
                 subject_types.setdefault(subject, body.scrutinee)
-            for case in body.cases:
-                collect(case.body)
-
-    collect(thm.proof)
+            bodies.extend(case.body for case in reversed(body.cases))
     diags: list[Diagnostic] = []
     for var in sorted(assertion_vars - explicit):
         ty = subject_types.get(var)
@@ -192,26 +190,30 @@ class _Verification:
 
     def verify_body(self, body: ProofBody, lhs: Term, rhs: Term, env: StepEnv,
                     path: tuple[str, ...]) -> None:
-        if isinstance(body, LinearProof):
-            self.verify_linear(lhs, rhs, body.steps, env, path)
-            return
-        decomposition = (body.scrutinee, body.stated_summands)
-        self.diagnostics.extend(
-            check_case_coverage(decomposition, body.subjects, body.cases, self.registry)
-        )
-        for subject in body.subjects:
-            declared = self.quantifier_types.get(subject)
-            if declared is not None and declared != body.scrutinee:
-                self.diagnostics.append(error(
-                    "E-COVERAGE",
-                    f"cases decompose {format_type(body.scrutinee)}, but {subject!r} "
-                    f"is quantified over {format_type(declared)}",
-                    self.theorem.span,
-                ))
-        for case in body.cases:
-            case_env, diags = enter_case(case, lhs, rhs, env)
-            self.diagnostics.extend(diags)
-            self.verify_body(case.body, lhs, rhs, case_env, path + (_case_label(case),))
+        """Verify ``body`` and every case block nested in it, in order,
+        from a stack of the bodies and case blocks still to verify."""
+        stack: list[tuple[ProofBody | CaseBlock, StepEnv, tuple[str, ...]]] = [(body, env, path)]
+        while stack:
+            item, env, path = stack.pop()
+            if isinstance(item, LinearProof):
+                self.verify_linear(lhs, rhs, item.steps, env, path)
+            elif isinstance(item, CaseBlock):
+                case_env, diags = enter_case(item, lhs, rhs, env)
+                self.diagnostics.extend(diags)
+                stack.append((item.body, case_env, path + (_case_label(item),)))
+            else:
+                self.diagnostics.extend(check_case_coverage(
+                    (item.scrutinee, item.stated_summands), item.subjects, item.cases, self.registry))
+                for subject in item.subjects:
+                    declared = self.quantifier_types.get(subject)
+                    if declared is not None and declared != item.scrutinee:
+                        self.diagnostics.append(error(
+                            "E-COVERAGE",
+                            f"cases decompose {format_type(item.scrutinee)}, but {subject!r} "
+                            f"is quantified over {format_type(declared)}",
+                            self.theorem.span,
+                        ))
+                stack.extend((case, env, path) for case in reversed(item.cases))
 
     def verify_linear(self, lhs: Term, rhs: Term, steps: tuple[ProofStep, ...],
                       env: StepEnv, path: tuple[str, ...]) -> None:

@@ -500,6 +500,46 @@ def test_deep_declared_type_is_validated(tmp_path):
     assert run("validate", *paths, str(source)) == (0, f"¶deep: inconclusive (domain {deep} is not finite)\n", "")
 
 
+def _nested_cases(depth: int, sibling: bool) -> str:
+    """A theorem ``∀a ∈ Boolean: a ↔ a`` whose proof nests ``proof by
+    cases`` ``depth`` deep in canonical layout.  Without ``sibling`` each
+    level cases on ``a`` with a ``False`` case alone, so coverage fails at
+    every level.  With it, level ``i`` cases on ``v<i>`` (the last on
+    ``a``), its ``True`` case is one step, and the innermost ``False`` case
+    lacks its first hop, ``a`` into ``False``, which ``fill`` inserts."""
+    subjects = ["a"] * depth if not sibling else [f"v{i}" for i in range(depth - 1)] + ["a"]
+    lines = ["theorem ¶t: ∀a ∈ Boolean: a ↔ a"]
+    for i, subject in enumerate(subjects):
+        pad = "  " * 2 * i
+        lines += [f"{pad}proof by cases of {subject} using Boolean = False U True",
+                  f"{pad}  case ∀{subject} ∈ False:"]
+    pad = "  " * 2 * depth
+    if not sibling:
+        return "\n".join(lines + [f"{pad}0. a"]) + "\n"
+    lines += [f"{pad}0. a", f"{pad}1. not(True)", f"{pad}2. False via $not°T", f"{pad}3. a via ∀a ∈ False"]
+    for i in reversed(range(depth)):
+        pad = "  " * (2 * i + 1)
+        lines += [f"{pad}case ∀{subjects[i]} ∈ True:", f"{pad}  0. a"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("sibling", [False, True], ids=["false-cases", "both-cases"])
+@pytest.mark.parametrize("command", ["check", "validate", "fmt", "fill"])
+def test_proof_nested_a_thousand_cases_deep(tmp_path, command, sibling):
+    # Parsing, printing, verification and repair walk nested case blocks
+    # with stacks; at 350 levels each used to end in a RecursionError.
+    source = tmp_path / "nested.axm"
+    source.write_text(_nested_cases(1000, sibling), encoding="utf-8")
+    argv = {"check": ["check", *NOT_PATHS, str(source)], "validate": ["validate", *NOT_PATHS, str(source)],
+            "fmt": ["fmt", "--check", str(source)],
+            "fill": ["fill", str(source), *NOT_PATHS, "-o", str(tmp_path / "filled.axm")]}[command]
+    code, out, err = run(*argv)
+    assert "internal error" not in out + err
+    assert code == {"check": 1, "validate": 0, "fmt": 0, "fill": 1 - sibling}[command]
+    if command == "fill" and sibling:
+        assert run("check", *NOT_PATHS, str(tmp_path / "filled.axm"))[:2] == (0, "¶t: accepted\n")
+
+
 def test_sum_with_growing_type_arguments_is_a_finding(tmp_path):
     # A[Zero]'s summand closure is A[W[Zero]], A[W[W[Zero]]], ...: infinite.
     source = tmp_path / "growing.axm"

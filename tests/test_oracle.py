@@ -186,6 +186,19 @@ def test_triple_negation_statement_is_valid(bool_registry):
     assert verdict.status == "valid"
 
 
+def test_each_distinct_domain_is_enumerated_once(bool_registry):
+    # Five variables over one type: one walk of ``Boolean``, with the same
+    # verdict and counterexample as the reference.
+    quantifiers = [(v, TypeExpr("Boolean")) for v in "abcde"]
+    lhs, rhs = t("and(a, and(b, and(c, and(d, e))))"), t("or(a, or(b, or(c, or(d, e))))")
+    with mock.patch.object(oracle, "_enumerate", wraps=oracle._enumerate) as walk:
+        verdict = brute_force_validate(quantifiers, lhs, rhs, bool_registry)
+    assert walk.call_count == 1
+    assert verdict == reference_validate(quantifiers, lhs, rhs, bool_registry)
+    assert verdict.counterexample == {"a": t("False"), "b": t("False"), "c": t("False"), "d": t("False"),
+                                      "e": t("True")}
+
+
 def test_infinite_domain_is_inconclusive():
     registry = load_registry("natural_numbers.axm")
     verdict = brute_force_validate(

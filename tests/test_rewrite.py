@@ -14,7 +14,7 @@ from axiotome.rewrite import (
     _unjustified, _validate_case_bindings, apply_substitution, check_justified_step, clause_edits,
     infer_step_justification, match, positions, replace_at, resolve_rule, subterm_at,
 )
-from axiotome.search import successor_moves
+from axiotome.search import successor_edits, successor_moves
 from axiotome.syntax import (
     CaseRangeJustification, LinearProof, Quantifier, RuleJustification, Term,
     TypeExpr, format_justification, parse_term,
@@ -381,12 +381,12 @@ NAMES = sorted({rule.name for rule in RULES_REGISTRY.rules.rules} | set(RULES_RE
                | {"$nope", "nope"} | {env.current_theorem for env in ENVS if env.current_theorem})
 
 
-def _draw_nexts(prev, env, data):
+def _draw_nexts(prev, env, data, terms=RULE_TERMS):
     """Terms to check a step from ``prev`` to: ``prev`` itself, ``prev``
-    with one subterm replaced by a random term, that term, and one
-    successor move each of ``prev`` and of that term."""
+    with one subterm replaced by a random term of ``terms``, that term, and
+    one successor move each of ``prev`` and of that term."""
     scope = frozenset({"a", "b"})
-    other = data.draw(RULE_TERMS)
+    other = data.draw(terms)
     pos, _ = data.draw(st.sampled_from(positions(prev)))
     nexts = [prev, replace_at(prev, pos, other), other]
     for source in (prev, other):
@@ -397,15 +397,111 @@ def _draw_nexts(prev, env, data):
     return nexts
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(RULE_TERMS, st.sampled_from(ENVS), st.data())
-def test_fork_checks_agree_with_enumeration(prev, env, data):
-    nexts = _draw_nexts(prev, env, data)
-    for name in NAMES:
-        clause = RuleJustification((name,))
-        assert _built(prev, clause_edits(prev, clause, env)) == _reference_clause_results(prev, clause, env)
+#: Rules that ``RewriteRule.reach`` tells apart, ranks ascending: open ones
+#: (a non-linear side, differing arguments that hold metavariables, one
+#: open from depth 1 and the theorem ``¶dn``) and anchored ones (at the
+#: root, by two differing ground arguments or by type arguments, and at
+#: depths 1 and 3).  ``$twin°swap`` and ``$wrap°not``, open, make some of the hops that
+#: ``$twin°both`` and ``$wrap°F``, anchored and ranked after them, make.
+REACH_RULES = """\
+type Box[A] ≡ Product[]
+function twin(a: Boolean, b: Boolean) : Boolean
+  allowing $twin°same: twin(a, a) ↔ a
+           $twin°swap: twin(a, b) ↔ twin(b, a)
+           $twin°neg: twin(a, b) ↔ twin(a, not(b))
+           $twin°mix: twin(a, True) ↔ twin(not(a), False)
+           $twin°both: twin(True, False) ↔ twin(False, True)
+           $twin°deep: twin(not(not(True)), a) ↔ twin(not(not(False)), a)
+function tri(a: Boolean, b: Boolean, c: Boolean) : Boolean
+  allowing $tri°two: tri(a, True, False) ↔ tri(not(a), False, True)
+function wrap(a: Boolean) : Boolean
+  allowing $wrap°not: wrap(not(a)) ↔ wrap(a)
+           $wrap°F: wrap(not(False)) ↔ wrap(False)
+function boxed[A](x: Box[A]) : Boolean
+  allowing $boxed°arg: boxed(Box[True]) ↔ boxed(Box[False])
+           $boxed°head: boxed[True](x) ↔ boxed[False](x)
+theorem ¶dn: ∀a ∈ Boolean: not(not(a)) ↔ a
+proof
+  0. not(not(a))
+  1. a via $not°F
+"""
+REACH_REGISTRY = load_registry(*BOOL_FNS, extra=REACH_RULES)
+REACH_ENVS = (
+    StepEnv(REACH_REGISTRY),
+    StepEnv(REACH_REGISTRY, (Quantifier("a", TypeExpr("True")),), "dn"),
+)
+_BOXES = [Term("Box", (TypeExpr(c),)) for c in ("False", "True")]
+
+
+def _reach_nodes(children):
+    heads = [("not", 1), ("and", 2), ("twin", 2), ("tri", 3), ("wrap", 1)]
+    nodes = [st.tuples(*[children] * n).map(lambda args, h=h: Term(h, (), args)) for h, n in heads]
+    boxed = st.tuples(st.sampled_from([(), (TypeExpr("True"),), (TypeExpr("False"),)]),
+                      st.sampled_from(_BOXES) | children)
+    return st.one_of(*nodes, boxed.map(lambda pair: Term("boxed", pair[0], (pair[1],))))
+
+
+REACH_TERMS = st.recursive(st.sampled_from([t(x) for x in ("False", "True", "a", "b", "Box[False]", "Box[True]")]),
+                           _reach_nodes, max_leaves=12)
+#: Subterms that the rules above rewrite, one of which is put in each term
+#: drawn from ``REACH_TERMS``.
+REACH_REDEXES = [t(x) for x in ("twin(True, False)", "wrap(not(False))", "tri(a, True, False)",
+                                "twin(not(not(True)), b)", "boxed(Box[True])", "boxed[True](a)")]
+REACH_NAMES = sorted({rule.name for rule in REACH_REGISTRY.rules.rules} | set(REACH_REGISTRY.functions)
+                     | {"$nope"})
+
+
+@st.composite
+def _contexts(draw):
+    """A context 50 to 300 deep, as the function that puts a term in its
+    hole: mostly ``not``, now and then ``wrap``, or ``twin`` or ``and``
+    with a leaf beside the hole."""
+    levels = draw(st.lists(st.tuples(st.sampled_from(["not"] * 3 + ["wrap", "twin", "and"]), st.booleans(),
+                                     st.sampled_from(["False", "True", "a"])), min_size=50, max_size=300))
+
+    def fill(term):
+        for head, left, leaf in reversed(levels):
+            if head in ("not", "wrap"):
+                term = Term(head, (), (term,))
+            else:
+                term = Term(head, (), (term, Term(leaf)) if left else (Term(leaf), term))
+        return term
+    return fill
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_fork_checks_agree_with_enumeration(data):
+    # Two registries: rules under every kind of index key, and rules of
+    # every kind of reach, with a redex of those put in ``prev`` and every
+    # move there checked too.  In one example in eight, the terms sit 50 to
+    # 300 deep in a context, so the forks lie far below the root; one of
+    # them, and a successor move of the whole term, which can rewrite the
+    # context's own nodes, are checked under four of the names.
+    terms, envs, names = data.draw(st.sampled_from([(RULE_TERMS, ENVS, NAMES),
+                                                    (REACH_TERMS, REACH_ENVS, REACH_NAMES)]))
+    env = data.draw(st.sampled_from(envs))
+    prev = data.draw(terms)
+    nexts = []
+    if terms is REACH_TERMS:
+        pos, _ = data.draw(st.sampled_from(positions(prev)))
+        prev = replace_at(prev, pos, data.draw(st.sampled_from(REACH_REDEXES)))
+        nexts = [_applied(prev, edits) for _, edits in successor_edits(prev, env, frozenset({"a", "b"}))
+                 if [edit for edit, _ in edits] == [pos]]
+    nexts += _draw_nexts(prev, env, data, terms)
+    if data.draw(st.integers(0, 7)) == 0:
+        fill = data.draw(_contexts())
+        prev = fill(prev)
+        nexts = [fill(data.draw(st.sampled_from(nexts)))]
+        moves = successor_edits(prev, StepEnv(env.registry, env.case_bindings), frozenset({"a", "b"}))
+        nexts.append(_applied(prev, data.draw(st.sampled_from(moves))[1]))
+        names = data.draw(st.lists(st.sampled_from(names), min_size=4, max_size=4, unique=True))
+    else:
+        for name in names:
+            clause = RuleJustification((name,))
+            assert _built(prev, clause_edits(prev, clause, env)) == _reference_clause_results(prev, clause, env)
     for next_term in nexts:
-        for name in NAMES:
+        for name in names:
             clause = RuleJustification((name,))
             assert check_justified_step(prev, next_term, clause, env) \
                 == _reference_check_justified_step(prev, next_term, clause, env)

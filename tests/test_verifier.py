@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
+from axiotome import rewrite
 from axiotome.oracle import brute_force_validate, enumerable_domain
 from axiotome.rewrite import StepEnv, check_justified_step
 from axiotome.syntax import (
@@ -433,3 +436,49 @@ def _mutation_checks_somewhere(body, mutated, registry, bindings=()):
         _mutation_checks_somewhere(c.body, mutated, registry, bindings + c.ranges)
         for c in body.cases
     )
+
+
+# --------------------------------------------------------------- work counts
+
+def _dn_and_chain(hops: int) -> tuple[str, int]:
+    """A file shaped like a check-proofs job of the benchmark: the
+    double-negation theorem by cases, and a ``hops``-hop chain from
+    ``not^hops(False)`` down to its value, reduced from the inside out.
+    Every seventh hop cites the theorem for two ``not``s at once, and
+    every third other hop has no ``via``.  Also the number of hops."""
+    def nots(k: int, base: str) -> str:
+        return "not(" * k + base + ")" * k
+
+    case = ["0. not(not(p))", "1. not(not({c})) via ∀p ∈ {c}", "2. not({d}) via $not°{c0}",
+            "3. {c} via $not°{d0}", "4. p via ∀p ∈ {c}"]
+    lines = ["theorem ¶dn: ∀p ∈ Boolean: not(not(p)) ↔ p", "proof by cases of p using Boolean = False U True"]
+    for c, d in (("False", "True"), ("True", "False")):
+        lines.append(f"  case ∀p ∈ {c}:")
+        lines += ["    " + step.format(c=c, d=d, c0=c[0], d0=d[0]) for step in case]
+    steps, depth, base = [nots(hops, "False")], hops, "False"
+    while depth:
+        i = len(steps)
+        if i % 7 == 0 and depth >= 2:
+            depth -= 2
+            steps.append(f"{nots(depth, base)} via ¶dn")
+            continue
+        via = "" if i % 3 == 0 else f" via $not°{base[0]}"
+        base = "True" if base == "False" else "False"
+        depth -= 1
+        steps.append(nots(depth, base) + via)
+    lines += [f"theorem ¶chain: {steps[0]} ↔ {base}", "proof"]
+    lines += [f"  {i}. {step}" for i, step in enumerate(steps)]
+    return "\n".join(lines) + "\n", 8 + len(steps) - 1
+
+
+def test_each_hop_is_matched_a_few_times_only():
+    # A hop is checked, or inferred, by probing each rule only where its
+    # reach lets it make the hop: one or two ``match`` calls per hop, where
+    # probing every ancestor of the fork took about nine on the benchmark.
+    text, hops = _dn_and_chain(60)
+    registry = load_registry(*BOOL_FNS, extra=text)
+    with mock.patch.object(rewrite, "match", wraps=rewrite.match) as matched:
+        reports = [verify_theorem(thm, registry) for thm in registry.theorems.values()]
+    assert [(r.theorem, r.accepted) for r in reports] == [("dn", True), ("chain", True)]
+    assert len(reports[1].inferred_justifications) > 10
+    assert matched.call_count <= 3 * hops
