@@ -345,8 +345,10 @@ def _rule(name: str, source: RuleSource, lhs: Term, rhs: Term, metavars, registr
 
 #: A one-level discrimination index: the key ``(head, first argument's
 #: head)``, ``head`` or ``None`` maps to the ranked oriented rules that can
-#: match a subterm with that key, in rank order.
-RuleIndex = Mapping[object, tuple[tuple[int, RewriteRule], ...]]
+#: match a subterm with that key, in rank order.  ``RuleSet.moves`` also
+#: holds one entry of another shape under the key ``REACH``, which no
+#: lookup by a term's heads meets.
+RuleIndex = Mapping[object, tuple]
 
 
 def _key(rule: RewriteRule) -> object:
@@ -441,6 +443,12 @@ def _orthogonal(rules: list[RewriteRule]) -> bool:
 REACH = object()
 
 
+def _admits(rule: RewriteRule, exclude: str | None, only: str | None) -> bool:
+    """Is ``rule`` the rule named ``only``, when that is given, and not
+    theorem ``exclude``?"""
+    return (only is None or rule.name == only) and (rule.source is not RuleSource.THEOREM or rule.name != exclude)
+
+
 #: Where a rule is tried: the position, the subterm there, and the term a
 #: rewrite must produce there (``None`` when any result will do).
 Site = tuple[Position, Term, Term | None]
@@ -519,12 +527,10 @@ class RuleSet:
         found, moves = [], self.moves
         for pos, sub, target in sites:
             for rank, rule in rules_at(moves, sub):
-                if (only is not None and rule.name != only) \
-                        or (rule.source is RuleSource.THEOREM and rule.name == exclude):
-                    continue
-                sigma = match(rule.oriented()[0], sub, rule.metavars)
-                if sigma is not None:
-                    found.append((rank, pos, rule, sigma, target))
+                if _admits(rule, exclude, only):
+                    sigma = match(rule.oriented()[0], sub, rule.metavars)
+                    if sigma is not None:
+                        found.append((rank, pos, rule, sigma, target))
         found.sort(key=itemgetter(0))  # stable: sites stay in order within a rank
         return found
 
@@ -549,8 +555,7 @@ class RuleSet:
             prev, next_term = prev.args[i], next_term.args[i]
             spine.append((prev, next_term))
         n, best = len(fork), (len(self.rules) * 2, 0, None, None)  # (rank, site, rule, substitution)
-        ranks = [rank for rank, rule in opened if (only is None or rule.name == only)
-                 and (rule.source is not RuleSource.THEOREM or rule.name != exclude)]
+        ranks = [rank for rank, rule in opened if _admits(rule, exclude, only)]
         # (site, least reach, greatest reach): anchored depths, then the open walk.
         probes = chain(((n - e, e, e) for e in depths if e <= n), ((at, ~(n - at), -1) for at in range(n + 1)))
         for at, low, high in probes:
@@ -560,8 +565,7 @@ class RuleSet:
             for rank, rule in rules_at(moves, sub):
                 if rank >= best[0]:
                     break
-                if low <= rule.reach <= high and (only is None or rule.name == only) \
-                        and (rule.source is not RuleSource.THEOREM or rule.name != exclude):
+                if low <= rule.reach <= high and _admits(rule, exclude, only):
                     src, dst = rule.oriented()
                     sigma = match(src, sub, rule.metavars)
                     if sigma is not None and apply_substitution(sigma, dst) is goal:

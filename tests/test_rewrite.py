@@ -469,34 +469,11 @@ def _contexts(draw):
     return fill
 
 
-@settings(max_examples=250, derandomize=True, database=None, deadline=None)
-@given(st.data())
-def test_fork_checks_agree_with_enumeration(data):
-    # Two registries: rules under every kind of index key, and rules of
-    # every kind of reach, with a redex of those put in ``prev`` and every
-    # move there checked too.  In one example in eight, the terms sit 50 to
-    # 300 deep in a context, so the forks lie far below the root; one of
-    # them, and a successor move of the whole term, which can rewrite the
-    # context's own nodes, are checked under four of the names.
-    terms, envs, names = data.draw(st.sampled_from([(RULE_TERMS, ENVS, NAMES),
-                                                    (REACH_TERMS, REACH_ENVS, REACH_NAMES)]))
-    env = data.draw(st.sampled_from(envs))
-    prev = data.draw(terms)
-    nexts = []
-    if terms is REACH_TERMS:
-        pos, _ = data.draw(st.sampled_from(positions(prev)))
-        prev = replace_at(prev, pos, data.draw(st.sampled_from(REACH_REDEXES)))
-        nexts = [_applied(prev, edits) for _, edits in successor_edits(prev, env, frozenset({"a", "b"}))
-                 if [edit for edit, _ in edits] == [pos]]
-    nexts += _draw_nexts(prev, env, data, terms)
-    if data.draw(st.integers(0, 7)) == 0:
-        fill = data.draw(_contexts())
-        prev = fill(prev)
-        nexts = [fill(data.draw(st.sampled_from(nexts)))]
-        moves = successor_edits(prev, StepEnv(env.registry, env.case_bindings), frozenset({"a", "b"}))
-        nexts.append(_applied(prev, data.draw(st.sampled_from(moves))[1]))
-        names = data.draw(st.lists(st.sampled_from(names), min_size=4, max_size=4, unique=True))
-    else:
+def _agree_with_enumeration(prev, nexts, env, names, edits=True):
+    """Check single-name clauses under ``names`` and inference on the steps
+    from ``prev`` to ``nexts`` against the reference enumeration, and with
+    ``edits`` each clause's edits of ``prev`` too."""
+    if edits:
         for name in names:
             clause = RuleJustification((name,))
             assert _built(prev, clause_edits(prev, clause, env)) == _reference_clause_results(prev, clause, env)
@@ -507,6 +484,52 @@ def test_fork_checks_agree_with_enumeration(data):
                 == _reference_check_justified_step(prev, next_term, clause, env)
         assert infer_step_justification(prev, next_term, env) \
             == _reference_infer_step_justification(prev, next_term, env)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS), st.data())
+def test_fork_checks_agree_with_enumeration(prev, env, data):
+    _agree_with_enumeration(prev, _draw_nexts(prev, env, data), env, NAMES)
+
+
+def _draw_step(terms, env, data):
+    """A term ``prev`` of ``terms`` and the terms to check a step from it
+    to (``_draw_nexts``).  A term of ``REACH_TERMS`` gets one of
+    ``REACH_REDEXES``, and every move at that redex is checked too."""
+    prev, nexts = data.draw(terms), []
+    if terms is REACH_TERMS:
+        pos, _ = data.draw(st.sampled_from(positions(prev)))
+        prev = replace_at(prev, pos, data.draw(st.sampled_from(REACH_REDEXES)))
+        nexts = [_applied(prev, edits) for _, edits in successor_edits(prev, env, frozenset({"a", "b"}))
+                 if [edit for edit, _ in edits] == [pos]]
+    return prev, nexts + _draw_nexts(prev, env, data, terms)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(REACH_ENVS), st.data())
+def test_fork_checks_agree_with_enumeration_by_reach(env, data):
+    # The rules of every kind of reach.
+    prev, nexts = _draw_step(REACH_TERMS, env, data)
+    _agree_with_enumeration(prev, nexts, env, REACH_NAMES)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([(RULE_TERMS, ENVS, NAMES), (REACH_TERMS, REACH_ENVS, REACH_NAMES)]), st.data())
+def test_fork_checks_agree_with_enumeration_deep_in_a_context(world, data):
+    # Terms of either registry 50 to 300 deep in a context, so the forks
+    # lie far below the root.  One of the steps ``_draw_step`` draws, and
+    # a successor move of the whole term, which can rewrite the context's
+    # own nodes, are checked under four of the names.
+    terms, envs, names = world
+    env = data.draw(st.sampled_from(envs))
+    prev, nexts = _draw_step(terms, env, data)
+    fill = data.draw(_contexts())
+    nexts = [fill(data.draw(st.sampled_from(nexts)))]
+    prev = fill(prev)
+    moves = successor_edits(prev, StepEnv(env.registry, env.case_bindings), frozenset({"a", "b"}))
+    nexts.append(_applied(prev, data.draw(st.sampled_from(moves))[1]))
+    names = data.draw(st.lists(st.sampled_from(names), min_size=4, max_size=4, unique=True))
+    _agree_with_enumeration(prev, nexts, env, names, edits=False)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
