@@ -20,14 +20,16 @@ The rules a step may use are the oriented rules of one index,
 ``RuleSet.moves``, and each carries its reach (``RewriteRule.reach``),
 computed once: where above the fork of two terms (the deepest position
 outside which they agree, found in one walk down both) a rewrite by it can
-turn one into the other.  A single-name step is checked, and depth-1
-inference run, by ``RuleSet.hop``: an anchored rule is probed at its one
-site, and the fork's ancestors are walked for the open rules only while one
-could still come first.  Each match's substituted other side is compared
-with ``next``'s subterm there, so no rewritten term is built; the verdicts,
+turn one into the other.  ``RuleSet.hop`` is the one probe for "which rule
+turns this subterm into that one": it checks a single-name step, runs
+depth-1 inference and answers gap search's ``_may_reach``.  An anchored rule
+is probed at its one site, and the fork's ancestors are walked for the open
+rules only while one could still come first; equal terms are probed at
+every position.  Each match's substituted other side is compared with
+``next``'s subterm there, so no rewritten term is built; the verdicts,
 witnesses and inferred clauses are those of enumerating every rewrite.
-``RuleSet.matches`` returns every match at given sites in (rank, site)
-order, for tuple clauses, gap search and ``_may_reach``.
+``RuleSet.matches`` returns every match at every position of a term in
+(rank, position) order, for tuple clauses and gap search's moves.
 Every other move, of ``clause_edits`` and of gap search, is ``Edits``:
 (position, replacement) pairs at disjoint positions of ``prev``, one per
 rule application, a whole-term one for case-range introduction, and one per
@@ -47,6 +49,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations, product
+from math import inf
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -303,26 +306,29 @@ def _may_reach(term: Term, target: Term, env: StepEnv) -> bool:
     A move edits disjoint positions, so an edit at ``p`` leaves exactly its
     replacement at ``p``.  Where the two terms differ outermost, at a
     position whose symbols differ, some edit must sit there or at an
-    ancestor, with ``target``'s subterm there as its replacement: a match
-    of ``RuleSet.matches`` on ``moves``, or a case move, which swaps a
-    bound constructor leaf and its metavariable (elimination edits the
-    leaf, and introduction's whole-term edit holds the constructor wherever
-    ``term`` holds the metavariable).  One walk down both terms, by
-    identity, tries each ancestor outermost first and stops below a match
-    that covers it."""
+    ancestor, with ``target``'s subterm there as its replacement: a rewrite
+    that ``RuleSet.hop`` finds, or a case move, which swaps a bound
+    constructor leaf and its metavariable (elimination edits the leaf, and
+    introduction's whole-term edit holds the constructor wherever ``term``
+    holds the metavariable).  Each pair of differing subterms goes to
+    ``hop`` once, which probes every ancestor of the pair's fork.  When it
+    finds none, either the fork's symbols differ, and only a swap covers
+    it, or two or more of its arguments differ, and each is a pair of its
+    own."""
     rules = env.registry.rules
     swaps = set()
     for q in env.case_bindings:
         var, ctor = Term(q.var), constructor_term(q.domain)
         swaps.update(((var, ctor), (ctor, var)))
-    stack = [((), term, target)] if term is not target else []
+    stack = [(term, target)] if term is not target else []
     while stack:
-        site = stack.pop()  # its position is not needed, so every site has ()
-        _, sub, goal = site
-        if _first_hit(rules.matches((site,), env.current_theorem)) is not None:
+        sub, goal = stack.pop()
+        if rules.hop(sub, goal, env.current_theorem) is not None:
             continue
+        fork = _fork(sub, goal)
+        sub, goal = subterm_at(sub, fork), subterm_at(goal, fork)
         if sub.head == goal.head and sub.type_args == goal.type_args and len(sub.args) == len(goal.args):
-            stack.extend(((), a, b) for a, b in zip(sub.args, goal.args) if a is not b)
+            stack.extend((a, b) for a, b in zip(sub.args, goal.args) if a is not b)
         elif (sub, goal) not in swaps:
             return False
     return True
@@ -345,10 +351,8 @@ def _rule(name: str, source: RuleSource, lhs: Term, rhs: Term, metavars, registr
 
 #: A one-level discrimination index: the key ``(head, first argument's
 #: head)``, ``head`` or ``None`` maps to the ranked oriented rules that can
-#: match a subterm with that key, in rank order.  ``RuleSet.moves`` also
-#: holds one entry of another shape under the key ``REACH``, which no
-#: lookup by a term's heads meets.
-RuleIndex = Mapping[object, tuple]
+#: match a subterm with that key, in rank order.
+RuleIndex = Mapping[object, tuple[tuple[int, RewriteRule], ...]]
 
 
 def _key(rule: RewriteRule) -> object:
@@ -437,21 +441,10 @@ def _orthogonal(rules: list[RewriteRule]) -> bool:
     return True
 
 
-#: The key of ``RuleSet.moves`` that holds the reach of its rules as a
-#: whole: the anchored depths in ascending order, and the open rules,
-#: ranked, in rank order.  No head is an object, so no lookup meets it.
-REACH = object()
-
-
 def _admits(rule: RewriteRule, exclude: str | None, only: str | None) -> bool:
     """Is ``rule`` the rule named ``only``, when that is given, and not
     theorem ``exclude``?"""
     return (only is None or rule.name == only) and (rule.source is not RuleSource.THEOREM or rule.name != exclude)
-
-
-#: Where a rule is tried: the position, the subterm there, and the term a
-#: rewrite must produce there (``None`` when any result will do).
-Site = tuple[Position, Term, Term | None]
 
 
 @dataclass(frozen=True)
@@ -486,14 +479,19 @@ class RuleSet:
     def moves(self) -> RuleIndex:
         """Each direction of a citable rule whose match determines its
         result, ``rules[i]`` ranked ``2 * i`` forward and ``2 * i + 1``
-        backward, and under ``REACH`` their reach as a whole.  Built on
-        first use: validation never moves."""
-        ranked = [(2 * i + d, o) for i, rule in enumerate(self.rules) if self.named.get(rule.name) is rule
-                  for d, o in enumerate((rule, rule.reversed())) if o.determined()]
-        index = _index(ranked)
-        index[REACH] = (tuple(sorted({o.reach for _, o in ranked if o.reach >= 0})),
-                        tuple((rank, o) for rank, o in ranked if o.reach < 0))
-        return MappingProxyType(index)
+        backward.  Built on first use: validation never moves."""
+        return MappingProxyType(_index([(2 * i + d, o) for i, rule in enumerate(self.rules)
+                                        if self.named.get(rule.name) is rule
+                                        for d, o in enumerate((rule, rule.reversed())) if o.determined()]))
+
+    @cached_property
+    def reach(self) -> tuple[tuple[int, ...], tuple[tuple[int, RewriteRule], ...]]:
+        """The reach of the rules of ``moves`` as a whole, which ``hop``
+        walks: the depths the anchored rules are anchored at, ascending,
+        and the open rules, ranked, in rank order."""
+        ranked = sorted(dict(chain.from_iterable(self.moves.values())).items())
+        return (tuple(sorted({o.reach for _, o in ranked if o.reach >= 0})),
+                tuple((rank, o) for rank, o in ranked if o.reach < 0))
 
     def orthogonal_over(self, heads: Iterable[str]) -> bool:
         """Are the reductions that can fire on a term built from ``heads``,
@@ -518,20 +516,20 @@ class RuleSet:
                     todo.extend(sub.head for sub in rule.rhs.postorder())
         return _orthogonal(reached)
 
-    def matches(self, sites: Iterable[Site], exclude: str | None = None, only: str | None = None) \
-            -> list[tuple[int, Position, RewriteRule, Substitution, Term | None]]:
-        """Every match of an oriented rule of ``moves`` at ``sites``, as
-        (rank, position, rule, substitution, target), in (rank, site) order:
-        of the rule named ``only`` alone when it is given, and never of
-        theorem ``exclude``."""
+    def matches(self, term: Term, exclude: str | None = None, only: str | None = None) \
+            -> list[tuple[int, Position, RewriteRule, Substitution]]:
+        """Every match of an oriented rule of ``moves`` at a position of
+        ``term``, as (rank, position, rule, substitution), in (rank,
+        position) order, positions leftmost-outermost: of the rule named
+        ``only`` alone when it is given, and never of theorem ``exclude``."""
         found, moves = [], self.moves
-        for pos, sub, target in sites:
+        for pos, sub in positions(term):
             for rank, rule in rules_at(moves, sub):
                 if _admits(rule, exclude, only):
                     sigma = match(rule.oriented()[0], sub, rule.metavars)
                     if sigma is not None:
-                        found.append((rank, pos, rule, sigma, target))
-        found.sort(key=itemgetter(0))  # stable: sites stay in order within a rank
+                        found.append((rank, pos, rule, sigma))
+        found.sort(key=itemgetter(0))  # stable: positions stay in order within a rank
         return found
 
     def hop(self, prev: Term, next_term: Term, exclude: str | None = None, only: str | None = None) \
@@ -543,21 +541,25 @@ class RuleSet:
         the subterms on the path down to ``_fork``'s fork, each anchored
         depth's site is probed for the rules anchored there, and then the
         sites are probed outermost first for the open rules while one ranked
-        before the best hit so far remains.  Equal terms are tried at every
-        position."""
+        before the best hit so far remains.  Equal terms are probed at every
+        position, for every rule."""
+        # A probe is (site, least reach, greatest reach); ``ranks`` holds
+        # the ranks of the admitted open rules.
         fork = _fork(prev, next_term)
-        if fork is None:
-            return _first_hit(self.matches(((pos, sub, sub) for pos, sub in positions(prev)), exclude, only))
-        moves = self.moves
-        depths, opened = moves[REACH]
-        spine = [(prev, next_term)]
-        for i in fork:
-            prev, next_term = prev.args[i], next_term.args[i]
-            spine.append((prev, next_term))
-        n, best = len(fork), (len(self.rules) * 2, 0, None, None)  # (rank, site, rule, substitution)
-        ranks = [rank for rank, rule in opened if _admits(rule, exclude, only)]
-        # (site, least reach, greatest reach): anchored depths, then the open walk.
-        probes = chain(((n - e, e, e) for e in depths if e <= n), ((at, ~(n - at), -1) for at in range(n + 1)))
+        if fork is None:  # every site admits every rule
+            places = positions(prev)
+            spine = [(sub, sub) for _, sub in places]
+            probes, ranks = ((at, -inf, inf) for at in range(len(spine))), []
+        else:  # anchored depths, then the open walk
+            depths, opened = self.reach
+            spine = [(prev, next_term)]
+            for i in fork:
+                prev, next_term = prev.args[i], next_term.args[i]
+                spine.append((prev, next_term))
+            n = len(fork)
+            ranks = [rank for rank, rule in opened if _admits(rule, exclude, only)]
+            probes = chain(((n - e, e, e) for e in depths if e <= n), ((at, ~(n - at), -1) for at in range(n + 1)))
+        moves, best = self.moves, (len(self.rules) * 2, 0, None, None)  # (rank, site, rule, substitution)
         for at, low, high in probes:
             if high < 0 and not (ranks and ranks[0] < best[0]):
                 break
@@ -571,7 +573,9 @@ class RuleSet:
                     if sigma is not None and apply_substitution(sigma, dst) is goal:
                         best = rank, at, rule, sigma
                         break
-        return None if best[2] is None else (fork[:best[1]], best[2], best[3])
+        if best[2] is None:
+            return None
+        return (places[best[1]][0] if fork is None else fork[:best[1]]), best[2], best[3]
 
 
 def resolve_rule(name: str, env: StepEnv) -> RewriteRule | Diagnostic:
@@ -605,9 +609,8 @@ def _tuple_edits(prev: Term, names: tuple[str, ...], rules: RuleSet) -> list[tup
     single application.  Each rule's matches come from ``RuleSet.matches``
     with ``only`` its name, so every direction mix is tried, forward before
     backward, leftmost-outermost first, the first name varying slowest."""
-    sites = [(pos, sub, None) for pos, sub in positions(prev)]
     moves = [[((pos, apply_substitution(sigma, rule.oriented()[1])), (pos, rule, dict(sigma)))
-              for _, pos, rule, sigma, _ in rules.matches(sites, only=name)] for name in names]
+              for _, pos, rule, sigma in rules.matches(prev, only=name)] for name in names]
     return [(tuple(edit for edit, _ in combo), tuple(step for _, step in combo)) for combo in product(*moves)
             if all(_disjoint(p[0], q[0]) for (p, _), (q, _) in combinations(combo, 2))]
 
@@ -781,13 +784,6 @@ def infer_step_justification(prev: Term, next_term: Term, env: StepEnv) -> Justi
         if check_justified_step(prev, next_term, clause, env).justified:
             return clause
     return None if found is None else RuleJustification((found.name,))
-
-
-def _first_hit(matches) -> tuple[Position, RewriteRule, Substitution] | None:
-    """The first of ``RuleSet.matches`` whose substituted other side is its
-    site's target, as a witness entry."""
-    return next(((pos, rule, sigma) for _, pos, rule, sigma, target in matches
-                 if apply_substitution(sigma, rule.oriented()[1]) == target), None)
 
 
 def _unjustified(prev: Term, next_term: Term, just: Justification) -> Diagnostic:

@@ -30,7 +30,7 @@ from operator import itemgetter
 
 from .rewrite import (
     Edits, Position, RuleSource, StepEnv, _applied, _case_edits, _disjoint, _fork, _may_reach,
-    _reached, apply_substitution, check_justified_step, clause_images, infer_step_justification, positions,
+    _reached, apply_substitution, check_justified_step, clause_images, infer_step_justification,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, Justification, LinearProof,
@@ -106,8 +106,7 @@ def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
         clause = CaseRangeJustification(env.case_bindings)
         case_moves = [(clause, edits) for edits in _case_edits(term, clause)
                       if all(term_metavars(new, env.registry) <= scope for _, new in edits)]
-    sites = [(pos, sub, None) for pos, sub in positions(term)]
-    for _, group in groupby(rules.matches(sites, env.current_theorem), itemgetter(0)):
+    for _, group in groupby(rules.matches(term, env.current_theorem), itemgetter(0)):
         group = list(group)
         rule = group[0][2]
         if rule.source is not RuleSource.AXIOM:
@@ -116,7 +115,7 @@ def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
         if not rule.free <= scope:
             continue
         _, dst = rule.oriented()
-        replaced = [(pos, apply_substitution(sigma, dst)) for _, pos, _, sigma, _ in group]
+        replaced = [(pos, apply_substitution(sigma, dst)) for _, pos, _, sigma in group]
         clause = RuleJustification((rule.name,))
         moves.extend((clause, (edit,)) for edit in replaced)
         # Matches come in pre-order, so a position that overlaps an earlier

@@ -436,33 +436,29 @@ class _Parser:
     def parse_proof(self) -> ProofBody:
         """``proof`` and its body.  Nested proofs are read with a stack of
         the open ``proof by cases`` (subjects, scrutinee, summands and the
-        cases so far) and, above each, of the case block being read
-        (where its separators start, and its header).  A case block whose
-        ranges the innermost open subjects do not cover belongs to an
-        enclosing ``proof by cases``: it is handed back, to be read again
-        there, and the innermost one ends."""
+        cases so far) and, above each, of the header of the case block being
+        read.  A case block whose ranges the innermost open subjects do not
+        cover belongs to an enclosing ``proof by cases``: that is decided at
+        its header, which is handed back, to be read again there, and the
+        innermost one ends."""
         stack: list = []
         body = self.begin_proof(stack)
         while True:
             if body is not None:  # a body ends the case block that holds it, or the proof
                 if not stack:
                     return body
-                save, kw, label, ranges, restated = stack.pop()
-                subjects, _, _, cases = stack[-1]
-                if {q.var for q in ranges} <= set(subjects):
-                    cases.append(CaseBlock(label, ranges, restated, body, self.span(kw)))
-                    body = None
-                else:
-                    self.pos = save
-                    body = self.end_cases(stack)
+                kw, label, ranges, restated = stack.pop()
+                stack[-1][3].append(CaseBlock(label, ranges, restated, body, self.span(kw)))
+                body = None
                 continue
             save = self.pos  # the innermost open proof by cases reads its next case
             self.skip_separators()
-            if self.lex[self.pos] != "case":
+            header = self.parse_case_header() if self.lex[self.pos] == "case" else None
+            if header is None or not {q.var for q in header[2]} <= set(stack[-1][0]):
                 self.pos = save
                 body = self.end_cases(stack)
                 continue
-            stack.append((save, *self.parse_case_header()))
+            stack.append(header)
             self.skip_separators()
             if self.lex[self.pos] == "proof":
                 body = self.begin_proof(stack)

@@ -439,7 +439,7 @@ def check_well_formed(reg: Registry) -> list[Diagnostic]:
             labels = [label for label, _ in decl.body.fields]
             for label in {x for x in labels if labels.count(x) > 1}:
                 diags.append(error("E-DUP-NAME", f"duplicate field label {label!r} in {decl.name!r}", decl.span))
-            if _recurses_through_products(decl.name, decl.name, reg, set()):
+            if _recurses_through_products(decl.name, reg):
                 diags.append(warning(
                     "W-INHABITATION",
                     f"product type {decl.name!r} recurses without an intervening sum and has no inhabitants",
@@ -459,19 +459,21 @@ def check_well_formed(reg: Registry) -> list[Diagnostic]:
     return diags
 
 
-def _recurses_through_products(root: str, current: str, reg: Registry, seen: set[str]) -> bool:
-    decl = reg.types.get(current)
-    if decl is None or not isinstance(decl.body, ProductBody):
-        return False
-    if current in seen:
-        return current == root
-    seen = seen | {current}
-    for _, ty in decl.body.fields:
-        target = reg.types.get(ty.name)
-        if target is None or isinstance(target.body, SumBody):
-            continue
-        if ty.name == root or _recurses_through_products(root, ty.name, reg, seen):
-            return True
+def _recurses_through_products(root: str, reg: Registry) -> bool:
+    """Does product type ``root`` reach itself through fields of product
+    types alone?  A worklist over the product types its fields reach, each
+    visited once."""
+    todo, seen = [root], {root}
+    while todo:
+        for _, ty in reg.types[todo.pop()].body.fields:
+            target = reg.types.get(ty.name)
+            if target is None or not isinstance(target.body, ProductBody):
+                continue
+            if ty.name == root:
+                return True
+            if ty.name not in seen:
+                seen.add(ty.name)
+                todo.append(ty.name)
     return False
 
 

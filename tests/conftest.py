@@ -19,7 +19,7 @@ from axiotome.rewrite import (
 )
 from axiotome.syntax import (
     CaseRangeJustification, OperatorDecl, Program, Quantifier, Term, TypeExpr, format_justification,
-    format_type, parse_program,
+    format_type, parse_program, parse_term,
 )
 from axiotome.typesys import Registry, build_registry
 
@@ -137,14 +137,13 @@ def _tuple_results(prev: Term, names: tuple[str, ...], rules: RuleSet) -> Iterat
 
     # Positions are enumerated against the original term so that
     # disjointness and ordering are independent of earlier rewrites.
-    sites = [(pos, sub, None) for pos, sub in positions(prev)]
-    applications = {name: rules.matches(sites, only=name) for name in names}
+    applications = {name: rules.matches(prev, only=name) for name in names}
 
     def stage(term: Term, idx: int, used: list[Position], witness: list) -> Iterator[tuple[Term, tuple]]:
         if idx == len(names):
             yield term, tuple(witness)
             return
-        for _, pos, oriented, sigma, _ in applications[names[idx]]:
+        for _, pos, oriented, sigma in applications[names[idx]]:
             if any(not _disjoint(pos, u) for u in used):
                 continue
             witness.append((pos, oriented, dict(sigma)))
@@ -278,6 +277,59 @@ ENVS = (
 )
 RULE_TERMS = terms({"not": 1, "and": 2, "or": 2, "if": 3, "doubleNegation": 1, "pick": 2, "same": 1},
                    ("False", "True", "a", "b"))
+
+
+#: Rules that ``RewriteRule.reach`` tells apart, ranks ascending: open ones
+#: (a non-linear side, differing arguments that hold metavariables, one
+#: open from depth 1 and the theorem ``¶dn``) and anchored ones (at the
+#: root, by two differing ground arguments or by type arguments, and at
+#: depths 1 and 3).  ``$twin°swap`` and ``$wrap°not``, open, make some of the hops that
+#: ``$twin°both`` and ``$wrap°F``, anchored and ranked after them, make.
+REACH_RULES = """\
+type Box[A] ≡ Product[]
+function twin(a: Boolean, b: Boolean) : Boolean
+  allowing $twin°same: twin(a, a) ↔ a
+           $twin°swap: twin(a, b) ↔ twin(b, a)
+           $twin°neg: twin(a, b) ↔ twin(a, not(b))
+           $twin°mix: twin(a, True) ↔ twin(not(a), False)
+           $twin°both: twin(True, False) ↔ twin(False, True)
+           $twin°deep: twin(not(not(True)), a) ↔ twin(not(not(False)), a)
+function tri(a: Boolean, b: Boolean, c: Boolean) : Boolean
+  allowing $tri°two: tri(a, True, False) ↔ tri(not(a), False, True)
+function wrap(a: Boolean) : Boolean
+  allowing $wrap°not: wrap(not(a)) ↔ wrap(a)
+           $wrap°F: wrap(not(False)) ↔ wrap(False)
+function boxed[A](x: Box[A]) : Boolean
+  allowing $boxed°arg: boxed(Box[True]) ↔ boxed(Box[False])
+           $boxed°head: boxed[True](x) ↔ boxed[False](x)
+theorem ¶dn: ∀a ∈ Boolean: not(not(a)) ↔ a
+proof
+  0. not(not(a))
+  1. a via $not°F
+"""
+REACH_REGISTRY = load_registry(*BOOL_FNS, extra=REACH_RULES)
+REACH_ENVS = (
+    StepEnv(REACH_REGISTRY),
+    StepEnv(REACH_REGISTRY, (Quantifier("a", TypeExpr("True")),), "dn"),
+)
+_BOXES = [Term("Box", (TypeExpr(c),)) for c in ("False", "True")]
+
+
+def _reach_nodes(children):
+    heads = [("not", 1), ("and", 2), ("twin", 2), ("tri", 3), ("wrap", 1)]
+    nodes = [st.tuples(*[children] * n).map(lambda args, h=h: Term(h, (), args)) for h, n in heads]
+    boxed = st.tuples(st.sampled_from([(), (TypeExpr("True"),), (TypeExpr("False"),)]),
+                      st.sampled_from(_BOXES) | children)
+    return st.one_of(*nodes, boxed.map(lambda pair: Term("boxed", pair[0], (pair[1],))))
+
+
+REACH_TERMS = st.recursive(
+    st.sampled_from([parse_term(x) for x in ("False", "True", "a", "b", "Box[False]", "Box[True]")]),
+    _reach_nodes, max_leaves=12)
+#: Subterms that the rules above rewrite, one of which is put in each term
+#: drawn from ``REACH_TERMS``.
+REACH_REDEXES = [parse_term(x) for x in ("twin(True, False)", "wrap(not(False))", "tri(a, True, False)",
+                                         "twin(not(not(True)), b)", "boxed(Box[True])", "boxed[True](a)")]
 
 
 @pytest.fixture(scope="session")

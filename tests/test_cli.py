@@ -500,6 +500,30 @@ def test_deep_declared_type_is_validated(tmp_path):
     assert run("validate", *paths, str(source)) == (0, f"¶deep: inconclusive (domain {deep} is not finite)\n", "")
 
 
+def _products(depth: int, fields: str) -> str:
+    """Product types ``P0`` to ``P<depth>``, each but the last with
+    ``fields`` fields of the next type."""
+    return "".join(f"type P{i} ≡ Product[{', '.join(f'{x}: P{i + 1}' for x in fields)}]\n"
+                   for i in range(depth)) + f"type P{depth} ≡ Product[]\n"
+
+
+def test_long_product_chain_is_checked(tmp_path):
+    # The W-INHABITATION check walks the product types a type's fields
+    # reach with a worklist; at 3,000 types it ended in a RecursionError.
+    source = tmp_path / "chain.axm"
+    source.write_text(_products(1500, "a"), encoding="utf-8")
+    assert run("check", str(source)) == (0, "", "")
+
+
+def test_product_diamond_is_checked_quickly(tmp_path):
+    # Each of the 2^40 paths down the diamond used to be walked.
+    source = tmp_path / "diamond.axm"
+    source.write_text(_products(40, "ab"), encoding="utf-8")
+    started = time.perf_counter()
+    assert run("check", str(source)) == (0, "", "")
+    assert time.perf_counter() - started < 5
+
+
 def _nested_cases(depth: int, sibling: bool) -> str:
     """A theorem ``∀a ∈ Boolean: a ↔ a`` whose proof nests ``proof by
     cases`` ``depth`` deep in canonical layout.  Without ``sibling`` each
@@ -538,6 +562,34 @@ def test_proof_nested_a_thousand_cases_deep(tmp_path, command, sibling):
     assert code == {"check": 1, "validate": 0, "fmt": 0, "fill": 1 - sibling}[command]
     if command == "fill" and sibling:
         assert run("check", *NOT_PATHS, str(tmp_path / "filled.axm"))[:2] == (0, "¶t: accepted\n")
+
+
+def _orphan_cases(depth: int) -> str:
+    """A theorem whose proof nests ``depth`` levels in canonical layout:
+    level ``i`` cases on ``x<i>``, its ``False`` case cases on ``y<i>``,
+    and its ``True`` case, met while that inner ``proof by cases`` is still
+    open, holds level ``i + 1``."""
+    names = ", ".join(f"∀{v}{i} ∈ Boolean" for i in range(depth) for v in "xy")
+    lines = [f"theorem ¶t: ∀a ∈ Boolean, {names}: a ↔ a"]
+    for i in range(depth):
+        pad = "  " * 2 * i
+        lines += [f"{pad}proof by cases of x{i} using Boolean = False U True", f"{pad}  case ∀x{i} ∈ False:",
+                  f"{pad}    proof by cases of y{i} using Boolean = False U True",
+                  f"{pad}      case ∀y{i} ∈ False:", f"{pad}        0. a",
+                  f"{pad}      case ∀y{i} ∈ True:", f"{pad}        0. a", f"{pad}  case ∀x{i} ∈ True:"]
+    return "\n".join(lines + ["  " * 2 * depth + "0. a"]) + "\n"
+
+
+def test_case_block_owner_is_decided_at_its_header(tmp_path):
+    # Each ``case ∀x<i> ∈ True:`` belongs to the enclosing proof by cases.
+    # Reading its whole body before handing it back made parsing
+    # exponential in the depth: 2.5 s at 14 levels.
+    source = tmp_path / "orphans.axm"
+    source.write_text(_orphan_cases(25), encoding="utf-8")
+    started = time.perf_counter()
+    assert run("check", *BASE_PATHS, str(source)) == (0, "¶t: accepted\n", "")
+    assert run("fmt", "--check", str(source)) == (0, "", "")
+    assert time.perf_counter() - started < 10
 
 
 def test_sum_with_growing_type_arguments_is_a_finding(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from axiotome import search
 from axiotome.rewrite import (
     RuleSource, StepEnv, _applied, _disjoint, _fork, _may_reach, _reached, apply_substitution,
-    check_justified_step, positions, replace_at,
+    check_justified_step, constructor_term, positions, replace_at,
 )
 from axiotome.search import (
     JustifiedChain, SearchBudget, fill_gap, infer_step_justification,
@@ -26,7 +26,8 @@ from axiotome.typesys import term_metavars
 from axiotome.verifier import verify_theorem
 
 from conftest import (
-    BOOL_FNS, ENVS, RULE_TERMS, _applications, _case_results, load_program, load_registry,
+    BOOL_FNS, ENVS, REACH_ENVS, REACH_REDEXES, REACH_TERMS, RULE_TERMS, _applications, _case_results,
+    load_program, load_registry,
 )
 
 
@@ -368,8 +369,7 @@ def _eager_successor_moves(term, env, scope):
         clause = CaseRangeJustification(env.case_bindings)
         case_moves = [(clause, result) for result, _ in _case_results(term, clause, env) if scoped(result)]
     rules = registry.rules
-    sites = [(pos, sub, None) for pos, sub in positions(term)]
-    for _, group in groupby(rules.matches(sites, env.current_theorem), itemgetter(0)):
+    for _, group in groupby(rules.matches(term, env.current_theorem), itemgetter(0)):
         group = list(group)
         rule = group[0][2]
         if rule.source is not RuleSource.AXIOM:
@@ -377,7 +377,7 @@ def _eager_successor_moves(term, env, scope):
             case_moves = []
         _, dst = rule.oriented()
         replaced = []
-        for _, pos, _, sigma, _ in group:
+        for _, pos, _, sigma in group:
             new = apply_substitution(sigma, dst)
             replaced.append((pos, new, scoped(new)))
         moves.extend((RuleJustification((rule.name,)), replace_at(term, pos, new))
@@ -473,6 +473,54 @@ def test_one_move_reach_test_rejects_farther_terms():
     assert not _may_reach(t("not(and(a, b))"), t("not(False)"), env)
     assert not _may_reach(t("not(not(True))"), t("True"), env)
     assert not _may_reach(t("or(not(True), True)"), t("or(False, False)"), env)
+
+
+def _reference_may_reach(term, target, env):
+    """``_may_reach`` by probing every rule at every node of each path down
+    to where the two terms differ: a node is covered by a match at its root
+    whose substituted other side is ``target``'s subterm there."""
+    rules = env.registry.rules
+    swaps = set()
+    for q in env.case_bindings:
+        var, ctor = Term(q.var), constructor_term(q.domain)
+        swaps.update(((var, ctor), (ctor, var)))
+    stack = [(term, target)] if term is not target else []
+    while stack:
+        sub, goal = stack.pop()
+        if any(pos == () and apply_substitution(sigma, rule.oriented()[1]) is goal
+               for _, pos, rule, sigma in rules.matches(sub, env.current_theorem)):
+            continue
+        if sub.head == goal.head and sub.type_args == goal.type_args and len(sub.args) == len(goal.args):
+            stack.extend((a, b) for a, b in zip(sub.args, goal.args) if a is not b)
+        elif (sub, goal) not in swaps:
+            return False
+    return True
+
+
+def _may_reach_agrees(term, env, data, terms):
+    """``_may_reach`` and the reference agree from ``term`` to each result
+    of one move, to each end of a two-move walk and to two drawn terms."""
+    results = [result for _, result in successor_moves(term, env, SCOPE)]
+    targets = results + [data.draw(terms), data.draw(terms)]
+    if results:
+        walk = data.draw(st.sampled_from(results))
+        targets += [result for _, result in successor_moves(walk, env, SCOPE)]
+    for target in targets:
+        assert _may_reach(term, target, env) == _reference_may_reach(term, target, env), target
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS), st.data())
+def test_one_move_reach_test_agrees_with_reference(term, env, data):
+    _may_reach_agrees(term, env, data, RULE_TERMS)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(REACH_TERMS, st.sampled_from(REACH_ENVS), st.data())
+def test_one_move_reach_test_agrees_with_reference_by_reach(term, env, data):
+    # The rules of every kind of reach, with one of their redexes in ``term``.
+    pos, _ = data.draw(st.sampled_from(positions(term)))
+    _may_reach_agrees(replace_at(term, pos, data.draw(st.sampled_from(REACH_REDEXES))), env, data, REACH_TERMS)
 
 
 _AND_COMMUTES = """\

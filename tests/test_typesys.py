@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axiotome.diagnostics import DiagnosticError, Span, error
+from axiotome.rewrite import RewriteRule
 from axiotome.syntax import SumBody, Term, TypeExpr, format_term, format_type, parse_program, parse_term
 from axiotome.typesys import (
     TypingContext, _mentions_unsolved, _solve_params, build_registry, check_well_formed, conforms,
@@ -108,7 +109,8 @@ def test_built_registry_is_immutable(bool_registry):
 
 def test_checked_registry_holds_only_read_only_maps_and_two_rule_indexes():
     # Typing reads the signature table, built whole; checking steps reads
-    # the ``moves`` index, whatever rule a clause cites.
+    # the ``moves`` index, whatever rule a clause cites, and the reach of
+    # its rules, a pair of tuples.
     registry = load_registry(*BOOL_FNS, "triple_negation.axm", "de_morgan_corrected.axm")
     assert check_well_formed(registry) == []
     assert all(verify_theorem(thm, registry).accepted for thm in registry.theorems.values())
@@ -117,8 +119,12 @@ def test_checked_registry_holds_only_read_only_maps_and_two_rule_indexes():
     products = {name for name, decl in registry.types.items() if not isinstance(decl.body, SumBody)}
     assert set(registry.signatures) == products | set(registry.functions)
     rules = registry.rules
-    assert set(vars(rules)) == {"rules", "named", "reductions", "moves"}
+    assert set(vars(rules)) == {"rules", "named", "reductions", "moves", "reach"}
     assert all(isinstance(vars(rules)[name], MappingProxyType) for name in ("named", "reductions", "moves"))
+    assert all(isinstance(rank, int) and isinstance(rule, RewriteRule)
+               for index in (rules.reductions, rules.moves) for ranked in index.values() for rank, rule in ranked)
+    depths, opened = rules.reach
+    assert isinstance(depths, tuple) and isinstance(opened, tuple)
 
 
 def test_axiom_arity_violation():
@@ -165,6 +171,17 @@ def test_product_recursion_without_sum_warns():
 def test_recursion_through_sum_is_fine():
     registry = load_registry("natural_numbers.axm")
     assert check_well_formed(registry) == []
+
+
+def test_product_cycle_through_two_types_warns_for_each_type_on_it():
+    # ``C`` reaches the cycle of ``A`` and ``B`` but is not on it; ``D``'s
+    # cycle passes through the sum ``S``.
+    registry, _ = build_registry(parse_program(
+        "type A ≡ Product[b: B]\ntype B ≡ Product[a: A]\ntype C ≡ Product[a: A]\n"
+        "type Z ≡ Product[]\ntype D ≡ Product[s: S]\ntype S ≡ Sum[D, Z]"))
+    assert [(d.code, d.message) for d in check_well_formed(registry)] == [
+        ("W-INHABITATION", f"product type {name!r} recurses without an intervening sum and has no inhabitants")
+        for name in "AB"]
 
 
 # ------------------------------------------------------------------- typing
