@@ -10,7 +10,7 @@ from .oracle import (
 )
 from .rewrite import (
     Direction, Position, RewriteRule, StepEnv, StepVerdict, Substitution,
-    apply_substitution, check_justified_step, match,
+    apply_substitution, check_justified_step, judge_hop, match,
 )
 from .search import (
     JustifiedChain, SearchBudget, fill_gap, infer_step_justification,

@@ -40,7 +40,8 @@ Declarations become rewrite rules in one place, ``RuleSet``, built once per
 registry (``Registry.rules``) and indexed by head symbol and first argument.
 Steps, inference and gap search see only rules a ``via`` can cite, so
 ``fill`` inserts only steps that ``check`` accepts; normalization uses the
-forward axioms and unfoldings.
+forward axioms and unfoldings.  ``judge_hop`` is the one judgement of a
+written hop, which ``check`` reports and ``fill`` keeps steps by.
 """
 
 from __future__ import annotations
@@ -155,9 +156,14 @@ class RewriteRule:
 
 @dataclass(frozen=True)
 class StepVerdict:
+    """A step's verdict.  ``judge_hop`` adds the clause it ``inferred`` and,
+    for a healed case-range hop, the ``intermediate`` term it inserted."""
+
     justified: bool
     witness: tuple[tuple[Position, RewriteRule, Mapping[str, Term]], ...] | None = None
     failure: Diagnostic | None = None
+    inferred: Justification | None = None
+    intermediate: Term | None = None
 
 
 @dataclass(frozen=True)
@@ -784,6 +790,33 @@ def infer_step_justification(prev: Term, next_term: Term, env: StepEnv) -> Justi
         if check_justified_step(prev, next_term, clause, env).justified:
             return clause
     return None if found is None else RuleJustification((found.name,))
+
+
+def judge_hop(prev: Term, next_term: Term, just: Justification | None, env: StepEnv) -> StepVerdict:
+    """The one judgement of a written hop, for ``check`` and ``fill`` alike.
+
+    Without a clause the hop is inferred (``inferred``); a failure's message
+    then continues "step N".  With one, ``check_justified_step``'s verdict
+    stands, except that a case-range hop it rejects heals when one inferred
+    rewrite takes ``prev`` to a term, ``intermediate``, that the stated range
+    turns into ``next_term`` (proofs in the wild fuse a final rewrite into
+    the closing constant elimination)."""
+    if just is None:
+        inferred = infer_step_justification(prev, next_term, env)
+        if inferred is not None:
+            return StepVerdict(True, inferred=inferred)
+        return StepVerdict(False, failure=error(
+            "E-UNJUSTIFIED-STEP", f"has no justification and none could be inferred for "
+                                  f"{format_term(prev)} into {format_term(next_term)}"))
+    verdict = check_justified_step(prev, next_term, just, env)
+    if verdict.justified or not isinstance(just, CaseRangeJustification) \
+            or verdict.failure.code != "E-UNJUSTIFIED-STEP":
+        return verdict
+    for intermediate in clause_images(next_term, just, env):
+        inferred = infer_step_justification(prev, intermediate, env)
+        if inferred is not None:
+            return StepVerdict(True, inferred=inferred, intermediate=intermediate)
+    return verdict
 
 
 def _unjustified(prev: Term, next_term: Term, just: Justification) -> Diagnostic:

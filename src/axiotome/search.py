@@ -14,11 +14,13 @@ layer in full (Russell & Norvig, *Artificial Intelligence: A Modern
 Approach*, 3rd ed., §3.4.1).
 
 ``repair_theorem`` fixes proofs whose steps are unjustified because terms were
-omitted.  For a broken hop it splices the shortest chain between the two
-written terms; the displaced ``via`` clause is then re-anchored by applying
-it to the step's own term, which inserts the term its author skipped.  Vias
-that cannot be re-anchored this way (genuinely wrong rule names) make the
-proof irreparable-by-insertion, reported with a suggested replacement.
+omitted.  A written step is kept when ``rewrite.judge_hop``, the judgement
+``check`` reports, accepts its hop, healing included.  For a broken hop it
+splices the shortest chain between the two written terms; the displaced
+``via`` clause is then re-anchored by applying it to the step's own term,
+which inserts the term its author skipped.  Vias that cannot be re-anchored
+this way (genuinely wrong rule names) make the proof
+irreparable-by-insertion, reported with a suggested replacement.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from operator import itemgetter
 
 from .rewrite import (
     Edits, Position, RuleSource, StepEnv, _applied, _case_edits, _disjoint, _fork, _may_reach,
-    _reached, apply_substitution, check_justified_step, clause_images, infer_step_justification,
+    _reached, apply_substitution, clause_images, infer_step_justification, judge_hop,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, Justification, LinearProof,
@@ -202,14 +204,6 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
 
 # ------------------------------------------------------------------- repair
 
-def _hop_checks(prev: Term, step: ProofStep, env: StepEnv) -> bool:
-    """Does the written hop from ``prev`` to ``step`` check, or infer when
-    it has no via?"""
-    if step.justification is None:
-        return infer_step_justification(prev, step.term, env) is not None
-    return check_justified_step(prev, step.term, step.justification, env).justified
-
-
 def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
                     budget: SearchBudget) -> tuple[list[tuple[Term, Justification | None, bool]], int | None]:
     """Minimal-insertion repair of one linear segment.
@@ -221,7 +215,9 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
     count inserted steps.
 
     Strategies per original step (just, term) from the current term:
-      keep      the hop already checks (or infers when the via is absent);
+      keep      ``judge_hop`` accepts the written hop, as ``check`` does:
+                it checks, infers when the via is absent, or heals a
+                case-range hop with one inferred rewrite;
       fill      splice the shortest chain onto the step's term, accepted for
                 via-less steps, or when the chain's last clause equals the
                 written via (the written justification is then kept intact);
@@ -254,7 +250,7 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
             counter += 1
             heappush(heap, (new_cost, counter, state, emitted + extra))
 
-        if _hop_checks(cur, step, env):
+        if not judge_hop(cur, step.term, just, env).failure:
             push([(step.term, just, False)], step.term, 0)
             continue
         chain = fill_gap(cur, step.term, env, budget)
@@ -272,11 +268,11 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
             for image in clause_images(step.term, just, env):
                 push(inserted + [(image, just, True)], image, len(inserted))
 
-    # Search exhausted: blame the first hop that does not check on a plain
-    # sequential walk (the same step the verifier flags), else the last.
+    # Search exhausted: blame the first hop that ``judge_hop`` rejects on a
+    # plain sequential walk (the step the verifier flags), else the last.
     walk = premiss
     for i, step in enumerate(steps):
-        if not _hop_checks(walk, step, env):
+        if judge_hop(walk, step.term, step.justification, env).failure:
             return [], i
         walk = step.term
     return [], max(n - 1, 0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Container, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterator, Mapping, Sequence
 
 from .diagnostics import Diagnostic, DiagnosticError, Span, error, warning
 from .syntax import (
@@ -434,12 +434,13 @@ def term_metavars(term: Term, reg: Registry) -> set[str]:
 def check_well_formed(reg: Registry) -> list[Diagnostic]:
     """Declaration-level checks beyond name resolution."""
     diags: list[Diagnostic] = []
+    cycles = _product_cycles(reg)
     for decl in reg.types.values():
         if isinstance(decl.body, ProductBody):
             labels = [label for label, _ in decl.body.fields]
             for label in {x for x in labels if labels.count(x) > 1}:
                 diags.append(error("E-DUP-NAME", f"duplicate field label {label!r} in {decl.name!r}", decl.span))
-            if _recurses_through_products(decl.name, reg):
+            if decl.name in cycles:
                 diags.append(warning(
                     "W-INHABITATION",
                     f"product type {decl.name!r} recurses without an intervening sum and has no inhabitants",
@@ -459,22 +460,51 @@ def check_well_formed(reg: Registry) -> list[Diagnostic]:
     return diags
 
 
-def _recurses_through_products(root: str, reg: Registry) -> bool:
-    """Does product type ``root`` reach itself through fields of product
-    types alone?  A worklist over the product types its fields reach, each
-    visited once."""
-    todo, seen = [root], {root}
-    while todo:
-        for _, ty in reg.types[todo.pop()].body.fields:
-            target = reg.types.get(ty.name)
-            if target is None or not isinstance(target.body, ProductBody):
-                continue
-            if ty.name == root:
-                return True
-            if ty.name not in seen:
-                seen.add(ty.name)
-                todo.append(ty.name)
-    return False
+def _product_cycles(reg: Registry) -> set[str]:
+    """The product types that reach themselves through fields of product
+    types alone: those whose strongly connected component of the
+    product-field graph has two or more types or a self-field.  One
+    iterative pass of Tarjan's algorithm (*SIAM J. Comput.* 1(2), 1972)
+    finds every component."""
+    products = {name: decl.body for name, decl in reg.types.items() if isinstance(decl.body, ProductBody)}
+    edges = {name: [ty.name for _, ty in body.fields if ty.name in products] for name, body in products.items()}
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    at: dict[str, int] = {}  # the position of each type still on ``stack``
+    walk: list[tuple[str, Iterator[str]]] = []  # the depth-first path, with each type's fields left
+    cycles: set[str] = set()
+
+    def enter(name: str) -> None:
+        index[name] = low[name] = len(index)
+        at[name] = len(stack)
+        stack.append(name)
+        walk.append((name, iter(edges[name])))
+
+    for root in edges:
+        if root not in index:
+            enter(root)
+        while walk:
+            name, targets = walk[-1]
+            for target in targets:
+                if target not in index:
+                    enter(target)
+                    break
+                if target in at:
+                    low[name] = min(low[name], index[target])
+            else:
+                walk.pop()
+                if walk:
+                    parent = walk[-1][0]
+                    low[parent] = min(low[parent], low[name])
+                if low[name] == index[name]:
+                    component = stack[at[name]:]
+                    del stack[at[name]:]
+                    for member in component:
+                        del at[member]
+                    if len(component) > 1 or name in edges[name]:
+                        cycles.update(component)
+    return cycles
 
 
 def _check_function(fn: FunctionDecl, reg: Registry) -> list[Diagnostic]:

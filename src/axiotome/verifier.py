@@ -6,30 +6,27 @@ matches the right-hand side, and case proofs decompose a declared sum and
 cover the full cartesian product of summands over their subjects exactly
 once.
 
-Steps without a ``via`` clause get a single-step inference attempt and a
-W-INFERRED-VIA warning when it succeeds.  A step whose case-range clause
-does not check on its own gets one extra inferred hop before the stated
-range (proofs in the wild fuse a final rewrite into the closing constant
-elimination); the same warning records the insertion.  Hop checking stops
-at the first unjustified transition of a (sub)proof, so one defective case
-yields exactly one error; premiss, endpoint and coverage checks still run.
+Each hop is judged by ``rewrite.judge_hop``, the judgement ``fill`` keeps
+steps by, and its verdict is reported here.  Steps without a ``via`` clause
+get a single-step inference attempt and a W-INFERRED-VIA warning when it
+succeeds.  A step whose case-range clause does not check on its own is
+healed by one inferred hop before the stated range; the same warning
+records the insertion.  Hop checking stops at the first unjustified
+transition of a (sub)proof, so one defective case yields exactly one error;
+premiss, endpoint and coverage checks still run.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, DiagnosticError, Severity, error, warning
-from .rewrite import (
-    StepEnv, Substitution, _case_sigma, apply_substitution, check_justified_step, clause_images,
-    infer_step_justification,
-)
+from .rewrite import StepEnv, Substitution, _case_sigma, apply_substitution, judge_hop
 from .syntax import (
-    ByCasesProof, CaseBlock, CaseRangeJustification, LinearProof, ProofBody,
-    ProofStep, Quantifier, Term, TheoremDecl, TypeExpr,
-    format_justification, format_quantifier, format_term, format_type,
+    ByCasesProof, CaseBlock, LinearProof, ProofBody, ProofStep, Quantifier, Term, TheoremDecl,
+    TypeExpr, format_justification, format_quantifier, format_term, format_type,
 )
 from .typesys import Registry, TypingContext, infer_type, join_types, summands, term_metavars
 
@@ -259,62 +256,26 @@ class _Verification:
             ))
 
     def _check_hop(self, prev: Term, step: ProofStep, env: StepEnv, path: tuple[str, ...]) -> bool:
+        """Report ``judge_hop``'s verdict on the hop into ``step``: an
+        inferred clause as a W-INFERRED-VIA warning and an ``InferredVia``,
+        a failure as an error at the step."""
         just = step.justification
-        if just is None:
-            inferred = infer_step_justification(prev, step.term, env)
-            if inferred is None:
-                self.diagnostics.append(error(
-                    "E-UNJUSTIFIED-STEP",
-                    f"step {step.index} has no justification and none could be inferred for "
-                    f"{format_term(prev)} into {format_term(step.term)}",
-                    step.span,
-                ))
-                return False
-            clause = format_justification(inferred)
+        verdict = judge_hop(prev, step.term, just, env)
+        if verdict.inferred is not None:
+            clause = format_justification(verdict.inferred)
+            message = f"justification inferred: {clause}"
+            if verdict.intermediate is not None:
+                message = (f"inserted inferred step {format_term(verdict.intermediate)} via {clause} "
+                           f"before the stated case range")
+                clause = f"{clause} then {format_justification(just)}"
             self.inferred.append(InferredVia(path, step.index, clause))
-            self.diagnostics.append(warning(
-                "W-INFERRED-VIA", f"step {step.index}: justification inferred: {clause}", step.span,
-            ))
-            return True
-
-        verdict = check_justified_step(prev, step.term, just, env)
-        if verdict.justified:
-            return True
-        if isinstance(just, CaseRangeJustification) and verdict.failure is not None \
-                and verdict.failure.code == "E-UNJUSTIFIED-STEP":
-            healed = self._heal_case_range_hop(prev, step, just, env, path)
-            if healed:
-                return True
+            self.diagnostics.append(warning("W-INFERRED-VIA", f"step {step.index}: {message}", step.span))
         failure = verdict.failure
-        assert failure is not None
-        self.diagnostics.append(Diagnostic(
-            failure.severity, failure.code,
-            f"step {step.index}: {failure.message}",
-            failure.span if failure.span.length else step.span,
-            failure.related,
-        ))
-        return False
-
-    def _heal_case_range_hop(self, prev: Term, step: ProofStep,
-                             just: CaseRangeJustification, env: StepEnv,
-                             path: tuple[str, ...]) -> bool:
-        """Accept ``prev → X → step.term`` where the stated case range
-        licenses the final hop and a single inferable rewrite covers the
-        first; records the insertion like an inferred justification."""
-        for intermediate in clause_images(step.term, just, env):
-            inferred = infer_step_justification(prev, intermediate, env)
-            if inferred is None:
-                continue
-            clause = f"{format_justification(inferred)} then {format_justification(just)}"
-            self.inferred.append(InferredVia(path, step.index, clause))
-            self.diagnostics.append(warning(
-                "W-INFERRED-VIA",
-                f"step {step.index}: inserted inferred step {format_term(intermediate)} "
-                f"via {format_justification(inferred)} before the stated case range",
-                step.span,
-            ))
-            return True
-        return False
+        if failure is not None:
+            self.diagnostics.append(replace(
+                failure, message=f"step {step.index}{'' if just is None else ':'} {failure.message}",
+                span=failure.span if failure.span.length else step.span))
+        return failure is None
 
 
 def verify_theorem(thm: TheoremDecl, registry: Registry) -> VerificationReport:

@@ -337,6 +337,25 @@ def test_fill_inserts_only_steps_a_via_can_cite(tmp_path):
     assert run("check", *NOT_PATHS, str(defs), str(target))[0] == 0
 
 
+def test_fill_keeps_the_case_range_hops_check_heals(tmp_path):
+    # Step 3 of the False case is omitted.  Step 5 of either case needs an
+    # inferred rewrite before its case range, which ``check`` heals; ``fill``
+    # used to insert that rewrite as well, in the True case too.
+    text = corpus_text("triple_negation.axm")
+    omitted = "  3. not(False) via $not°T\n"
+    source = tmp_path / "gap.axm"
+    source.write_text(text.replace(omitted + "  4. True via $not°F\n  5.", "  3. True via $not°F\n  4."),
+                      encoding="utf-8")
+    target = tmp_path / "out.axm"
+    assert run("fill", str(source), *NOT_PATHS, "-o", str(target)) == (
+        0, f"¶tripleNegation: repaired\n  a ∈ False + 3. not(False) via $not°T\nwrote {target}\n", "")
+    # The omitted step is back, and the True case is written as it was read.
+    (written,), (original,) = (parse_program(t).statements for t in (target.read_text(encoding="utf-8"), text))
+    assert written.proof == original.proof
+    code, out, _ = run("check", *NOT_PATHS, str(target))
+    assert (code, out.count("W-INFERRED-VIA"), out.splitlines()[-1]) == (0, 2, "¶tripleNegation: accepted")
+
+
 def test_fill_labels_cases_with_type_arguments(tmp_path):
     source = tmp_path / "opt.axm"
     source.write_text(OPT + "  case ∀o ∈ Nil[Boolean]:\n    0. g(o)\n    1. False via $g°N\n"
@@ -522,6 +541,16 @@ def test_product_diamond_is_checked_quickly(tmp_path):
     started = time.perf_counter()
     assert run("check", str(source)) == (0, "", "")
     assert time.perf_counter() - started < 5
+
+
+def test_long_product_chain_is_checked_quickly(tmp_path):
+    # The W-INHABITATION check used to walk the rest of the chain from each
+    # type, about 2 s here; one pass over the product-field graph takes 0.1 s.
+    source = tmp_path / "chain.axm"
+    source.write_text(_products(3000, "a"), encoding="utf-8")
+    started = time.perf_counter()
+    assert run("check", str(source)) == (0, "", "")
+    assert time.perf_counter() - started < 1
 
 
 def _nested_cases(depth: int, sibling: bool) -> str:

@@ -12,7 +12,7 @@ from axiotome.oracle import enumerable_domain, normalize
 from axiotome.rewrite import (
     Direction, RewriteRule, RuleSource, StepEnv, StepVerdict, _applied, _case_sigma, _fork,
     _unjustified, _validate_case_bindings, apply_substitution, check_justified_step, clause_edits,
-    infer_step_justification, match, positions, replace_at, resolve_rule, subterm_at,
+    infer_step_justification, judge_hop, match, positions, replace_at, resolve_rule, subterm_at,
 )
 from axiotome.search import successor_edits, successor_moves
 from axiotome.syntax import (
@@ -207,6 +207,22 @@ def test_case_range_must_match_active_bindings(bool_registry):
     assert not verdict.justified
     missing = CaseRangeJustification((Quantifier("z", TypeExpr("False")),))
     assert not check_justified_step(t("and(False, a)"), t("and(False, a)"), missing, env).justified
+
+
+def test_one_judgement_checks_infers_and_heals_a_hop(bool_registry):
+    env = StepEnv(bool_registry, (Quantifier("a", TypeExpr("True")),))
+    clause, case = RuleJustification(("$not°T",)), CaseRangeJustification(env.case_bindings)
+    for just in (clause, case, RuleJustification(("$nope",))):
+        assert judge_hop(t("not(True)"), t("False"), just, env) \
+            == check_justified_step(t("not(True)"), t("False"), just, env)
+    assert judge_hop(t("not(True)"), t("False"), None, env) == StepVerdict(True, inferred=clause)
+    # The case range makes only the last part of the hop, after one inferred rewrite.
+    assert judge_hop(t("False"), t("not(a)"), case, env) \
+        == StepVerdict(True, inferred=clause, intermediate=t("not(True)"))
+    failed = judge_hop(t("False"), t("not(not(a))"), None, env)
+    assert not failed.justified and failed.failure.code == "E-UNJUSTIFIED-STEP"
+    assert judge_hop(t("False"), t("not(not(a))"), case, env) \
+        == check_justified_step(t("False"), t("not(not(a))"), case, env)
 
 
 def test_unknown_rule_name(bool_registry):

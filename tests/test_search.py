@@ -10,24 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axiotome import search
+from axiotome.diagnostics import Severity
 from axiotome.rewrite import (
     RuleSource, StepEnv, _applied, _disjoint, _fork, _may_reach, _reached, apply_substitution,
-    check_justified_step, constructor_term, positions, replace_at,
+    check_justified_step, clause_images, constructor_term, positions, replace_at,
 )
 from axiotome.search import (
     JustifiedChain, SearchBudget, fill_gap, infer_step_justification,
     repair_theorem, successor_edits, successor_moves,
 )
 from axiotome.syntax import (
-    CaseRangeJustification, Justification, Quantifier, RuleJustification, Term,
-    TypeExpr, format_justification, parse_program, parse_term,
+    CaseRangeJustification, Justification, LinearProof, ProofStep, Quantifier, RuleJustification, Term,
+    TheoremDecl, TypeExpr, format_justification, parse_program, parse_term,
 )
 from axiotome.typesys import term_metavars
-from axiotome.verifier import verify_theorem
+from axiotome.verifier import _Verification, verify_theorem
 
 from conftest import (
-    BOOL_FNS, ENVS, REACH_ENVS, REACH_REDEXES, REACH_TERMS, RULE_TERMS, _applications, _case_results,
-    load_program, load_registry,
+    BOOL_FNS, ENVS, REACH_ENVS, REACH_REDEXES, REACH_TERMS, RULE_TERMS, RULES_REGISTRY, _applications,
+    _case_results, load_program, load_registry,
 )
 
 
@@ -661,3 +662,52 @@ def test_layered_fill_gap_agrees_with_reference(source, env, data):
     for goal in goals:
         assert _expanding(fill_gap, source, goal, env, budget) \
             == _expanding(_reference_fill_gap, source, goal, env, budget)
+
+
+# ------------------------------------------------- one judgement of a hop
+
+#: Every name a ``via`` can cite in ``RULES_REGISTRY``, and one it cannot.
+_CITABLE = sorted(RULES_REGISTRY.rules.named) + ["$nope"]
+
+
+@st.composite
+def _written_hops(draw):
+    """(env, prev, next, clause): a hop from a term of ``RULE_TERMS`` to a
+    successor move of it, now and then to a term of ``RULE_TERMS``, with
+    no clause, the move's clause, a name a ``via`` may cite, or a case
+    range of ``env``.  With a case range, ``next`` is an image under it of
+    the move's result, a hop that ``check`` heals when it infers the move."""
+    env, prev = draw(st.sampled_from(ENVS)), draw(RULE_TERMS)
+    clause, next_term = draw(st.sampled_from(successor_moves(prev, env, SCOPE) or [(None, prev)]))
+    if draw(st.integers(0, 4)) == 0:
+        next_term = draw(RULE_TERMS)
+    ranges = [CaseRangeJustification((q,)) for q in env.case_bindings]
+    if len(env.case_bindings) > 1:
+        ranges.append(CaseRangeJustification(env.case_bindings))
+    kind = draw(st.sampled_from(["none", "move", "name"] + ["range"] * 2 * bool(ranges)))
+    if kind == "none":
+        clause = None
+    elif kind == "name":
+        clause = RuleJustification((draw(st.sampled_from(_CITABLE)),))
+    elif kind == "range":
+        clause = draw(st.sampled_from(ranges))
+        next_term = draw(st.sampled_from(list(clause_images(next_term, clause, env)) or [next_term]))
+    return env, prev, next_term, clause
+
+
+_BOOLEAN = {"a": TypeExpr("Boolean"), "b": TypeExpr("Boolean")}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_written_hops())
+def test_repair_keeps_a_written_hop_exactly_when_check_accepts_it(hop):
+    # Healed case-range hops included: ``fill`` used to rewrite them.
+    env, prev, next_term, clause = hop
+    step = ProofStep(1, next_term, clause)
+    kept = search._repair_segment(prev, (step,), env, SearchBudget(2, 100)) == ([(next_term, clause, False)], None)
+    thm = TheoremDecl("t", (), prev, next_term, LinearProof((ProofStep(0, prev), step)))
+    check = _Verification(RULES_REGISTRY, thm, _BOOLEAN)
+    check.verify_linear(prev, next_term, thm.proof.steps, env, ())
+    errors = [d.code for d in check.diagnostics if d.severity is Severity.ERROR]
+    assert set(errors) <= {"E-UNJUSTIFIED-STEP", "E-UNKNOWN-RULE"}
+    assert kept == (not errors)
