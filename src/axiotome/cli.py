@@ -17,18 +17,34 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
+from importlib import import_module
 from pathlib import Path
 
 from .diagnostics import Diagnostic, DiagnosticError, Severity, render_human, render_machine
-from .oracle import DEFAULT_BUDGET, brute_force_validate
-from .oracle import normalize as normalize_term
-from .search import SearchBudget, repair_theorem
 from .syntax import (
     OperatorDecl, Program, TheoremDecl, format_justification, format_node,
     format_term, parse_program, parse_term_with_spans,
 )
+from .syntax.lexer import ALIASES, OPERATOR_GLYPHS
 from .typesys import Registry, build_registry, check_well_formed
 from .verifier import effective_quantifiers, verify_theorem
+
+#: The module of each kernel function that only one command calls.  Such a
+#: name is imported with its module on first use, so ``check`` and ``fmt``
+#: load neither ``oracle`` nor ``search``.
+_LAZY = {"brute_force_validate": ".oracle", "repair_theorem": ".search"}
+
+#: This module, through which the commands call the ``_LAZY`` functions.
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """A ``_LAZY`` function (PEP 562), imported on first use and then kept
+    as a global of this module, where a caller may replace it."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_LAZY[name], __package__), name)
+    return value
 
 
 class _Exit(Exception):
@@ -37,14 +53,21 @@ class _Exit(Exception):
 
 
 def _parse_operator_flags(pairs: list[str], err) -> dict[str, str]:
-    aliases = {"\\/": "∨", "/\\": "∧"}
+    """The ``--operator`` pairs by glyph, each ASCII spelling mapped to its
+    glyph; exit 2 on a malformed pair or a glyph that is not an infix
+    operator."""
     operators = {}
     for pair in pairs:
         glyph, sep, fn = pair.partition("=")
         if not sep or not fn or not glyph:
             print(f"error: --operator expects GLYPH=FUNCTION, got {pair!r}", file=err)
             raise _Exit(2)
-        operators[aliases.get(glyph, glyph)] = fn
+        glyph = ALIASES.get(glyph, glyph)
+        if glyph not in OPERATOR_GLYPHS:
+            spellings = sorted(OPERATOR_GLYPHS) + [a for a, g in ALIASES.items() if g in OPERATOR_GLYPHS]
+            print(f"error: --operator glyph must be one of {' '.join(spellings)}, got {pair!r}", file=err)
+            raise _Exit(2)
+        operators[glyph] = fn
     return operators
 
 
@@ -140,6 +163,7 @@ def cmd_check(args, out, err) -> int:
 
 
 def cmd_validate(args, out, err) -> int:
+    from .oracle import DEFAULT_BUDGET
     registry, _, diags = _build(args.paths, args.operators, err)
     _emit_diagnostics([d for d in diags if d.severity is Severity.ERROR], args.machine, out)
     if _has_errors(diags):
@@ -147,8 +171,9 @@ def cmd_validate(args, out, err) -> int:
     any_invalid = False
     for thm in registry.theorems.values():
         quantifiers, _ = effective_quantifiers(thm, registry)
-        verdict = brute_force_validate(
-            [(q.var, q.domain) for q in quantifiers], thm.lhs, thm.rhs, registry, args.budget,
+        verdict = _cli.brute_force_validate(
+            [(q.var, q.domain) for q in quantifiers], thm.lhs, thm.rhs, registry,
+            getattr(args, "budget", DEFAULT_BUDGET),
         )
         detail = ""
         if verdict.status == "invalid":
@@ -179,9 +204,11 @@ def cmd_eval(args, out, err) -> int:
     except DiagnosticError as exc:
         _emit_diagnostics(exc.diagnostics, args.machine, out)
         return 1
-    result = normalize_term(term, registry, args.budget)
+    from .oracle import DEFAULT_BUDGET, normalize
+    budget = getattr(args, "budget", DEFAULT_BUDGET)
+    result = normalize(term, registry, budget)
     if result.exhausted_budget:
-        print(f"error: normalization budget of {args.budget} exhausted", file=err)
+        print(f"error: normalization budget of {budget} exhausted", file=err)
         return 1
     print(format_node(result.normal_form), file=out)
     return 0
@@ -198,7 +225,9 @@ def cmd_fill(args, out, err) -> int:
     # With no errors every file parsed, so the first program is the target's.
     target_path, target = args.paths[0], programs[0]
 
-    budget = SearchBudget(args.max_depth, args.max_nodes)
+    from .search import SearchBudget
+    given = vars(args)  # the budget flags given, over ``SearchBudget``'s defaults
+    budget = SearchBudget(**{name: given[name] for name in SearchBudget._fields if name in given})
     patched_statements = []
     failed = False
     repaired_any = False
@@ -210,7 +239,7 @@ def cmd_fill(args, out, err) -> int:
         if report.accepted:
             patched_statements.append(stmt)
             continue
-        outcome = repair_theorem(stmt, report, registry, budget)
+        outcome = _cli.repair_theorem(stmt, report, registry, budget)
         if outcome.theorem is None:
             failed = True
             patched_statements.append(stmt)
@@ -283,7 +312,9 @@ def _non_negative_int(text: str) -> int:
 @cache
 def _arg_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use: once per process, and not at
-    import."""
+    import.  A budget flag that is not given is left out of the parsed
+    arguments, and the command that reads it supplies its module's default,
+    so building the parser imports neither ``oracle`` nor ``search``."""
     parser = argparse.ArgumentParser(
         prog="axiotome",
         description="Check, validate, evaluate, repair and format Axiotome source files.",
@@ -303,13 +334,13 @@ def _arg_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="brute-force theorems over finite domains")
     common(p_validate)
-    p_validate.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET,
+    p_validate.add_argument("--budget", type=_non_negative_int, default=argparse.SUPPRESS,
                             help="normalization step budget")
 
     p_eval = sub.add_parser("eval", help="normalize a term over the loaded definitions")
     p_eval.add_argument("expression", help="term to evaluate")
     common(p_eval)
-    p_eval.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET)
+    p_eval.add_argument("--budget", type=_non_negative_int, default=argparse.SUPPRESS)
 
     p_fill = sub.add_parser(
         "fill", help="repair proofs with omitted steps",
@@ -318,9 +349,9 @@ def _arg_parser() -> argparse.ArgumentParser:
     common(p_fill)
     p_fill.add_argument("--in-place", action="store_true", help="rewrite the first input file")
     p_fill.add_argument("--output", "-o", metavar="PATH", help="write the patched source here")
-    p_fill.add_argument("--max-depth", type=_non_negative_int, default=SearchBudget().max_depth,
+    p_fill.add_argument("--max-depth", type=_non_negative_int, default=argparse.SUPPRESS,
                         help="most hops in the chain that closes one gap")
-    p_fill.add_argument("--max-nodes", type=_non_negative_int, default=SearchBudget().max_nodes,
+    p_fill.add_argument("--max-nodes", type=_non_negative_int, default=argparse.SUPPRESS,
                         help="most distinct terms expanded per gap")
 
     p_fmt = sub.add_parser("fmt", help="canonically format source files")

@@ -8,7 +8,6 @@ below is the stable line-oriented contract consumed by tests and tooling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -51,17 +50,29 @@ class Span(NamedTuple):
     length: int = 0
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class _Finding(NamedTuple):
     severity: Severity
     code: str
     message: str
     span: Span = Span()
     related: tuple[tuple[Span, str], ...] = ()
 
-    def __post_init__(self) -> None:
+
+class Diagnostic(_Finding):
+    """A finding, whose code is in ``CODES`` however it is built: by the
+    constructor, ``_replace`` or unpickling."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Diagnostic:
+        self = super().__new__(cls, *args, **kwargs)
         if self.code not in CODES:
             raise ValueError(f"diagnostic code {self.code!r} is not in the published set")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Diagnostic:  # what ``_replace`` builds with
+        return cls(*iterable)
 
 
 def error(code: str, message: str, span: Span = Span(), related: Sequence[tuple[Span, str]] = ()) -> Diagnostic:

@@ -24,9 +24,8 @@ most ``SPREAD`` assignments, down to one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import inf, prod
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .rewrite import Position, RuleIndex, apply_substitution, match, replace_at, rules_at
 from .syntax import SumBody, Term, TypeExpr, format_type
@@ -35,22 +34,19 @@ from .typesys import CLOSURE_BOUND, Registry, substitute_type, summands
 DEFAULT_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class DomainEnumeration:
+class DomainEnumeration(NamedTuple):
     type: TypeExpr
     inhabitants: tuple[Term, ...]
     finite: bool
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     normal_form: Term
     steps: int
     exhausted_budget: bool
 
 
-@dataclass(frozen=True)
-class ValidationVerdict:
+class ValidationVerdict(NamedTuple):
     status: str  # "valid" | "invalid" | "inconclusive"
     counterexample: dict[str, Term] | None = None
     reason: str | None = None

@@ -46,18 +46,17 @@ written hop, which ``check`` reports and ``fill`` keeps steps by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations, product
 from math import inf
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .diagnostics import Diagnostic, error
 from .syntax import (
-    CaseRangeJustification, EquationalBody, FormulaicBody, Justification,
+    CaseRangeJustification, EquationalBody, FormulaicBody, Frozen, Justification,
     Quantifier, RuleJustification, Term, TypeExpr, format_justification,
     format_term, format_type,
 )
@@ -83,24 +82,42 @@ class RuleSource(Enum):
     CASE_RANGE = "case-range"
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Frozen):
     """An oriented rewrite rule; equivalences yield one rule per direction.
-    ``lhs_vars`` and ``rhs_vars`` are each side's metavariables, ``free`` the other undeclared leaves of both."""
+    ``lhs_vars`` and ``rhs_vars`` are each side's metavariables, ``free`` the other undeclared leaves of both.
+    Rules are equal when their fields are."""
 
     name: str
     source: RuleSource
     lhs: Term
     rhs: Term
-    direction: Direction = Direction.FORWARD
-    metavars: frozenset[str] = frozenset()
-    lhs_vars: frozenset[str] = frozenset()
-    rhs_vars: frozenset[str] = frozenset()
-    free: frozenset[str] = frozenset()
+    direction: Direction
+    metavars: frozenset[str]
+    lhs_vars: frozenset[str]
+    rhs_vars: frozenset[str]
+    free: frozenset[str]
 
-    def reversed(self) -> "RewriteRule":
+    def __init__(self, name: str, source: RuleSource, lhs: Term, rhs: Term,
+                 direction: Direction = Direction.FORWARD, metavars: frozenset[str] = frozenset(),
+                 lhs_vars: frozenset[str] = frozenset(), rhs_vars: frozenset[str] = frozenset(),
+                 free: frozenset[str] = frozenset()) -> None:
+        vars(self).update(name=name, source=source, lhs=lhs, rhs=rhs, direction=direction, metavars=metavars,
+                          lhs_vars=lhs_vars, rhs_vars=rhs_vars, free=free)
+
+    def _fields(self) -> tuple:
+        return (self.name, self.source, self.lhs, self.rhs, self.direction, self.metavars,
+                self.lhs_vars, self.rhs_vars, self.free)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is RewriteRule and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def reversed(self) -> RewriteRule:
         flipped = Direction.BACKWARD if self.direction is Direction.FORWARD else Direction.FORWARD
-        return replace(self, direction=flipped)
+        return RewriteRule(self.name, self.source, self.lhs, self.rhs, flipped, self.metavars,
+                           self.lhs_vars, self.rhs_vars, self.free)
 
     def oriented(self) -> tuple[Term, Term]:
         if self.direction is Direction.FORWARD:
@@ -154,8 +171,7 @@ class RewriteRule:
         return depth
 
 
-@dataclass(frozen=True)
-class StepVerdict:
+class StepVerdict(NamedTuple):
     """A step's verdict.  ``judge_hop`` adds the clause it ``inferred`` and,
     for a healed case-range hop, the ``intermediate`` term it inserted."""
 
@@ -166,8 +182,7 @@ class StepVerdict:
     intermediate: Term | None = None
 
 
-@dataclass(frozen=True)
-class StepEnv:
+class StepEnv(NamedTuple):
     """Context a justification is resolved in: the registry plus the case
     bindings active at this point of the proof."""
 
@@ -453,8 +468,7 @@ def _admits(rule: RewriteRule, exclude: str | None, only: str | None) -> bool:
     return (only is None or rule.name == only) and (rule.source is not RuleSource.THEOREM or rule.name != exclude)
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Frozen):
     """A registry's rules in preference order: axioms in registry order, then
     formulaic unfoldings, then theorems.  ``named`` maps the names a ``via``
     can cite to rules; a theorem named like a function is not citable, as
@@ -464,6 +478,10 @@ class RuleSet:
     rules: tuple[RewriteRule, ...]
     named: Mapping[str, RewriteRule]
     reductions: RuleIndex
+
+    def __init__(self, rules: tuple[RewriteRule, ...], named: Mapping[str, RewriteRule],
+                 reductions: RuleIndex) -> None:
+        vars(self).update(rules=rules, named=named, reductions=reductions)
 
     @classmethod
     def of(cls, registry: Registry) -> RuleSet:

@@ -25,10 +25,10 @@ irreparable-by-insertion, reported with a suggested replacement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from .rewrite import (
     Edits, Position, RuleSource, StepEnv, _applied, _case_edits, _disjoint, _fork, _may_reach,
@@ -42,8 +42,7 @@ from .typesys import Registry, term_metavars
 from .verifier import verify_theorem
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(NamedTuple):
     """Bounds of one ``fill_gap`` search: ``max_depth`` is the most hops in
     a chain, and ``max_nodes`` the most distinct terms expanded per gap."""
 
@@ -51,8 +50,7 @@ class SearchBudget:
     max_nodes: int = 50_000
 
 
-@dataclass(frozen=True)
-class JustifiedChain:
+class JustifiedChain(NamedTuple):
     """A validated sequence of justified hops from ``source`` to ``target``;
     the last step's term is ``target`` itself."""
 
@@ -61,8 +59,7 @@ class JustifiedChain:
     target: Term
 
 
-@dataclass(frozen=True)
-class IrreparableStep:
+class IrreparableStep(NamedTuple):
     case_path: tuple[str, ...]
     step_index: int
     prev: Term
@@ -71,8 +68,7 @@ class IrreparableStep:
     suggestion: Justification | None
 
 
-@dataclass(frozen=True)
-class RepairOutcome:
+class RepairOutcome(NamedTuple):
     theorem: TheoremDecl | None
     inserted: tuple[tuple[tuple[str, ...], int, Term, Justification], ...] = ()
     irreparable: tuple[IrreparableStep, ...] = ()
@@ -344,7 +340,7 @@ def repair_theorem(thm: TheoremDecl, report, registry: Registry,
     new_proof = _repair_body(thm.proof, env, budget, (), inserted, failures)
     if failures:
         return RepairOutcome(None, tuple(inserted), tuple(failures))
-    patched = replace(thm, proof=new_proof)
+    patched = thm._replace(proof=new_proof)
 
     if not verify_theorem(patched, registry).accepted:
         return RepairOutcome(None, tuple(inserted), ())

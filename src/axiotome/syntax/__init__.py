@@ -3,7 +3,7 @@
 from .lexer import OPERATOR_GLYPHS, tokenize
 from .nodes import (
     Axiom, ByCasesProof, CaseBlock, CaseRangeJustification, EquationalBody,
-    FormulaicBody, FunctionDecl, Justification, LinearProof, OperatorDecl,
+    FormulaicBody, Frozen, FunctionDecl, Justification, LinearProof, OperatorDecl,
     ProductBody, Program, ProofBody, ProofStep, Quantifier, RuleJustification,
     Statement, SumBody, Term, TheoremDecl, Token, TokenKind, TypeDecl, TypeExpr,
 )
@@ -20,7 +20,7 @@ __all__ = [
     "format", "format_node", "format_term", "format_type",
     "format_quantifier", "format_justification",
     "Axiom", "ByCasesProof", "CaseBlock", "CaseRangeJustification",
-    "EquationalBody", "FormulaicBody", "FunctionDecl", "Justification",
+    "EquationalBody", "FormulaicBody", "Frozen", "FunctionDecl", "Justification",
     "LinearProof", "OperatorDecl", "ProductBody", "Program", "ProofBody",
     "ProofStep", "Quantifier", "RuleJustification", "Statement", "SumBody",
     "Term", "TheoremDecl", "Token", "TokenKind", "TypeDecl", "TypeExpr",

@@ -37,7 +37,7 @@ OPERATOR_GLYPHS = frozenset({"∨", "∧"})
 
 #: ASCII spellings of glyphs; ``forall`` and ``in`` are therefore reserved.
 #: ``.`` maps to itself so that only names turn it into ``°``.
-_ALIASES = {"forall": "∀", "in": "∈", ":=": "≡", "<->": "↔", "\\/": "∨", "/\\": "∧", ".": "."}
+ALIASES = {"forall": "∀", "in": "∈", ":=": "≡", "<->": "↔", "\\/": "∨", "/\\": "∧", ".": "."}
 
 _BLANKS = " \t\r"
 
@@ -64,7 +64,7 @@ _TOKEN_KINDS = {k.value: k for k in TokenKind}
 #: The kind of a whole piece, where that alone decides it ...
 _KIND_OF = {
     **dict.fromkeys(KEYWORDS, KEYWORD),
-    **dict.fromkeys(_ALIASES, SYMBOL),
+    **dict.fromkeys(ALIASES, SYMBOL),
     **dict.fromkeys("≡↔∀∈∨∧()[]:;,=^", SYMBOL),
     "\n": NEWLINE, "$": ILLEGAL, "¶": ILLEGAL, "/": ILLEGAL,
 }
@@ -127,7 +127,7 @@ def scan(source: str, file: str = "<input>") -> Scan:
     texts = list(map(str.lstrip, pieces, repeat(_BLANKS)))
     starts = list(map(sub, accumulate(map(len, pieces)), map(len, texts)))
     kinds = list(map(_KIND_OF.get, texts, map(_KIND_OF_FIRST.get, map(itemgetter(0), texts), repeat(ILLEGAL))))
-    lexemes = list(map(_ALIASES.get, texts, map(str.replace, texts, repeat("."), repeat("°"))))
+    lexemes = list(map(ALIASES.get, texts, map(str.replace, texts, repeat("."), repeat("°"))))
     line_starts = _line_starts(source)
     special = list(compress(count(), map(_SPECIAL.__contains__, kinds)))
     trivia: dict[int, tuple[str, ...]] = {}

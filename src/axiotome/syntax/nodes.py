@@ -17,15 +17,15 @@ parsed term's spans in pre-order beside it, on the proof step or
 declaration that owns it (``term_spans``, ``lhs_spans``, ``rhs_spans``),
 and a term holds its type arguments bare.
 
-The other AST nodes are frozen dataclasses and tokens are named tuples,
-which are cheaper to build.  Their spans (and a token's trivia) are
-excluded from equality and hashing, so two parses of equivalent text
-compare equal node-for-node.
+Tokens and the other AST nodes are named tuples, which are cheap to
+define and to build.  Their spans (and a token's trivia) are excluded from
+equality and hashing, so two parses of equivalent text compare equal
+node-for-node, and a node equals no node of another class and no plain
+tuple.  Terms and types are plain classes that refuse to be changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import is_
 from typing import NamedTuple, Union
@@ -91,8 +91,21 @@ _TYPES: dict[tuple, ref] = {}
 _TERMS: dict[tuple, ref] = {}
 
 
-@dataclass(frozen=True, eq=False)
-class TypeExpr:
+class Frozen:
+    """Base of the kernel's plain immutable classes: ``__init__`` sets each
+    attribute once, past ``__setattr__``, which refuses every later
+    assignment, as ``__delattr__`` refuses deletion."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class TypeExpr(Frozen):
     """A type name applied to type arguments.
 
     Each structure has one interned type with no span, ``bare``: types are
@@ -101,25 +114,25 @@ class TypeExpr:
     bare."""
 
     name: str
-    args: tuple["TypeExpr", ...] = ()
-    span: Span = _NOWHERE
+    args: tuple[TypeExpr, ...]
+    span: Span
 
     #: The bare type, set on construction where it is another object.
     _bare = None
 
-    def __post_init__(self) -> None:
-        args = tuple(a.bare for a in self.args)
-        key = (self.name, args)
-        object.__setattr__(self, "_hash", hash(key))
+    def __init__(self, name: str, args: tuple[TypeExpr, ...] = (), span: Span = _NOWHERE) -> None:
+        bare_args = tuple(a.bare for a in args)
+        key = (name, bare_args)
+        vars(self).update(name=name, args=args, span=span, _hash=hash(key))
         entry = _TYPES.get(key)
         bare = None if entry is None else entry()
         if bare is None:
-            if self.span == _NOWHERE and all(map(is_, args, self.args)):
+            if span == _NOWHERE and all(map(is_, bare_args, args)):
                 bare = _record(_TYPES, key, self)
             else:
-                bare = TypeExpr(self.name, args).bare
+                bare = TypeExpr(name, bare_args).bare
         if bare is not self:
-            object.__setattr__(self, "_bare", bare)
+            vars(self)["_bare"] = bare
 
     @property
     def bare(self) -> TypeExpr:
@@ -136,8 +149,11 @@ class TypeExpr:
     def __reduce__(self):
         return TypeExpr, (self.name, self.args, self.span)
 
+    def __repr__(self) -> str:
+        return f"TypeExpr(name={self.name!r}, args={self.args!r}, span={self.span!r})"
 
-class Term:
+
+class Term(Frozen):
     """Application tree; a bare identifier is a nullary application.
 
     Heads are left symbolic here; whether a head is a constructor, a function
@@ -181,12 +197,6 @@ class Term:
         out.reverse()
         return out
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: terms are immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: terms are immutable")
-
     def __reduce__(self):
         return Term, (self.head, self.type_args, self.args)
 
@@ -195,12 +205,29 @@ class Term:
         return f"<Term {format_term(self)}>"
 
 
-#: Set a new term's slots, which ``Term.__setattr__`` refuses.
+#: Set a new term's slots, which ``Frozen.__setattr__`` refuses.
 _set_head, _set_type_args, _set_args = Term.head.__set__, Term.type_args.__set__, Term.args.__set__
 
 
-@dataclass(frozen=True)
-class Axiom:
+def _node(cls):
+    """Make the named tuple ``cls`` an AST node: equal only to a node of its
+    own class, and compared and hashed by the fields before its spans
+    (``span``, ``source_name`` and ``*_spans`` come last), so two parses of
+    equivalent text compare equal and a node never equals a plain tuple."""
+    n = next((i for i, f in enumerate(cls._fields) if f in ("span", "source_name") or f.endswith("_spans")),
+             len(cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is cls and self[:n] == other[:n]
+
+    cls.__eq__ = __eq__
+    cls.__ne__ = lambda self, other: not __eq__(self, other)  # tuple's own ``!=`` would compare every field
+    cls.__hash__ = lambda self: hash(self[:n])
+    return cls
+
+
+@_node
+class Axiom(NamedTuple):
     """Named equivalence ``lhs ↔ rhs`` attached to an equational function.
 
     ``metavar_types`` holds inline ``name: Type`` annotations found in the
@@ -211,110 +238,110 @@ class Axiom:
     lhs: Term
     rhs: Term
     metavar_types: tuple[tuple[str, TypeExpr], ...] = ()
-    span: Span = field(default=Span(), compare=False)
-    lhs_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
-    rhs_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
+    span: Span = _NOWHERE
+    lhs_spans: tuple[Span, ...] = ()
+    rhs_spans: tuple[Span, ...] = ()
 
 
-@dataclass(frozen=True)
-class ProductBody:
+@_node
+class ProductBody(NamedTuple):
     fields: tuple[tuple[str, TypeExpr], ...] = ()
 
 
-@dataclass(frozen=True)
-class SumBody:
+@_node
+class SumBody(NamedTuple):
     summands: tuple[TypeExpr, ...] = ()
 
 
-@dataclass(frozen=True)
-class TypeDecl:
+@_node
+class TypeDecl(NamedTuple):
     name: str
     params: tuple[str, ...]
     body: Union[ProductBody, SumBody]
-    span: Span = field(default=Span(), compare=False)
+    span: Span = _NOWHERE
 
 
-@dataclass(frozen=True)
-class EquationalBody:
+@_node
+class EquationalBody(NamedTuple):
     axioms: tuple[Axiom, ...]
 
 
-@dataclass(frozen=True)
-class FormulaicBody:
+@_node
+class FormulaicBody(NamedTuple):
     term: Term
-    term_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
+    term_spans: tuple[Span, ...] = ()
 
 
-@dataclass(frozen=True)
-class FunctionDecl:
+@_node
+class FunctionDecl(NamedTuple):
     name: str
     type_params: tuple[str, ...]
     params: tuple[tuple[str, TypeExpr], ...]
     return_type: TypeExpr
     body: Union[EquationalBody, FormulaicBody]
-    span: Span = field(default=Span(), compare=False)
+    span: Span = _NOWHERE
 
 
-@dataclass(frozen=True)
-class OperatorDecl:
+@_node
+class OperatorDecl(NamedTuple):
     glyph: str
     function_name: str
-    span: Span = field(default=Span(), compare=False)
+    span: Span = _NOWHERE
 
 
-@dataclass(frozen=True)
-class Quantifier:
+@_node
+class Quantifier(NamedTuple):
     """A binding ``∀var ∈ domain``; used for theorems and case ranges."""
 
     var: str
     domain: TypeExpr
-    span: Span = field(default=Span(), compare=False)
+    span: Span = _NOWHERE
 
 
-@dataclass(frozen=True)
-class RuleJustification:
+@_node
+class RuleJustification(NamedTuple):
     """``via $name`` or ``via ($n1, $n2)``: one rewrite per listed name."""
 
     names: tuple[str, ...]
-    span: Span = field(default=Span(), compare=False)
+    span: Span = _NOWHERE
 
 
-@dataclass(frozen=True)
-class CaseRangeJustification:
+@_node
+class CaseRangeJustification(NamedTuple):
     """``via ∀a ∈ C`` or ``via (∀a ∈ C, ∀b ∈ D)``: constant intro/elimination."""
 
     bindings: tuple[Quantifier, ...]
-    span: Span = field(default=Span(), compare=False)
+    span: Span = _NOWHERE
 
 
 Justification = Union[RuleJustification, CaseRangeJustification]
 
 
-@dataclass(frozen=True)
-class ProofStep:
+@_node
+class ProofStep(NamedTuple):
     index: int
     term: Term
     justification: Justification | None = None
-    span: Span = field(default=Span(), compare=False)
-    term_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
+    span: Span = _NOWHERE
+    term_spans: tuple[Span, ...] = ()
 
 
-@dataclass(frozen=True)
-class LinearProof:
+@_node
+class LinearProof(NamedTuple):
     steps: tuple[ProofStep, ...]
 
 
-@dataclass(frozen=True)
-class CaseBlock:
+@_node
+class CaseBlock(NamedTuple):
     label: str | None
     ranges: tuple[Quantifier, ...]
     restated: tuple[Term, Term] | None
-    body: "ProofBody"
-    span: Span = field(default=Span(), compare=False)
+    body: ProofBody
+    span: Span = _NOWHERE
 
 
-@dataclass(frozen=True)
-class ByCasesProof:
+@_node
+class ByCasesProof(NamedTuple):
     subjects: tuple[str, ...]
     scrutinee: TypeExpr
     stated_summands: tuple[TypeExpr, ...]
@@ -324,22 +351,22 @@ class ByCasesProof:
 ProofBody = Union[LinearProof, ByCasesProof]
 
 
-@dataclass(frozen=True)
-class TheoremDecl:
+@_node
+class TheoremDecl(NamedTuple):
     name: str
     quantifiers: tuple[Quantifier, ...]
     lhs: Term
     rhs: Term
     proof: ProofBody
-    span: Span = field(default=Span(), compare=False)
-    lhs_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
-    rhs_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
+    span: Span = _NOWHERE
+    lhs_spans: tuple[Span, ...] = ()
+    rhs_spans: tuple[Span, ...] = ()
 
 
 Statement = Union[TypeDecl, FunctionDecl, OperatorDecl, TheoremDecl]
 
 
-@dataclass(frozen=True)
-class Program:
+@_node
+class Program(NamedTuple):
     statements: tuple[Statement, ...]
-    source_name: str = field(default="<input>", compare=False)
+    source_name: str = "<input>"

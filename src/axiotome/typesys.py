@@ -8,14 +8,13 @@ Conformance is width subtyping through sums with invariant type arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Container, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, DiagnosticError, Span, error, warning
 from .syntax import (
-    Axiom, EquationalBody, FormulaicBody, FunctionDecl, OperatorDecl,
+    Axiom, EquationalBody, FormulaicBody, Frozen, FunctionDecl, OperatorDecl,
     ProductBody, Program, SumBody, Term, TheoremDecl, TypeDecl, TypeExpr,
     format_term, format_type,
 )
@@ -24,15 +23,13 @@ if TYPE_CHECKING:
     from .rewrite import RuleSet
 
 
-@dataclass(frozen=True)
-class ConstructorSignature:
+class ConstructorSignature(NamedTuple):
     type_params: tuple[str, ...]
     fields: tuple[tuple[str, TypeExpr], ...]
     result_type: TypeExpr
 
 
-@dataclass(frozen=True)
-class TypingContext:
+class TypingContext(Frozen):
     """Metavariable types plus the type parameters currently in scope.
 
     ``memo`` holds the type of each node typed in the context so far.  A
@@ -41,28 +38,25 @@ class TypingContext:
     context fill its memo together; those that race on a node store equal
     entries, and a dict's single get or set is atomic under the GIL."""
 
-    metavar_types: dict[str, TypeExpr] = field(default_factory=dict)
-    type_params: frozenset[str] = frozenset()
-    memo: dict[Term, TypeExpr] = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, metavar_types: dict[str, TypeExpr] | None = None,
+                 type_params: frozenset[str] = frozenset()) -> None:
+        vars(self).update(metavar_types={} if metavar_types is None else metavar_types,
+                          type_params=type_params, memo={})
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(Frozen):
     """Immutable view of every declaration in a program.
 
     The maps are copied into read-only mappings on construction, so the
     tables derived from them (``rules``, ``signatures``) cannot go stale.
     """
 
-    types: Mapping[str, TypeDecl] = field(default_factory=dict)
-    functions: Mapping[str, FunctionDecl] = field(default_factory=dict)
-    axioms: Mapping[str, tuple[Axiom, str]] = field(default_factory=dict)
-    operators: Mapping[str, str] = field(default_factory=dict)
-    theorems: Mapping[str, TheoremDecl] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            object.__setattr__(self, f.name, MappingProxyType(dict(getattr(self, f.name))))
+    def __init__(self, types: Mapping[str, TypeDecl] = {}, functions: Mapping[str, FunctionDecl] = {},
+                 axioms: Mapping[str, tuple[Axiom, str]] = {}, operators: Mapping[str, str] = {},
+                 theorems: Mapping[str, TheoremDecl] = {}) -> None:
+        tables = {"types": types, "functions": functions, "axioms": axioms, "operators": operators,
+                  "theorems": theorems}
+        vars(self).update((name, MappingProxyType(dict(table))) for name, table in tables.items())
 
     @cached_property
     def rules(self) -> RuleSet:

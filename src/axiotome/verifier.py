@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, DiagnosticError, Severity, error, warning
 from .rewrite import StepEnv, Substitution, _case_sigma, apply_substitution, judge_hop
@@ -31,15 +31,13 @@ from .syntax import (
 from .typesys import Registry, TypingContext, infer_type, join_types, summands, term_metavars
 
 
-@dataclass(frozen=True)
-class InferredVia:
+class InferredVia(NamedTuple):
     case_path: tuple[str, ...]
     step_index: int
     clause: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     theorem: str
     accepted: bool
     diagnostics: tuple[Diagnostic, ...] = ()
@@ -159,19 +157,16 @@ def enter_case(case: CaseBlock, lhs: Term, rhs: Term, env: StepEnv) -> tuple[Ste
     return case_env, diags
 
 
-@dataclass
 class _Verification:
-    registry: Registry
-    theorem: TheoremDecl
-    quantifier_types: dict[str, TypeExpr]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    inferred: list[InferredVia] = field(default_factory=list)
-    #: Types the quantified metavariables, for every term of the theorem, and
-    #: keeps each node's type once known.
-    typing: TypingContext = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.typing = TypingContext(dict(self.quantifier_types), frozenset())
+    def __init__(self, registry: Registry, theorem: TheoremDecl, quantifier_types: dict[str, TypeExpr]) -> None:
+        self.registry = registry
+        self.theorem = theorem
+        self.quantifier_types = quantifier_types
+        self.diagnostics: list[Diagnostic] = []
+        self.inferred: list[InferredVia] = []
+        #: Types the quantified metavariables, for every term of the theorem,
+        #: and keeps each node's type once known.
+        self.typing = TypingContext(dict(quantifier_types), frozenset())
 
     # ----------------------------------------------------------- helpers
 
@@ -272,8 +267,8 @@ class _Verification:
             self.diagnostics.append(warning("W-INFERRED-VIA", f"step {step.index}: {message}", step.span))
         failure = verdict.failure
         if failure is not None:
-            self.diagnostics.append(replace(
-                failure, message=f"step {step.index}{'' if just is None else ':'} {failure.message}",
+            self.diagnostics.append(failure._replace(
+                message=f"step {step.index}{'' if just is None else ':'} {failure.message}",
                 span=failure.span if failure.span.length else step.span))
         return failure is None
 

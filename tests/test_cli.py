@@ -124,6 +124,17 @@ def test_operator_injection_flag(tmp_path):
     assert ascii_alias[0] == 0
 
 
+@pytest.mark.parametrize("glyph, code", [("∨", 0), ("\\/", 0), ("x", 2), ("+", 2), ("forall", 2), ("∀", 2)])
+def test_operator_flag_takes_only_infix_glyphs(glyph, code):
+    # ``∨`` and ``∧``, or their ASCII spellings, can be infix operators; any
+    # other glyph is a usage error, where it used to be ignored.
+    paths = [*BOOL_PATHS, str(corpus_path("de_morgan_corrected.axm"))]
+    got, out, err = run("check", *paths, "--operator", f"{glyph}=not")
+    assert got == code
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and f"'{glyph}=not'" in err
+
+
 def test_case_range_mismatch_shows_type_arguments(tmp_path):
     source = tmp_path / "opt.axm"
     source.write_text(OPT + "  case ∀o ∈ Nil[Boolean]:\n"

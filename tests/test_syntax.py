@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from axiotome.diagnostics import DiagnosticError, Span
 from axiotome.syntax import (
-    Axiom, CaseBlock, CaseRangeJustification, FormulaicBody, FunctionDecl, LinearProof, OperatorDecl,
-    ProductBody, ProofStep, Quantifier, RuleJustification, Term, TheoremDecl, Token,
-    TokenKind, TypeDecl, TypeExpr, format_node, parse_program, parse_term, tokenize,
+    Axiom, ByCasesProof, CaseBlock, CaseRangeJustification, EquationalBody, FormulaicBody, FunctionDecl,
+    LinearProof, OperatorDecl, ProductBody, Program, ProofStep, Quantifier, RuleJustification, SumBody, Term,
+    TheoremDecl, Token, TokenKind, TypeDecl, TypeExpr, format_node, parse_program, parse_term, tokenize,
 )
 
 from conftest import PROGRAM_FIXTURES, corpus_text, load_program
@@ -210,16 +210,37 @@ def respaced_corpus(draw):
     return text
 
 
+#: Every kind of AST node above the terms.
+NODE_KINDS = (
+    Axiom, ByCasesProof, CaseBlock, CaseRangeJustification, EquationalBody, FormulaicBody, FunctionDecl,
+    LinearProof, OperatorDecl, ProductBody, Program, ProofStep, Quantifier, RuleJustification, SumBody,
+    TheoremDecl, TypeDecl, TypeExpr,
+)
+
+
 def _nodes(root):
     """Every AST node under ``root``, walked with an explicit stack."""
     stack = [root]
     while stack:
         node = stack.pop()
-        if dataclasses.is_dataclass(node):
+        if isinstance(node, NODE_KINDS):
             yield node
-            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+            stack.extend(node.args if isinstance(node, TypeExpr) else node)
         elif isinstance(node, tuple) and not isinstance(node, Span):
             stack.extend(node)
+
+
+def test_node_walk_visits_every_node_of_the_corpus_programs():
+    # The span test below finds its nodes with ``_nodes``; a walk that found
+    # none would let it pass without checking a span.
+    kinds = Counter(type(node).__name__ for name in PROGRAM_FIXTURES for node in _nodes(load_program(name)))
+    assert len(PROGRAM_FIXTURES) == 19 and sum(kinds.values()) == 613
+    assert kinds == {
+        "Axiom": 12, "ByCasesProof": 10, "CaseBlock": 24, "CaseRangeJustification": 38, "EquationalBody": 4,
+        "FormulaicBody": 1, "FunctionDecl": 5, "LinearProof": 23, "OperatorDecl": 2, "ProductBody": 9,
+        "Program": 19, "ProofStep": 111, "Quantifier": 108, "RuleJustification": 48, "SumBody": 4,
+        "TheoremDecl": 9, "TypeDecl": 13, "TypeExpr": 173,
+    }
 
 
 def _spanned_terms(node):
