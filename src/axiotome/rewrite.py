@@ -17,19 +17,19 @@ Enumeration order is leftmost-outermost positions, forward before backward,
 which also fixes the witness recorded for steps with several derivations.
 
 The rules a step may use are the oriented rules of one index,
-``RuleSet.moves``, and each carries its reach (``RewriteRule.reach``),
-computed once: where above the fork of two terms (the deepest position
-outside which they agree, found in one walk down both) a rewrite by it can
-turn one into the other.  ``RuleSet.hop`` is the one probe for "which rule
-turns this subterm into that one": it checks a single-name step, runs
-depth-1 inference and answers gap search's ``_may_reach``.  An anchored rule
-is probed at its one site, and the fork's ancestors are walked for the open
-rules only while one could still come first; equal terms are probed at
-every position.  Each match's substituted other side is compared with
-``next``'s subterm there, so no rewritten term is built; the verdicts,
-witnesses and inferred clauses are those of enumerating every rewrite.
-``RuleSet.matches`` returns every match at every position of a term in
-(rank, position) order, for tuple clauses and gap search's moves.
+``RuleSet.moves``, and ``RuleSet.reach`` keeps the reach of each, computed
+once: where above the fork of two terms (the deepest position outside
+which they agree, found in one walk down both) a rewrite by it can turn
+one into the other.  ``RuleSet.hop`` is the one probe for "which rule turns
+this subterm into that one": it checks a single-name step, runs depth-1
+inference and answers gap search's ``_may_reach``.  For distinct terms an
+anchored rule is probed at its one site, and the fork's ancestors are
+walked for the open rules only while one could still come first; equal
+terms go through ``RuleSet.matches``.  Each match's substituted other side
+is compared with ``next``'s subterm there, so no rewritten term is built;
+the verdicts, witnesses and inferred clauses are those of enumerating every
+rewrite.  ``RuleSet.matches`` returns every match at every position of a
+term in (rank, position) order, for tuple clauses and gap search's moves.
 Every other move, of ``clause_edits`` and of gap search, is ``Edits``:
 (position, replacement) pairs at disjoint positions of ``prev``, one per
 rule application, a whole-term one for case-range introduction, and one per
@@ -49,7 +49,6 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations, product
-from math import inf
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -60,6 +59,7 @@ from .syntax import (
     Quantifier, RuleJustification, Term, TypeExpr, format_justification,
     format_term, format_type,
 )
+from .syntax.nodes import _node
 from .typesys import Registry
 from .typesys import term_metavars as term_vars  # re-exported under its older name
 
@@ -82,7 +82,8 @@ class RuleSource(Enum):
     CASE_RANGE = "case-range"
 
 
-class RewriteRule(Frozen):
+@_node
+class RewriteRule(NamedTuple):
     """An oriented rewrite rule; equivalences yield one rule per direction.
     ``lhs_vars`` and ``rhs_vars`` are each side's metavariables, ``free`` the other undeclared leaves of both.
     Rules are equal when their fields are."""
@@ -91,33 +92,14 @@ class RewriteRule(Frozen):
     source: RuleSource
     lhs: Term
     rhs: Term
-    direction: Direction
-    metavars: frozenset[str]
-    lhs_vars: frozenset[str]
-    rhs_vars: frozenset[str]
-    free: frozenset[str]
-
-    def __init__(self, name: str, source: RuleSource, lhs: Term, rhs: Term,
-                 direction: Direction = Direction.FORWARD, metavars: frozenset[str] = frozenset(),
-                 lhs_vars: frozenset[str] = frozenset(), rhs_vars: frozenset[str] = frozenset(),
-                 free: frozenset[str] = frozenset()) -> None:
-        vars(self).update(name=name, source=source, lhs=lhs, rhs=rhs, direction=direction, metavars=metavars,
-                          lhs_vars=lhs_vars, rhs_vars=rhs_vars, free=free)
-
-    def _fields(self) -> tuple:
-        return (self.name, self.source, self.lhs, self.rhs, self.direction, self.metavars,
-                self.lhs_vars, self.rhs_vars, self.free)
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is RewriteRule and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    direction: Direction = Direction.FORWARD
+    metavars: frozenset[str] = frozenset()
+    lhs_vars: frozenset[str] = frozenset()
+    rhs_vars: frozenset[str] = frozenset()
+    free: frozenset[str] = frozenset()
 
     def reversed(self) -> RewriteRule:
-        flipped = Direction.BACKWARD if self.direction is Direction.FORWARD else Direction.FORWARD
-        return RewriteRule(self.name, self.source, self.lhs, self.rhs, flipped, self.metavars,
-                           self.lhs_vars, self.rhs_vars, self.free)
+        return self._replace(direction=Direction.BACKWARD if self.direction is Direction.FORWARD else Direction.FORWARD)
 
     def oriented(self) -> tuple[Term, Term]:
         if self.direction is Direction.FORWARD:
@@ -130,45 +112,6 @@ class RewriteRule(Frozen):
         if self.direction is Direction.FORWARD:
             return self.rhs_vars <= self.lhs_vars
         return self.lhs_vars <= self.rhs_vars
-
-    @cached_property
-    def reach(self) -> int:
-        """How far above the fork of a hop a rewrite by this rule can make
-        it.  A rewrite at ``p`` makes a hop whose fork is ``p`` followed by
-        the ``_fork`` of the substituted sides, so the two sides are walked
-        down together the way ``_fork`` walks two terms.
-
-        A head, type-argument or arity mismatch, or two differing ground
-        argument pairs of an n-ary node, stops ``_fork`` there whatever the
-        substitution.  Met before any metavariable, and before any
-        differing argument pair that holds one, it *anchors* the rule at
-        its depth ``e``: the rule makes a hop only at the fork's ancestor
-        ``e`` above it, and the reach is ``e``.  Otherwise the rule is
-        *open* from the depth ``j`` where the walk stopped: it can make a
-        hop at any ancestor at least ``j`` above the fork, and the reach is
-        ``~j``, negative.  Equal sides make no hop; they read as anchored
-        at 0 (Baader & Nipkow, *Term Rewriting and All That*, 1998, ch. 3)."""
-        src, dst = self.oriented()
-        metavars = self.metavars
-        depth = 0
-        while src is not dst:
-            if _is_var(src, metavars) or _is_var(dst, metavars):
-                return ~depth
-            if src.head != dst.head or src.type_args != dst.type_args or len(src.args) != len(dst.args):
-                return depth
-            i = 0
-            if len(src.args) > 1:
-                differ = [i for i, (a, b) in enumerate(zip(src.args, dst.args)) if a is not b]
-                ground = [i for i in differ if not any(_is_var(n, metavars) for side in (src, dst)
-                                                       for n in side.args[i].postorder())]
-                if len(ground) > 1:
-                    return depth
-                if len(ground) < len(differ):
-                    return ~depth
-                i = differ[0]
-            src, dst = src.args[i], dst.args[i]
-            depth += 1
-        return depth
 
 
 class StepVerdict(NamedTuple):
@@ -361,6 +304,45 @@ def _is_var(term: Term, metavars: frozenset[str]) -> bool:
     return term.head in metavars and not term.args and not term.type_args
 
 
+def _reach(rule: RewriteRule) -> int:
+    """How far above the fork of a hop a rewrite by ``rule`` can make
+    it.  A rewrite at ``p`` makes a hop whose fork is ``p`` followed by
+    the ``_fork`` of the substituted sides, so the two sides are walked
+    down together the way ``_fork`` walks two terms.
+
+    A head, type-argument or arity mismatch, or two differing ground
+    argument pairs of an n-ary node, stops ``_fork`` there whatever the
+    substitution.  Met before any metavariable, and before any
+    differing argument pair that holds one, it *anchors* the rule at
+    its depth ``e``: the rule makes a hop only at the fork's ancestor
+    ``e`` above it, and the reach is ``e``.  Otherwise the rule is
+    *open* from the depth ``j`` where the walk stopped: it can make a
+    hop at any ancestor at least ``j`` above the fork, and the reach is
+    ``~j``, negative.  Equal sides make no hop; they read as anchored
+    at 0 (Baader & Nipkow, *Term Rewriting and All That*, 1998, ch. 3)."""
+    src, dst = rule.oriented()
+    metavars = rule.metavars
+    depth = 0
+    while src is not dst:
+        if _is_var(src, metavars) or _is_var(dst, metavars):
+            return ~depth
+        if src.head != dst.head or src.type_args != dst.type_args or len(src.args) != len(dst.args):
+            return depth
+        i = 0
+        if len(src.args) > 1:
+            differ = [i for i, (a, b) in enumerate(zip(src.args, dst.args)) if a is not b]
+            ground = [i for i in differ if not any(_is_var(n, metavars) for side in (src, dst)
+                                                   for n in side.args[i].postorder())]
+            if len(ground) > 1:
+                return depth
+            if len(ground) < len(differ):
+                return ~depth
+            i = differ[0]
+        src, dst = src.args[i], dst.args[i]
+        depth += 1
+    return depth
+
+
 def _rule(name: str, source: RuleSource, lhs: Term, rhs: Term, metavars, registry: Registry) -> RewriteRule:
     metavars = frozenset(metavars)
     lhs_names, rhs_names = ({sub.head for sub in side.postorder() if not (sub.args or sub.type_args)}
@@ -509,13 +491,16 @@ class RuleSet(Frozen):
                                         for d, o in enumerate((rule, rule.reversed())) if o.determined()]))
 
     @cached_property
-    def reach(self) -> tuple[tuple[int, ...], tuple[tuple[int, RewriteRule], ...]]:
-        """The reach of the rules of ``moves`` as a whole, which ``hop``
-        walks: the depths the anchored rules are anchored at, ascending,
-        and the open rules, ranked, in rank order."""
+    def reach(self) -> tuple[tuple[int, ...], tuple[tuple[int, RewriteRule], ...], tuple[int | None, ...]]:
+        """The reach of the rules of ``moves``, which ``hop`` walks: the
+        depths the anchored rules are anchored at, ascending, the open
+        rules, ranked, in rank order, and each rule's ``_reach`` by rank
+        (None at a rank that is not a move)."""
         ranked = sorted(dict(chain.from_iterable(self.moves.values())).items())
-        return (tuple(sorted({o.reach for _, o in ranked if o.reach >= 0})),
-                tuple((rank, o) for rank, o in ranked if o.reach < 0))
+        reaches = {rank: _reach(o) for rank, o in ranked}
+        return (tuple(sorted({e for e in reaches.values() if e >= 0})),
+                tuple((rank, o) for rank, o in ranked if reaches[rank] < 0),
+                tuple(map(reaches.get, range(2 * len(self.rules)))))
 
     def orthogonal_over(self, heads: Iterable[str]) -> bool:
         """Are the reductions that can fire on a term built from ``heads``,
@@ -561,45 +546,42 @@ class RuleSet(Frozen):
         """The first rewrite of ``prev`` into ``next_term`` by a rule of
         ``moves`` in (rank, site) order, sites outermost first, as a witness
         entry; ``only`` and ``exclude`` as for ``matches``.  Each rule is
-        tried only where its ``reach`` lets it make the hop: the sites are
-        the subterms on the path down to ``_fork``'s fork, each anchored
-        depth's site is probed for the rules anchored there, and then the
-        sites are probed outermost first for the open rules while one ranked
-        before the best hit so far remains.  Equal terms are probed at every
-        position, for every rule."""
-        # A probe is (site, least reach, greatest reach); ``ranks`` holds
-        # the ranks of the admitted open rules.
+        tried only where its reach lets it make the hop: the sites are the
+        subterms on the path down to ``_fork``'s fork, each anchored depth's
+        site is probed for the rules anchored there, and then the sites are
+        probed outermost first for the open rules while one ranked before
+        the best hit so far remains.  Equal terms are answered by the first
+        of ``matches`` that leaves its subterm as it is."""
         fork = _fork(prev, next_term)
-        if fork is None:  # every site admits every rule
-            places = positions(prev)
-            spine = [(sub, sub) for _, sub in places]
-            probes, ranks = ((at, -inf, inf) for at in range(len(spine))), []
-        else:  # anchored depths, then the open walk
-            depths, opened = self.reach
-            spine = [(prev, next_term)]
-            for i in fork:
-                prev, next_term = prev.args[i], next_term.args[i]
-                spine.append((prev, next_term))
-            n = len(fork)
-            ranks = [rank for rank, rule in opened if _admits(rule, exclude, only)]
-            probes = chain(((n - e, e, e) for e in depths if e <= n), ((at, ~(n - at), -1) for at in range(n + 1)))
-        moves, best = self.moves, (len(self.rules) * 2, 0, None, None)  # (rank, site, rule, substitution)
-        for at, low, high in probes:
-            if high < 0 and not (ranks and ranks[0] < best[0]):
+        if fork is None:
+            for _, pos, rule, sigma in self.matches(prev, exclude, only):
+                if apply_substitution(sigma, rule.oriented()[1]) is subterm_at(prev, pos):
+                    return pos, rule, sigma
+            return None
+        depths, opened, reach = self.reach
+        spine = [(prev, next_term)]
+        for i in fork:
+            prev, next_term = prev.args[i], next_term.args[i]
+            spine.append((prev, next_term))
+        # A probe is (site, least reach, greatest reach); ``first_open`` is
+        # the rank of the first admitted open rule, else past every rank.
+        n, moves, best = len(fork), self.moves, (len(reach), 0, None, None)  # (rank, site, rule, substitution)
+        first_open = next((rank for rank, rule in opened if _admits(rule, exclude, only)), best[0])
+        for at, low, high in chain(((n - e, e, e) for e in depths if e <= n),
+                                   ((at, ~(n - at), -1) for at in range(n + 1))):
+            if high < 0 and first_open >= best[0]:
                 break
             sub, goal = spine[at]
             for rank, rule in rules_at(moves, sub):
                 if rank >= best[0]:
                     break
-                if low <= rule.reach <= high and _admits(rule, exclude, only):
+                if low <= reach[rank] <= high and _admits(rule, exclude, only):
                     src, dst = rule.oriented()
                     sigma = match(src, sub, rule.metavars)
                     if sigma is not None and apply_substitution(sigma, dst) is goal:
                         best = rank, at, rule, sigma
                         break
-        if best[2] is None:
-            return None
-        return (places[best[1]][0] if fork is None else fork[:best[1]]), best[2], best[3]
+        return None if best[2] is None else (fork[:best[1]], best[2], best[3])
 
 
 def resolve_rule(name: str, env: StepEnv) -> RewriteRule | Diagnostic:
@@ -637,6 +619,43 @@ def _tuple_edits(prev: Term, names: tuple[str, ...], rules: RuleSet) -> list[tup
               for _, pos, rule, sigma in rules.matches(prev, only=name)] for name in names]
     return [(tuple(edit for edit, _ in combo), tuple(step for _, step in combo)) for combo in product(*moves)
             if all(_disjoint(p[0], q[0]) for (p, _), (q, _) in combinations(combo, 2))]
+
+
+def _tuple_witness(prev: Term, next_term: Term, names: tuple[str, ...], rules: RuleSet) -> tuple | None:
+    """The witness of the first of ``_tuple_edits(prev, names, rules)``
+    that turns ``prev`` into ``next_term``, or None.
+
+    Only a move whose replacement ``next_term`` holds at its position can
+    be part of such a combination, so each name keeps only those of its
+    matches, and the combinations are walked in product order with a
+    stack, each extended only by a move disjoint from the ones chosen.  A
+    name that occurs again takes only moves after the ones it took: a
+    permutation of one name's moves makes the same edits, so the first
+    combination that reaches ``next_term`` takes each name's moves in
+    order.  Only a full combination's result is built."""
+    held: dict[str, list[tuple[Position, Term, tuple]]] = {}
+    for name in names:
+        if name not in held:
+            held[name] = []
+            for _, pos, rule, sigma in rules.matches(prev, only=name):
+                new = apply_substitution(sigma, rule.oriented()[1])
+                if subterm_at(next_term, pos) is new:
+                    held[name].append((pos, new, (pos, rule, dict(sigma))))
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        chosen = stack.pop()
+        j = len(chosen)
+        if j == len(names):
+            moves = [held[name][i] for name, i in zip(names, chosen)]
+            if _applied(prev, tuple((pos, new) for pos, new, _ in moves)) is next_term:
+                return tuple(step for _, _, step in moves)
+            continue
+        options = held[names[j]]
+        taken = [held[name][i][0] for name, i in zip(names, chosen)]
+        start = next((i + 1 for name, i in zip(reversed(names[:j]), reversed(chosen)) if name == names[j]), 0)
+        stack.extend(chosen + (i,) for i in reversed(range(start, len(options)))
+                     if all(_disjoint(options[i][0], p) for p in taken))
+    return None
 
 
 # ---------------------------------------------------------- case ranges
@@ -777,15 +796,14 @@ def check_justified_step(prev: Term, next_term: Term, just: Justification, env: 
             return StepVerdict(True, witness=(((), rule, dict(sigma)),))
         return StepVerdict(False, failure=_unjustified(prev, next_term, just))
 
-    # A tuple: a move's result is built only once ``next_term`` holds
-    # every replacement (see ``_reached``).
-    outcomes = clause_edits(prev, just, env)
-    if isinstance(outcomes, Diagnostic):
-        return StepVerdict(False, failure=outcomes)
-    fork = _fork(prev, next_term)
-    for edits, witness in outcomes:
-        if _reached(prev, edits, next_term, fork) is not None:
-            return StepVerdict(True, witness=witness)
+    # A tuple: its names resolve in order, as for ``clause_edits``.
+    for name in just.names:
+        rule = resolve_rule(name, env)
+        if isinstance(rule, Diagnostic):
+            return StepVerdict(False, failure=rule)
+    witness = _tuple_witness(prev, next_term, just.names, env.registry.rules)
+    if witness is not None:
+        return StepVerdict(True, witness=witness)
     return StepVerdict(False, failure=_unjustified(prev, next_term, just))
 
 

@@ -50,6 +50,25 @@ class TokenKind(Enum):
     EOF = "eof"
 
 
+def _node(cls):
+    """Make the named tuple ``cls`` a node record, as every AST node, token
+    and rewrite rule is: equal only to a record of its own class, and
+    compared and hashed by the fields before its spans (``span``,
+    ``source_name`` and ``*_spans`` come last), so two parses of equivalent
+    text compare equal and a record never equals a plain tuple."""
+    n = next((i for i, f in enumerate(cls._fields) if f in ("span", "source_name") or f.endswith("_spans")),
+             len(cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is cls and self[:n] == other[:n]
+
+    cls.__eq__ = __eq__
+    cls.__ne__ = lambda self, other: not __eq__(self, other)  # tuple's own ``!=`` would compare every field
+    cls.__hash__ = lambda self: hash(self[:n])
+    return cls
+
+
+@_node
 class Token(NamedTuple):
     """A lexeme of one kind; equal tokens have equal kinds and lexemes,
     wherever they stand and whatever comments precede them."""
@@ -58,15 +77,6 @@ class Token(NamedTuple):
     lexeme: str
     span: Span = Span()
     trivia: tuple[str, ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Token) and self.kind is other.kind and self.lexeme == other.lexeme
-
-    def __ne__(self, other: object) -> bool:  # tuple's own ``!=`` would compare every field
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.lexeme))
 
 
 def _record(table: dict[tuple, ref], key: tuple, obj):
@@ -207,23 +217,6 @@ class Term(Frozen):
 
 #: Set a new term's slots, which ``Frozen.__setattr__`` refuses.
 _set_head, _set_type_args, _set_args = Term.head.__set__, Term.type_args.__set__, Term.args.__set__
-
-
-def _node(cls):
-    """Make the named tuple ``cls`` an AST node: equal only to a node of its
-    own class, and compared and hashed by the fields before its spans
-    (``span``, ``source_name`` and ``*_spans`` come last), so two parses of
-    equivalent text compare equal and a node never equals a plain tuple."""
-    n = next((i for i, f in enumerate(cls._fields) if f in ("span", "source_name") or f.endswith("_spans")),
-             len(cls._fields))
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is cls and self[:n] == other[:n]
-
-    cls.__eq__ = __eq__
-    cls.__ne__ = lambda self, other: not __eq__(self, other)  # tuple's own ``!=`` would compare every field
-    cls.__hash__ = lambda self: hash(self[:n])
-    return cls
 
 
 @_node

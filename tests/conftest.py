@@ -279,7 +279,7 @@ RULE_TERMS = terms({"not": 1, "and": 2, "or": 2, "if": 3, "doubleNegation": 1, "
                    ("False", "True", "a", "b"))
 
 
-#: Rules that ``RewriteRule.reach`` tells apart, ranks ascending: open ones
+#: Rules that ``rewrite._reach`` tells apart, ranks ascending: open ones
 #: (a non-linear side, differing arguments that hold metavariables, one
 #: open from depth 1 and the theorem ``¶dn``) and anchored ones (at the
 #: root, by two differing ground arguments or by type arguments, and at

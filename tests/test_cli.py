@@ -501,6 +501,54 @@ def test_deep_step_is_checked(tmp_path, k):
     assert run("check", *BOOL_PATHS, str(source)) == (0, "¶deep: accepted\n", "")
 
 
+def _and_chain(leaves: list[str]) -> str:
+    chain = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        chain = f"and({leaf}, {chain})"
+    return chain
+
+
+def _wide_tuple_theorem(k: int, first: str = "True", via: bool = True) -> str:
+    """``k`` leaves ``not(False)`` turned into ``first`` and ``True``s in
+    one step, by a ``via`` naming ``$not°F`` ``k`` times or by none."""
+    lhs, rhs = _and_chain(["not(False)"] * k), _and_chain([first] + ["True"] * (k - 1))
+    clause = f" via ({', '.join(['$not°F'] * k)})" if via else ""
+    return f"theorem ¶wide: {lhs} ↔ {rhs}\nproof\n  0. {lhs}\n  1. {rhs}{clause}\n"
+
+
+@pytest.mark.parametrize("k", [7, 10, 12])
+def test_check_judges_a_wide_tuple_step_within_a_time_bound(tmp_path, k):
+    # Each name of a tuple takes only the moves whose replacement the next
+    # term holds, and a repeated name its moves in order: checking the whole
+    # product of the names' matches took 3.3 s at k = 7 and 87 s at k = 8.
+    # Without the order, rejecting took 26 s at k = 10 (2-core x86-64 VM).
+    source = tmp_path / "wide.axm"
+    source.write_text(_wide_tuple_theorem(k), encoding="utf-8")
+    started = time.perf_counter()
+    assert run("check", *BOOL_PATHS, str(source)) == (0, "¶wide: accepted\n", "")
+    assert time.perf_counter() - started < 1
+    source.write_text(_wide_tuple_theorem(k, first="False"), encoding="utf-8")
+    started = time.perf_counter()
+    code, out, _ = run("check", *BOOL_PATHS, str(source), "--machine")
+    assert time.perf_counter() - started < 1
+    lines = [l for l in out.splitlines() if l]
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith("E-UNJUSTIFIED-STEP\terror\t") and "step 1:" in lines[0]
+
+
+@pytest.mark.parametrize("k", [7, 12])
+def test_fill_writes_a_wide_tuple_step_that_check_accepts(tmp_path, k):
+    # Gap search inserts the k-way tuple itself and re-verifies it.
+    source, target = tmp_path / "wide.axm", tmp_path / "out.axm"
+    source.write_text(_wide_tuple_theorem(k, via=False), encoding="utf-8")
+    started = time.perf_counter()
+    code, out, _ = run("fill", str(source), *BOOL_PATHS, "-o", str(target))
+    assert code == 0 and out.startswith("¶wide: repaired\n")
+    assert target.read_text(encoding="utf-8") == _wide_tuple_theorem(k)
+    assert run("check", *BOOL_PATHS, str(target)) == (0, "¶wide: accepted\n", "")
+    assert time.perf_counter() - started < 2
+
+
 def test_deep_type_argument_is_checked(tmp_path):
     # Type expressions compare by their interned bare form, and typing a
     # polymorphic application walks its type arguments with a stack.

@@ -10,7 +10,7 @@ import pytest
 
 from axiotome.diagnostics import Diagnostic, Severity, Span, error
 from axiotome.rewrite import StepEnv, StepVerdict, check_justified_step
-from axiotome.syntax import RuleJustification, parse_program, parse_term
+from axiotome.syntax import RuleJustification, parse_program, parse_term, tokenize
 
 from conftest import BOOL_FNS, PROGRAM_FIXTURES, corpus_text, load_registry
 from test_syntax import NODE_KINDS, _nodes
@@ -38,6 +38,13 @@ def _rule():
     return load_registry(*BOOL_FNS).rules.named["$not°F"]
 
 
+def _token_pairs() -> list[tuple]:
+    """The tokens of a corpus text, each beside its twin from the same text
+    after a comment and a blank line, so spans and trivia differ."""
+    text = corpus_text("not_function.axm")
+    return list(zip(tokenize(text), tokenize("// moved\n\n" + text, "elsewhere.axm"), strict=True))
+
+
 #: Pairs of equal records built apart, by record kind: the AST nodes, then
 #: the others.
 OTHERS = {
@@ -45,6 +52,7 @@ OTHERS = {
                             Diagnostic(Severity.ERROR, "E-SYNTAX", "m", Span("a.axm", 2, 3, 4)))],
     "StepVerdict": lambda: [(_verdict(), _verdict())],
     "RewriteRule": lambda: [(_rule(), _rule().reversed().reversed())],
+    "Token": _token_pairs,
 }
 RECORDS = {**{kind.__name__: lambda kind=kind: _node_pairs(kind) for kind in NODE_KINDS}, **OTHERS}
 
@@ -62,9 +70,10 @@ def test_records_compare_hash_pickle_and_refuse_changes(record):
             setattr(a, field, getattr(b, field))
         with pytest.raises(AttributeError):
             delattr(a, field)
-    if record not in OTHERS:
+    if record not in OTHERS or record == "Token":
         # Equal, yet parsed at other places: equality ignores the spans.
         assert all(a.span != b.span for a, b in pairs if hasattr(a, "span"))
+    if record not in ("Diagnostic", "StepVerdict"):  # ``_node`` records equal no plain tuple
         assert all(a != tuple(a) for a, _ in pairs if isinstance(a, tuple))
     if record == "Diagnostic":
         with pytest.raises(ValueError):
@@ -76,3 +85,6 @@ def test_records_compare_hash_pickle_and_refuse_changes(record):
     if record == "RewriteRule":
         rule = pairs[0][0]
         assert rule.reversed() != rule and rule.reversed().reversed() == rule
+        assert not hasattr(rule, "__dict__")  # nothing can be cached on a rule
+    if record == "Token":
+        assert pairs[0][0].trivia != pairs[0][1].trivia

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axiotome.diagnostics import DiagnosticError, Span, error
-from axiotome.rewrite import RewriteRule
+from axiotome.rewrite import RewriteRule, _reach
 from axiotome.syntax import SumBody, Term, TypeExpr, format_term, format_type, parse_program, parse_term
 from axiotome.typesys import (
     TypingContext, _mentions_unsolved, _solve_params, build_registry, check_well_formed, conforms,
@@ -110,7 +110,7 @@ def test_built_registry_is_immutable(bool_registry):
 def test_checked_registry_holds_only_read_only_maps_and_two_rule_indexes():
     # Typing reads the signature table, built whole; checking steps reads
     # the ``moves`` index, whatever rule a clause cites, and the reach of
-    # its rules, a pair of tuples.
+    # its rules, a triple of tuples.
     registry = load_registry(*BOOL_FNS, "triple_negation.axm", "de_morgan_corrected.axm")
     assert check_well_formed(registry) == []
     assert all(verify_theorem(thm, registry).accepted for thm in registry.theorems.values())
@@ -123,8 +123,9 @@ def test_checked_registry_holds_only_read_only_maps_and_two_rule_indexes():
     assert all(isinstance(vars(rules)[name], MappingProxyType) for name in ("named", "reductions", "moves"))
     assert all(isinstance(rank, int) and isinstance(rule, RewriteRule)
                for index in (rules.reductions, rules.moves) for ranked in index.values() for rank, rule in ranked)
-    depths, opened = rules.reach
-    assert isinstance(depths, tuple) and isinstance(opened, tuple)
+    depths, opened, by_rank = rules.reach
+    assert isinstance(depths, tuple) and isinstance(opened, tuple) and isinstance(by_rank, tuple)
+    assert all(by_rank[rank] == _reach(rule) for ranked in rules.moves.values() for rank, rule in ranked)
 
 
 def test_axiom_arity_violation():
