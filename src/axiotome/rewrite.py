@@ -29,12 +29,14 @@ terms go through ``RuleSet.matches``.  Each match's substituted other side
 is compared with ``next``'s subterm there, so no rewritten term is built;
 the verdicts, witnesses and inferred clauses are those of enumerating every
 rewrite.  ``RuleSet.matches`` returns every match at every position of a
-term in (rank, position) order, for tuple clauses and gap search's moves.
-Every other move, of ``clause_edits`` and of gap search, is ``Edits``:
-(position, replacement) pairs at disjoint positions of ``prev``, one per
-rule application, a whole-term one for case-range introduction, and one per
-constructor occurrence for elimination.  Only callers that need the term
-build it (``_applied``); ``_reached`` tests a move against a target first.
+term in (rank, position) order, for gap search's moves and for tuples: one
+stack walk, ``_combinations``, takes a tuple's combinations for tuple
+checks, ``clause_edits`` and ``clause_images`` alike.  Every other move, of
+``clause_edits`` and of gap search, is ``Edits``: (position, replacement)
+pairs at disjoint positions of ``prev``, one per rule application, a
+whole-term one for case-range introduction, and one per constructor
+occurrence for elimination.  Only callers that need the term build it
+(``_applied``); ``_reached`` tests a move against a target first.
 
 Declarations become rewrite rules in one place, ``RuleSet``, built once per
 registry (``Registry.rules``) and indexed by head symbol and first argument.
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, product
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -609,52 +611,34 @@ def _disjoint(p: Position, q: Position) -> bool:
     return p[:shorter] != q[:shorter]
 
 
-def _tuple_edits(prev: Term, names: tuple[str, ...], rules: RuleSet) -> list[tuple[Edits, tuple]]:
-    """Simultaneous application of one rewrite per named rule at pairwise
-    disjoint positions of ``prev``, as (edits, witness); for one name, each
-    single application.  Each rule's matches come from ``RuleSet.matches``
-    with ``only`` its name, so every direction mix is tried, forward before
-    backward, leftmost-outermost first, the first name varying slowest."""
-    moves = [[((pos, apply_substitution(sigma, rule.oriented()[1])), (pos, rule, dict(sigma)))
-              for _, pos, rule, sigma in rules.matches(prev, only=name)] for name in names]
-    return [(tuple(edit for edit, _ in combo), tuple(step for _, step in combo)) for combo in product(*moves)
-            if all(_disjoint(p[0], q[0]) for (p, _), (q, _) in combinations(combo, 2))]
-
-
-def _tuple_witness(prev: Term, next_term: Term, names: tuple[str, ...], rules: RuleSet) -> tuple | None:
-    """The witness of the first of ``_tuple_edits(prev, names, rules)``
-    that turns ``prev`` into ``next_term``, or None.
-
-    Only a move whose replacement ``next_term`` holds at its position can
-    be part of such a combination, so each name keeps only those of its
-    matches, and the combinations are walked in product order with a
-    stack, each extended only by a move disjoint from the ones chosen.  A
-    name that occurs again takes only moves after the ones it took: a
-    permutation of one name's moves makes the same edits, so the first
-    combination that reaches ``next_term`` takes each name's moves in
-    order.  Only a full combination's result is built."""
-    held: dict[str, list[tuple[Position, Term, tuple]]] = {}
-    for name in names:
-        if name not in held:
-            held[name] = []
-            for _, pos, rule, sigma in rules.matches(prev, only=name):
-                new = apply_substitution(sigma, rule.oriented()[1])
-                if subterm_at(next_term, pos) is new:
-                    held[name].append((pos, new, (pos, rule, dict(sigma))))
+def _combinations(names: tuple[str, ...], moves: Mapping[str, list[tuple]]) -> Iterator[tuple]:
+    """Each combination of one of ``moves[name]``, (position, replacement,
+    witness entry), per name of ``names`` at pairwise disjoint positions,
+    in product order, the first name varying slowest.  The combinations
+    are walked with a stack, each extended only by a move disjoint from the
+    ones chosen.  A name that occurs again takes only moves after the ones
+    it took: a permutation of one name's moves makes the same edits, so
+    each set of edits comes once, where product order first reaches it."""
     stack: list[tuple[int, ...]] = [()]
     while stack:
         chosen = stack.pop()
         j = len(chosen)
         if j == len(names):
-            moves = [held[name][i] for name, i in zip(names, chosen)]
-            if _applied(prev, tuple((pos, new) for pos, new, _ in moves)) is next_term:
-                return tuple(step for _, _, step in moves)
+            yield tuple(moves[name][i] for name, i in zip(names, chosen))
             continue
-        options = held[names[j]]
-        taken = [held[name][i][0] for name, i in zip(names, chosen)]
+        options = moves[names[j]]
+        taken = [moves[name][i][0] for name, i in zip(names, chosen)]
         start = next((i + 1 for name, i in zip(reversed(names[:j]), reversed(chosen)) if name == names[j]), 0)
         stack.extend(chosen + (i,) for i in reversed(range(start, len(options)))
                      if all(_disjoint(options[i][0], p) for p in taken))
+
+
+def _unresolved(just: RuleJustification, env: StepEnv) -> Diagnostic | None:
+    """The diagnostic of the first of ``just``'s names that names no rule."""
+    for name in just.names:
+        rule = resolve_rule(name, env)
+        if isinstance(rule, Diagnostic):
+            return rule
     return None
 
 
@@ -721,9 +705,10 @@ def clause_edits(prev: Term, just: Justification, env: StepEnv) -> list[tuple[Ed
     """Deterministically ordered list of the moves from ``prev`` in one
     justified step under ``just``, as (edits, witness).
 
-    A rule clause, one name or a tuple, is applied by ``_tuple_edits`` at
+    A rule clause, one name or a tuple, is applied by ``_combinations`` at
     every position of ``prev``: a single name's moves are its forward
-    rewrites, then its backward ones, each outermost first.
+    rewrites, then its backward ones, each outermost first.  A repeated
+    name takes its moves in order, so each set of edits comes once.
 
     For case ranges, elimination moves replace every constructor
     occurrence; ``check_justified_step`` is more permissive there (any
@@ -737,17 +722,21 @@ def clause_edits(prev: Term, just: Justification, env: StepEnv) -> list[tuple[Ed
         witness = (((), rule, _case_sigma(just.bindings)),)
         return [(edits, witness) for edits in _case_edits(prev, just)]
 
-    for name in just.names:
-        rule = resolve_rule(name, env)
-        if isinstance(rule, Diagnostic):
-            return rule
-    return _tuple_edits(prev, just.names, env.registry.rules)
+    bad = _unresolved(just, env)
+    if bad is not None:
+        return bad
+    rules = env.registry.rules
+    moves = {name: [(pos, apply_substitution(sigma, rule.oriented()[1]), (pos, rule, dict(sigma)))
+                    for _, pos, rule, sigma in rules.matches(prev, only=name)] for name in dict.fromkeys(just.names)}
+    return [(tuple((pos, new) for pos, new, _ in combo), tuple(step for _, _, step in combo))
+            for combo in _combinations(just.names, moves)]
 
 
 def clause_images(term: Term, just: Justification, env: StepEnv) -> Iterator[Term]:
     """The distinct results of ``just``'s moves from ``term``, in
     ``clause_edits`` order, each built as it is asked for; none when the
-    clause does not resolve."""
+    clause does not resolve.  Each set of edits comes once, so the images
+    come as the distinct results of every combination would."""
     outcomes = clause_edits(term, just, env)
     if isinstance(outcomes, Diagnostic):
         return
@@ -773,16 +762,13 @@ def check_justified_step(prev: Term, next_term: Term, just: Justification, env: 
     ``next_term``, so no rewritten term is built.  The witness is the first
     in forward-then-backward, outermost-first order, as when every rewrite
     of ``prev`` is enumerated.
-    """
-    if isinstance(just, RuleJustification) and len(just.names) == 1:
-        rule = resolve_rule(just.names[0], env)
-        if isinstance(rule, Diagnostic):
-            return StepVerdict(False, failure=rule)
-        hit = env.registry.rules.hop(prev, next_term, only=rule.name)
-        if hit is not None:
-            return StepVerdict(True, witness=(hit,))
-        return StepVerdict(False, failure=_unjustified(prev, next_term, just))
 
+    A tuple keeps, of each distinct name's ``RuleSet.matches``, only the
+    moves whose replacement ``next_term`` holds at its position, as no
+    other can make the step.  ``_combinations`` walks those as it walks all
+    of them for ``clause_edits``; the witness is the first combination
+    whose result, the only term built, is ``next_term``.
+    """
     if isinstance(just, CaseRangeJustification):
         bad = _validate_case_bindings(just, env)
         if bad is not None:
@@ -796,12 +782,23 @@ def check_justified_step(prev: Term, next_term: Term, just: Justification, env: 
             return StepVerdict(True, witness=(((), rule, dict(sigma)),))
         return StepVerdict(False, failure=_unjustified(prev, next_term, just))
 
-    # A tuple: its names resolve in order, as for ``clause_edits``.
-    for name in just.names:
-        rule = resolve_rule(name, env)
-        if isinstance(rule, Diagnostic):
-            return StepVerdict(False, failure=rule)
-    witness = _tuple_witness(prev, next_term, just.names, env.registry.rules)
+    bad = _unresolved(just, env)
+    if bad is not None:
+        return StepVerdict(False, failure=bad)
+    rules = env.registry.rules
+    if len(just.names) == 1:
+        hit = rules.hop(prev, next_term, only=just.names[0])
+        witness = None if hit is None else (hit,)
+    else:
+        held: dict[str, list[tuple]] = {}
+        for name in dict.fromkeys(just.names):
+            held[name] = []
+            for _, pos, rule, sigma in rules.matches(prev, only=name):
+                new = apply_substitution(sigma, rule.oriented()[1])
+                if subterm_at(next_term, pos) is new:
+                    held[name].append((pos, new, (pos, rule, dict(sigma))))
+        witness = next((tuple(step for _, _, step in combo) for combo in _combinations(just.names, held)
+                        if _applied(prev, tuple((pos, new) for pos, new, _ in combo)) is next_term), None)
     if witness is not None:
         return StepVerdict(True, witness=witness)
     return StepVerdict(False, failure=_unjustified(prev, next_term, just))

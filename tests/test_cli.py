@@ -549,6 +549,71 @@ def test_fill_writes_a_wide_tuple_step_that_check_accepts(tmp_path, k):
     assert time.perf_counter() - started < 2
 
 
+def _tuple_of(name: str, k: int) -> str:
+    return f"({', '.join([name] * k)})"
+
+
+@pytest.mark.parametrize("k", [7, 12])
+def test_fill_displaces_a_wide_tuple_step_within_a_time_bound(tmp_path, k):
+    # The written k-way ``$not°T`` step belongs one hop later.  Displacing
+    # it walks the clause's combinations, a repeated name taking its moves
+    # in order: the whole product of its matches took 4.0 s at k = 7
+    # (2-core x86-64 VM).
+    lhs, rhs = _and_chain(["not(not(False))"] * k), _and_chain(["False"] * (k - 1))
+    nots, falses = _and_chain(["not(True)"] * k), _and_chain(["False"] * k)
+    source, target = tmp_path / "t.axm", tmp_path / "out.axm"
+    source.write_text(f"theorem ¶t: {lhs} ↔ {rhs}\nproof\n  0. {lhs}\n  1. {nots} via {_tuple_of('$not°T', k)}\n"
+                      f"  2. {rhs} via $and°FF\n", encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run("fill", str(source), *BOOL_PATHS, "-o", str(target))
+    assert (code, err) == (0, "")
+    assert out == (f"¶t: repaired\n  + 1. {nots} via {_tuple_of('$not°F', k)}\n"
+                   f"  + 2. {falses} via {_tuple_of('$not°T', k)}\nwrote {target}\n")
+    assert target.read_text(encoding="utf-8") == (
+        f"theorem ¶t: {lhs} ↔ {rhs}\nproof\n  0. {lhs}\n  1. {nots} via {_tuple_of('$not°F', k)}\n"
+        f"  2. {falses} via {_tuple_of('$not°T', k)}\n  3. {rhs} via $and°FF\n")
+    assert run("check", *BOOL_PATHS, str(target)) == (0, "¶t: accepted\n", "")
+    assert time.perf_counter() - started < 2
+
+
+@pytest.mark.parametrize("k", [7, 12])
+def test_fill_gives_up_on_a_wide_tuple_step_within_a_time_bound(tmp_path, k):
+    # Step 1 makes k - 1 rewrites, not k, and no insertion mends it, so
+    # every image of its clause is tried and rejected: 5.5 s at k = 7 when
+    # the images came from the whole product of its matches.
+    lhs, rhs = _and_chain(["not(False)"] * k), _and_chain(["True"] * k)
+    step = _and_chain(["not(False)"] + ["True"] * (k - 1))
+    source, target = tmp_path / "t.axm", tmp_path / "out.axm"
+    source.write_text(f"theorem ¶t: {lhs} ↔ {rhs}\nproof\n  0. {lhs}\n  1. {step} via {_tuple_of('$not°F', k)}\n"
+                      f"  2. {rhs} via $not°F\n", encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run("fill", str(source), *BOOL_PATHS, "-o", str(target))
+    assert time.perf_counter() - started < 2
+    assert (code, err) == (1, "")
+    assert out == (f"¶t: not repairable by insertion\n  step 1: via {_tuple_of('$not°F', k)} does not justify "
+                   f"{lhs} into {step}\nwrote {target}\n")
+
+
+def test_check_rejects_a_five_name_tuple_within_a_time_bound(tmp_path):
+    # Each of the five names rewrites every ``False`` leaf backwards, so the
+    # unfiltered walk over twelve leaves visits about 12·11·10·9·8 combinations
+    # (about 6 s on a 2-core x86-64 VM).  A tuple check keeps only the moves
+    # whose replacement the next term holds: one per name here, and the
+    # last leaf, which no name rewrites, differs.
+    names = ["$not°T", "$and°FF", "$and°FT", "$and°TF", "$or°FF"]
+    images = ["not(True)", "and(False, False)", "and(False, True)", "and(True, False)", "or(False, False)"]
+    lhs, rhs = _and_chain(["False"] * 12), _and_chain(images + ["False"] * 6 + ["True"])
+    source = tmp_path / "t.axm"
+    source.write_text(f"theorem ¶t: {lhs} ↔ {rhs}\nproof\n  0. {lhs}\n  1. {rhs} via ({', '.join(names)})\n",
+                      encoding="utf-8")
+    started = time.perf_counter()
+    code, out, _ = run("check", *BOOL_PATHS, str(source), "--machine")
+    assert time.perf_counter() - started < 1
+    lines = [l for l in out.splitlines() if l]
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith("E-UNJUSTIFIED-STEP\terror\t") and "step 1:" in lines[0]
+
+
 def test_deep_type_argument_is_checked(tmp_path):
     # Type expressions compare by their interned bare form, and typing a
     # polymorphic application walks its type arguments with a stack.

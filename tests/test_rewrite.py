@@ -12,7 +12,7 @@ from axiotome.oracle import enumerable_domain, normalize
 from axiotome.rewrite import (
     Direction, RewriteRule, RuleSource, StepEnv, StepVerdict, _applied, _case_sigma, _fork,
     _unjustified, _validate_case_bindings, apply_substitution, check_justified_step, clause_edits,
-    infer_step_justification, judge_hop, match, positions, replace_at, resolve_rule, subterm_at,
+    clause_images, infer_step_justification, judge_hop, match, positions, replace_at, resolve_rule, subterm_at,
 )
 from axiotome.search import successor_edits, successor_moves
 from axiotome.syntax import (
@@ -509,7 +509,18 @@ def test_tuple_and_case_edits_agree_with_enumeration(prev, env, names, data):
         clauses.append(CaseRangeJustification(env.case_bindings))
     nexts = _draw_nexts(prev, env, data)
     for clause in clauses:
-        assert _built(prev, clause_edits(prev, clause, env)) == _reference_clause_results(prev, clause, env)
+        reference = _reference_clause_results(prev, clause, env)
+        expected = reference
+        if isinstance(clause, RuleJustification) and not isinstance(reference, Diagnostic):
+            # A permutation of a repeated name's moves makes the same edits:
+            # each set of edits comes once, where it first comes.
+            firsts = {}
+            for result, witness in reference:
+                firsts.setdefault(frozenset((pos, rule) for pos, rule, _ in witness), (result, witness))
+            expected = list(firsts.values())
+        assert _built(prev, clause_edits(prev, clause, env)) == expected
+        results = [] if isinstance(reference, Diagnostic) else [result for result, _ in reference]
+        assert list(clause_images(prev, clause, env)) == list(dict.fromkeys(results))
         for next_term in nexts:
             assert check_justified_step(prev, next_term, clause, env) \
                 == _reference_check_justified_step(prev, next_term, clause, env)
