@@ -13,8 +13,9 @@ token kinds, lexemes and offsets, with the per-token work done by C-level
 ``map`` and ``accumulate`` pipelines rather than a Python loop; only
 newlines, comments and illegal characters are visited one by one.  A
 line/column ``Span`` is made only on request, from a token's offset and a
-table of line starts.  ``tokenize`` builds the public ``Token`` list from a
-scan; the parser reads the scan's lists directly.
+table of line starts, and a term's ``Spans`` make theirs the same way when
+read.  ``tokenize`` builds the public ``Token`` list from a scan; the parser
+reads the scan's lists directly.
 """
 
 from __future__ import annotations
@@ -79,17 +80,20 @@ _DEPTH = {"(": 1, "[": 1, ")": -1, "]": -1}
 
 
 class Scan:
-    """The tokens of one source as parallel lists, ending in an EOF entry:
+    """The tokens of ``source`` as parallel lists, ending in an EOF entry:
     ``kinds`` (``TokenKind`` values), ``lexemes``, ``starts`` (offsets into
-    the source) and ``texts`` (the source text of each lexeme, before
-    aliasing); ``trivia`` maps a token's index to the comments before it."""
+    the source), ``texts`` (the source text of each lexeme, before
+    aliasing) and ``depths`` (the running count of open brackets less
+    closed ones, up to and including each token); ``trivia`` maps a token's
+    index to the comments before it."""
 
-    __slots__ = ("file", "kinds", "lexemes", "starts", "texts", "trivia", "line_starts")
+    __slots__ = ("file", "source", "kinds", "lexemes", "starts", "texts", "depths", "trivia", "line_starts")
 
-    def __init__(self, file: str, kinds: list[str], lexemes: list[str], starts: list[int],
-                 texts: list[str], trivia: dict[int, tuple[str, ...]], line_starts: list[int]) -> None:
-        self.file, self.kinds, self.lexemes, self.starts, self.texts = file, kinds, lexemes, starts, texts
-        self.trivia, self.line_starts = trivia, line_starts
+    def __init__(self, file: str, source: str, kinds: list[str], lexemes: list[str], starts: list[int],
+                 texts: list[str], depths: list[int], trivia: dict[int, tuple[str, ...]],
+                 line_starts: list[int]) -> None:
+        self.file, self.source, self.kinds, self.lexemes, self.starts = file, source, kinds, lexemes, starts
+        self.texts, self.depths, self.trivia, self.line_starts = texts, depths, trivia, line_starts
 
     def span(self, i: int) -> Span:
         """Line, column and source length of token ``i``."""
@@ -108,6 +112,23 @@ new_tuple = tuple.__new__
 def _span(file: str, line_starts: list[int], start: int, length: int) -> Span:
     line = bisect_right(line_starts, start)
     return new_tuple(Span, (file, line, start - line_starts[line - 1] + 1, length))
+
+
+class Spans:
+    """The spans of a term's nodes in pre-order, as a read-only sequence.
+    It keeps each node's source offset and length, and makes a node's
+    ``Span`` only when it is read, from the file's table of line starts."""
+
+    __slots__ = ("file", "line_starts", "offsets", "lengths")
+
+    def __init__(self, file: str, line_starts: list[int], offsets: list[int], lengths: list[int]) -> None:
+        self.file, self.line_starts, self.offsets, self.lengths = file, line_starts, offsets, lengths
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, i: int) -> Span:
+        return _span(self.file, self.line_starts, self.offsets[i], self.lengths[i])
 
 
 def _failure(source: str, offset: int, span: Span) -> DiagnosticError:
@@ -129,6 +150,7 @@ def scan(source: str, file: str = "<input>") -> Scan:
     kinds = list(map(_KIND_OF.get, texts, map(_KIND_OF_FIRST.get, map(itemgetter(0), texts), repeat(ILLEGAL))))
     lexemes = list(map(ALIASES.get, texts, map(str.replace, texts, repeat("."), repeat("°"))))
     line_starts = _line_starts(source)
+    depths = list(accumulate(map(_DEPTH.get, texts, repeat(0))))
     special = list(compress(count(), map(_SPECIAL.__contains__, kinds)))
     trivia: dict[int, tuple[str, ...]] = {}
     dropped = []
@@ -137,14 +159,13 @@ def scan(source: str, file: str = "<input>") -> Scan:
         # running sum of the brackets less its running minimum where that
         # is below zero (Lindley's recursion); so the depth is zero where
         # the sum equals that minimum.
-        sums = list(accumulate(map(_DEPTH.get, texts, repeat(0))))
         low = 0
         comments: tuple[str, ...] = ()
         kept = done = 0
         after_newline = True  # a newline token follows only an ordinary token
         for i in special:
             if done < i:  # the ordinary tokens since the last special piece
-                low = min(low, min(sums[done:i]))
+                low = min(low, min(depths[done:i]))
                 if comments:
                     trivia[kept], comments = comments, ()
                 kept += i - done
@@ -153,7 +174,7 @@ def scan(source: str, file: str = "<input>") -> Scan:
             kind = kinds[i]
             if kind is ILLEGAL:
                 raise _failure(source, starts[i], _span(file, line_starts, starts[i], 1))
-            if kind is NEWLINE and sums[i] == low and not after_newline:
+            if kind is NEWLINE and depths[i] == low and not after_newline:
                 after_newline = True
                 if comments:
                     trivia[kept], comments = comments, ()
@@ -168,12 +189,14 @@ def scan(source: str, file: str = "<input>") -> Scan:
         keep = [True] * len(kinds)
         for i in dropped:
             keep[i] = False
-        kinds, lexemes, starts, texts = (list(compress(column, keep)) for column in (kinds, lexemes, starts, texts))
+        kinds, lexemes, starts, texts, depths = (
+            list(compress(column, keep)) for column in (kinds, lexemes, starts, texts, depths))
     kinds.append(EOF)
     lexemes.append("<eof>")
     starts.append(len(source))
     texts.append("")
-    return Scan(file, kinds, lexemes, starts, texts, trivia, line_starts)
+    depths.append(depths[-1] if depths else 0)
+    return Scan(file, source, kinds, lexemes, starts, texts, depths, trivia, line_starts)
 
 
 def tokenize(source: str, file: str = "<input>") -> list[Token]:

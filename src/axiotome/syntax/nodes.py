@@ -15,7 +15,9 @@ A term carries no source positions.  As in ATerm, where annotations stay
 outside term identity (van den Brand et al., 2000), the parser keeps each
 parsed term's spans in pre-order beside it, on the proof step or
 declaration that owns it (``term_spans``, ``lhs_spans``, ``rhs_spans``),
-and a term holds its type arguments bare.
+and a term holds its type arguments bare.  Those spans are a sequence that
+makes each ``Span`` when it is read (``lexer.Spans``), since they are read
+only to place a typing diagnostic.
 
 Tokens and the other AST nodes are named tuples, which are cheap to
 define and to build.  Their spans (and a token's trivia) are excluded from
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import is_
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 from weakref import ref
 
 from _weakref import _remove_dead_weakref
@@ -232,8 +234,8 @@ class Axiom(NamedTuple):
     rhs: Term
     metavar_types: tuple[tuple[str, TypeExpr], ...] = ()
     span: Span = _NOWHERE
-    lhs_spans: tuple[Span, ...] = ()
-    rhs_spans: tuple[Span, ...] = ()
+    lhs_spans: Sequence[Span] = ()
+    rhs_spans: Sequence[Span] = ()
 
 
 @_node
@@ -262,7 +264,7 @@ class EquationalBody(NamedTuple):
 @_node
 class FormulaicBody(NamedTuple):
     term: Term
-    term_spans: tuple[Span, ...] = ()
+    term_spans: Sequence[Span] = ()
 
 
 @_node
@@ -316,7 +318,7 @@ class ProofStep(NamedTuple):
     term: Term
     justification: Justification | None = None
     span: Span = _NOWHERE
-    term_spans: tuple[Span, ...] = ()
+    term_spans: Sequence[Span] = ()
 
 
 @_node
@@ -352,8 +354,8 @@ class TheoremDecl(NamedTuple):
     rhs: Term
     proof: ProofBody
     span: Span = _NOWHERE
-    lhs_spans: tuple[Span, ...] = ()
-    rhs_spans: tuple[Span, ...] = ()
+    lhs_spans: Sequence[Span] = ()
+    rhs_spans: Sequence[Span] = ()
 
 
 Statement = Union[TypeDecl, FunctionDecl, OperatorDecl, TheoremDecl]

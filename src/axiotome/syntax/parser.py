@@ -5,11 +5,25 @@ index.  Declarations and proofs are read top-down, one method per grammar
 rule; terms and type expressions are read with an explicit stack of open
 brackets, and nested proofs with one of open case blocks, so their nesting
 depth is bounded by memory rather than by the recursion limit.  A ``Span``
-is made only for a node that keeps one (type names, declaration keywords,
-step indices and justification starts), for each node of a term, and for
-a diagnostic, from the token's offset.  A term carries no span: its nodes'
-spans, in pre-order, are kept beside it on the step or declaration that
-owns it (``term_spans``, ``lhs_spans`` and ``rhs_spans``).
+is made from a token's offset only for a node that keeps one (type names,
+declaration keywords, step indices and justification starts) and for a
+diagnostic.  A term carries no span: the step or declaration that owns it
+keeps its nodes' offsets and lengths in pre-order, as ``Spans`` that make a
+node's ``Span`` when it is read (``term_spans``, ``lhs_spans`` and
+``rhs_spans``).
+
+A proof step repeats most of the step before it, so each file's parser
+keeps a memo from the text of each application it has read, from its head
+to its ``)``, to the term and its nodes' offsets and lengths.  A term whose
+first primary is an application is looked up there first; on a hit the
+parser takes the term, moves the offsets to the new place and jumps past
+the ``)``.  This is packrat parsing (Ford, 2002) keyed by the text instead
+of its position.  Only a term's root is looked up, because finding every
+bracket's match costs a loop over the brackets.  The memo is cleared at
+each operator declaration, on which infix desugaring depends; terms in
+axioms, whose annotations the parser collects, are neither looked up nor
+kept; and the text sliced for keys is capped at ``MEMO_ROOM`` characters
+per character of the file.
 
 Statements are delimited by semicolons or by newlines at bracket depth zero.
 Proof-step lines are recognized by their ``<digits> '.'`` prefix; indentation
@@ -26,13 +40,13 @@ without parentheses is a syntax error.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import compress
+from itertools import compress, repeat
+from operator import add
 from typing import NoReturn
 
 from ..diagnostics import DiagnosticError, Span, error
 from .lexer import (
-    AXIOM_NAME, EOF, IDENT, KEYWORD, NEWLINE, NUMBER, OPERATOR_GLYPHS, THEOREM_NAME, Scan, new_tuple, scan,
+    AXIOM_NAME, EOF, IDENT, KEYWORD, NEWLINE, NUMBER, OPERATOR_GLYPHS, THEOREM_NAME, Scan, Spans, scan,
 )
 from .nodes import (
     Axiom, ByCasesProof, CaseBlock, CaseRangeJustification, EquationalBody,
@@ -43,6 +57,11 @@ from .nodes import (
 
 #: Statement separators: semicolon, or newline at depth zero.
 _SEPARATORS = frozenset({";", "\n"})
+
+#: Characters of application text that a file's memo may slice and keep,
+#: per character of the file: keeping every nested application's text
+#: would cost the square of a term's depth.
+MEMO_ROOM = 4
 
 
 class _Parser:
@@ -56,8 +75,14 @@ class _Parser:
         self.texts = scanned.texts
         self.file = scanned.file
         self.line_starts = scanned.line_starts
+        self.source = scanned.source
+        self.depths = scanned.depths
         self.pos = 0
         self.operators = dict(operators or {})
+        # The terms read so far, by the text of each application; the text
+        # sliced for it may total MEMO_ROOM characters per source character.
+        self.memo: dict[str, tuple[Term, list[int], list[int]]] = {}
+        self.room = MEMO_ROOM * len(self.source)
 
     # ------------------------------------------------------------- stream
 
@@ -174,65 +199,73 @@ class _Parser:
 
     # -------------------------------------------------------------- terms
 
-    def parse_term(self, annotations: dict[str, TypeExpr] | None = None) -> tuple[Term, tuple[Span, ...]]:
+    def parse_term(self, annotations: dict[str, TypeExpr] | None = None) -> tuple[Term, Spans]:
         """A term and its nodes' spans in pre-order, read with a stack of
         its open brackets.
 
         Each entry is ``(head, type arguments, arguments so far, start,
-        chain)`` for an application and ``(None, ..., start, chain)`` for a
-        parenthesized term, where ``start`` is the index of the bracketed
-        term's first span and ``chain`` is the infix chain the bracket
-        interrupts: ``None``, or ``[left operand so far, glyph, function,
-        start of the left operand]``.  A head's span is recorded as it is
-        read, which is pre-order but for desugared infix nodes: each is
-        inserted before its first operand's spans, as a copy of the first.
+        chain, at)`` for an application and ``(None, ..., start, chain,
+        at)`` for a parenthesized term, where ``start`` is the index of the
+        bracketed term's first node in ``offsets``, ``chain`` is the infix
+        chain the bracket interrupts (``None``, or ``[left operand so far,
+        glyph, function, start of the left operand]``) and ``at`` is the
+        index of its first token.  A head's offset and length are recorded
+        as it is read, which is pre-order but for desugared infix nodes:
+        each is inserted before its first operand's, as a copy of the first.
         ``annotations`` collects the ``name: Type`` annotations of an
-        axiom's arguments; without it an annotation is a syntax error.
+        axiom's arguments; without it an annotation is a syntax error, and
+        the terms read are recalled from and kept in ``memo``.
         """
         kinds, lex, starts, texts, operators = self.kinds, self.lex, self.starts, self.texts, self.operators
-        file, line_starts = self.file, self.line_starts
+        memo = self.memo if annotations is None else None
+        source, room = self.source, self.room
         pos = self.pos
-        spans: list[Span] = []
+        offsets: list[int] = []
+        lengths: list[int] = []
         stack: list[tuple] = []
         chain: list | None = None
-        line = line_start = line_end = 0  # the line of the last head read
+        value = None
+        if memo is not None and kinds[pos] is IDENT and lex[pos + 1] == "(":
+            value = self.recall(pos, offsets, lengths)
+            pos = self.pos
+        start = 0
         while True:
-            # Read a primary, opening its brackets on the way in.
-            start = len(spans)
-            if kinds[pos] is IDENT:
-                head = lex[pos]
-                offset = starts[pos]
-                if offset >= line_end:
-                    line = bisect_right(line_starts, offset)
-                    line_start, line_end = line_starts[line - 1], line_starts[line]
-                spans.append(new_tuple(Span, (file, line, offset - line_start + 1, len(texts[pos]))))
-                pos += 1
-                type_args: tuple[TypeExpr, ...] = ()
-                if lex[pos] == "[":
-                    self.pos = pos + 1
-                    type_args = self.parse_type_list()
-                    pos = self.pos
-                if lex[pos] == "(":
-                    if lex[pos + 1] != ")":
-                        stack.append((head, type_args, [], start, chain))
-                        chain = None
-                        pos += 1
-                        continue
-                    pos += 2
-                value = Term(head, type_args)
-            elif lex[pos] == "(":
-                stack.append((None, None, None, start, chain))
-                chain = None
-                pos += 1
-                continue
-            else:
-                self.fail(f"expected a term, found {lex[pos]!r}", pos)
+            if value is None:
+                # Read a primary, opening its brackets on the way in.
+                start = len(offsets)
+                if kinds[pos] is IDENT:
+                    head = lex[pos]
+                    offsets.append(starts[pos])
+                    lengths.append(len(texts[pos]))
+                    at = pos
+                    pos += 1
+                    type_args: tuple[TypeExpr, ...] = ()
+                    if lex[pos] == "[":
+                        self.pos = pos + 1
+                        type_args = self.parse_type_list()
+                        pos = self.pos
+                    if lex[pos] == "(":
+                        if lex[pos + 1] != ")":
+                            stack.append((head, type_args, [], start, chain, at))
+                            chain = None
+                            pos += 1
+                            continue
+                        pos += 2
+                    value = Term(head, type_args)
+                elif lex[pos] == "(":
+                    stack.append((None, None, None, start, chain, pos))
+                    chain = None
+                    pos += 1
+                    continue
+                else:
+                    self.fail(f"expected a term, found {lex[pos]!r}", pos)
             # Extend the infix chain with it, and close the brackets that
             # each finished term completes.
             while True:
                 if chain is not None:
                     start = chain[3]
-                    spans.insert(start, spans[start])
+                    offsets.insert(start, offsets[start])
+                    lengths.insert(start, lengths[start])
                     value = Term(chain[2], (), (chain[0], value))
                 tok = lex[pos]
                 if tok in OPERATOR_GLYPHS:
@@ -247,8 +280,8 @@ class _Parser:
                     pos += 1
                     break
                 if not stack:
-                    self.pos = pos
-                    return value, tuple(spans)
+                    self.pos, self.room = pos, room
+                    return value, Spans(self.file, self.line_starts, offsets, lengths)
                 frame = stack[-1]
                 if frame[0] is not None:
                     if tok == ":":
@@ -263,10 +296,39 @@ class _Parser:
                         break
                 if tok != ")":
                     self.fail(f"expected ), found {tok!r}", pos)
-                pos += 1
-                head, type_args, args, start, chain = stack.pop()
+                head, type_args, args, start, chain, at = stack.pop()
                 if head is not None:
                     value = Term(head, type_args, tuple(args))
+                    if memo is not None:  # keep its text, head to ``)``, while there is room
+                        size = starts[pos] + 1 - starts[at]
+                        if size <= room:
+                            room -= size
+                            key = source[starts[at]:starts[pos] + 1]
+                            if key not in memo:
+                                memo[key] = (value, offsets[start:], lengths[start:])
+                pos += 1
+            value = None
+
+    def recall(self, pos: int, offsets: list[int], lengths: list[int]) -> Term | None:
+        """The application whose head is token ``pos``, if the memo holds
+        the text from there to its ``)``: its nodes' offsets, moved to here,
+        and lengths go onto ``offsets`` and ``lengths``, and ``self.pos``
+        past the ``)``.  Equal text scans to equal tokens, and the memo
+        holds only applications read whole, so a hit gives what reading the
+        tokens would; a closer that does not match (a ``]``) only misses."""
+        depths, starts = self.depths, self.starts
+        try:
+            close = depths.index(depths[pos + 1] - 1, pos + 2)
+        except ValueError:  # the bracket is never closed
+            return None
+        kept = self.memo.get(self.source[starts[pos]:starts[close] + 1])
+        if kept is None:
+            return None
+        term, first_offsets, first_lengths = kept
+        offsets.extend(map(add, first_offsets, repeat(starts[pos] - first_offsets[0])))
+        lengths.extend(first_lengths)
+        self.pos = close + 1
+        return term
 
     def parse_annotation(self, term: Term, annotations: dict[str, TypeExpr] | None) -> None:
         """Record the ``: Type`` annotation at the current token on the
@@ -397,6 +459,7 @@ class _Parser:
         self.expect("≡")
         fn = self.ident("a function name")
         self.operators[glyph] = fn
+        self.memo.clear()  # the terms read so far desugared the glyph as it was
         return OperatorDecl(glyph, fn, self.span(kw))
 
     # ----------------------------------------------------------- theorems
@@ -589,13 +652,14 @@ def parse_term(source: str, file: str = "<input>", operators: dict[str, str] | N
 
 
 def parse_term_with_spans(source: str, file: str = "<input>", operators: dict[str, str] | None = None) \
-        -> tuple[Term, tuple[Span, ...]]:
+        -> tuple[Term, Spans]:
     """Parse a single term; returns it and its nodes' spans in pre-order."""
     scanned = scan(source, file)
     keep = [kind is not NEWLINE for kind in scanned.kinds]
-    lists = (list(compress(tokens, keep))
-             for tokens in (scanned.kinds, scanned.lexemes, scanned.starts, scanned.texts))
-    parser = _Parser(Scan(file, *lists, {}, scanned.line_starts), operators)
+    kinds, lexemes, starts, texts, depths = (
+        list(compress(tokens, keep))
+        for tokens in (scanned.kinds, scanned.lexemes, scanned.starts, scanned.texts, scanned.depths))
+    parser = _Parser(Scan(file, source, kinds, lexemes, starts, texts, depths, {}, scanned.line_starts), operators)
     parsed = parser.parse_term()
     if parser.kinds[parser.pos] is not EOF:
         parser.fail("unexpected trailing input after term")

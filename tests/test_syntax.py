@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import re
+import sys
+import time
+import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +20,13 @@ from axiotome.diagnostics import DiagnosticError, Span
 from axiotome.syntax import (
     Axiom, ByCasesProof, CaseBlock, CaseRangeJustification, EquationalBody, FormulaicBody, FunctionDecl,
     LinearProof, OperatorDecl, ProductBody, Program, ProofStep, Quantifier, RuleJustification, SumBody, Term,
-    TheoremDecl, Token, TokenKind, TypeDecl, TypeExpr, format_node, parse_program, parse_term, tokenize,
+    TheoremDecl, Token, TokenKind, TypeDecl, TypeExpr, format_node, parse_program, parse_term,
+    parse_term_with_spans, tokenize,
 )
+from axiotome.syntax.parser import _Parser
 
 from conftest import PROGRAM_FIXTURES, corpus_text, load_program
+from test_fuzz import MUTATIONS, mutate
 
 
 # ------------------------------------------------------------------ tokens
@@ -589,3 +599,158 @@ def test_alias_closure_on_corpus(name):
     unicode_form = corpus_text(name)
     ascii_form = _asciiize(unicode_form)
     assert parse_program(ascii_form, name).statements == parse_program(unicode_form, name).statements
+
+
+# -------------------------------------------------------- repeated subterms
+
+class _Forgetful(dict):
+    """A memo that keeps nothing, so that every term is read token by token."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@contextmanager
+def _memo_of(kind):
+    """Parse with a new ``kind`` as each parser's memo."""
+    init = _Parser.__init__
+
+    def with_memo(self, *args):
+        init(self, *args)
+        self.memo = kind()
+
+    with mock.patch.object(_Parser, "__init__", with_memo):
+        yield
+
+
+def _read(source: str, term: bool = False):
+    """What parsing ``source`` gives, spans included: the term and its
+    spans, or each node of the program with its span and its terms' spans,
+    or the diagnostics."""
+    try:
+        if term:
+            parsed, spans = parse_term_with_spans(source)
+            return parsed, list(spans)
+        return [(type(node), node, getattr(node, "span", None),
+                 [list(getattr(node, field)) for field in getattr(node, "_fields", ()) if field.endswith("_spans")])
+                for node in _nodes(parse_program(source))]
+    except DiagnosticError as exc:
+        return [(d.code, d.message, d.span) for d in exc.diagnostics]
+
+
+def _assert_memo_changes_nothing(source: str, term: bool = False) -> None:
+    read = _read(source, term)
+    with _memo_of(_Forgetful):
+        assert _read(source, term) == read
+
+
+def _generated_programs():
+    """The definitions and every job file of each benchmark workload at
+    seeds 101 and 202."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # for its dataclasses
+    try:
+        spec.loader.exec_module(workloads)
+        return [workloads.DEFS] + [job.text for workload in workloads.WORKLOADS for seed in (101, 202)
+                                   for job in workloads.generate(workload, seed)]
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_memo_reads_the_corpus_and_generated_programs_as_tokens_do():
+    recall, hits = _Parser.recall, []
+
+    def counted(self, *args):
+        term = recall(self, *args)
+        hits.append(term is not None)
+        return term
+
+    with mock.patch.object(_Parser, "recall", counted):
+        for name in PROGRAM_FIXTURES:
+            _assert_memo_changes_nothing(corpus_text(name))
+        for line in corpus_text("term_examples.axm").splitlines():
+            _assert_memo_changes_nothing(line.split("//")[0], term=True)
+        for source in _generated_programs():
+            _assert_memo_changes_nothing(source)
+    # Both sides look up; only the memo that keeps terms can find one, and
+    # on the generated proofs it finds most.
+    assert sum(hits) > len(hits) / 4
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(MUTATIONS.map(lambda m: mutate(corpus_text(m[0]), *m[1:])), respaced_corpus()))
+def test_memo_reads_mutated_and_respaced_corpus_text_as_tokens_do(source):
+    _assert_memo_changes_nothing(source)
+
+
+def _proof(*steps: str) -> str:
+    return "theorem ¶t: a ↔ a\nproof\n" + "".join(f"  {i}. {step}\n" for i, step in enumerate(steps))
+
+
+def _steps(program):
+    return [step for thm in program.statements if isinstance(thm, TheoremDecl) for step in thm.proof.steps]
+
+
+@pytest.mark.parametrize("source, observe, expected", [
+    pytest.param(
+        "operator ∧ ≡ and\n" + _proof("not(a ∧ b)") + "operator ∧ ≡ or\n" + _proof("not(a ∧ b)"),
+        lambda program: [step.term for step in _steps(program)],
+        [parse_term("not(and(a, b))"), parse_term("not(or(a, b))")],
+        id="redeclared operator"),
+    pytest.param(
+        _proof("f(a, b)") + "function f(x: B, y: B) : B\n  allowing $l: f(a: B, b) ↔ a\n"
+        "           $r: f(a: B, b) ↔ b\n",
+        lambda program: [ax.metavar_types for ax in program.statements[1].body.axioms],
+        [(("a", TypeExpr("B")),)] * 2,
+        id="annotated axioms"),
+    pytest.param(
+        _proof("f(\na, /* c */\n  g(b))", "f(\na, /* c */\n  g(b))"),
+        lambda program: [[(span.line, span.column) for span in step.term_spans] for step in _steps(program)],
+        [[(3, 6), (4, 1), (5, 3), (5, 5)], [(6, 6), (7, 1), (8, 3), (8, 5)]],
+        id="spans across lines"),
+    pytest.param(
+        "operator ∧ ≡ and\n" + _proof("not(a ∧ b)", "not( a /\\ b )", "not(a∧b)"),
+        lambda program: [(step.term, [(span.column, span.length) for span in step.term_spans])
+                         for step in _steps(program)],
+        [(parse_term("not(and(a, b))"), spans)
+         for spans in ([(6, 3), (10, 1), (10, 1), (14, 1)], [(6, 3), (11, 1), (11, 1), (16, 1)],
+                       [(6, 3), (10, 1), (10, 1), (12, 1)])],
+        id="respelled repeat"),
+])
+def test_repeated_subterms_read_as_their_own_text(source, observe, expected):
+    assert observe(parse_program(source)) == expected
+
+
+def test_an_annotation_read_in_an_axiom_is_not_recalled_outside_one():
+    source = "function f(x: B) : B\n  allowing $l: f(a: B) ↔ a\n" + _proof("f(a: B)")
+    with pytest.raises(DiagnosticError) as exc:
+        parse_program(source)
+    assert exc.value.diagnostics[0].message == "type annotations are only allowed inside axiom terms"
+
+
+def test_a_deep_step_parses_in_linear_time():
+    # Keeping the text of every application of one step would cost the
+    # square of its depth.
+    source = _proof("not(" * 30000 + "False" + ")" * 30000)
+    start = time.perf_counter()
+    (step,) = _steps(parse_program(source))
+    assert time.perf_counter() - start < 3.0
+    assert len(step.term_spans) == 30001
+
+
+def test_distinct_deep_steps_parse_in_linear_time_and_space():
+    # No step repeats another, so the memo only costs; the program's own
+    # terms are built by the first parse, and the second one is measured.
+    source = _proof(*("not(" * 1000 + f"x{i}" + ")" * 1000 for i in range(100)))
+    start = time.perf_counter()
+    program = parse_program(source)
+    assert time.perf_counter() - start < 4.0
+    tracemalloc.start()
+    try:
+        assert parse_program(source) == program
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
