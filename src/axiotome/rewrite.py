@@ -449,7 +449,8 @@ def _orthogonal(rules: list[RewriteRule]) -> bool:
 def _admits(rule: RewriteRule, exclude: str | None, only: str | None) -> bool:
     """Is ``rule`` the rule named ``only``, when that is given, and not
     theorem ``exclude``?"""
-    return (only is None or rule.name == only) and (rule.source is not RuleSource.THEOREM or rule.name != exclude)
+    name = rule.name
+    return (only is None or name == only) and (name != exclude or rule.source is not RuleSource.THEOREM)
 
 
 class RuleSet(Frozen):
@@ -536,8 +537,11 @@ class RuleSet(Frozen):
         found, moves = [], self.moves
         for pos, sub in positions(term):
             for rank, rule in rules_at(moves, sub):
-                if _admits(rule, exclude, only):
-                    sigma = match(rule.oriented()[0], sub, rule.metavars)
+                # ``_admits`` and ``oriented`` on fields read once: a named
+                # tuple's field read is not specialised.
+                name, source, lhs, rhs, direction, metavars, _, _, _ = rule
+                if (only is None or name == only) and (name != exclude or source is not RuleSource.THEOREM):
+                    sigma = match(lhs if direction is Direction.FORWARD else rhs, sub, metavars)
                     if sigma is not None:
                         found.append((rank, pos, rule, sigma))
         found.sort(key=itemgetter(0))  # stable: positions stay in order within a rank
@@ -577,9 +581,12 @@ class RuleSet(Frozen):
             for rank, rule in rules_at(moves, sub):
                 if rank >= best[0]:
                     break
-                if low <= reach[rank] <= high and _admits(rule, exclude, only):
-                    src, dst = rule.oriented()
-                    sigma = match(src, sub, rule.metavars)
+                if not low <= reach[rank] <= high:
+                    continue
+                name, source, lhs, rhs, direction, metavars, _, _, _ = rule
+                if (only is None or name == only) and (name != exclude or source is not RuleSource.THEOREM):
+                    src, dst = (lhs, rhs) if direction is Direction.FORWARD else (rhs, lhs)
+                    sigma = match(src, sub, metavars)
                     if sigma is not None and apply_substitution(sigma, dst) is goal:
                         best = rank, at, rule, sigma
                         break

@@ -14,16 +14,16 @@ node's ``Span`` when it is read (``term_spans``, ``lhs_spans`` and
 
 A proof step repeats most of the step before it, so each file's parser
 keeps a memo from the text of each application it has read, from its head
-to its ``)``, to the term and its nodes' offsets and lengths.  A term whose
-first primary is an application is looked up there first; on a hit the
-parser takes the term, moves the offsets to the new place and jumps past
-the ``)``.  This is packrat parsing (Ford, 2002) keyed by the text instead
-of its position.  Only a term's root is looked up, because finding every
-bracket's match costs a loop over the brackets.  The memo is cleared at
-each operator declaration, on which infix desugaring depends; terms in
-axioms, whose annotations the parser collects, are neither looked up nor
-kept; and the text sliced for keys is capped at ``MEMO_ROOM`` characters
-per character of the file.
+to its ``)``, to the term and its nodes' offsets and lengths.  The scanner
+turns a step term that is an application written earlier in the file into
+one ``recall`` token holding its text, and the parser looks that text up
+in the memo: on a hit it takes the term and moves the offsets to the new
+place, and on a miss it reads the token's own tokens (``Scan.unfold``) and
+then the file's again.  This is packrat parsing (Ford, 2002) keyed by the
+text instead of its position.  The memo is cleared at each operator
+declaration, on which infix desugaring depends; terms in axioms, whose
+annotations the parser collects, are not kept; and the text sliced for keys
+is capped at ``MEMO_ROOM`` characters per character of the file.
 
 Statements are delimited by semicolons or by newlines at bracket depth zero.
 Proof-step lines are recognized by their ``<digits> '.'`` prefix; indentation
@@ -46,7 +46,7 @@ from typing import NoReturn
 
 from ..diagnostics import DiagnosticError, Span, error
 from .lexer import (
-    AXIOM_NAME, EOF, IDENT, KEYWORD, NEWLINE, NUMBER, OPERATOR_GLYPHS, THEOREM_NAME, Scan, Spans, scan,
+    AXIOM_NAME, EOF, IDENT, KEYWORD, NEWLINE, NUMBER, OPERATOR_GLYPHS, RECALL, THEOREM_NAME, Scan, Spans, scan,
 )
 from .nodes import (
     Axiom, ByCasesProof, CaseBlock, CaseRangeJustification, EquationalBody,
@@ -66,17 +66,11 @@ MEMO_ROOM = 4
 
 class _Parser:
     def __init__(self, scanned: Scan, operators: dict[str, str] | None) -> None:
-        # Every list ends in the EOF entry, and nothing moves past it: each
-        # step forward follows a match of some other token.
-        self.kinds = scanned.kinds
-        self.lex = scanned.lexemes
-        self.span = scanned.span
-        self.starts = scanned.starts
-        self.texts = scanned.texts
+        self.scanned = scanned
+        self.read(scanned)
         self.file = scanned.file
         self.line_starts = scanned.line_starts
         self.source = scanned.source
-        self.depths = scanned.depths
         self.pos = 0
         self.operators = dict(operators or {})
         # The terms read so far, by the text of each application; the text
@@ -85,6 +79,13 @@ class _Parser:
         self.room = MEMO_ROOM * len(self.source)
 
     # ------------------------------------------------------------- stream
+
+    def read(self, scanned: Scan) -> None:
+        """Read the tokens of ``scanned`` from here on."""
+        # Every list ends in the EOF entry, and nothing moves past it: each
+        # step forward follows a match of some other token.
+        self.kinds, self.lex, self.starts, self.texts, self.span = (
+            scanned.kinds, scanned.lexemes, scanned.starts, scanned.texts, scanned.span)
 
     def fail(self, message: str, at: int | None = None) -> NoReturn:
         span = self.span(self.pos if at is None else at)
@@ -214,7 +215,14 @@ class _Parser:
         each is inserted before its first operand's, as a copy of the first.
         ``annotations`` collects the ``name: Type`` annotations of an
         axiom's arguments; without it an annotation is a syntax error, and
-        the terms read are recalled from and kept in ``memo``.
+        the terms read are kept in ``memo``.
+
+        A ``RECALL`` token comes only as the first token of a proof step's
+        term.  A hit in ``memo`` gives what reading its tokens would: equal
+        text scans to equal tokens, and the memo holds only applications
+        read whole.  On a miss, the parser reads the token's own tokens,
+        whose last closes the application, and goes back to the file's
+        tokens after it, at ``resume``.
         """
         kinds, lex, starts, texts, operators = self.kinds, self.lex, self.starts, self.texts, self.operators
         memo = self.memo if annotations is None else None
@@ -225,9 +233,18 @@ class _Parser:
         stack: list[tuple] = []
         chain: list | None = None
         value = None
-        if memo is not None and kinds[pos] is IDENT and lex[pos + 1] == "(":
-            value = self.recall(pos, offsets, lengths)
-            pos = self.pos
+        resume = 0
+        if kinds[pos] is RECALL:
+            kept = self.memo.get(texts[pos])
+            if kept is not None:
+                value, first_offsets, first_lengths = kept
+                offsets.extend(map(add, first_offsets, repeat(starts[pos] - first_offsets[0])))
+                lengths.extend(first_lengths)
+                pos += 1
+            else:
+                resume = pos + 1
+                self.read(self.scanned.unfold(pos))
+                kinds, lex, starts, texts, pos = self.kinds, self.lex, self.starts, self.texts, 0
         start = 0
         while True:
             if value is None:
@@ -280,6 +297,11 @@ class _Parser:
                     pos += 1
                     break
                 if not stack:
+                    if resume:  # the recalled application is read: back to the file's tokens
+                        self.read(self.scanned)
+                        kinds, lex, starts, texts = self.kinds, self.lex, self.starts, self.texts
+                        pos, resume = resume, 0
+                        continue
                     self.pos, self.room = pos, room
                     return value, Spans(self.file, self.line_starts, offsets, lengths)
                 frame = stack[-1]
@@ -308,27 +330,6 @@ class _Parser:
                                 memo[key] = (value, offsets[start:], lengths[start:])
                 pos += 1
             value = None
-
-    def recall(self, pos: int, offsets: list[int], lengths: list[int]) -> Term | None:
-        """The application whose head is token ``pos``, if the memo holds
-        the text from there to its ``)``: its nodes' offsets, moved to here,
-        and lengths go onto ``offsets`` and ``lengths``, and ``self.pos``
-        past the ``)``.  Equal text scans to equal tokens, and the memo
-        holds only applications read whole, so a hit gives what reading the
-        tokens would; a closer that does not match (a ``]``) only misses."""
-        depths, starts = self.depths, self.starts
-        try:
-            close = depths.index(depths[pos + 1] - 1, pos + 2)
-        except ValueError:  # the bracket is never closed
-            return None
-        kept = self.memo.get(self.source[starts[pos]:starts[close] + 1])
-        if kept is None:
-            return None
-        term, first_offsets, first_lengths = kept
-        offsets.extend(map(add, first_offsets, repeat(starts[pos] - first_offsets[0])))
-        lengths.extend(first_lengths)
-        self.pos = close + 1
-        return term
 
     def parse_annotation(self, term: Term, annotations: dict[str, TypeExpr] | None) -> None:
         """Record the ``: Type`` annotation at the current token on the
@@ -656,10 +657,9 @@ def parse_term_with_spans(source: str, file: str = "<input>", operators: dict[st
     """Parse a single term; returns it and its nodes' spans in pre-order."""
     scanned = scan(source, file)
     keep = [kind is not NEWLINE for kind in scanned.kinds]
-    kinds, lexemes, starts, texts, depths = (
-        list(compress(tokens, keep))
-        for tokens in (scanned.kinds, scanned.lexemes, scanned.starts, scanned.texts, scanned.depths))
-    parser = _Parser(Scan(file, source, kinds, lexemes, starts, texts, depths, {}, scanned.line_starts), operators)
+    kinds, lexemes, starts, texts = (
+        list(compress(tokens, keep)) for tokens in (scanned.kinds, scanned.lexemes, scanned.starts, scanned.texts))
+    parser = _Parser(Scan(file, source, kinds, lexemes, starts, texts, {}, scanned.line_starts), operators)
     parsed = parser.parse_term()
     if parser.kinds[parser.pos] is not EOF:
         parser.fail("unexpected trailing input after term")

@@ -23,6 +23,8 @@ from axiotome.syntax import (
     TheoremDecl, Token, TokenKind, TypeDecl, TypeExpr, format_node, parse_program, parse_term,
     parse_term_with_spans, tokenize,
 )
+from axiotome.syntax import lexer
+from axiotome.syntax.lexer import NUMBER, RECALL, scan
 from axiotome.syntax.parser import _Parser
 
 from conftest import PROGRAM_FIXTURES, corpus_text, load_program
@@ -660,14 +662,17 @@ def _generated_programs():
 
 
 def test_memo_reads_the_corpus_and_generated_programs_as_tokens_do():
-    recall, hits = _Parser.recall, []
+    hits = []
 
-    def counted(self, *args):
-        term = recall(self, *args)
-        hits.append(term is not None)
-        return term
+    class Counted(dict):
+        """A memo that records whether each lookup of a recall token finds a term."""
 
-    with mock.patch.object(_Parser, "recall", counted):
+        def get(self, key):
+            kept = dict.get(self, key)
+            hits.append(kept is not None)
+            return kept
+
+    with _memo_of(Counted), mock.patch.object(_Forgetful, "get", Counted.get):
         for name in PROGRAM_FIXTURES:
             _assert_memo_changes_nothing(corpus_text(name))
         for line in corpus_text("term_examples.axm").splitlines():
@@ -728,6 +733,151 @@ def test_an_annotation_read_in_an_axiom_is_not_recalled_outside_one():
     with pytest.raises(DiagnosticError) as exc:
         parse_program(source)
     assert exc.value.diagnostics[0].message == "type annotations are only allowed inside axiom terms"
+
+
+# ------------------------------------------------------------ recall tokens
+
+@contextmanager
+def _nothing_recalled():
+    """Scan with a step-root search that finds nothing, so that every term
+    is read from its own tokens."""
+    with mock.patch.object(lexer, "_STEP_ROOT", re.compile("(?!)")):
+        yield
+
+
+def _columns(scanned):
+    return list(zip(scanned.kinds, scanned.lexemes, scanned.starts, scanned.texts))
+
+
+def _assert_recalls_stand_for_their_tokens(source: str) -> int | None:
+    """Each recall token of ``source`` follows a step's ``<digits> .`` at the
+    start of a line, holds text written earlier, and unfolds to the tokens
+    that a scan with nothing recalled has in its place; returns how many
+    there are, or None if scanning fails, as it then does with nothing
+    recalled."""
+    with _nothing_recalled():
+        try:
+            whole = scan(source)
+        except DiagnosticError as exc:
+            whole = exc.diagnostics
+    try:
+        scanned = scan(source)
+    except DiagnosticError as exc:
+        assert exc.diagnostics == whole
+        return None
+    unfolded = []
+    recalls = 0
+    for i, token in enumerate(_columns(scanned)):
+        if token[0] is not RECALL:
+            unfolded.append(token)
+            continue
+        recalls += 1
+        start, text, number = scanned.starts[i], scanned.texts[i], scanned.starts[i - 2]
+        assert scanned.kinds[i - 2] is NUMBER and scanned.lexemes[i - 1] == "."
+        assert source[source.rfind("\n", 0, number) + 1:number].strip(" \t\r") == ""
+        assert source[start:start + len(text)] == text and source.find(text) < start
+        inner = scanned.unfold(i)
+        assert inner.lexemes[-2] == ")" and inner.starts[-1] == start + len(text)
+        unfolded += _columns(inner)[:-1]
+    assert unfolded == _columns(whole)
+    return recalls
+
+
+def _assert_recall_changes_nothing(source: str) -> None:
+    """Parsing ``source`` gives the same with recall tokens, with nothing
+    recalled, and with recall tokens that all miss the memo."""
+    read = _read(source)
+    with _nothing_recalled():
+        assert _read(source) == read
+    with _memo_of(_Forgetful):
+        assert _read(source) == read
+
+
+def test_recall_tokens_read_the_corpus_and_generated_programs_as_tokens_do():
+    # Reading each recall token's text, as a memo that never stores does,
+    # is compared in ``test_memo_reads_the_corpus_and_generated_programs_as_tokens_do``.
+    recalls = 0
+    for source in [corpus_text(name) for name in PROGRAM_FIXTURES] + _generated_programs():
+        recalls += _assert_recalls_stand_for_their_tokens(source) or 0
+        read = _read(source)
+        with _nothing_recalled():
+            assert _read(source) == read
+    assert recalls > 10000
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(mutated_corpus(), MUTATIONS.map(lambda m: mutate(corpus_text(m[0]), *m[1:])), respaced_corpus()))
+def test_recall_tokens_read_mutated_and_respaced_corpus_text_as_tokens_do(source):
+    _assert_recalls_stand_for_their_tokens(source)
+    _assert_recall_changes_nothing(source)
+
+
+@pytest.mark.parametrize("source, recalls", [
+    pytest.param(_proof("f(g(a))", "f(g(a))") + "// f(g(a))\n" + _proof("f(g(a))"), 1,
+                 id="repeats before a line comment"),
+    pytest.param("// a note\n" + _proof("f(g(a))", "f(g(a))"), 0, id="repeats after a line comment"),
+    pytest.param(_proof("f(g(a))", "f(g(a))") + "/* a\n  1. f(g(a))\n  2. f(g(a))\n*/\n" + _proof("f(g(a))"), 1,
+                 id="step lines in a block comment"),
+    pytest.param("/* a\n  1. f(g(a))\n*/\n" + _proof("f(g(a))", "f(g(a))"), 0, id="repeats after a block comment"),
+    pytest.param("operator ∧ ≡ and\noperator ∨ ≡ or\n"
+                 + _proof("not(and(a, b))", "not(and(a, b))", "not(a /\\ b)", "not(a \\/ b)", "not(and(a, b))"), 1,
+                 id="ascii operators"),
+    pytest.param(_proof("xvia(a)", "via(a)"), 1, id="keyword head"),
+    pytest.param(_proof("xforall(a)", "forall(a)"), 1, id="alias head"),
+    pytest.param(_proof("pin(a)", "in(a, b)", "in(a)"), 1, id="alias head after a step"),
+    pytest.param(_proof("f(a#)", "f(a#)"), None, id="illegal character"),
+    pytest.param(_proof("f(°a)", "f(°a)"), None, id="illegal degree sign"),
+    pytest.param(_proof("f(a, $)", "f(a, $)"), None, id="dollar without a name"),
+    pytest.param(_proof("f(g(a))", "f(g(a)) @"), None, id="illegal character after a repeat"),
+    pytest.param("operator ∧ ≡ and\n" + _proof("not(a ∧ b)")
+                 + "operator ∧ ≡ or\n" + _proof("not(a ∧ b)"), 1, id="operator redeclared"),
+    pytest.param("function f(x: B, y: B) : B\n  allowing $l: f(a, g(b)) ↔ a\n" + _proof("f(a, g(b))"), 1,
+                 id="axiom text"),
+    pytest.param(_proof("f(g(a))", "f(g(a)]", "f(g(a))"), 1, id="a bracket closed by ]"),
+    pytest.param(_proof("f(g(a))", "f([g(a))", "f(g(a))"), 0, id="a bracket never closed"),
+    pytest.param(_proof("f(g(a))", "f(g(a),\n  g(a))", "f(g(a),\n  g(a))"), 1, id="a repeat across lines"),
+    pytest.param(_proof("f(g(a))", "f(\n  g(a))", "f(\n  g(a))"), 0, id="a first line that closes nothing"),
+])
+def test_recall_tokens_read_as_their_own_text(source, recalls):
+    assert _assert_recalls_stand_for_their_tokens(source) == recalls
+    _assert_recall_changes_nothing(source)
+
+
+def test_scan_recalls_only_step_terms_that_are_written_earlier():
+    source = ("function f(x: B) : B\n  allowing $l: f(g(a)) ↔ a\n"
+              "theorem ¶t: f(g(a)) ↔ f(g(a))\nproof\n"
+              "  0. f(g(a))\n  1. f(g(a)) via $l\n  2. g(f(g(a)))\n  3. (f(g(a)))\n  4. f(g(a)) ∧ f(g(a))\n"
+              "  5. f(g(b),\n  6. f(g(a)))\n  7. f(g(a)); 8. f(g(a))\n  9.f(g(a))\n10 . f(g(b))\n11. f(g(b))\n"
+              "12. f(\n13. f(g(a)))\n")
+    scanned = scan(source)
+    # Step 6 lies inside step 5's brackets; step 12's first line closes
+    # nothing, so it is not a root, and step 13 inside it is one.
+    assert [scanned.lexemes[i - 2] for i, kind in enumerate(scanned.kinds) if kind is RECALL] == \
+        ["0", "1", "4", "7", "9", "11", "13"]
+    assert _assert_recalls_stand_for_their_tokens(source) == 7
+
+
+def test_distinct_step_lines_scan_in_linear_time():
+    # No step repeats another, so each looks back only a few times its own
+    # length for an earlier copy, not over the whole file.
+    source = _proof(*(f"not(not(x{i}))" for i in range(20000)))
+    start = time.perf_counter()
+    scanned = scan(source)
+    assert time.perf_counter() - start < 1.0
+    assert RECALL not in scanned.kinds
+
+
+def test_repeated_steps_that_miss_parse_in_linear_time():
+    # Every recall token misses a memo that never stores, and the tokens of
+    # each step's second operand stay after it: reading a missed text must
+    # not move them.
+    term = "not(" * 6 + "False" + ")" * 6
+    source = "operator ∧ ≡ and\n" + _proof(*[f"{term} ∧ {term}"] * 16000)
+    with _memo_of(_Forgetful):
+        start = time.perf_counter()
+        (thm,) = parse_program(source).statements[1:]
+        assert time.perf_counter() - start < 4.0
+    assert len(thm.proof.steps) == 16000 and sum(kind is RECALL for kind in scan(source).kinds) == 15999
 
 
 def test_a_deep_step_parses_in_linear_time():
