@@ -352,7 +352,7 @@ def _arg_parser() -> argparse.ArgumentParser:
     p_fill.add_argument("--max-depth", type=_non_negative_int, default=argparse.SUPPRESS,
                         help="most hops in the chain that closes one gap")
     p_fill.add_argument("--max-nodes", type=_non_negative_int, default=argparse.SUPPRESS,
-                        help="most distinct terms expanded per gap")
+                        help="most distinct terms visited per gap")
 
     p_fmt = sub.add_parser("fmt", help="canonically format source files")
     common(p_fmt)

@@ -7,15 +7,21 @@ and lives in ``rewrite``; it is re-exported here.
 single justified rewrites — plus same-rule simultaneous tuples and
 case-range moves — and returns the lexicographically first shortest chain
 under that move order.  It applies the goal test as a hop is generated: a
-term is expanded at once only when ``rewrite._may_reach`` finds that one
-move may reach the target, and the rest of a layer only when no move did
-and a next layer is allowed, so a failing search never expands its last
-layer in full (Russell & Norvig, *Artificial Intelligence: A Modern
-Approach*, 3rd ed., §3.4.1).
+term's moves are listed at once only when ``rewrite._may_reach`` finds that
+one move may reach the target (Russell & Norvig, *Artificial Intelligence:
+A Modern Approach*, 3rd ed., §3.4.1).  The next layer is read on demand:
+the other terms' moves are listed only as the search reaches them, so a
+search that reaches the target partway through a layer lists no moves of
+the layer's later terms, and one that fails lists no moves of its last
+layer's terms but those that may reach the target (partial expansion:
+Yoshizumi, Miura & Ishida, "A* with Partial Expansion for Large Branching
+Factor Problems", AAAI 2000).
 
 ``repair_theorem`` fixes proofs whose steps are unjustified because terms were
 omitted.  A written step is kept when ``rewrite.judge_hop``, the judgement
-``check`` reports, accepts its hop, healing included.  For a broken hop it
+``check`` reports, accepts its hop, healing included; the verdicts that
+``check`` recorded on the written hops are read from its report, so only a
+hop off the written path is judged afresh.  For a broken hop it
 splices the shortest chain between the two written terms; the displaced
 ``via`` clause is then re-anchored by applying it to the step's own term,
 which inserts the term its author skipped.  Vias that cannot be re-anchored
@@ -28,23 +34,23 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .rewrite import (
-    Edits, Position, RuleSource, StepEnv, _applied, _case_edits, _disjoint, _fork, _may_reach,
-    _reached, apply_substitution, clause_images, infer_step_justification, judge_hop,
+    Edits, Position, RuleSource, StepEnv, StepVerdict, _applied, _case_edits, _disjoint, _fork,
+    _may_reach, _reached, apply_substitution, clause_images, infer_step_justification, judge_hop,
 )
 from .syntax import (
     ByCasesProof, CaseBlock, CaseRangeJustification, Justification, LinearProof,
     ProofBody, ProofStep, RuleJustification, Term, TheoremDecl, format_type,
 )
 from .typesys import Registry, term_metavars
-from .verifier import verify_theorem
+from .verifier import JudgedHop, VerificationReport, verify_theorem
 
 
 class SearchBudget(NamedTuple):
     """Bounds of one ``fill_gap`` search: ``max_depth`` is the most hops in
-    a chain, and ``max_nodes`` the most distinct terms expanded per gap."""
+    a chain, and ``max_nodes`` the most distinct terms visited per gap."""
 
     max_depth: int = 4
     max_nodes: int = 50_000
@@ -91,7 +97,7 @@ def successor_edits(term: Term, env: StepEnv, scope: frozenset[str]) -> list[tup
     Moves whose result mentions metavariables outside ``scope`` are dropped.
 
     ``term`` itself must lie in ``scope`` (as every term ``fill_gap``
-    expands does), so a move is in scope when its replacements are.  A
+    visits does), so a move is in scope when its replacements are.  A
     match binds subterms of ``term`` and finds its source side's names
     there, so a rule's moves are in scope when ``RewriteRule.free`` is; a
     case move's replacements are tested one by one.
@@ -144,18 +150,18 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
     included, so the first hop that reaches ``target`` ends the
     lexicographically first shortest chain by (rule order, direction,
     position).  A hop is held as its parent and its move's edits, and its
-    term is built when the hop is taken off its layer.
+    term is built when the hop is taken off its layer; at its first hop
+    only, the term is visited and counted against ``budget.max_nodes``.
 
-    Each layer is taken in two passes.  The first builds each hop's term
-    and, at its first hop only, counts it against ``budget.max_nodes``;
-    it expands only the terms that ``_may_reach`` the target, and tests
-    their moves for the target through the fork of the term and
-    ``target`` (see ``_reached``), so the goal test is applied as a hop is
-    generated.  The second pass, made only when no move reached ``target``
-    and a next layer is allowed, expands the other terms, in the same
-    order, to make that layer.  ``None`` when no chain of at most
-    ``budget.max_depth`` hops exists, or when finding one would visit more
-    than ``budget.max_nodes`` distinct terms.
+    A visited term's moves are listed at once only when it ``_may_reach``
+    the target, and are then tested for the target through the fork of the
+    term and ``target`` (see ``_reached``), so the goal test is applied as
+    a hop is generated.  The next layer is read on demand: it runs over the
+    visited terms in order, and lists a term's moves, unless they were
+    listed at once, only when it reaches them.  So the search lists no
+    term's moves without reading at least the first.  ``None`` when no chain
+    of at most ``budget.max_depth`` hops exists, or when finding one would
+    visit more than ``budget.max_nodes`` distinct terms.
     """
     budget = budget or SearchBudget()
     if source == target:
@@ -165,18 +171,18 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
                       | {q.var for q in env.case_bindings})
     # A hop is (term, clause, previous hop); the source's hop has no clause.
     # A layer entry is (previous hop, clause, edits), the source's (None, None, ()).
-    layer: list[tuple] = [(None, None, ())]
-    expanded: set[Term] = set()
+    layer: Iterable[tuple] = [(None, None, ())]
+    visited: set[Term] = set()
     for depth in range(1, budget.max_depth + 1):
-        # The first pass: each new term's hop, with its moves if it was expanded.
+        # Each visited term's hop, with its moves if they were listed at once.
         hops: list[tuple[tuple, list | None]] = []
         for parent, clause, edits in layer:
             term = source if parent is None else _applied(parent[0], edits)
-            if term in expanded:
+            if term in visited:
                 continue
-            if len(expanded) >= budget.max_nodes:
+            if len(visited) >= budget.max_nodes:
                 return None
-            expanded.add(term)
+            visited.add(term)
             hop = (term, clause, parent)
             moves = None
             if _may_reach(term, target, env):
@@ -193,27 +199,31 @@ def fill_gap(source: Term, target: Term, env: StepEnv,
             hops.append((hop, moves))
         if depth == budget.max_depth:
             break
-        layer = [(hop, clause, edits) for hop, moves in hops
-                 for clause, edits in (successor_edits(hop[0], env, scope) if moves is None else moves)]
+        # The next layer, read by the loop above as it goes.
+        layer = ((hop, clause, edits) for hop, moves in hops
+                 for clause, edits in (successor_edits(hop[0], env, scope) if moves is None else moves))
     return None
 
 
 # ------------------------------------------------------------------- repair
 
-def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
-                    budget: SearchBudget) -> tuple[list[tuple[Term, Justification | None, bool]], int | None]:
+def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv, budget: SearchBudget,
+                    written: tuple[JudgedHop | None, ...] = ()) \
+        -> tuple[list[tuple[Term, Justification | None, bool]], int | None]:
     """Minimal-insertion repair of one linear segment.
 
     Returns (repaired step list, index of the first irreparable step or
     None).  Each entry of the step list is (term, justification, inserted?);
     kept steps preserve their written clause (or its absence) verbatim.
     Uniform-cost search over (consumed original steps, current term); costs
-    count inserted steps.
+    count inserted steps.  ``written[k]``, when there is one, is ``check``'s
+    record of the hop into ``steps[k]``.
 
     Strategies per original step (just, term) from the current term:
-      keep      ``judge_hop`` accepts the written hop, as ``check`` does:
-                it checks, infers when the via is absent, or heals a
-                case-range hop with one inferred rewrite;
+      keep      ``judge_hop`` accepts the hop, as ``check`` does: it
+                checks, infers when the via is absent, or heals a
+                case-range hop with one inferred rewrite.  From the written
+                previous term, ``check``'s recorded verdict is taken;
       fill      splice the shortest chain onto the step's term, accepted for
                 via-less steps, or when the chain's last clause equals the
                 written via (the written justification is then kept intact);
@@ -222,6 +232,13 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
                 step (never applicable to a segment's final step).
     """
     n = len(steps)
+
+    def judged(k: int, cur: Term) -> StepVerdict:
+        hop = written[k] if k < len(written) else None
+        if hop is not None and hop.prev is cur:
+            return hop.verdict
+        return judge_hop(cur, steps[k].term, steps[k].justification, env)
+
     counter = 0
     start = (0, premiss)
     heap: list[tuple[int, int, tuple[int, Term], list]] = [(0, counter, start, [])]
@@ -246,7 +263,7 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
             counter += 1
             heappush(heap, (new_cost, counter, state, emitted + extra))
 
-        if not judge_hop(cur, step.term, just, env).failure:
+        if not judged(k, cur).failure:
             push([(step.term, just, False)], step.term, 0)
             continue
         chain = fill_gap(cur, step.term, env, budget)
@@ -268,23 +285,26 @@ def _repair_segment(premiss: Term, steps: tuple[ProofStep, ...], env: StepEnv,
     # plain sequential walk (the step the verifier flags), else the last.
     walk = premiss
     for i, step in enumerate(steps):
-        if judge_hop(walk, step.term, step.justification, env).failure:
+        if judged(i, walk).failure:
             return [], i
         walk = step.term
     return [], max(n - 1, 0)
 
 
-def _repair_body(body: ProofBody, env: StepEnv, budget: SearchBudget,
-                 path: tuple[str, ...], inserted: list, failures: list) -> ProofBody:
+def _repair_body(body: ProofBody, env: StepEnv, budget: SearchBudget, judged: dict[int, JudgedHop],
+                 inserted: list, failures: list) -> ProofBody:
     """``body`` with every gap of its linear segments filled, in order, from
     a stack of the bodies still to repair; a ``proof by cases`` is rebuilt
-    once its cases' bodies are repaired."""
+    once its cases' bodies are repaired.  ``judged`` holds ``check``'s
+    record of each hop it judged by the ``id`` of the written step it goes
+    into, so each segment finds its own hops by its own steps."""
     done: list[ProofBody] = []  # repaired bodies, in the order they were finished
-    stack: list = [(body, env, path, False)]
+    stack: list = [(body, env, (), False)]
     while stack:
         item, env, path, ready = stack.pop()
         if isinstance(item, LinearProof):
-            done.append(_repair_linear(item, env, budget, path, inserted, failures))
+            written = tuple(judged.get(id(step)) for step in item.steps[1:])
+            done.append(_repair_linear(item, env, budget, written, path, inserted, failures))
         elif ready:
             bodies = done[len(done) - len(item.cases):]
             del done[len(done) - len(item.cases):]
@@ -300,13 +320,13 @@ def _repair_body(body: ProofBody, env: StepEnv, budget: SearchBudget,
     return done[0]
 
 
-def _repair_linear(body: LinearProof, env: StepEnv, budget: SearchBudget,
+def _repair_linear(body: LinearProof, env: StepEnv, budget: SearchBudget, written: tuple,
                    path: tuple[str, ...], inserted: list, failures: list) -> LinearProof:
     steps = body.steps
     if not steps:
         return body
     premiss = steps[0].term
-    repaired, stuck_at = _repair_segment(premiss, steps[1:], env, budget)
+    repaired, stuck_at = _repair_segment(premiss, steps[1:], env, budget, written)
     if stuck_at is not None:
         stuck = steps[1 + stuck_at]
         prev_term = steps[stuck_at].term
@@ -323,10 +343,12 @@ def _repair_linear(body: LinearProof, env: StepEnv, budget: SearchBudget,
     return LinearProof(tuple(new_steps))
 
 
-def repair_theorem(thm: TheoremDecl, report, registry: Registry,
+def repair_theorem(thm: TheoremDecl, report: VerificationReport, registry: Registry,
                    budget: SearchBudget | None = None) -> RepairOutcome:
     """Detailed repair: the patched theorem (or None), the inserted steps,
-    and any steps that are irreparable by insertion."""
+    and any steps that are irreparable by insertion.  ``report`` is
+    ``verify_theorem``'s on ``thm``; its recorded verdicts decide which
+    written hops are kept."""
     budget = budget or SearchBudget()
     if report.accepted:
         return RepairOutcome(thm)
@@ -337,7 +359,8 @@ def repair_theorem(thm: TheoremDecl, report, registry: Registry,
     env = StepEnv(registry, (), thm.name)
     inserted: list = []
     failures: list = []
-    new_proof = _repair_body(thm.proof, env, budget, (), inserted, failures)
+    judged = {id(hop.step): hop for hop in report.hops}  # ``thm`` keeps each step alive
+    new_proof = _repair_body(thm.proof, env, budget, judged, inserted, failures)
     if failures:
         return RepairOutcome(None, tuple(inserted), tuple(failures))
     patched = thm._replace(proof=new_proof)

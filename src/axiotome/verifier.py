@@ -7,12 +7,14 @@ cover the full cartesian product of summands over their subjects exactly
 once.
 
 Each hop is judged by ``rewrite.judge_hop``, the judgement ``fill`` keeps
-steps by, and its verdict is reported here.  Steps without a ``via`` clause
-get a single-step inference attempt and a W-INFERRED-VIA warning when it
-succeeds.  A step whose case-range clause does not check on its own is
-healed by one inferred hop before the stated range; the same warning
-records the insertion.  Hop checking stops at the first unjustified
-transition of a (sub)proof, so one defective case yields exactly one error;
+steps by, and its verdict is reported here: as a diagnostic, and whole in
+the report's hop record, which ``fill`` reads instead of judging the
+written hops again.  Steps without a ``via`` clause get a single-step
+inference attempt and a W-INFERRED-VIA warning when it succeeds.  A step
+whose case-range clause does not check on its own is healed by one inferred
+hop before the stated range; the same warning records the insertion.  Hop
+checking stops at the first unjustified transition of a (sub)proof, so one
+defective case yields exactly one error, and the record ends there;
 premiss, endpoint and coverage checks still run.
 """
 
@@ -23,7 +25,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, DiagnosticError, Severity, error, warning
-from .rewrite import StepEnv, Substitution, _case_sigma, apply_substitution, judge_hop
+from .rewrite import StepEnv, StepVerdict, Substitution, _case_sigma, apply_substitution, judge_hop
 from .syntax import (
     ByCasesProof, CaseBlock, LinearProof, ProofBody, ProofStep, Quantifier, Term, TheoremDecl,
     TypeExpr, format_justification, format_quantifier, format_term, format_type,
@@ -37,15 +39,48 @@ class InferredVia(NamedTuple):
     clause: str
 
 
+class JudgedHop(NamedTuple):
+    """``judge_hop``'s verdict on a written hop: the hop from ``prev`` into
+    ``step``, the written step itself, of the linear proof at ``case_path``."""
+
+    case_path: tuple[str, ...]
+    step: ProofStep
+    prev: Term
+    verdict: StepVerdict
+
+    @property
+    def step_index(self) -> int:
+        return self.step.index
+
+    @property
+    def inferred_clause(self) -> str:
+        """The inferred clause as ``--strict`` reports it; a healed hop's
+        ends ``then`` the written clause."""
+        clause = format_justification(self.verdict.inferred)
+        if self.verdict.intermediate is None:
+            return clause
+        return f"{clause} then {format_justification(self.step.justification)}"
+
+
 class VerificationReport(NamedTuple):
+    """A theorem's verdict and diagnostics, and in ``hops`` every hop that
+    was judged, in proof order: each linear proof's hops up to its first
+    rejected one, none of a proof whose terms do not type."""
+
     theorem: str
     accepted: bool
     diagnostics: tuple[Diagnostic, ...] = ()
-    inferred_justifications: tuple[InferredVia, ...] = ()
+    hops: tuple[JudgedHop, ...] = ()
 
     @property
     def status(self) -> str:
         return "accepted" if self.accepted else "rejected"
+
+    @property
+    def inferred_justifications(self) -> tuple[InferredVia, ...]:
+        """The hops whose clause was inferred, healed hops included."""
+        return tuple(InferredVia(hop.case_path, hop.step_index, hop.inferred_clause)
+                     for hop in self.hops if hop.verdict.inferred is not None)
 
 
 def _case_label(case: CaseBlock) -> str:
@@ -163,7 +198,7 @@ class _Verification:
         self.theorem = theorem
         self.quantifier_types = quantifier_types
         self.diagnostics: list[Diagnostic] = []
-        self.inferred: list[InferredVia] = []
+        self.hops: list[JudgedHop] = []
         #: Types the quantified metavariables, for every term of the theorem,
         #: and keeps each node's type once known.
         self.typing = TypingContext(dict(quantifier_types), frozenset())
@@ -251,19 +286,18 @@ class _Verification:
             ))
 
     def _check_hop(self, prev: Term, step: ProofStep, env: StepEnv, path: tuple[str, ...]) -> bool:
-        """Report ``judge_hop``'s verdict on the hop into ``step``: an
-        inferred clause as a W-INFERRED-VIA warning and an ``InferredVia``,
-        a failure as an error at the step."""
+        """Record ``judge_hop``'s verdict on the hop into ``step`` and report
+        it: an inferred clause as a W-INFERRED-VIA warning, a failure as an
+        error at the step."""
         just = step.justification
         verdict = judge_hop(prev, step.term, just, env)
+        self.hops.append(JudgedHop(path, step, prev, verdict))
         if verdict.inferred is not None:
             clause = format_justification(verdict.inferred)
             message = f"justification inferred: {clause}"
             if verdict.intermediate is not None:
                 message = (f"inserted inferred step {format_term(verdict.intermediate)} via {clause} "
                            f"before the stated case range")
-                clause = f"{clause} then {format_justification(just)}"
-            self.inferred.append(InferredVia(path, step.index, clause))
             self.diagnostics.append(warning("W-INFERRED-VIA", f"step {step.index}: {message}", step.span))
         failure = verdict.failure
         if failure is not None:
@@ -298,4 +332,4 @@ def verify_theorem(thm: TheoremDecl, registry: Registry) -> VerificationReport:
     env = StepEnv(registry, (), thm.name)
     v.verify_body(thm.proof, thm.lhs, thm.rhs, env, ())
     accepted = not any(d.severity is Severity.ERROR for d in v.diagnostics)
-    return VerificationReport(thm.name, accepted, tuple(v.diagnostics), tuple(v.inferred))
+    return VerificationReport(thm.name, accepted, tuple(v.diagnostics), tuple(v.hops))

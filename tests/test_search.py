@@ -213,6 +213,35 @@ def test_repair_returns_accepted_proof_unchanged():
     assert repair_theorem(thm, report, registry).theorem is thm
 
 
+def test_repair_takes_the_recorded_verdicts_of_written_hops():
+    # The report holds 16 judged hops, each taken once on the written path
+    # instead of being judged again.  Without them, or with the report of
+    # another parse of the same text, whose steps are equal but not the
+    # same, repair judges them itself.
+    registry, thm = _registry_and_theorem("de_morgan_original.axm")
+    report = verify_theorem(thm, registry)
+    _, twin = _registry_and_theorem("de_morgan_original.axm")
+    outcomes, calls = [], []
+    for given in (report, report._replace(hops=()), verify_theorem(twin, registry)):
+        with patch.object(search, "judge_hop", wraps=search.judge_hop) as judged:
+            outcomes.append(repair_theorem(thm, given, registry))
+        calls.append(judged.call_count)
+    assert twin == thm and twin.proof.cases[0].body.steps[1] is not thm.proof.cases[0].body.steps[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2] and outcomes[0].theorem is not None
+    assert len(report.hops) == 16 and calls[1] - calls[0] == calls[2] - calls[0] == 16
+
+
+def test_repair_blames_the_rejected_hop_of_the_report():
+    # The search exhausts, and the walk that blames a step reads the hop
+    # that ``check`` rejected.  The one hop repair judges is off the
+    # written path: from False, where displacing the via of step 1 leads.
+    registry, thm = _registry_and_theorem("not_not_false_faulty.axm")
+    with patch.object(search, "judge_hop", wraps=search.judge_hop) as judged:
+        outcome = repair_theorem(thm, verify_theorem(thm, registry), registry)
+    assert [failure.step_index for failure in outcome.irreparable] == [1]
+    assert [call.args[:2] for call in judged.call_args_list] == [(t("False"), t("False"))]
+
+
 def test_wrong_via_is_irreparable_with_suggestion():
     registry, thm = _registry_and_theorem("not_not_false_faulty.axm")
     outcome = repair_theorem(thm, verify_theorem(thm, registry), registry)
@@ -662,6 +691,62 @@ def test_layered_fill_gap_agrees_with_reference(source, env, data):
     for goal in goals:
         assert _expanding(fill_gap, source, goal, env, budget) \
             == _expanding(_reference_fill_gap, source, goal, env, budget)
+
+
+def _unread_listings(source, goal, env, budget):
+    """The terms whose moves ``fill_gap`` listed without reading one of
+    them.  A move is read when its term is built off a layer (``_applied``
+    on its parent) or tested for the goal (``_reached``); a term with no
+    moves is never unread."""
+    listed, read = [], set()
+
+    def listing(term, *args):
+        moves = successor_edits(term, *args)
+        if moves:
+            listed.append(term)
+        return moves
+
+    def reading(call):
+        def recording(term, *args):
+            read.add(term)
+            return call(term, *args)
+        return recording
+
+    with patch.object(search, "successor_edits", listing), \
+            patch.object(search, "_applied", reading(_applied)), \
+            patch.object(search, "_reached", reading(_reached)):
+        fill_gap(source, goal, env, budget)
+    return [term for term in listed if term not in read]
+
+
+def test_fill_gap_lists_no_moves_on_a_three_hop_chain_that_it_does_not_read(bool_registry):
+    # False, not(True), not(not(False)), not(not(and(False, True))): the
+    # chain ends partway through its last layer, before the moves of the
+    # layer's later terms are read.
+    source, goal = t("False"), t("not(not(and(False, True)))")
+    assert len(fill_gap(source, goal, StepEnv(bool_registry), SearchBudget(max_depth=3)).steps) == 3
+    assert _unread_listings(source, goal, StepEnv(bool_registry), SearchBudget(max_depth=3)) == []
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(RULE_TERMS, st.sampled_from(ENVS), st.data())
+def test_fill_gap_lists_no_moves_that_it_does_not_read(source, env, data):
+    # The draws of ``test_layered_fill_gap_agrees_with_reference``: every
+    # term whose moves are listed had them listed at once, as it may reach
+    # the goal, or is the parent of a hop taken off a layer.
+    goals = [data.draw(RULE_TERMS)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        goal = source
+        for _ in range(data.draw(st.integers(1, 2))):
+            goal = data.draw(st.sampled_from(successor_moves(goal, env, SCOPE)))[1]
+        goals.append(goal)
+    max_depth = data.draw(st.integers(0, 3))
+    nodes = st.integers(0, 40)
+    if max_depth < 3:
+        nodes |= st.just(SearchBudget().max_nodes)
+    budget = SearchBudget(max_depth, data.draw(nodes))
+    for goal in goals:
+        assert _unread_listings(source, goal, env, budget) == []
 
 
 # ------------------------------------------------- one judgement of a hop

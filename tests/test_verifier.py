@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
 from unittest import mock
+
+import pytest
 
 from axiotome import rewrite
 from axiotome.oracle import brute_force_validate, enumerable_domain
-from axiotome.rewrite import StepEnv, check_justified_step
+from axiotome.rewrite import StepEnv, check_justified_step, judge_hop
 from axiotome.syntax import (
-    ByCasesProof, CaseBlock, LinearProof, ProofStep, Quantifier,
-    RuleJustification, Term, TheoremDecl, TypeExpr, parse_program, parse_term,
+    ByCasesProof, CaseBlock, LinearProof, ProofStep, Program, Quantifier, RuleJustification, Term,
+    TheoremDecl, TypeExpr, format_justification, format_term, parse_program, parse_term,
 )
-from axiotome.verifier import check_case_coverage, effective_quantifiers, enter_case, verify_theorem
+from axiotome.typesys import build_registry
+from axiotome.verifier import (
+    InferredVia, _Verification, check_case_coverage, effective_quantifiers, enter_case, verify_theorem,
+)
 
-from conftest import BOOL_FNS, CORE, load_registry
+from conftest import BOOL_FNS, CORE, PROGRAM_FIXTURES, corpus_text, load_registry
 
 
 def t(source: str) -> Term:
@@ -108,6 +116,124 @@ def test_via_less_step_is_inferred_with_warning(core_registry):
     assert len(inferred) == 1
     assert inferred[0].step_index == 2
     assert inferred[0].clause == "$not°T"
+
+
+# ---------------------------------------------------------------- hop record
+
+def _hop_table(report):
+    """Each recorded hop as (case path, step index, previous term, written
+    clause, inferred clause, intermediate term, failure code)."""
+    def shown(node, fmt):
+        return None if node is None else fmt(node)
+    return [(hop.case_path, hop.step_index, format_term(hop.prev),
+             shown(hop.step.justification, format_justification), shown(hop.verdict.inferred, format_justification),
+             shown(hop.verdict.intermediate, format_term), shown(hop.verdict.failure, lambda d: d.code))
+            for hop in report.hops]
+
+
+def test_report_records_an_inferred_hop(core_registry):
+    thm = _theorem(core_registry, "notNotFalse")
+    report = verify_theorem(thm, core_registry)
+    assert [hop.step for hop in report.hops] == list(thm.proof.steps[1:])
+    assert all(hop.step is step for hop, step in zip(report.hops, thm.proof.steps[1:]))
+    assert _hop_table(report) == [
+        ((), 1, "not(not(False))", "$not°F", None, None, None),
+        ((), 2, "not(True)", None, "$not°T", None, None),
+    ]
+
+
+def test_report_records_healed_case_range_hops():
+    report = _verify_fixture("triple_negation.axm")
+    for const, flip, inner in (("False", "True", "$not°F"), ("True", "False", "$not°T")):
+        path = (f"case ∀a ∈ {const}",)
+        outer = "$not°T" if inner == "$not°F" else "$not°F"
+        assert [row for row in _hop_table(report) if row[0] == path] == [
+            (path, 1, "not(not(not(a)))", f"∀a ∈ {const}", None, None, None),
+            (path, 2, f"not(not(not({const})))", inner, None, None, None),
+            (path, 3, f"not(not({flip}))", outer, None, None, None),
+            (path, 4, f"not({const})", inner, None, None, None),
+            (path, 5, flip, f"∀a ∈ {const}", inner, f"not({const})", None),
+        ]
+    assert [(i.case_path, i.step_index, i.clause) for i in report.inferred_justifications] == [
+        (("case ∀a ∈ False",), 5, "$not°F then ∀a ∈ False"),
+        (("case ∀a ∈ True",), 5, "$not°T then ∀a ∈ True"),
+    ]
+
+
+def test_report_records_hops_up_to_the_rejected_one():
+    # Each case of the original de Morgan proof is rejected at step 4, and
+    # its later hops are not judged.
+    report = _verify_fixture("de_morgan_original.axm")
+    table = _hop_table(report)
+    assert [(row[0], row[1]) for row in table] == [
+        ((f"case ∀a ∈ {a}, ∀b ∈ {b}",), i) for a in ("False", "True") for b in ("False", "True")
+        for i in (1, 2, 3, 4)]
+    assert [row[6] for row in table] == [None, None, None, "E-UNJUSTIFIED-STEP"] * 4
+    assert all(row[4] is None and row[5] is None for row in table)
+    assert table[3] == (("case ∀a ∈ False, ∀b ∈ False",), 4, "True", "($not°F, $not°F)",
+                        None, None, "E-UNJUSTIFIED-STEP")
+
+
+def _inferred_as_before(thm, registry):
+    """``inferred_justifications`` as the verifier made it before it kept
+    every hop: one ``InferredVia`` per inferred verdict, built in
+    ``_check_hop`` as the hop was judged."""
+    found = []
+
+    def check_hop(self, prev, step, env, path):
+        just = step.justification
+        verdict = judge_hop(prev, step.term, just, env)
+        if verdict.inferred is not None:
+            clause = format_justification(verdict.inferred)
+            if verdict.intermediate is not None:
+                clause = f"{clause} then {format_justification(just)}"
+            found.append(InferredVia(path, step.index, clause))
+        return verdict.failure is None
+
+    with mock.patch.object(_Verification, "_check_hop", check_hop):
+        verify_theorem(thm, registry)
+    return tuple(found)
+
+
+def test_inferred_justifications_are_unchanged_on_the_corpus():
+    checked = 0
+    for fixture in PROGRAM_FIXTURES:
+        if "theorem ¶" not in corpus_text(fixture) or fixture in BOOL_FNS:
+            continue
+        registry = load_registry(*BOOL_FNS, fixture)
+        for thm in registry.theorems.values():
+            assert verify_theorem(thm, registry).inferred_justifications == _inferred_as_before(thm, registry)
+            checked += 1
+    assert checked == 9
+
+
+def _perfbench_workloads():
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # ``dataclass`` looks its module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("workload", ["check-proofs", "fill-gaps"])
+def test_inferred_justifications_are_unchanged_on_the_benchmark_jobs(workload):
+    workloads = _perfbench_workloads()
+    defs = parse_program(workloads.DEFS, workloads.DEFS_NAME).statements
+    theorems = inferred = 0
+    for job in workloads.generate(workload, 101):
+        program = parse_program(job.text, job.filename)
+        registry, _ = build_registry(Program(defs + program.statements))
+        for thm in registry.theorems.values():
+            report = verify_theorem(thm, registry)
+            assert report.inferred_justifications == _inferred_as_before(thm, registry)
+            theorems += 1
+            inferred += len(report.inferred_justifications)
+    # Only check-proofs writes via-less steps.
+    assert theorems >= 100 and (inferred > 1000 or workload == "fill-gaps")
 
 
 # ------------------------------------------------------------ linear proofs
