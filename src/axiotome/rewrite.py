@@ -425,23 +425,31 @@ def _orthogonal(rules: list[RewriteRule]) -> bool:
     own.  Every complete reduction of a term then ends in the same normal
     form after the same number of steps, and a term with no normal form has
     no complete reduction at all (Huet & Lévy, "Computations in Orthogonal
-    Rewriting Systems", 1991)."""
+    Rewriting Systems", 1991).
+
+    A ground left-hand side, with no variables, is linear and erases
+    nothing, and two ground patterns unify exactly when they are one
+    interned term, since matching compares type arguments too."""
     by_head: dict[str, list[RewriteRule]] = {}
     for rule in rules:
-        if _is_var(rule.lhs, rule.metavars):
-            return False
-        lhs_vars, rhs_vars = ([sub.head for sub in side.postorder() if _is_var(sub, rule.metavars)]
-                              for side in (rule.lhs, rule.rhs))
-        if len(set(lhs_vars)) != len(lhs_vars) or any(rhs_vars.count(v) != 1 for v in lhs_vars):
-            return False
+        if rule.lhs_vars:
+            if _is_var(rule.lhs, rule.metavars):
+                return False
+            lhs_vars, rhs_vars = ([sub.head for sub in side.postorder() if _is_var(sub, rule.metavars)]
+                                  for side in (rule.lhs, rule.rhs))
+            if len(set(lhs_vars)) != len(lhs_vars) or any(rhs_vars.count(v) != 1 for v in lhs_vars):
+                return False
         by_head.setdefault(rule.lhs.head, []).append(rule)
     for outer in rules:
+        ground = not outer.lhs_vars
         for sub in outer.lhs.postorder():
-            if _is_var(sub, outer.metavars):
+            if not ground and _is_var(sub, outer.metavars):
                 continue
             for inner in by_head.get(sub.head, ()):
-                if (inner is not outer or sub is not outer.lhs) \
-                        and _unifiable(inner.lhs, inner.metavars, sub, outer.metavars):
+                if inner is outer and sub is outer.lhs:
+                    continue
+                if (inner.lhs is sub) if ground and not inner.lhs_vars \
+                        else _unifiable(inner.lhs, inner.metavars, sub, outer.metavars):
                     return False
     return True
 

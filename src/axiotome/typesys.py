@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property, partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Container, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .diagnostics import Diagnostic, DiagnosticError, Span, error, warning
 from .syntax import (
@@ -21,6 +21,9 @@ from .syntax import (
 
 if TYPE_CHECKING:
     from .rewrite import RuleSet
+
+
+_Node = TypeVar("_Node")
 
 
 class ConstructorSignature(NamedTuple):
@@ -48,7 +51,8 @@ class Registry(Frozen):
     """Immutable view of every declaration in a program.
 
     The maps are copied into read-only mappings on construction, so the
-    tables derived from them (``rules``, ``signatures``) cannot go stale.
+    tables derived from them (``rules``, ``signatures``, ``sums``) cannot
+    go stale.
     """
 
     def __init__(self, types: Mapping[str, TypeDecl] = {}, functions: Mapping[str, FunctionDecl] = {},
@@ -65,6 +69,14 @@ class Registry(Frozen):
         ``rewrite`` builds on this module, hence the deferred import."""
         from .rewrite import RuleSet
         return RuleSet.of(self)
+
+    @cached_property
+    def sums(self) -> Mapping[str, frozenset[TypeExpr]]:
+        """The summands of each sum type without type parameters, as a set
+        of bare types, by name, built whole on first use."""
+        return MappingProxyType({name: frozenset(s.bare for s in decl.body.summands)
+                                 for name, decl in self.types.items()
+                                 if isinstance(decl.body, SumBody) and not decl.params})
 
     @cached_property
     def signatures(self) -> Mapping[str, ConstructorSignature]:
@@ -207,28 +219,34 @@ def summands(ty: TypeExpr, reg: Registry) -> list[TypeExpr] | None:
 CLOSURE_BOUND = 10_000
 
 
-def _in_closure(sub: TypeExpr | None, sup: TypeExpr, reg: Registry) -> bool | None:
+def _in_closure(sub: TypeExpr, sup: TypeExpr, reg: Registry) -> bool:
     """Whether ``sub`` lies in ``sup``'s summand closure, walked with a seen
-    set so that cyclic sums end; ``None`` once the walk passes
-    ``CLOSURE_BOUND`` types without meeting ``sub``."""
+    set so that cyclic sums end, and given up as False once the walk passes
+    ``CLOSURE_BOUND`` types without meeting ``sub``.  A sum without type
+    parameters reads its summands from ``reg.sums``; an instance of a
+    generic sum substitutes its type arguments into its summands."""
+    sums = reg.sums
     todo, seen = [sup], {sup}
     while todo:
-        parts = summands(todo.pop(), reg) or ()
+        ty = todo.pop()
+        parts = sums.get(ty.name)
+        if parts is None:
+            parts = summands(ty, reg) or ()
         if sub in parts:
             return True
         todo += [s for s in parts if s not in seen]
         seen.update(parts)
         if len(seen) > CLOSURE_BOUND:
-            return None
+            return False
     return False
 
 
 def conforms(sub: TypeExpr, sup: TypeExpr, reg: Registry) -> bool:
     """Structural equality, or membership in ``sup``'s summand closure.
-    Type arguments are invariant.  Past ``CLOSURE_BOUND`` types of an
-    infinite closure, which ``check_well_formed`` reports, the answer is
-    False."""
-    return sub == sup or bool(_in_closure(sub, sup, reg))
+    Type arguments are invariant.  Past ``CLOSURE_BOUND`` types of a
+    closure, as of an infinite one, which ``check_well_formed`` reports,
+    the answer is False."""
+    return sub == sup or _in_closure(sub, sup, reg)
 
 
 def constructor_signature(name: str, reg: Registry) -> ConstructorSignature:
@@ -249,11 +267,10 @@ def join_types(t1: TypeExpr, t2: TypeExpr, reg: Registry) -> TypeExpr | None:
         return t2
     if conforms(t2, t1, reg):
         return t1
-    for name, decl in reg.types.items():
-        if isinstance(decl.body, SumBody) and not decl.params:
-            candidate = TypeExpr(name)
-            if conforms(t1, candidate, reg) and conforms(t2, candidate, reg):
-                return candidate
+    for name in reg.sums:
+        candidate = TypeExpr(name)
+        if conforms(t1, candidate, reg) and conforms(t2, candidate, reg):
+            return candidate
     return None
 
 
@@ -282,64 +299,74 @@ def _solve_params(pattern: TypeExpr, actual: TypeExpr, params: set[str], binding
             pairs.extend(reversed(tuple(zip(pattern.args, actual.args))))
 
 
-#: Where a typing error lies: ``place(node)`` is the span of ``node``, and
-#: ``place(node, i)`` that of its ``i``-th argument.
-Placer = Callable[..., Span]
-
-
-def _signature(term: Term, ctx: TypingContext, reg: Registry, place: Placer) -> ConstructorSignature:
+def _signature(term: Term, ctx: TypingContext, reg: Registry, root: Term, spans: Sequence[Span]) \
+        -> ConstructorSignature:
     """Signature of the function or constructor at ``term``'s head, once
     ``term`` is checked to give it as many type arguments (if any) and
-    arguments as it declares."""
+    arguments as it declares.  An error lies at ``term`` within ``root``,
+    the term being typed, whose nodes have ``spans`` (``_place``)."""
     sig = reg.signatures.get(term.head)
     if sig is None:
         if term.head in reg.types:
             raise DiagnosticError(error(
-                "E-NO-CONSTRUCTOR", f"sum type {term.head!r} has no constructor", place(term),
+                "E-NO-CONSTRUCTOR", f"sum type {term.head!r} has no constructor", _place(root, spans, term),
             ))
         if term.head in ctx.type_params:
             raise DiagnosticError(error(
-                "E-UNRESOLVED", f"type parameter {term.head!r} used as a term", place(term),
+                "E-UNRESOLVED", f"type parameter {term.head!r} used as a term", _place(root, spans, term),
             ))
-        raise DiagnosticError(error("E-UNRESOLVED", f"unknown term head {term.head!r}", place(term)))
+        raise DiagnosticError(error("E-UNRESOLVED", f"unknown term head {term.head!r}", _place(root, spans, term)))
     explicit = term.type_args
     if explicit and len(explicit) != len(sig.type_params):
         raise DiagnosticError(error(
             "E-ARITY",
             f"{term.head!r} expects {len(sig.type_params)} type argument(s), got {len(explicit)}",
-            place(term),
+            _place(root, spans, term),
         ))
     if len(term.args) != len(sig.fields):
         raise DiagnosticError(error(
             "E-ARITY",
             f"{term.head!r} expects {len(sig.fields)} argument(s), got {len(term.args)}",
-            place(term),
+            _place(root, spans, term),
         ))
     return sig
 
 
 def _result_type(term: Term, sig: ConstructorSignature, arg_types: tuple[TypeExpr, ...], reg: Registry,
-                 place: Placer) -> TypeExpr:
+                 root: Term, spans: Sequence[Span]) -> TypeExpr:
     """Type of the application ``term`` given its arguments' types: solve
-    the type parameters not given explicitly, then check each argument."""
+    the type parameters not given explicitly, then check each argument.  A
+    signature without type parameters checks each argument against its
+    declared type and gives its declared result type."""
+    if not sig.type_params:
+        for i, ((_, pty), aty) in enumerate(zip(sig.fields, arg_types)):
+            if not conforms(aty, pty, reg):
+                raise _mismatch(term, i, aty, pty, root, spans)
+        return sig.result_type
     explicit = term.type_args
     bindings: dict[str, TypeExpr] = dict(zip(sig.type_params, explicit))
     params = set(sig.type_params)
-    if params and not explicit:
+    if not explicit:
         for i, ((_, pty), aty) in enumerate(zip(sig.fields, arg_types)):
-            _solve_params(pty, aty, params, bindings, reg, partial(place, term, i))
-    for i, ((_, pty), aty, arg) in enumerate(zip(sig.fields, arg_types, term.args)):
+            _solve_params(pty, aty, params, bindings, reg, partial(_place, root, spans, term, i))
+    for i, ((_, pty), aty) in enumerate(zip(sig.fields, arg_types)):
         expected = substitute_type(pty, bindings)
-        unsolved = params and _mentions_unsolved(expected, params, bindings)
-        if not unsolved and not conforms(aty, expected, reg):
-            raise DiagnosticError(error(
-                "E-TYPE-MISMATCH",
-                f"argument {format_term(arg)} of {term.head!r}: "
-                f"{format_type(aty)} does not conform to {format_type(expected)}",
-                place(term, i),
-            ))
+        if not _mentions_unsolved(expected, params, bindings) and not conforms(aty, expected, reg):
+            raise _mismatch(term, i, aty, expected, root, spans)
     # Unsolved parameters stay symbolic (e.g. Nil's unused element type).
     return substitute_type(sig.result_type, bindings)
+
+
+def _mismatch(term: Term, i: int, actual: TypeExpr, expected: TypeExpr, root: Term,
+              spans: Sequence[Span]) -> DiagnosticError:
+    """The error of ``term``'s ``i``-th argument, of type ``actual``, where
+    ``expected`` was due."""
+    return DiagnosticError(error(
+        "E-TYPE-MISMATCH",
+        f"argument {format_term(term.args[i])} of {term.head!r}: "
+        f"{format_type(actual)} does not conform to {format_type(expected)}",
+        _place(root, spans, term, i),
+    ))
 
 
 def _mentions_unsolved(ty: TypeExpr, params: set[str], bindings: dict[str, TypeExpr]) -> bool:
@@ -372,10 +399,6 @@ def infer_type(term: Term, ctx: TypingContext, reg: Registry, spans: Sequence[Sp
     if known is not None:
         return known
     metavar_types = ctx.metavar_types
-
-    def place(node: Term, arg: int | None = None) -> Span:
-        return _place(term, spans, node, arg)
-
     types: list[TypeExpr] = []  # types of the finished subterms, in order
     # Terms to enter, and (term, signature, base of its argument types) to leave.
     stack: list = [term]
@@ -385,25 +408,26 @@ def infer_type(term: Term, ctx: TypingContext, reg: Registry, spans: Sequence[Sp
             node, sig, base = item
             arg_types = tuple(types[base:])
             del types[base:]
-            ty = memo[node] = _result_type(node, sig, arg_types, reg, place)
+            ty = memo[node] = _result_type(node, sig, arg_types, reg, term, spans)
             types.append(ty)
             continue
         ty = memo.get(item)
         if ty is None:
             if item.head not in metavar_types:
-                stack.append((item, _signature(item, ctx, reg, place), len(types)))
+                stack.append((item, _signature(item, ctx, reg, term, spans), len(types)))
                 stack.extend(reversed(item.args))
                 continue
             if item.args or item.type_args:
                 raise DiagnosticError(error(
-                    "E-TYPE-MISMATCH", f"metavariable {item.head!r} cannot take arguments", place(item),
+                    "E-TYPE-MISMATCH", f"metavariable {item.head!r} cannot take arguments",
+                    _place(term, spans, item),
                 ))
             ty = metavar_types[item.head]
         types.append(ty)
     return types[0]
 
 
-def _place(term: Term, spans: Sequence[Span], node: Term, arg: int | None) -> Span:
+def _place(term: Term, spans: Sequence[Span], node: Term, arg: int | None = None) -> Span:
     """The span of ``node``'s first occurrence in ``term`` in pre-order, or
     of that occurrence's ``arg``-th argument, from ``term``'s ``spans``."""
     index, stack = 0, [term]
@@ -428,7 +452,7 @@ def term_metavars(term: Term, reg: Registry) -> set[str]:
 def check_well_formed(reg: Registry) -> list[Diagnostic]:
     """Declaration-level checks beyond name resolution."""
     diags: list[Diagnostic] = []
-    cycles = _product_cycles(reg)
+    cycles, infinite = _product_cycles(reg), _infinite_sums(reg)
     for decl in reg.types.values():
         if isinstance(decl.body, ProductBody):
             labels = [label for label, _ in decl.body.fields]
@@ -440,65 +464,138 @@ def check_well_formed(reg: Registry) -> list[Diagnostic]:
                     f"product type {decl.name!r} recurses without an intervening sum and has no inhabitants",
                     decl.span,
                 ))
-        else:
+        elif decl.name in infinite:
             own = TypeExpr(decl.name, tuple(TypeExpr(p) for p in decl.params))
-            if _in_closure(None, own, reg) is None:
-                diags.append(error(
-                    "E-INFINITE-SUM",
-                    f"the summand closure of {format_type(own)} is infinite: a sum recurses "
-                    f"with growing type arguments",
-                    decl.span,
-                ))
+            diags.append(error(
+                "E-INFINITE-SUM",
+                f"the summand closure of {format_type(own)} is infinite: a sum recurses "
+                f"with growing type arguments",
+                decl.span,
+            ))
     for fn in reg.functions.values():
         diags.extend(_check_function(fn, reg))
     return diags
 
 
-def _product_cycles(reg: Registry) -> set[str]:
-    """The product types that reach themselves through fields of product
-    types alone: those whose strongly connected component of the
-    product-field graph has two or more types or a self-field.  One
-    iterative pass of Tarjan's algorithm (*SIAM J. Comput.* 1(2), 1972)
-    finds every component."""
-    products = {name: decl.body for name, decl in reg.types.items() if isinstance(decl.body, ProductBody)}
-    edges = {name: [ty.name for _, ty in body.fields if ty.name in products] for name, body in products.items()}
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    at: dict[str, int] = {}  # the position of each type still on ``stack``
-    walk: list[tuple[str, Iterator[str]]] = []  # the depth-first path, with each type's fields left
-    cycles: set[str] = set()
+def _components(edges: Mapping[_Node, Iterable[_Node]]) -> Iterator[list[_Node]]:
+    """The strongly connected components of the graph ``edges``, each as
+    soon as it is complete, so after every component it reaches: one
+    iterative pass of Tarjan's algorithm (*SIAM J. Comput.* 1(2), 1972)."""
+    index: dict[_Node, int] = {}
+    low: dict[_Node, int] = {}
+    stack: list[_Node] = []
+    at: dict[_Node, int] = {}  # the position of each node still on ``stack``
+    walk: list[tuple[_Node, Iterator[_Node]]] = []  # the depth-first path, with each node's edges left
 
-    def enter(name: str) -> None:
-        index[name] = low[name] = len(index)
-        at[name] = len(stack)
-        stack.append(name)
-        walk.append((name, iter(edges[name])))
+    def enter(node: _Node) -> None:
+        index[node] = low[node] = len(index)
+        at[node] = len(stack)
+        stack.append(node)
+        walk.append((node, iter(edges[node])))
 
     for root in edges:
         if root not in index:
             enter(root)
         while walk:
-            name, targets = walk[-1]
+            node, targets = walk[-1]
             for target in targets:
                 if target not in index:
                     enter(target)
                     break
                 if target in at:
-                    low[name] = min(low[name], index[target])
+                    low[node] = min(low[node], index[target])
             else:
                 walk.pop()
                 if walk:
                     parent = walk[-1][0]
-                    low[parent] = min(low[parent], low[name])
-                if low[name] == index[name]:
-                    component = stack[at[name]:]
-                    del stack[at[name]:]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = stack[at[node]:]
+                    del stack[at[node]:]
                     for member in component:
                         del at[member]
-                    if len(component) > 1 or name in edges[name]:
-                        cycles.update(component)
-    return cycles
+                    yield component
+
+
+def _product_cycles(reg: Registry) -> set[str]:
+    """The product types that reach themselves through fields of product
+    types alone: those whose strongly connected component of the
+    product-field graph has two or more types or a self-field."""
+    products = {name: decl.body for name, decl in reg.types.items() if isinstance(decl.body, ProductBody)}
+    edges = {name: [ty.name for _, ty in body.fields if ty.name in products] for name, body in products.items()}
+    return {name for component in _components(edges)
+            if len(component) > 1 or component[0] in edges[component[0]] for name in component}
+
+
+def _infinite_sums(reg: Registry) -> set[str]:
+    """The sum types whose summand closure is infinite, found without
+    walking any closure: Kennedy and Pierce's expansive-recursion test ("On
+    Decidability of Nominal Subtyping with Variance", FOOL 2007), in time
+    linear in the declarations.
+
+    A closure is a walk from a sum's own type, with its type parameters for
+    arguments, to the summands of each sum type it meets, instantiated.  So
+    a type written in a sum's declaration is met when it is a summand or an
+    argument of a met type at a *promoted* position: one whose parameter is
+    itself met, as ``T`` is, a summand of ``Option[T] ≡ Sum[T, None]``.
+    Each met type ``Q[..., A_j, ...]`` in the declaration of ``S``, ``Q`` a
+    sum, gives an edge from each parameter ``X`` of ``S`` that ``A_j``
+    holds to ``Q``'s ``j``-th parameter, *expansive* where ``A_j`` is not
+    ``X`` itself.  A closure is infinite exactly when it meets a sum with a
+    parameter on a cycle of these edges through an expansive one: each lap
+    of the cycle nests that argument deeper.  A met parameter named like a
+    declared sum is taken to meet that sum, as it does in its own type."""
+    decls = {name: decl for name, decl in reg.types.items() if isinstance(decl.body, SumBody)}
+    position = {name: {p: i for i, p in enumerate(decl.params)} for name, decl in decls.items()}
+    promoted: set[tuple[str, int]] = set()
+    met: dict[str, list[tuple[str, TypeExpr]]] = {}  # by head: each met sum type and whose declaration has it
+    meets: dict[str, set[str]] = {name: set() for name in decls}  # the sums each sum's closure goes on to
+    edges: dict[tuple[str, int], list[tuple[str, int]]] = {
+        (name, i): [] for name, decl in decls.items() for i in range(len(decl.params))}
+    expansive: list[tuple[tuple[str, int], tuple[str, int]]] = []
+    todo = [(name, ty) for name, decl in decls.items() for ty in decl.body.summands]
+    while todo:
+        owner, ty = todo.pop()
+        at = position[owner].get(ty.name)
+        if at is not None and not ty.args:
+            if (owner, at) not in promoted:
+                promoted.add((owner, at))
+                if ty.name in decls:
+                    meets[owner].add(ty.name)
+                todo += [(user, use.args[at]) for user, use in met.get(owner, ()) if at < len(use.args)]
+        elif ty.name in decls:
+            meets[owner].add(ty.name)
+            met.setdefault(ty.name, []).append((owner, ty))
+            params = decls[ty.name].params
+            todo += [(owner, arg) for j, arg in enumerate(ty.args[:len(params)]) if (ty.name, j) in promoted]
+            for name, arg in dict(zip(params, ty.args)).items():
+                target = (ty.name, position[ty.name][name])
+                for leaf in _leaves(arg):
+                    source = (owner, position[owner].get(leaf.name))
+                    if source[1] is not None:
+                        edges[source].append(target)
+                        if leaf is not arg:
+                            expansive.append((source, target))
+    component = {node: i for i, nodes in enumerate(_components(edges)) for node in nodes}
+    growing = {source[0] for source, target in expansive if component[source] == component[target]}
+    # Components come after every component they reach, so a sum meets an
+    # infinite closure by then.
+    infinite: set[str] = set()
+    for names in _components(meets):
+        if any(name in growing or not meets[name].isdisjoint(infinite) for name in names):
+            infinite.update(names)
+    return infinite
+
+
+def _leaves(ty: TypeExpr) -> Iterator[TypeExpr]:
+    """The nodes of ``ty`` without type arguments."""
+    stack = [ty]
+    while stack:
+        node = stack.pop()
+        if node.args:
+            stack.extend(node.args)
+        else:
+            yield node
 
 
 def _check_function(fn: FunctionDecl, reg: Registry) -> list[Diagnostic]:
@@ -522,11 +619,13 @@ def _check_function(fn: FunctionDecl, reg: Registry) -> list[Diagnostic]:
             diags.extend(exc.diagnostics)
         return diags
 
-    seen_axioms: list[str] = []
+    type_params = frozenset(fn.type_params)
+    shared = None  # the context of every axiom without annotations: the function's parameters alone
+    seen_axioms: set[str] = set()
     for ax in fn.body.axioms:
         if ax.name in seen_axioms:
             continue  # global duplicate already reported by build_registry
-        seen_axioms.append(ax.name)
+        seen_axioms.add(ax.name)
         if ax.lhs.head != fn.name:
             diags.append(error(
                 "E-TYPE-MISMATCH",
@@ -535,8 +634,10 @@ def _check_function(fn: FunctionDecl, reg: Registry) -> list[Diagnostic]:
                 ax.span,
             ))
             continue
-        metavars = reg.axiom_metavars(ax, fn.name)
-        ctx = TypingContext(metavars, frozenset(fn.type_params))
+        if ax.metavar_types:
+            ctx = TypingContext(reg.axiom_metavars(ax, fn.name), type_params)
+        else:
+            ctx = shared = shared or TypingContext(dict(fn.params), type_params)
         try:
             lhs_ty = infer_type(ax.lhs, ctx, reg, ax.lhs_spans)
             rhs_ty = infer_type(ax.rhs, ctx, reg, ax.rhs_spans)
@@ -549,14 +650,6 @@ def _check_function(fn: FunctionDecl, reg: Registry) -> list[Diagnostic]:
                     "E-TYPE-MISMATCH",
                     f"axiom {ax.name}: {side}-hand side has type {format_type(ty)}, "
                     f"which does not conform to {format_type(fn.return_type)}",
-                    ax.span,
-                ))
-        for side in (ax.rhs, ax.lhs):
-            for name in sorted(term_metavars(side, reg) - set(metavars)):
-                diags.append(error(
-                    "E-UNRESOLVED",
-                    f"axiom {ax.name}: {name!r} is neither a declared name, a parameter "
-                    f"of {fn.name!r}, nor annotated with a type",
                     ax.span,
                 ))
     return diags

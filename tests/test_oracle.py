@@ -398,6 +398,11 @@ RULE_SETS = {
         "function dup(a: Boolean) : Boolean\n  allowing $dup: dup(a) ↔ and(a, a)\n")), "dup", False),
     "overlaps itself below the root": (load_registry(*BASE_TYPES, extra=(
         "function twice(b: Boolean) : Boolean\n  allowing $twice: twice(twice(b)) ↔ b\n")), "twice", False),
+    "ground rules overlap at the root": (load_registry(*BASE_TYPES, extra=(
+        "function pick(b: Boolean) : Boolean\n  allowing $pick°F: pick(False) ↔ True\n"
+        "           $pick°FF: pick(False) ↔ False\n")), "pick", False),
+    "ground rules overlap below the root": (load_registry(*BOOL_FNS, extra=(
+        "function peel(b: Boolean) : Boolean\n  allowing $peel: peel(not(False)) ↔ not(True)\n")), "peel", False),
 }
 
 

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axiotome import typesys
 from axiotome.diagnostics import DiagnosticError, Span, error
 from axiotome.rewrite import RewriteRule, _reach
 from axiotome.syntax import SumBody, Term, TypeExpr, format_term, format_type, parse_program, parse_term
 from axiotome.typesys import (
     TypingContext, _mentions_unsolved, _solve_params, build_registry, check_well_formed, conforms,
-    constructor_signature, infer_type, substitute_type, term_metavars,
+    constructor_signature, infer_type, join_types, substitute_type, summands, term_metavars,
 )
 from axiotome.verifier import verify_theorem
 
@@ -118,6 +119,10 @@ def test_checked_registry_holds_only_read_only_maps_and_two_rule_indexes():
         assert isinstance(value, MappingProxyType) or value is registry.rules, name
     products = {name for name, decl in registry.types.items() if not isinstance(decl.body, SumBody)}
     assert set(registry.signatures) == products | set(registry.functions)
+    # Conformance reads the sum table, built whole: each sum's summands, bare.
+    assert "sums" in vars(registry)
+    assert dict(registry.sums) == {name: frozenset(s.bare for s in decl.body.summands)
+                                   for name, decl in registry.types.items() if isinstance(decl.body, SumBody)}
     rules = registry.rules
     assert set(vars(rules)) == {"rules", "named", "reductions", "moves", "reach"}
     assert all(isinstance(vars(rules)[name], MappingProxyType) for name in ("named", "reductions", "moves"))
@@ -271,6 +276,142 @@ def test_conforms_ends_on_cyclic_sums():
         "E-INFINITE-SUM",
         "the summand closure of G[T] is infinite: a sum recurses with growing type arguments",
     )]
+
+
+def test_infinite_sums_are_those_whose_closure_meets_a_growing_cycle():
+    # A[Zero] meets B[W[Zero]], then A[W[Zero]]: each lap through B nests the
+    # argument deeper.  C meets that cycle, and the parameter G of S, met in
+    # S's own type S[G], names the sum G.  Opt's parameter is a summand, so
+    # Q[Zero] meets Opt[Q[P[Zero]]] and then Q[P[Zero]], and R likewise,
+    # declared on Opt's other side.  Keep[T] meets only Keep[T] and
+    # Swap[T, T] only Swap[T, T]: no argument grows.
+    registry, _ = build_registry(parse_program(
+        "type Zero ≡ Product[]\ntype W[T] ≡ Product[]\ntype P[T] ≡ Product[]\n"
+        "type A[T] ≡ Sum[B[W[T]]]\ntype B[T] ≡ Sum[A[T], Zero]\ntype C ≡ Sum[A[Zero]]\n"
+        "type G[T] ≡ Sum[G[W[T]]]\ntype S[G] ≡ Sum[G, Zero]\n"
+        "type R[T] ≡ Sum[Opt[R[P[T]]]]\ntype Opt[T] ≡ Sum[T, Zero]\ntype Q[T] ≡ Sum[Opt[Q[P[T]]]]\n"
+        "type Keep[T] ≡ Sum[Keep[T], W[Keep[W[T]]]]\ntype Swap[T, U] ≡ Sum[Swap[U, T]]\n"
+        "type Wrapped[T] ≡ Sum[Opt[W[Wrapped[T]]]]\n"))
+    infinite = {d.message.split()[4] for d in check_well_formed(registry) if d.code == "E-INFINITE-SUM"}
+    assert infinite == {"A[T]", "B[T]", "C", "G[T]", "S[G]", "R[T]", "Q[T]"}
+    assert infinite == {format_type(TypeExpr(name, tuple(TypeExpr(p) for p in registry.types[name].params)))
+                        for name in _reference_infinite_sums(registry)}
+
+
+@st.composite
+def _sum_declarations(draw):
+    """Up to four sums of up to two parameters each, over the products
+    ``Z``, ``W[A]`` and ``P[A, B]``, written with the right arities;
+    parameters and sums are drawn twice as often as products."""
+    arities = {f"S{i}": k for i, k in enumerate(draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)))}
+    heads = {"Z": 0, "W": 1, "P": 2, **arities}
+
+    def written(params, depth):
+        fit = [h for h, k in heads.items() if depth > 0 or not k]
+        head = draw(st.sampled_from([*params, *params, *(h for h in fit if h in arities), *fit]))
+        k = heads.get(head, 0)
+        return f"{head}[{', '.join(written(params, depth - 1) for _ in range(k))}]" if k else head
+
+    lines = ["type Z ≡ Product[]", "type W[A] ≡ Product[]", "type P[A, B] ≡ Product[]"]
+    for name, k in arities.items():
+        params = [f"T{name}{j}" for j in range(k)]
+        own = f"{name}[{', '.join(params)}]" if params else name
+        summands = [written(params, draw(st.integers(0, 2))) for _ in range(draw(st.integers(1, 3)))]
+        lines.append(f"type {own} ≡ Sum[{', '.join(summands)}]")
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_sum_declarations())
+def test_infinite_sums_agree_with_walking_each_closure(text):
+    registry, diags = build_registry(parse_program(text))
+    assert not diags
+    reported = {d.span.line - 4 for d in check_well_formed(registry) if d.code == "E-INFINITE-SUM"}
+    assert {f"S{i}" for i in reported} == _reference_infinite_sums(registry)
+
+
+def _reference_in_closure(sub, sup, reg, bound):
+    """The summand-closure walk that ``conforms`` read before the sum table,
+    with ``CLOSURE_BOUND`` for ``bound``: each step substitutes, and the
+    answer is ``None`` once the walk passes ``bound`` types."""
+    todo, seen = [sup], {sup}
+    while todo:
+        parts = summands(todo.pop(), reg) or ()
+        if sub in parts:
+            return True
+        todo += [s for s in parts if s not in seen]
+        seen.update(parts)
+        if len(seen) > bound:
+            return None
+    return False
+
+
+def _reference_conforms(sub, sup, reg):
+    return sub == sup or bool(_reference_in_closure(sub, sup, reg, typesys.CLOSURE_BOUND))
+
+
+def _reference_join(t1, t2, reg):
+    if _reference_conforms(t1, t2, reg):
+        return t2
+    if _reference_conforms(t2, t1, reg):
+        return t1
+    for name, decl in reg.types.items():
+        if isinstance(decl.body, SumBody) and not decl.params:
+            candidate = TypeExpr(name)
+            if _reference_conforms(t1, candidate, reg) and _reference_conforms(t2, candidate, reg):
+                return candidate
+    return None
+
+
+#: A closure of the tests' declarations that ends holds a few dozen types.
+_FINITE_BOUND = 2000
+
+
+def _reference_infinite_sums(reg):
+    """The sums whose own type's closure walk passes ``_FINITE_BOUND``."""
+    return {name for name, decl in reg.types.items() if isinstance(decl.body, SumBody) and _reference_in_closure(
+        None, TypeExpr(name, tuple(TypeExpr(p) for p in decl.params)), reg, _FINITE_BOUND) is None}
+
+
+_ZERO = TypeExpr("Zero")
+#: Registries, each with type instances: the boolean and list listings, and
+#: the cyclic and growing sums of ``test_conforms_ends_on_cyclic_sums``.
+CONFORMANCE_CASES = {
+    "listings": (load_registry(*BOOL_FNS, "polymorphic_lists.axm"), [
+        TypeExpr("False"), TypeExpr("True"), TypeExpr("Boolean"), TypeExpr("Zero"), TypeExpr("Successor"),
+        TypeExpr("Number"), TypeExpr("Pair", (TypeExpr("False"), TypeExpr("True"))),
+        TypeExpr("Pair", (TypeExpr("Boolean"), TypeExpr("Boolean"))),
+        TypeExpr("Nil", (TypeExpr("Boolean"),)), TypeExpr("Nil", (TypeExpr("True"),)),
+        TypeExpr("Prepend", (TypeExpr("Boolean"),)), TypeExpr("List", (TypeExpr("Boolean"),)),
+        TypeExpr("List", (TypeExpr("True"),)), TypeExpr("List"), TypeExpr("Boolean", (TypeExpr("True"),)),
+    ]),
+    "cyclic and growing": (build_registry(parse_program(
+        "type Zero ≡ Product[]\ntype W[T] ≡ Product[]\ntype A ≡ Sum[B, W[Zero]]\ntype B ≡ Sum[A]\n"
+        "type G[T] ≡ Sum[G[W[T]]]\n"))[0], [
+        _ZERO, TypeExpr("W", (_ZERO,)), TypeExpr("A"), TypeExpr("B"), TypeExpr("G", (_ZERO,)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFORMANCE_CASES))
+def test_conformance_by_sum_table_agrees_with_substituting_walk(name, monkeypatch):
+    # Both walks give up on G's closure at the bound, whatever it is; a
+    # lower one keeps each of those walks short.
+    monkeypatch.setattr(typesys, "CLOSURE_BOUND", 1000)
+    registry, instances = CONFORMANCE_CASES[name]
+    for sub, sup in itertools.product(instances, repeat=2):
+        assert conforms(sub, sup, registry) == _reference_conforms(sub, sup, registry), (sub, sup)
+        assert join_types(sub, sup, registry) == _reference_join(sub, sup, registry), (sub, sup)
+
+
+def test_sum_table_holds_the_sums_without_parameters_read_only():
+    registry = load_registry(*BOOL_FNS, "polymorphic_lists.axm")
+    assert isinstance(registry.sums, MappingProxyType)
+    assert set(registry.sums) == {"Boolean", "Number"}  # not List[A]
+    assert registry.sums["Boolean"] == frozenset({TypeExpr("False"), TypeExpr("True")})
+    assert all(ty is ty.bare for parts in registry.sums.values() for ty in parts)
+    with pytest.raises(TypeError):
+        registry.sums["List"] = frozenset()
 
 
 def test_substitute_type_takes_deep_types():
